@@ -47,7 +47,6 @@ from .config import (
 )
 from .core_learning import (
     Dataset,
-    LabeledExample,
     Minibatch,
     ParamVector,
     ShapeError,
@@ -57,6 +56,9 @@ from .core_learning import (
     evaluate_mean_loss,
     predict_probs,
     sgd_step,
+    stacked_accuracy,
+    stacked_mean_loss,
+    stacked_sgd_step,
 )
 from .data import (
     IID,
@@ -81,6 +83,7 @@ from .reweight import (
     TempSoftmax,
     WeightVector,
     compute_tpm,
+    compute_tpm_batch,
     crs_acc_clip,
     crs_loss_clip,
     crs_temp_softmax,

@@ -38,7 +38,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--outdir", help="output directory (overrides config and DFLSIM_OUTDIR)")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
         p.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="worker threads for per-client work")
+                       help="worker threads for per-client aggregation; "
+                            "local SGD and scoring run batched")
         p.add_argument("--rounds", type=int, help="override the configured round count")
         p.add_argument("--seed-override", help="comma-separated seed list replacing the config's")
 

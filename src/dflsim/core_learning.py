@@ -75,12 +75,6 @@ def _require_same_shape(a: ParamVector, b: ParamVector) -> None:
 
 
 @dataclass(frozen=True)
-class LabeledExample:
-    features: np.ndarray
-    label: int
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Feature matrix (n, d), integer labels (n,), and the class count C."""
 
@@ -114,9 +108,6 @@ class Dataset:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    def example(self, i: int) -> LabeledExample:
-        return LabeledExample(self.features[i], int(self.labels[i]))
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
@@ -154,9 +145,9 @@ def _logits(model: ParamVector, features_matrix: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def predict_probs(model: ParamVector, features: np.ndarray) -> np.ndarray:
@@ -220,3 +211,61 @@ def evaluate_accuracy(model: ParamVector, data: Dataset) -> float:
 def evaluate_mean_loss(model: ParamVector, data: Dataset) -> float:
     """batch_loss with the whole dataset as one batch."""
     return batch_loss(model, data, Minibatch(np.arange(len(data))))
+
+
+# Stacked forms: k models held as the rows of one (k, C*d+C) matrix. Each
+# matches its per-model function above bit for bit.
+
+
+def _stacked_logits(params: np.ndarray, features: np.ndarray, num_classes: int) -> np.ndarray:
+    """(k, n, C) logits of k stacked models on (n, d) or per-model (k, n, d) features.
+
+    One batched matmul with a transposed (d, C) weight block per model issues
+    the same gemm as _logits does for each model. A single matmul against all
+    k*C weight rows at once would not be bit-identical.
+    """
+    params = np.asarray(params, dtype=np.float64)
+    d = features.shape[-1]
+    cd = num_classes * d
+    if params.ndim != 2 or params.shape[1] != cd + num_classes:
+        raise ShapeError(
+            f"parameter matrix of shape {params.shape} does not hold C={num_classes}, d={d} models"
+        )
+    weights = params[:, :cd].reshape(-1, num_classes, d)
+    return features @ weights.transpose(0, 2, 1) + params[:, None, cd:]
+
+
+def stacked_mean_loss(params: np.ndarray, data: Dataset) -> np.ndarray:
+    """evaluate_mean_loss of every row of a stacked parameter matrix."""
+    # evaluate_mean_loss multiplies a fresh C-ordered copy of the features.
+    features = np.ascontiguousarray(data.features)
+    probs = _softmax_rows(_stacked_logits(params, features, data.num_classes))
+    # The fancy-indexed view is strided; summing it row by row in a
+    # different order than the per-model mean would change the last bits.
+    p_true = np.ascontiguousarray(probs[:, np.arange(len(data)), data.labels])
+    return np.mean(-np.log(np.maximum(p_true, PROB_FLOOR)), axis=1)
+
+
+def stacked_accuracy(params: np.ndarray, data: Dataset) -> np.ndarray:
+    """evaluate_accuracy of every row of a stacked parameter matrix."""
+    logits = _stacked_logits(params, data.features, data.num_classes)
+    return np.mean(np.argmax(logits, axis=2) == data.labels, axis=1)
+
+
+def stacked_sgd_step(
+    params: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int, lr: float
+) -> np.ndarray:
+    """One SGD step of k models, each on its own minibatch.
+
+    features is (k, B, d) and labels is (k, B): row i of the result equals
+    sgd_step(model_i, batch_gradient(model_i, ...), lr) on minibatch i.
+    """
+    if lr <= 0:
+        raise ValueError("learning rate must be positive")
+    k, size, _ = features.shape
+    delta = _softmax_rows(_stacked_logits(params, features, num_classes))
+    delta[np.arange(k)[:, None], np.arange(size), labels] -= 1.0
+    delta /= size
+    grad_w = delta.transpose(0, 2, 1) @ features
+    grad_b = delta.sum(axis=1)
+    return params - lr * np.concatenate([grad_w.reshape(k, -1), grad_b], axis=1)

@@ -20,6 +20,8 @@ from .core_learning import (
     ShapeError,
     evaluate_accuracy,
     evaluate_mean_loss,
+    stacked_accuracy,
+    stacked_mean_loss,
 )
 
 #: Sentinel for a non-finite metric evaluation (e.g. a diverged model's loss).
@@ -124,6 +126,27 @@ def compute_tpm(kind: TargetMetricKind, model: ParamVector, aux: Dataset) -> flo
     return value if math.isfinite(value) else SENTINEL
 
 
+# compute_tpm_batch computes what these module-level functions compute, so it
+# stands in for them only while they are this module's own. A caller that
+# replaces one (to instrument or to change scoring) gets it called per member.
+_STOCK_SCORING = (compute_tpm, evaluate_accuracy, evaluate_mean_loss)
+
+
+def compute_tpm_batch(kind: TargetMetricKind, params: np.ndarray, aux: Dataset) -> np.ndarray:
+    """compute_tpm of every row of a stacked (k, C*d+C) parameter matrix.
+
+    All k models are scored in one batched matmul; each value is
+    bit-identical to compute_tpm on that row.
+    """
+    if kind is TargetMetricKind.ACCURACY_ON_AUX:
+        values = stacked_accuracy(params, aux)
+    elif kind is TargetMetricKind.LOSS_ON_AUX:
+        values = stacked_mean_loss(params, aux)
+    else:
+        raise TypeError(f"unknown metric kind {kind!r}")
+    return np.where(np.isfinite(values), values, SENTINEL)
+
+
 def crs_temp_softmax(metrics: MetricVector, temperature: float) -> WeightVector:
     """softmax(m_i / T) with max-subtraction."""
     if temperature <= 0:
@@ -148,7 +171,9 @@ def crs_loss_clip(metrics: MetricVector) -> WeightVector:
         raise ValueError("loss-clip requires at least one finite metric")
     if np.any(values[finite] < 0):
         raise ValueError("loss metrics must be nonnegative")
-    mu = float(values[finite].mean())
+    # Clamping to the data keeps equal metrics uniform when their float mean
+    # rounds past the common value.
+    mu = max(float(values[finite].mean()), float(values[finite].min()))
     survivors = finite & (values <= mu)
     raw = np.where(survivors, values, 0.0)
     total = float(raw.sum())
@@ -164,7 +189,7 @@ def crs_acc_clip(metrics: MetricVector) -> WeightVector:
     values = metrics.values
     if np.any(~np.isfinite(values)) or np.any(values < 0) or np.any(values > 1):
         raise ValueError("accuracy metrics must be finite and lie in [0, 1]")
-    mu = float(values.mean())
+    mu = min(float(values.mean()), float(values.max()))
     survivors = values >= mu
     raw = np.where(survivors, values, 0.0)
     total = float(raw.sum())
@@ -189,7 +214,8 @@ def reweight_aggregate(models: list, weights: WeightVector) -> ParamVector:
     """Weighted sum of parameter vectors; zero-weight entries are skipped.
 
     Skipping happens before any arithmetic, so a zero-weight model may be
-    non-finite without contaminating the result.
+    non-finite without contaminating the result. The surviving rows are summed
+    in member order, bit-identical to accumulating w * model one at a time.
     """
     ids = [int(i) for i, _ in models]
     if set(ids) != set(weights.ids):
@@ -197,15 +223,14 @@ def reweight_aggregate(models: list, weights: WeightVector) -> ParamVector:
     if len(set(ids)) != len(ids):
         raise ValueError("model ids must be distinct")
     shape = models[0][1].shape
-    acc = None
-    for node_id, model in models:
+    for _, model in models:
         if model.shape != shape:
             raise ShapeError(f"model shape {model.shape} differs from {shape}")
-        w = weights.weight_of(node_id)
-        if w == 0.0:
-            continue
-        acc = w * model.values if acc is None else acc + w * model.values
-    return models[0][1].replace_values(acc)
+    by_id = dict(zip(weights.ids, weights.weights))
+    w = np.array([by_id[i] for i in ids])
+    nz = np.flatnonzero(w)
+    stacked = np.array([models[i][1].values for i in nz])
+    return models[0][1].replace_values(np.add.reduce(w[nz, None] * stacked, axis=0))
 
 
 def dfedreweighting_round_weights(
@@ -218,9 +243,14 @@ def dfedreweighting_round_weights(
     """Score the closed neighborhood on aux and apply the reweighting strategy.
 
     This is the composition each client runs every round: received models plus
-    its own, evaluated with compute_tpm, reweighted by the CRS.
+    its own, scored together with compute_tpm_batch, reweighted by the CRS.
+    If compute_tpm or a metric it calls has been replaced, each member is
+    scored by a call to the module's compute_tpm instead.
     """
     members = sorted([own] + list(received), key=lambda pair: pair[0])
     ids = tuple(node_id for node_id, _ in members)
-    values = np.array([compute_tpm(kind, model, aux) for _, model in members])
+    if (compute_tpm, evaluate_accuracy, evaluate_mean_loss) == _STOCK_SCORING:
+        values = compute_tpm_batch(kind, np.array([model.values for _, model in members]), aux)
+    else:
+        values = np.array([compute_tpm(kind, model, aux) for _, model in members])
     return apply_crs(crs, MetricVector(ids, values))

@@ -46,7 +46,17 @@ from .config import (
     SyntheticSpec,
     config_to_json_dict,
 )
-from .core_learning import Dataset, Minibatch, ParamVector, batch_gradient, evaluate_accuracy, evaluate_mean_loss, sgd_step
+from .core_learning import (
+    Dataset,
+    Minibatch,
+    ParamVector,
+    ShapeError,
+    batch_gradient,
+    evaluate_accuracy,
+    evaluate_mean_loss,
+    sgd_step,
+    stacked_sgd_step,
+)
 from .data import (
     IID,
     Dirichlet,
@@ -180,7 +190,49 @@ def build_network(config: RunConfig, seed: int) -> NetworkState:
     return NetworkState(config, seed, graph, clients, train, test, plan, aux_split)
 
 
+def _local_half_steps(state: NetworkState, node_ids: list, t: int) -> dict:
+    """Local SGD of the given benign clients, stepped together; node id -> model.
+
+    Each client draws its minibatches from its own (seed, node, round,
+    "minibatch") stream, exactly as it would alone. Clients with the same
+    batch size min(batch_size, |train|) take each step as one stacked batch,
+    bit-identical to batch_gradient + sgd_step per client.
+    """
+    config = state.config
+    clients = [state.clients[k] for k in node_ids]
+    for client in clients:
+        model, train = client.model, client.train
+        if train.num_classes != model.num_classes or train.feature_dim != model.feature_dim:
+            raise ShapeError(f"model and dataset dimensions disagree for client {client.node_id}")
+    params = np.array([client.model.values for client in clients])
+    gens = [rng.stream(state.seed, k, t, "minibatch") for k in node_ids]
+    groups = {}
+    for row, client in enumerate(clients):
+        groups.setdefault(min(config.batch_size, len(client.train)), []).append(row)
+    for _ in range(config.local_steps):
+        for size, rows in groups.items():
+            features, labels = [], []
+            for row in rows:
+                train = clients[row].train
+                batch = Minibatch(gens[row].choice(len(train), size=size, replace=False))
+                batch.validate_for(train)
+                features.append(train.features[batch.indices])
+                labels.append(train.labels[batch.indices])
+            params[rows] = stacked_sgd_step(
+                params[rows], np.array(features), np.array(labels),
+                clients[0].model.num_classes, config.learning_rate,
+            )
+    return {k: client.model.replace_values(row) for k, client, row in zip(node_ids, clients, params)}
+
+
+# _local_half_steps computes what batch_gradient + sgd_step compute, so it
+# stands in for them only while they are the library's own. A caller that
+# replaces one (to instrument or to change the step) gets it called per client.
+_STOCK_LOCAL_STEP = (batch_gradient, sgd_step)
+
+
 def _local_half_step(state: NetworkState, node_id: int, t: int) -> ParamVector:
+    """One client's local SGD through batch_gradient + sgd_step."""
     client = state.clients[node_id]
     gen = rng.stream(state.seed, node_id, t, "minibatch")
     model = client.model
@@ -270,11 +322,17 @@ def _map_ordered(fn, items, executor):
 
 
 def run_round(state: NetworkState, t: int, executor: ThreadPoolExecutor | None = None) -> NetworkState:
-    """Advance the network one synchronous learning round."""
+    """Advance the network one synchronous learning round.
+
+    Local SGD runs as one stacked step over all benign clients, or client by
+    client if batch_gradient or sgd_step has been replaced; the executor, when
+    given, maps the per-client aggregation.
+    """
     benign = state.benign_ids()
-    halves = dict(
-        zip(benign, _map_ordered(lambda k: _local_half_step(state, k, t), benign, executor))
-    )
+    if (batch_gradient, sgd_step) == _STOCK_LOCAL_STEP:
+        halves = _local_half_steps(state, benign, t)
+    else:
+        halves = {k: _local_half_step(state, k, t) for k in benign}
     incoming = dict(halves)
     if state.config.attack is not None:
         for m in state.malicious_ids():
@@ -324,7 +382,6 @@ class RunSummary:
     per_seed_final: dict
     mean_acc: float
     var_points: float
-    rounds_evaluated: dict
     wall_clock_sec: float
     source_fingerprint: str
 
@@ -447,7 +504,6 @@ def run_experiment(
         per_seed_final=per_seed_final,
         mean_acc=mean_accuracy([f["mean_acc"] for f in per_seed_final.values()]),
         var_points=mean_accuracy([f["var_points"] for f in per_seed_final.values()]),
-        rounds_evaluated={seed: sorted(eval_rounds) for seed in config.seeds},
         wall_clock_sec=time.perf_counter() - start,
         source_fingerprint=source_fingerprint(),
     )

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from dflsim import rng
-from dflsim.core_learning import Dataset, ParamVector
+from dflsim.core_learning import Dataset, ParamVector, ShapeError
 from dflsim.data import gen_synthetic_blobs
 from dflsim.reweight import (
+    SENTINEL,
     AccClip,
     LossClip,
     MetricVector,
@@ -15,6 +16,7 @@ from dflsim.reweight import (
     WeightVector,
     apply_crs,
     compute_tpm,
+    compute_tpm_batch,
     crs_acc_clip,
     crs_loss_clip,
     crs_temp_softmax,
@@ -52,6 +54,48 @@ class TestComputeTpm:
         model = ParamVector([math.nan, 0.0, 0.0, 0.0], 2, 1)
         value = compute_tpm(TargetMetricKind.LOSS_ON_AUX, model, data)
         assert value == math.inf and not math.isnan(value)
+
+
+class TestComputeTpmBatch:
+    """The stacked scorer must equal compute_tpm bit for bit, row by row."""
+
+    @staticmethod
+    def assert_rows_equal_oracle(params, aux):
+        for kind in TargetMetricKind:
+            oracle = [compute_tpm(kind, ParamVector(row, aux.num_classes, aux.feature_dim), aux)
+                      for row in params]
+            np.testing.assert_array_equal(compute_tpm_batch(kind, params, aux), oracle)
+
+    def test_random_members_match_compute_tpm(self):
+        gen = rng.stream(35, purpose="test")
+        aux = gen_synthetic_blobs(10, 64, 4, 3.5, seed=35)
+        fortran = Dataset(np.asfortranarray(aux.features), aux.labels, aux.num_classes)
+        for k in (1, 2, 9, 37):
+            params = gen.normal(0, float(gen.uniform(0.01, 5.0)), (k, 10 * 64 + 10))
+            self.assert_rows_equal_oracle(params, aux)
+            self.assert_rows_equal_oracle(params, fortran)
+
+    def test_nan_model_maps_to_sentinel(self):
+        aux = gen_synthetic_blobs(3, 4, 5, 0.5, seed=36)
+        params = rng.stream(36, purpose="test").standard_normal((4, 15))
+        params[2, 0] = math.nan
+        self.assert_rows_equal_oracle(params, aux)
+        losses = compute_tpm_batch(TargetMetricKind.LOSS_ON_AUX, params, aux)
+        assert losses[2] == SENTINEL and np.isfinite(np.delete(losses, 2)).all()
+
+    def test_argmax_ties_match_compute_tpm(self):
+        aux = gen_synthetic_blobs(3, 4, 5, 0.5, seed=37)
+        tied = np.zeros((3, 15))  # row 0: every class tied
+        tied[1, :8] = np.tile([1.0, -1.0, 0.5, 2.0], 2)  # classes 0 and 1 tie
+        tied[2, 12:] = [0.0, 1.0, 1.0]  # classes 1 and 2 tie on the bias
+        self.assert_rows_equal_oracle(tied, aux)
+        accs = compute_tpm_batch(TargetMetricKind.ACCURACY_ON_AUX, tied, aux)
+        assert accs[0] == float(np.mean(aux.labels == 0))
+
+    def test_wrong_width_rejected(self):
+        aux = gen_synthetic_blobs(3, 4, 5, 0.5, seed=38)
+        with pytest.raises(ShapeError):
+            compute_tpm_batch(TargetMetricKind.LOSS_ON_AUX, np.zeros((2, 14)), aux)
 
 
 class TestTempSoftmax:
@@ -104,8 +148,10 @@ class TestLossClip:
         np.testing.assert_allclose(w.weights, [1 / 3, 2 / 3, 0.0], rtol=1e-12)
 
     def test_boundary_kept(self):
-        w = crs_loss_clip(mv([5.0, 5.0, 5.0]))
-        np.testing.assert_allclose(w.weights, 1 / 3, atol=1e-12)
+        # The float mean of 21 copies of the second loss rounds below it.
+        for values in ([5.0] * 3, [3.647482804919992] * 21):
+            w = crs_loss_clip(mv(values))
+            np.testing.assert_allclose(w.weights, 1 / len(values), atol=1e-12)
 
     def test_sentinel_clipped_and_excluded_from_mean(self):
         w = crs_loss_clip(mv([1.0, math.inf]))
@@ -130,8 +176,10 @@ class TestAccClip:
         np.testing.assert_allclose(w.weights, [9 / 17, 8 / 17, 0.0], rtol=1e-12)
 
     def test_equal_metrics_uniform(self):
-        w = crs_acc_clip(mv([0.6, 0.6, 0.6, 0.6]))
-        np.testing.assert_allclose(w.weights, 0.25, atol=1e-12)
+        # The float mean of 9 copies of 37/40 rounds above the value.
+        for values in ([0.6] * 4, [37 / 40] * 9):
+            w = crs_acc_clip(mv(values))
+            np.testing.assert_allclose(w.weights, 1 / len(values), atol=1e-12)
 
     def test_single_survivor(self):
         w = crs_acc_clip(mv([0.0, 0.0, 1.0]))
@@ -211,6 +259,21 @@ class TestReweightAggregate:
         assert out.is_finite()
         np.testing.assert_array_equal(out.values, good.values)
 
+    def test_equals_sequential_weighted_sum(self):
+        gen = rng.stream(39, purpose="test")
+        for k in (2, 9, 37):
+            models = [(i, ParamVector(gen.standard_normal(650), 10, 64)) for i in range(k)]
+            models[1] = (1, ParamVector(np.full(650, math.nan), 10, 64))
+            raw = gen.uniform(0.0, 1.0, size=k) * (gen.uniform(size=k) < 0.7)
+            raw[1], raw[0] = 0.0, 1.0
+            weights = WeightVector(tuple(range(k)), raw / raw.sum())
+            acc = None
+            for node_id, model in models:
+                w = weights.weight_of(node_id)
+                if w != 0.0:
+                    acc = w * model.values if acc is None else acc + w * model.values
+            np.testing.assert_array_equal(reweight_aggregate(models, weights).values, acc)
+
     def test_id_mismatch_rejected(self):
         model = ParamVector([0.0, 0.0], 1, 1)
         with pytest.raises(ValueError):
@@ -287,6 +350,33 @@ class TestRoundWeights:
                 assert w.weight_of(i) == 0.0
             else:
                 assert w.weight_of(i) > 0.0
+
+    def test_replaced_scoring_functions_are_called_per_member(self, monkeypatch):
+        import dflsim.reweight as reweight
+
+        data = gen_synthetic_blobs(3, 4, 10, 0.5, seed=44)
+        gen = np.random.default_rng(9)
+        pairs = [(i, ParamVector(gen.standard_normal(15), 3, 4)) for i in range(5)]
+        batched = dfedreweighting_round_weights(
+            TargetMetricKind.LOSS_ON_AUX, LossClip(), pairs[1:], pairs[0], data)
+        scored = []
+
+        def counting_tpm(kind, model, aux):
+            scored.append(model)
+            return compute_tpm(kind, model, aux)
+
+        monkeypatch.setattr(reweight, "compute_tpm", counting_tpm)
+        per_member = dfedreweighting_round_weights(
+            TargetMetricKind.LOSS_ON_AUX, LossClip(), pairs[1:], pairs[0], data)
+        assert [m.values.tobytes() for m in scored] == [m.values.tobytes() for _, m in pairs]
+        np.testing.assert_array_equal(per_member.weights, batched.weights)
+
+        # A replaced metric changes the scores: all-equal losses give uniform weights.
+        monkeypatch.undo()
+        monkeypatch.setattr(reweight, "evaluate_mean_loss", lambda model, aux: 2.0)
+        w = dfedreweighting_round_weights(
+            TargetMetricKind.LOSS_ON_AUX, LossClip(), pairs[1:], pairs[0], data)
+        np.testing.assert_array_equal(w.weights, np.full(5, 0.2))
 
     def test_apply_crs_dispatch(self):
         metrics = mv([0.2, 0.8])

@@ -8,11 +8,13 @@ import pytest
 from dflsim import rng
 from dflsim.config import parse_config
 from dflsim.core_learning import Dataset, Minibatch, ParamVector, batch_gradient, sgd_step
+from dflsim.reweight import MetricVector, apply_crs, compute_tpm
 from dflsim.sim import (
     ClientState,
     NetworkState,
     SimulationError,
     _attack_payload,
+    _local_half_steps,
     build_network,
     evaluate_network,
     run_experiment,
@@ -126,6 +128,118 @@ class TestRunRound:
             np.testing.assert_array_equal(
                 state_seq.clients[k].model.values, state_par.clients[k].model.values
             )
+
+
+def loop_half_step(state, node_id, t):
+    """Reference local SGD: per-client batch_gradient + sgd_step on the client's stream."""
+    client = state.clients[node_id]
+    gen = rng.stream(state.seed, node_id, t, "minibatch")
+    n = len(client.train)
+    model = client.model
+    for _ in range(state.config.local_steps):
+        batch = Minibatch(gen.choice(n, size=min(state.config.batch_size, n), replace=False))
+        model = sgd_step(model, batch_gradient(model, client.train, batch),
+                         state.config.learning_rate)
+    return model
+
+
+class TestStackedRoundEngine:
+    """The stacked round engine must equal the per-client reference functions bit for bit."""
+
+    def test_stacked_local_step_equals_per_client_loop(self):
+        config = tiny_config(batch_size=8, local_steps=2, learning_rate=0.3)
+        gen = np.random.default_rng(4)
+        clients = {}
+        # Train sizes below, at and above batch_size give three stacked groups.
+        for k, n in enumerate([3, 8, 8, 20, 5, 13]):
+            data = Dataset(gen.standard_normal((n, 6)), gen.integers(0, 3, n), 3)
+            model = ParamVector(gen.standard_normal(21), 3, 6)
+            clients[k] = ClientState(k, "benign", model, data, data)
+        state = manual_state(config, graph_without_edges(6), clients, clients[0].train)
+        for t in (1, 2):
+            stacked = _local_half_steps(state, state.benign_ids(), t)
+            for k in state.benign_ids():
+                np.testing.assert_array_equal(
+                    stacked[k].values, loop_half_step(state, k, t).values)
+                state.clients[k].model = stacked[k]
+
+    def test_stacked_local_step_checks_shapes(self):
+        config = tiny_config()
+        data = Dataset(np.zeros((4, 6)), [0, 1, 2, 0], 3)
+        clients = {k: ClientState(k, "benign", ParamVector.zeros(3, 5), data, data)
+                   for k in (0, 1)}
+        state = manual_state(config, graph_without_edges(2), clients, data)
+        with pytest.raises(ValueError, match="dimensions disagree"):
+            _local_half_steps(state, [0, 1], 1)
+
+    @pytest.mark.parametrize("aggregator", [
+        {"tpm": "loss", "crs": "loss_clip"},
+        {"tpm": "accuracy", "crs": {"temp_softmax": {"temperature": 0.1}}},
+        {"tpm": "accuracy", "crs": "acc_clip"},
+    ])
+    def test_reweighting_round_equals_per_member_oracles(self, aggregator):
+        config = tiny_config(
+            dataset={"synthetic": {"num_classes": 10, "feature_dim": 64, "n_per_class": 40,
+                                   "spread": 3.5, "seed": 7, "test_n_per_class": 10}},
+            topology={"num_benign": 8, "num_malicious": 2, "edge_prob": 0.7},
+            aggregator={"dfed_reweighting": aggregator},
+            attack={"kind": "sign_flip", "factor": -10.0},
+        )
+        state = build_network(config, seed=43)
+        oracle = build_network(config, seed=43)
+        agg = state.config.aggregator
+        for t in (1, 2, 3):
+            run_round(state, t)
+            halves = {k: loop_half_step(oracle, k, t) for k in oracle.benign_ids()}
+            incoming = dict(halves)
+            for m in oracle.malicious_ids():
+                incoming[m] = _attack_payload(oracle, m, halves, t)
+            updated = {}
+            for k in oracle.benign_ids():
+                members = sorted({k, *np.flatnonzero(oracle.graph.adjacency[k]).tolist()})
+                metrics = MetricVector(members, [
+                    compute_tpm(agg.tpm, incoming[i], oracle.clients[k].aux) for i in members])
+                weights = apply_crs(agg.crs, metrics)
+                acc = None
+                for i in members:
+                    w = weights.weight_of(i)
+                    if w != 0.0:
+                        acc = w * incoming[i].values if acc is None else acc + w * incoming[i].values
+                np.testing.assert_array_equal(state.clients[k].model.values, acc)
+                assert state.last_weights[k] == dict(zip(weights.ids, weights.weights.tolist()))
+                updated[k] = incoming[k].replace_values(acc)
+            for k, model in updated.items():
+                oracle.clients[k].model = model
+
+    def test_replaced_local_step_functions_are_called_per_client(self, monkeypatch):
+        import dflsim.sim as sim
+
+        config = tiny_config(
+            topology={"num_benign": 5, "num_malicious": 1, "edge_prob": 0.6},
+            aggregator={"dfed_reweighting": {"tpm": "loss", "crs": "loss_clip"}},
+            attack={"kind": "sign_flip", "factor": -10.0},
+            local_steps=2,
+        )
+        stacked, per_client = build_network(config, seed=43), build_network(config, seed=43)
+        calls = {"batch_gradient": 0, "sgd_step": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(sim, "batch_gradient", counted("batch_gradient", batch_gradient))
+        monkeypatch.setattr(sim, "sgd_step", counted("sgd_step", sgd_step))
+        for t in (1, 2):
+            run_round(per_client, t)
+        monkeypatch.undo()
+        for t in (1, 2):
+            run_round(stacked, t)
+        assert calls == {"batch_gradient": 2 * 5 * 2, "sgd_step": 2 * 5 * 2}
+        for k in stacked.benign_ids():
+            np.testing.assert_array_equal(
+                per_client.clients[k].model.values, stacked.clients[k].model.values)
 
 
 class TestBaselineDispatch:
