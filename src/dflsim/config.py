@@ -1,17 +1,21 @@
 """Run configuration: typed experiment description plus strict JSON parsing.
 
-The JSON schema is documented in the README; unknown keys are rejected at
-every level so a typo fails fast instead of silently using a default.
+The JSON schema is documented in the README. Parsing and the canonical echo
+both walk the spec dataclasses' fields; unknown keys and values that do not
+match a field's annotation are rejected with their JSON path.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Union
+import math
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from enum import Enum
+from functools import cache
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .attacks import ALIE, AttackKind, Gaussian, SignFlip
 from .baselines import BaselineKind, DFedAvg, Flame, Krum, Median, MultiKrum, TrimmedMean
-from .data import IID, Dirichlet, HeterogeneityScheme, LabelSkew, scheme_to_json
+from .data import IID, Dirichlet, HeterogeneityScheme, LabelSkew
 from .reweight import AccClip, CRSKind, LossClip, TargetMetricKind, TempSoftmax
 
 
@@ -37,6 +41,12 @@ class IdxSpec:
     test_labels: str | None = None
     subsample_fraction: float | None = None
     subsample_seed: int = 0
+
+    def __post_init__(self):
+        if self.subsample_fraction is not None and not 0 < self.subsample_fraction <= 1:
+            raise ConfigError("subsample_fraction must lie in (0, 1]")
+        if (self.test_images is None) != (self.test_labels is None):
+            raise ConfigError("test_images and test_labels must be given together")
 
 
 DatasetSource = Union[SyntheticSpec, IdxSpec]
@@ -78,7 +88,7 @@ class RunConfig:
     local_steps: int = 1
     attack: AttackSpec | None = None
     aux_fraction: float = 0.2
-    seeds: tuple = (43, 44, 45, 46)
+    seeds: tuple[int, ...] = (43, 44, 45, 46)
     eval_every: int = 10
     eval_mode: str = "auto"  # "local", "global", or "auto"
     export_weights: bool = False
@@ -101,6 +111,9 @@ class RunConfig:
             raise ConfigError("eval_every must be positive")
         if self.eval_mode not in ("local", "global", "auto"):
             raise ConfigError("eval_mode must be 'local', 'global', or 'auto'")
+        if (self.resolved_eval_mode() == "global" and isinstance(self.dataset, IdxSpec)
+                and self.dataset.test_images is None):
+            raise ConfigError("global evaluation requires a test dataset (idx test paths)")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
     def resolved_eval_mode(self) -> str:
@@ -110,170 +123,175 @@ class RunConfig:
         return "global" if self.attack is not None else "local"
 
 
-def _expect_keys(obj: dict, allowed: set, required: set, path: str) -> None:
+DATASETS = {"synthetic": SyntheticSpec, "idx": IdxSpec}
+SCHEMES = {"iid": IID, "dirichlet": Dirichlet, "label_skew": LabelSkew}
+CRSS = {"temp_softmax": TempSoftmax, "loss_clip": LossClip, "acc_clip": AccClip}
+BASELINES = {
+    "dfedavg": DFedAvg,
+    "median": Median,
+    "krum": Krum,
+    "multi_krum": MultiKrum,
+    "trimmed_mean": TrimmedMean,
+    "flame": Flame,
+}
+ATTACKS = {"gaussian": Gaussian, "sign_flip": SignFlip, "alie": ALIE}
+
+
+@cache
+def _fields(cls) -> tuple:
+    """(name, type, nullable, required) per field; an `X | None` field has type X, nullable."""
+    hints, out = get_type_hints(cls), []
+    for f in fields(cls):
+        t = hints[f.name]
+        nullable = type(None) in get_args(t)
+        if nullable:
+            (t,) = set(get_args(t)) - {type(None)}
+        out.append((f.name, t, nullable, f.default is MISSING and f.default_factory is MISSING))
+    return tuple(out)
+
+
+def _bare(entry) -> bool:
+    """A spec without fields, written as its bare name."""
+    return is_dataclass(entry) and not fields(entry)
+
+
+def _build(cls, obj, path: str):
+    """A cls instance from a JSON object: its keys are cls's fields, typed by annotation."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
-    unknown = set(obj) - allowed
+    spec = _fields(cls)
+    unknown = set(obj) - {name for name, *_ in spec}
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
-    missing = required - set(obj)
+    missing = {name for name, *_, required in spec if required} - set(obj)
     if missing:
         raise ConfigError(f"{path}: missing required key(s) {sorted(missing)}")
+    kwargs = {
+        name: None if nullable and obj[name] is None else _decode(t, obj[name], f"{path}.{name}")
+        for name, t, nullable, _ in spec if name in obj
+    }
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_dataset(obj, path: str) -> DatasetSource:
-    _expect_keys(obj, {"synthetic", "idx"}, set(), path)
-    if len(obj) != 1:
-        raise ConfigError(f"{path}: exactly one of 'synthetic' or 'idx' is required")
-    if "synthetic" in obj:
-        spec = obj["synthetic"]
-        _expect_keys(
-            spec,
-            {"num_classes", "feature_dim", "n_per_class", "spread", "seed", "test_n_per_class"},
-            set(),
-            f"{path}.synthetic",
-        )
-        return SyntheticSpec(**spec)
-    spec = obj["idx"]
-    _expect_keys(
-        spec,
-        {"train_images", "train_labels", "test_images", "test_labels",
-         "subsample_fraction", "subsample_seed"},
-        {"train_images", "train_labels"},
-        f"{path}.idx",
-    )
-    return IdxSpec(**spec)
+def _decode(t, obj, path: str):
+    """Check one JSON value against type t and convert it."""
+    if t in _FAMILIES:
+        return _FAMILIES[t].decode(obj, path)
+    if t is bool:
+        ok, want = isinstance(obj, bool), "true or false"
+    elif t is int:
+        ok, want = isinstance(obj, int) and not isinstance(obj, bool), "an integer"
+    elif t is float:
+        ok = isinstance(obj, (int, float)) and not isinstance(obj, bool) and math.isfinite(obj)
+        obj, want = float(obj) if ok else obj, "a finite number"
+    elif t is str:
+        ok, want = isinstance(obj, str), "a string"
+    elif get_origin(t) is tuple:
+        if not isinstance(obj, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {obj!r}")
+        return tuple(_decode(get_args(t)[0], x, f"{path}[{i}]") for i, x in enumerate(obj))
+    elif isinstance(t, type) and issubclass(t, Enum):
+        values = [m.value for m in t]
+        ok, want = obj in values, " or ".join(map(repr, values))
+        obj = t(obj) if ok else obj
+    else:
+        return _build(t, obj, path)
+    if not ok:
+        raise ConfigError(f"{path}: expected {want}, got {obj!r}")
+    return obj
 
 
-def _parse_scheme(obj, path: str) -> HeterogeneityScheme:
-    if obj == "iid":
-        return IID()
-    if isinstance(obj, dict) and set(obj) == {"dirichlet"}:
-        _expect_keys(obj["dirichlet"], {"alpha"}, {"alpha"}, f"{path}.dirichlet")
-        return Dirichlet(float(obj["dirichlet"]["alpha"]))
-    if isinstance(obj, dict) and set(obj) == {"label_skew"}:
-        _expect_keys(obj["label_skew"], {"h"}, {"h"}, f"{path}.label_skew")
-        return LabelSkew(int(obj["label_skew"]["h"]))
-    raise ConfigError(f"{path}: expected 'iid', {{'dirichlet': ...}}, or {{'label_skew': ...}}")
+def _encode(t, value):
+    """The JSON echo of a value of type t."""
+    if value is None:
+        return None
+    if t in _FAMILIES:
+        return _FAMILIES[t].encode(value)
+    if is_dataclass(t):
+        return {name: _encode(ft, getattr(value, name)) for name, ft, *_ in _fields(t)}
+    if isinstance(value, Enum):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value
 
 
-def _parse_crs(obj, path: str) -> CRSKind:
-    if obj == "loss_clip":
-        return LossClip()
-    if obj == "acc_clip":
-        return AccClip()
-    if isinstance(obj, dict) and set(obj) == {"temp_softmax"}:
-        _expect_keys(obj["temp_softmax"], {"temperature"}, {"temperature"}, f"{path}.temp_softmax")
-        return TempSoftmax(float(obj["temp_softmax"]["temperature"]))
-    raise ConfigError(
-        f"{path}: expected 'loss_clip', 'acc_clip', or {{'temp_softmax': ...}}"
-    )
+@dataclass(frozen=True)
+class _Named:
+    """`"name"` for a spec without fields, or `{"name": {...}}`; the echo leaves out nulls."""
+
+    table: dict
+
+    def decode(self, obj, path: str):
+        if isinstance(obj, str) and _bare(self.table.get(obj)):
+            obj = {obj: {}}
+        if not (isinstance(obj, dict) and len(obj) == 1 and next(iter(obj)) in self.table):
+            raise ConfigError(f'{path}: expected {{"<name>": {{...}}}}, or "<name>" for a spec '
+                              f'without fields, <name> in {sorted(self.table)}; got {obj!r}')
+        ((name, body),) = obj.items()
+        return _decode(self.table[name], body, f"{path}.{name}")
+
+    def encode(self, value):
+        name = next(n for n, e in self.table.items() if isinstance(value, get_args(e) or e))
+        body = _encode(self.table[name], value)  # empty only for a spec without fields
+        return {name: {k: v for k, v in body.items() if v is not None}} if body else name
 
 
-_BASELINES = {
-    "dfedavg": lambda spec: DFedAvg(),
-    "median": lambda spec: Median(),
-    "krum": lambda spec: Krum(f=int(spec.get("f", 2))),
-    "multi_krum": lambda spec: MultiKrum(f=int(spec.get("f", 2)), m=int(spec.get("m", 2))),
-    "trimmed_mean": lambda spec: TrimmedMean(f=int(spec.get("f", 2))),
-    "flame": lambda spec: Flame(
-        beta=float(spec.get("beta", 1.0)), include_self=bool(spec.get("include_self", True))
-    ),
-}
+@dataclass(frozen=True)
+class _Kinded:
+    """`{"kind": "name", ...}`: the spec's fields sit beside its name."""
 
-_BASELINE_KEYS = {
-    "dfedavg": set(),
-    "median": set(),
-    "krum": {"f"},
-    "multi_krum": {"f", "m"},
-    "trimmed_mean": {"f"},
-    "flame": {"beta", "include_self"},
-}
+    table: dict
+
+    def decode(self, obj, path: str):
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        if not isinstance(kind, str) or kind not in self.table:
+            raise ConfigError(f"{path}: expected an object whose 'kind' is one of "
+                              f"{sorted(self.table)}, got {obj!r}")
+        return _build(self.table[kind], {k: v for k, v in obj.items() if k != "kind"}, path)
+
+    def encode(self, value):
+        name = next(n for n, cls in self.table.items() if isinstance(value, cls))
+        return {"kind": name, **_encode(type(value), value)}
 
 
-def _parse_aggregator(obj, path: str) -> AggregatorSpec:
-    _expect_keys(obj, {"dfed_reweighting", "baseline"}, set(), path)
-    if len(obj) != 1:
-        raise ConfigError(f"{path}: exactly one of 'dfed_reweighting' or 'baseline' is required")
-    if "dfed_reweighting" in obj:
-        spec = obj["dfed_reweighting"]
-        _expect_keys(spec, {"tpm", "crs"}, {"tpm", "crs"}, f"{path}.dfed_reweighting")
-        try:
-            tpm = TargetMetricKind(spec["tpm"])
-        except ValueError:
+class _Attack(_Kinded):
+    """An attack is kinded, with AttackSpec's `knowledge` beside the attack's own fields."""
+
+    def decode(self, obj, path: str) -> AttackSpec:
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{path}: expected null or an object with a 'kind' key")
+        body = dict(obj)
+        knowledge = body.pop("knowledge", "omniscient")
+        if knowledge not in ("omniscient", "neighborhood"):
             raise ConfigError(
-                f"{path}.dfed_reweighting.tpm: expected 'accuracy' or 'loss'"
-            ) from None
-        return DFedReweightingSpec(tpm, _parse_crs(spec["crs"], f"{path}.dfed_reweighting.crs"))
-    spec = obj["baseline"]
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"{path}.baseline: expected an object with a 'kind' key")
-    kind = spec["kind"]
-    if kind not in _BASELINES:
-        raise ConfigError(f"{path}.baseline.kind: unknown baseline {kind!r}")
-    _expect_keys(spec, {"kind"} | _BASELINE_KEYS[kind], {"kind"}, f"{path}.baseline")
-    return _BASELINES[kind](spec)
+                f"{path}.knowledge: expected 'omniscient' or 'neighborhood', got {knowledge!r}"
+            )
+        return AttackSpec(super().decode(body, path), knowledge)
+
+    def encode(self, spec: AttackSpec):
+        return {**super().encode(spec.kind), "knowledge": spec.knowledge}
+
+
+_FAMILIES = {
+    DatasetSource: _Named(DATASETS),
+    HeterogeneityScheme: _Named(SCHEMES),
+    CRSKind: _Named(CRSS),
+    BaselineKind: _Kinded(BASELINES),
+    AggregatorSpec: _Named({"dfed_reweighting": DFedReweightingSpec, "baseline": BaselineKind}),
+    AttackSpec: _Attack(ATTACKS),
+}
 
 
 def parse_attack_spec(obj, path: str) -> AttackSpec | None:
-    if obj is None:
-        return None
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError(f"{path}: expected null or an object with a 'kind' key")
-    kind = obj["kind"]
-    knowledge = obj.get("knowledge", "omniscient")
-    if knowledge not in ("omniscient", "neighborhood"):
-        raise ConfigError(f"{path}.knowledge: expected 'omniscient' or 'neighborhood'")
-    if kind == "gaussian":
-        _expect_keys(obj, {"kind", "sigma", "knowledge"}, {"kind"}, path)
-        return AttackSpec(Gaussian(sigma=float(obj.get("sigma", 30.0))), knowledge)
-    if kind == "sign_flip":
-        _expect_keys(obj, {"kind", "factor", "knowledge"}, {"kind"}, path)
-        return AttackSpec(SignFlip(factor=float(obj.get("factor", -10.0))), knowledge)
-    if kind == "alie":
-        _expect_keys(obj, {"kind", "z", "knowledge"}, {"kind"}, path)
-        z = obj.get("z")
-        return AttackSpec(ALIE(z=None if z is None else float(z)), knowledge)
-    raise ConfigError(f"{path}.kind: unknown attack {kind!r}")
-
-
-_TOP_LEVEL_KEYS = {
-    "name", "dataset", "scheme", "topology", "rounds", "learning_rate", "batch_size",
-    "local_steps", "aggregator", "attack", "aux_fraction", "seeds", "eval_every",
-    "eval_mode", "export_weights", "outdir",
-}
+    """An `attack` block: null, or {"kind": name, "knowledge": ..., <the attack's fields>}."""
+    return None if obj is None else _decode(AttackSpec, obj, path)
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a JSON document and build a RunConfig; raises ConfigError."""
-    _expect_keys(doc, _TOP_LEVEL_KEYS, {"name", "dataset", "scheme", "aggregator"}, "config")
-    topo = doc.get("topology", {})
-    _expect_keys(
-        topo, {"num_benign", "num_malicious", "edge_prob", "max_retries"}, set(), "config.topology"
-    )
-    try:
-        return RunConfig(
-            name=str(doc["name"]),
-            dataset=_parse_dataset(doc["dataset"], "config.dataset"),
-            scheme=_parse_scheme(doc["scheme"], "config.scheme"),
-            aggregator=_parse_aggregator(doc["aggregator"], "config.aggregator"),
-            topology=TopologyShape(**topo),
-            rounds=int(doc.get("rounds", 500)),
-            learning_rate=float(doc.get("learning_rate", 0.01)),
-            batch_size=int(doc.get("batch_size", 32)),
-            local_steps=int(doc.get("local_steps", 1)),
-            attack=parse_attack_spec(doc.get("attack"), "config.attack"),
-            aux_fraction=float(doc.get("aux_fraction", 0.2)),
-            seeds=tuple(doc.get("seeds", (43, 44, 45, 46))),
-            eval_every=int(doc.get("eval_every", 10)),
-            eval_mode=str(doc.get("eval_mode", "auto")),
-            export_weights=bool(doc.get("export_weights", False)),
-            outdir=doc.get("outdir"),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return _build(RunConfig, doc, "config")
 
 
 def load_config(path: str) -> RunConfig:
@@ -289,82 +307,4 @@ def load_config(path: str) -> RunConfig:
 
 def config_to_json_dict(config: RunConfig) -> dict:
     """Canonical JSON echo of a parsed config (written next to run outputs)."""
-    if isinstance(config.dataset, SyntheticSpec):
-        ds = {"synthetic": {
-            "num_classes": config.dataset.num_classes,
-            "feature_dim": config.dataset.feature_dim,
-            "n_per_class": config.dataset.n_per_class,
-            "spread": config.dataset.spread,
-            "seed": config.dataset.seed,
-            "test_n_per_class": config.dataset.test_n_per_class,
-        }}
-    else:
-        ds = {"idx": {k: v for k, v in {
-            "train_images": config.dataset.train_images,
-            "train_labels": config.dataset.train_labels,
-            "test_images": config.dataset.test_images,
-            "test_labels": config.dataset.test_labels,
-            "subsample_fraction": config.dataset.subsample_fraction,
-            "subsample_seed": config.dataset.subsample_seed,
-        }.items() if v is not None}}
-
-    agg = config.aggregator
-    if isinstance(agg, DFedReweightingSpec):
-        if isinstance(agg.crs, TempSoftmax):
-            crs = {"temp_softmax": {"temperature": agg.crs.temperature}}
-        elif isinstance(agg.crs, LossClip):
-            crs = "loss_clip"
-        else:
-            crs = "acc_clip"
-        agg_doc = {"dfed_reweighting": {"tpm": agg.tpm.value, "crs": crs}}
-    elif isinstance(agg, DFedAvg):
-        agg_doc = {"baseline": {"kind": "dfedavg"}}
-    elif isinstance(agg, Median):
-        agg_doc = {"baseline": {"kind": "median"}}
-    elif isinstance(agg, Krum):
-        agg_doc = {"baseline": {"kind": "krum", "f": agg.f}}
-    elif isinstance(agg, MultiKrum):
-        agg_doc = {"baseline": {"kind": "multi_krum", "f": agg.f, "m": agg.m}}
-    elif isinstance(agg, TrimmedMean):
-        agg_doc = {"baseline": {"kind": "trimmed_mean", "f": agg.f}}
-    elif isinstance(agg, Flame):
-        agg_doc = {"baseline": {"kind": "flame", "beta": agg.beta,
-                                "include_self": agg.include_self}}
-    else:
-        raise TypeError(f"unknown aggregator {agg!r}")
-
-    if config.attack is None:
-        attack_doc = None
-    elif isinstance(config.attack.kind, Gaussian):
-        attack_doc = {"kind": "gaussian", "sigma": config.attack.kind.sigma,
-                      "knowledge": config.attack.knowledge}
-    elif isinstance(config.attack.kind, SignFlip):
-        attack_doc = {"kind": "sign_flip", "factor": config.attack.kind.factor,
-                      "knowledge": config.attack.knowledge}
-    else:
-        attack_doc = {"kind": "alie", "z": config.attack.kind.z,
-                      "knowledge": config.attack.knowledge}
-
-    return {
-        "name": config.name,
-        "dataset": ds,
-        "scheme": scheme_to_json(config.scheme),
-        "topology": {
-            "num_benign": config.topology.num_benign,
-            "num_malicious": config.topology.num_malicious,
-            "edge_prob": config.topology.edge_prob,
-            "max_retries": config.topology.max_retries,
-        },
-        "rounds": config.rounds,
-        "learning_rate": config.learning_rate,
-        "batch_size": config.batch_size,
-        "local_steps": config.local_steps,
-        "aggregator": agg_doc,
-        "attack": attack_doc,
-        "aux_fraction": config.aux_fraction,
-        "seeds": list(config.seeds),
-        "eval_every": config.eval_every,
-        "eval_mode": config.eval_mode,
-        "export_weights": config.export_weights,
-        "outdir": config.outdir,
-    }
+    return _encode(RunConfig, config)

@@ -56,16 +56,6 @@ class LabelSkew:
 HeterogeneityScheme = Union[IID, Dirichlet, LabelSkew]
 
 
-def scheme_to_json(scheme: HeterogeneityScheme):
-    if isinstance(scheme, IID):
-        return "iid"
-    if isinstance(scheme, Dirichlet):
-        return {"dirichlet": {"alpha": scheme.alpha}}
-    if isinstance(scheme, LabelSkew):
-        return {"label_skew": {"h": scheme.h}}
-    raise TypeError(f"unknown scheme {scheme!r}")
-
-
 @dataclass(frozen=True)
 class PartitionPlan:
     """Per-benign-client example indices into the global training dataset."""
@@ -85,17 +75,6 @@ class PartitionPlan:
                 raise PartitionError(f"index {min(dup)} assigned to multiple clients")
             seen.update(idx)
         object.__setattr__(self, "client_indices", clients)
-
-    @property
-    def num_clients(self) -> int:
-        return len(self.client_indices)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scheme": scheme_to_json(self.scheme),
-            "seed": self.seed,
-            "clients": [list(idx) for idx in self.client_indices],
-        }
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -126,15 +126,12 @@ def build_dataset(config: RunConfig) -> tuple:
     train = load_idx(ds.train_images, ds.train_labels)
     if ds.subsample_fraction is not None:
         train = _stratified_subsample(train, ds.subsample_fraction, ds.subsample_seed)
-    test = None
-    if ds.test_images is not None and ds.test_labels is not None:
-        test = load_idx(ds.test_images, ds.test_labels, num_classes=train.num_classes)
-    return train, test
+    if ds.test_images is None:
+        return train, None
+    return train, load_idx(ds.test_images, ds.test_labels, num_classes=train.num_classes)
 
 
 def _stratified_subsample(data: Dataset, fraction: float, seed: int) -> Dataset:
-    if not 0 < fraction <= 1:
-        raise ConfigError("subsample_fraction must lie in (0, 1]")
     gen = rng.stream(seed, purpose="idx-subsample")
     keep = []
     for c in range(data.num_classes):
@@ -160,17 +157,7 @@ def _partition(data: Dataset, config: RunConfig, seed: int):
 def build_network(config: RunConfig, seed: int) -> NetworkState:
     """Topology, partition, aux split, and zero-initialized client models."""
     train, test = build_dataset(config)
-    if config.resolved_eval_mode() == "global" and test is None:
-        raise ConfigError("global evaluation requires a test dataset (idx test paths)")
-    graph = generate(
-        TopologyConfig(
-            num_benign=config.topology.num_benign,
-            num_malicious=config.topology.num_malicious,
-            edge_prob=config.topology.edge_prob,
-            seed=seed,
-            max_retries=config.topology.max_retries,
-        )
-    )
+    graph = generate(TopologyConfig(seed=seed, **asdict(config.topology)))
     plan = _partition(train, config, seed)
     aux_split = split_auxiliary(train, plan, config.aux_fraction, seed)
     template = ParamVector.zeros(train.num_classes, train.feature_dim)

@@ -54,6 +54,15 @@ class TestValidate:
         assert cli_main(["validate", write_config(tmp_path, doc)]) == 1
 
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_idx_subsample_fraction_out_of_range(self, tmp_path, capsys, command):
+        idx = {"train_images": "train-images", "train_labels": "train-labels",
+               "subsample_fraction": 2}
+        doc = tiny_config_doc(dataset={"idx": idx})
+        assert cli_main([command, write_config(tmp_path, doc)]) == 1
+        assert "config.dataset.idx: subsample_fraction" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_one(self, capsys):
         assert cli_main(["frobnicate"]) == 1

@@ -1,10 +1,27 @@
+import json
+import re
+from dataclasses import MISSING, fields, replace
+from typing import get_args, get_type_hints
+
 import numpy as np
 import pytest
 
 from dflsim.attacks import ALIE, Gaussian, SignFlip
 from dflsim.baselines import Flame, Krum, MultiKrum, TrimmedMean
-from dflsim.config import ConfigError, parse_config
+from dflsim.config import (
+    ATTACKS,
+    BASELINES,
+    CRSS,
+    DATASETS,
+    SCHEMES,
+    AttackSpec,
+    ConfigError,
+    DFedReweightingSpec,
+    config_to_json_dict,
+    parse_config,
+)
 from dflsim.data import Dirichlet, LabelSkew
+from dflsim.reweight import TargetMetricKind
 from dflsim.sim import _stratified_subsample
 from dflsim.topology import TopologyConfig
 
@@ -87,6 +104,127 @@ class TestParsing:
     def test_rejects_bad_eval_mode(self):
         with pytest.raises(ConfigError):
             parse_config(minimal_doc(eval_mode="sideways"))
+
+
+# Each value has the wrong type for its field; the error must name its JSON path.
+MISTYPED = [
+    ("config.aggregator.baseline.include_self",
+     {"aggregator": {"baseline": {"kind": "flame", "include_self": "false"}}}),
+    ("config.export_weights", {"export_weights": "false"}),
+    ("config.rounds", {"rounds": 10.7}),
+    ("config.aggregator.baseline.f", {"aggregator": {"baseline": {"kind": "krum", "f": 2.9}}}),
+    ("config.learning_rate", {"learning_rate": float("nan")}),
+    ("config.topology.edge_prob", {"topology": {"edge_prob": "high"}}),
+    ("config.topology.num_benign", {"topology": {"num_benign": 2.5}}),
+    ("config.aggregator.dfed_reweighting.crs.temp_softmax.temperature",
+     {"aggregator": {"dfed_reweighting": {"tpm": "accuracy",
+                                          "crs": {"temp_softmax": {"temperature": True}}}}}),
+    ("config.attack.sigma", {"attack": {"kind": "gaussian", "sigma": float("inf")}}),
+    ("config.name", {"name": 5}),
+    ("config.seeds[0]", {"seeds": [1.5]}),
+]
+
+
+@pytest.mark.parametrize("path, override", MISTYPED, ids=[path for path, _ in MISTYPED])
+def test_mistyped_value_is_rejected_with_its_path(path, override):
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: expected")):
+        parse_config(minimal_doc(**override))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_nan_and_infinity_literals_are_rejected(literal):
+    synthetic = json.loads(f'{{"spread": {literal}}}')
+    with pytest.raises(ConfigError, match=re.escape("config.dataset.synthetic.spread: expected")):
+        parse_config(minimal_doc(dataset={"synthetic": synthetic}))
+
+
+def test_ints_in_float_fields_are_stored_as_floats():
+    config = parse_config(minimal_doc(learning_rate=1, topology={"edge_prob": 1}))
+    assert type(config.learning_rate) is float and type(config.topology.edge_prob) is float
+
+
+class TestParseTimeChecks:
+    """Configs that cannot run are rejected by the parser, before any network is built."""
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"subsample_fraction": 2}, "subsample_fraction must lie in"),
+        ({"subsample_fraction": 0}, "subsample_fraction must lie in"),
+        ({"test_images": "t10k-images"}, "test_images and test_labels must be given together"),
+        ({"test_labels": "t10k-labels"}, "test_images and test_labels must be given together"),
+    ])
+    def test_idx_spec(self, extra, message):
+        idx = {"train_images": "train-images", "train_labels": "train-labels", **extra}
+        with pytest.raises(ConfigError, match=f"config.dataset.idx: {message}"):
+            parse_config(minimal_doc(dataset={"idx": idx}))
+
+    @pytest.mark.parametrize("override", [
+        {"eval_mode": "global"},
+        {"attack": {"kind": "sign_flip"}},  # "auto" resolves to global under attack
+    ])
+    def test_global_eval_needs_a_test_split(self, override):
+        idx = {"train_images": "train-images", "train_labels": "train-labels"}
+        with pytest.raises(ConfigError, match="global evaluation requires a test dataset"):
+            parse_config(minimal_doc(dataset={"idx": idx}, **override))
+        idx.update(test_images="t10k-images", test_labels="t10k-labels")
+        parse_config(minimal_doc(dataset={"idx": idx}, **override))
+
+
+_SAMPLE = {int: 3, float: 0.5, str: "x", bool: False}
+
+
+def sample_spec(cls, fill):
+    """A cls whose required (fill="required") or all (fill="all") fields take sample values."""
+    hints = get_type_hints(cls)
+    return cls(**{
+        f.name: _SAMPLE[next((a for a in get_args(hints[f.name]) if a is not type(None)),
+                             hints[f.name])]
+        for f in fields(cls) if fill == "all" or f.default is MISSING
+    })
+
+
+# family -> (registry table, how a spec of that family goes into a RunConfig)
+FAMILIES = {
+    "dataset": (DATASETS, lambda config, spec: replace(config, dataset=spec)),
+    "scheme": (SCHEMES, lambda config, spec: replace(config, scheme=spec)),
+    "crs": (CRSS, lambda config, spec: replace(
+        config, aggregator=DFedReweightingSpec(TargetMetricKind.LOSS_ON_AUX, spec))),
+    "baseline": (BASELINES, lambda config, spec: replace(config, aggregator=spec)),
+    "attack": (ATTACKS, lambda config, spec: replace(
+        config, attack=AttackSpec(spec, "neighborhood"))),
+}
+
+
+@pytest.mark.parametrize("fill", ["required", "all"])
+@pytest.mark.parametrize("family, name", [
+    (family, name) for family, (table, _) in FAMILIES.items() for name in table
+])
+def test_every_registered_kind_round_trips(family, name, fill):
+    table, place = FAMILIES[family]
+    config = place(parse_config(minimal_doc()), sample_spec(table[name], fill))
+    echo = config_to_json_dict(config)
+    assert parse_config(echo) == config
+    again = config_to_json_dict(parse_config(echo))
+    assert json.dumps(again, sort_keys=True) == json.dumps(echo, sort_keys=True)
+
+
+def test_echo_shapes():
+    """The two documented JSON shapes: named families and kinded baselines/attacks."""
+    idx = {"train_images": "train-images", "train_labels": "train-labels"}
+    echo = config_to_json_dict(parse_config(minimal_doc(
+        dataset={"idx": idx},
+        scheme={"dirichlet": {"alpha": 1}},
+        aggregator={"dfed_reweighting": {"tpm": "loss", "crs": "loss_clip"}},
+        attack={"kind": "alie"},
+        eval_mode="local",
+    )))
+    assert echo["dataset"] == {"idx": dict(idx, subsample_seed=0)}  # null fields left out
+    assert echo["scheme"] == {"dirichlet": {"alpha": 1.0}}
+    assert echo["aggregator"] == {"dfed_reweighting": {"tpm": "loss", "crs": "loss_clip"}}
+    assert echo["attack"] == {"kind": "alie", "z": None, "knowledge": "omniscient"}
+    assert echo["outdir"] is None
+    krum = config_to_json_dict(parse_config(minimal_doc(aggregator={"baseline": {"kind": "krum"}})))
+    assert krum["aggregator"] == {"baseline": {"kind": "krum", "f": 2}}
+    assert krum["scheme"] == "iid" and krum["attack"] is None
 
 
 class TestSubsample:
