@@ -12,10 +12,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .analysis import quadratic_bound_rows
-from .config import ConfigError, DFedReweightingSpec, load_config, parse_attack_spec, parse_config
+from .analysis import accuracy_variance, mean_accuracy, quadratic_bound_rows
+from .config import (ConfigError, DFedReweightingSpec, _decode, load_config, parse_attack_spec,
+                     parse_bounds_config, parse_config)
 from .reweight import TempSoftmax
 from .sim import SimulationError, run_experiment
 
@@ -38,8 +37,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--outdir", help="output directory (overrides config and DFLSIM_OUTDIR)")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
         p.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="worker threads for per-client aggregation; "
-                            "local SGD and scoring run batched")
+                       help="worker processes that run the seeds (at most one per seed)")
         p.add_argument("--rounds", type=int, help="override the configured round count")
         p.add_argument("--seed-override", help="comma-separated seed list replacing the config's")
 
@@ -99,23 +97,28 @@ def _cmd_sweep(args) -> int:
     if unknown:
         raise ConfigError(f"grid: unknown key(s) {sorted(unknown)}")
     base = parse_config(doc["base"])
-    temperatures = grid.get("temperature", [None])
+    temperatures = [None]
+    if "temperature" in grid:
+        # (value as written, which names the run; value as a float)
+        values = _decode(tuple[float, ...], grid["temperature"], "grid.temperature")
+        temperatures = list(zip(grid["temperature"], values))
     attacks = grid.get("attack", ["__keep__"])
 
-    for temp in temperatures:
+    for entry in temperatures:
         for attack in attacks:
             config = base
             suffix = []
-            if temp is not None:
+            if entry is not None:
+                label, temp = entry
                 agg = config.aggregator
                 if not (isinstance(agg, DFedReweightingSpec) and isinstance(agg.crs, TempSoftmax)):
                     raise ConfigError(
                         "temperature sweep requires a dfed_reweighting/temp_softmax aggregator"
                     )
                 config = replace(
-                    config, aggregator=replace(agg, crs=TempSoftmax(float(temp)))
+                    config, aggregator=replace(agg, crs=TempSoftmax(temp))
                 )
-                suffix.append(f"T{temp}")
+                suffix.append(f"T{label}")
             if attack != "__keep__":
                 config = replace(config, attack=parse_attack_spec(attack, "grid.attack"))
                 suffix.append("noattack" if attack is None else f"attack-{attack['kind']}")
@@ -132,27 +135,20 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-_BOUNDS_KEYS = {"smoothness", "dim", "eta", "rounds", "num_clients", "noise_scale", "seed", "outdir"}
-
-
 def _cmd_bounds(args) -> int:
     with open(args.config) as f:
         doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise ConfigError("bounds config must be an object")
-    unknown = set(doc) - _BOUNDS_KEYS
-    if unknown:
-        raise ConfigError(f"bounds config: unknown key(s) {sorted(unknown)}")
+    bounds = parse_bounds_config(doc)
     rows = quadratic_bound_rows(
-        L=float(doc.get("smoothness", 1.0)),
-        dim=int(doc.get("dim", 16)),
-        eta=float(doc.get("eta", 0.1)),
-        rounds=int(doc.get("rounds", 100)),
-        num_clients=int(doc.get("num_clients", 4)),
-        noise_scale=float(doc.get("noise_scale", 0.1)),
-        seed=int(doc.get("seed", 43)),
+        L=bounds.smoothness,
+        dim=bounds.dim,
+        eta=bounds.eta,
+        rounds=bounds.rounds,
+        num_clients=bounds.num_clients,
+        noise_scale=bounds.noise_scale,
+        seed=bounds.seed,
     )
-    outdir = Path(args.outdir or doc.get("outdir") or "runs")
+    outdir = Path(args.outdir or bounds.outdir or "runs")
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / "bounds.csv"
     with open(out_path, "w", newline="") as f:
@@ -186,14 +182,14 @@ def _cmd_report(args) -> int:
         accs = [acc for _, acc in sorted(rounds[final_round].items())]
         per_seed[str(seed)] = {
             "final_round": final_round,
-            "mean_acc": float(np.mean(accs)),
-            "var_points": float(np.var([a * 100.0 for a in accs])),
+            "mean_acc": mean_accuracy(accs),
+            "var_points": accuracy_variance([a * 100.0 for a in accs]),
         }
     derived = {
         "per_seed": per_seed,
         "cross_seed": {
-            "mean_acc": float(np.mean([s["mean_acc"] for s in per_seed.values()])),
-            "var_points": float(np.mean([s["var_points"] for s in per_seed.values()])),
+            "mean_acc": mean_accuracy([s["mean_acc"] for s in per_seed.values()]),
+            "var_points": mean_accuracy([s["var_points"] for s in per_seed.values()]),
         },
     }
     print(json.dumps(derived, indent=2, sort_keys=True))

@@ -17,6 +17,7 @@ from .attacks import ALIE, AttackKind, Gaussian, SignFlip
 from .baselines import BaselineKind, DFedAvg, Flame, Krum, Median, MultiKrum, TrimmedMean
 from .data import IID, Dirichlet, HeterogeneityScheme, LabelSkew
 from .reweight import AccClip, CRSKind, LossClip, TargetMetricKind, TempSoftmax
+from .topology import TopologyShape
 
 
 class ConfigError(ValueError):
@@ -50,14 +51,6 @@ class IdxSpec:
 
 
 DatasetSource = Union[SyntheticSpec, IdxSpec]
-
-
-@dataclass(frozen=True)
-class TopologyShape:
-    num_benign: int = 10
-    num_malicious: int = 2
-    edge_prob: float = 0.7
-    max_retries: int = 1000
 
 
 @dataclass(frozen=True)
@@ -121,6 +114,20 @@ class RunConfig:
         if self.eval_mode != "auto":
             return self.eval_mode
         return "global" if self.attack is not None else "local"
+
+
+@dataclass(frozen=True)
+class BoundsConfig:
+    """A `dflsim bounds` document: the quadratic testbed and where to write."""
+
+    smoothness: float = 1.0
+    dim: int = 16
+    eta: float = 0.1
+    rounds: int = 100
+    num_clients: int = 4
+    noise_scale: float = 0.1
+    seed: int = 43
+    outdir: str | None = None
 
 
 DATASETS = {"synthetic": SyntheticSpec, "idx": IdxSpec}
@@ -292,6 +299,11 @@ def parse_attack_spec(obj, path: str) -> AttackSpec | None:
 def parse_config(doc: dict) -> RunConfig:
     """Validate a JSON document and build a RunConfig; raises ConfigError."""
     return _build(RunConfig, doc, "config")
+
+
+def parse_bounds_config(doc: dict) -> BoundsConfig:
+    """Validate a `dflsim bounds` document; raises ConfigError."""
+    return _build(BoundsConfig, doc, "bounds")
 
 
 def load_config(path: str) -> RunConfig:

@@ -200,14 +200,17 @@ def crs_acc_clip(metrics: MetricVector) -> WeightVector:
     return WeightVector(metrics.ids, weights)
 
 
+_CRSS = {
+    TempSoftmax: lambda crs, metrics: crs_temp_softmax(metrics, crs.temperature),
+    LossClip: lambda crs, metrics: crs_loss_clip(metrics),
+    AccClip: lambda crs, metrics: crs_acc_clip(metrics),
+}
+
+
 def apply_crs(crs: CRSKind, metrics: MetricVector) -> WeightVector:
-    if isinstance(crs, TempSoftmax):
-        return crs_temp_softmax(metrics, crs.temperature)
-    if isinstance(crs, LossClip):
-        return crs_loss_clip(metrics)
-    if isinstance(crs, AccClip):
-        return crs_acc_clip(metrics)
-    raise TypeError(f"unknown reweighting strategy {crs!r}")
+    if type(crs) not in _CRSS:
+        raise TypeError(f"unknown reweighting strategy {crs!r}")
+    return _CRSS[type(crs)](crs, metrics)
 
 
 def reweight_aggregate(models: list, weights: WeightVector) -> ParamVector:

@@ -15,8 +15,8 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +39,7 @@ from .baselines import (
     multi_krum,
     trimmed_mean,
 )
-from .config import (
-    ConfigError,
-    DFedReweightingSpec,
-    RunConfig,
-    SyntheticSpec,
-    config_to_json_dict,
-)
+from .config import DFedReweightingSpec, RunConfig, SyntheticSpec, config_to_json_dict
 from .core_learning import (
     Dataset,
     Minibatch,
@@ -101,7 +95,6 @@ class NetworkState:
     test_data: Dataset | None
     plan: object
     aux_split: object
-    round_index: int = 0
     last_weights: dict = field(default_factory=dict)
 
     def benign_ids(self) -> list:
@@ -142,23 +135,21 @@ def _stratified_subsample(data: Dataset, fraction: float, seed: int) -> Dataset:
     return data.subset(sorted(keep))
 
 
-def _partition(data: Dataset, config: RunConfig, seed: int):
-    scheme = config.scheme
-    n = config.topology.num_benign
-    if isinstance(scheme, IID):
-        return partition_iid(data, n, seed)
-    if isinstance(scheme, Dirichlet):
-        return partition_dirichlet(data, n, scheme.alpha, seed)
-    if isinstance(scheme, LabelSkew):
-        return partition_label_skew(data, n, scheme.h, seed)
-    raise ConfigError(f"unknown heterogeneity scheme {scheme!r}")
+# The dispatch tables below are keyed by spec class. Each row names its
+# function at call time, so a replaced module attribute (a layer tracer's
+# wrapper, for instance) is the one that runs.
+_PARTITIONS = {
+    IID: lambda data, n, scheme, seed: partition_iid(data, n, seed),
+    Dirichlet: lambda data, n, scheme, seed: partition_dirichlet(data, n, scheme.alpha, seed),
+    LabelSkew: lambda data, n, scheme, seed: partition_label_skew(data, n, scheme.h, seed),
+}
 
 
 def build_network(config: RunConfig, seed: int) -> NetworkState:
     """Topology, partition, aux split, and zero-initialized client models."""
     train, test = build_dataset(config)
     graph = generate(TopologyConfig(seed=seed, **asdict(config.topology)))
-    plan = _partition(train, config, seed)
+    plan = _PARTITIONS[type(config.scheme)](train, config.topology.num_benign, config.scheme, seed)
     aux_split = split_auxiliary(train, plan, config.aux_fraction, seed)
     template = ParamVector.zeros(train.num_classes, train.feature_dim)
     clients = {}
@@ -247,24 +238,43 @@ def _adversary_view(state: NetworkState, node_id: int, halves: dict) -> Adversar
     )
 
 
+# A dataless Byzantine node has no trained local model to flip, so sign
+# flipping flips its running estimate of the benign consensus.
+def _benign_consensus(view: AdversaryView) -> ParamVector:
+    """The mean of the visible benign models, or the node's own model if none."""
+    if not view.benign_models:
+        return view.own_model
+    stacked = np.stack([m.values for m in view.benign_models])
+    return view.own_model.replace_values(stacked.mean(axis=0))
+
+
+# Rows take (attack kind, adversary view, (seed, node, round)); only the
+# Gaussian row draws randomness.
+_ATTACKS = {
+    Gaussian: lambda kind, view, key: gaussian_update(
+        view.own_model.shape, kind.sigma, rng.stream(*key, "attack")),
+    SignFlip: lambda kind, view, key: sign_flip_update(_benign_consensus(view), kind.factor),
+    ALIE: lambda kind, view, key: alie_update(view, kind.z),
+}
+
+
 def _attack_payload(state: NetworkState, node_id: int, halves: dict, t: int) -> ParamVector:
     kind = state.config.attack.kind
     view = _adversary_view(state, node_id, halves)
-    if isinstance(kind, Gaussian):
-        gen = rng.stream(state.seed, node_id, t, "attack")
-        return gaussian_update(view.own_model.shape, kind.sigma, gen)
-    if isinstance(kind, SignFlip):
-        # A dataless Byzantine node has no trained local model to flip, so it
-        # flips its running estimate of the benign consensus.
-        if view.benign_models:
-            stacked = np.stack([m.values for m in view.benign_models])
-            reference = view.own_model.replace_values(stacked.mean(axis=0))
-        else:
-            reference = view.own_model
-        return sign_flip_update(reference, kind.factor)
-    if isinstance(kind, ALIE):
-        return alie_update(view, kind.z)
-    raise ConfigError(f"unknown attack kind {kind!r}")
+    return _ATTACKS[type(kind)](kind, view, (state.seed, node_id, t))
+
+
+# Rows take (baseline spec, own (id, model) pair, received pairs, the closed
+# neighborhood as a CandidateSet).
+_BASELINES = {
+    DFedAvg: lambda agg, own, received, cands: dfedavg(cands),
+    Median: lambda agg, own, received, cands: median_agg(cands),
+    Krum: lambda agg, own, received, cands: krum(cands, agg.f),
+    MultiKrum: lambda agg, own, received, cands: multi_krum(cands, agg.f, agg.m),
+    TrimmedMean: lambda agg, own, received, cands: trimmed_mean(cands, agg.f),
+    Flame: lambda agg, own, received, cands: flame_weighted(
+        own[1], received, agg.beta, agg.include_self),
+}
 
 
 def _aggregate_one(state: NetworkState, node_id: int, incoming: dict):
@@ -273,47 +283,23 @@ def _aggregate_one(state: NetworkState, node_id: int, incoming: dict):
     Returns (new model, weight row or None). incoming maps every node id to
     the model it broadcast this round (half-step or attack payload).
     """
-    own_pair = (node_id, incoming[node_id])
-    received = [
-        (i, incoming[i]) for i in sorted(neighbors(state.graph, node_id))
-    ]
+    own = (node_id, incoming[node_id])
+    received = [(i, incoming[i]) for i in sorted(neighbors(state.graph, node_id))]
+    members = tuple(sorted([own] + received, key=lambda pair: pair[0]))
     agg = state.config.aggregator
-    if isinstance(agg, DFedReweightingSpec):
-        weights = dfedreweighting_round_weights(
-            agg.tpm, agg.crs, received, own_pair, state.clients[node_id].aux
-        )
-        members = sorted([own_pair] + received, key=lambda pair: pair[0])
-        new_model = reweight_aggregate(members, weights)
-        row = dict(zip(weights.ids, (float(w) for w in weights.weights)))
-        return new_model, row
-    candidates = CandidateSet(tuple(sorted([own_pair] + received, key=lambda p: p[0])))
-    if isinstance(agg, DFedAvg):
-        return dfedavg(candidates), None
-    if isinstance(agg, Median):
-        return median_agg(candidates), None
-    if isinstance(agg, Krum):
-        return krum(candidates, agg.f), None
-    if isinstance(agg, MultiKrum):
-        return multi_krum(candidates, agg.f, agg.m), None
-    if isinstance(agg, TrimmedMean):
-        return trimmed_mean(candidates, agg.f), None
-    if isinstance(agg, Flame):
-        return flame_weighted(own_pair[1], received, agg.beta, agg.include_self), None
-    raise ConfigError(f"unknown aggregator {agg!r}")
+    if type(agg) is not DFedReweightingSpec:
+        return _BASELINES[type(agg)](agg, own, received, CandidateSet(members)), None
+    aux = state.clients[node_id].aux
+    weights = dfedreweighting_round_weights(agg.tpm, agg.crs, received, own, aux)
+    return reweight_aggregate(members, weights), dict(zip(weights.ids, map(float, weights.weights)))
 
 
-def _map_ordered(fn, items, executor):
-    if executor is None:
-        return [fn(x) for x in items]
-    return list(executor.map(fn, items))
-
-
-def run_round(state: NetworkState, t: int, executor: ThreadPoolExecutor | None = None) -> NetworkState:
+def run_round(state: NetworkState, t: int) -> NetworkState:
     """Advance the network one synchronous learning round.
 
     Local SGD runs as one stacked step over all benign clients, or client by
-    client if batch_gradient or sgd_step has been replaced; the executor, when
-    given, maps the per-client aggregation.
+    client if batch_gradient or sgd_step has been replaced; then each benign
+    client aggregates its closed neighborhood in turn.
     """
     benign = state.benign_ids()
     if (batch_gradient, sgd_step) == _STOCK_LOCAL_STEP:
@@ -321,16 +307,13 @@ def run_round(state: NetworkState, t: int, executor: ThreadPoolExecutor | None =
     else:
         halves = {k: _local_half_step(state, k, t) for k in benign}
     incoming = dict(halves)
-    if state.config.attack is not None:
-        for m in state.malicious_ids():
-            incoming[m] = _attack_payload(state, m, halves, t)
-    else:
-        for m in state.malicious_ids():
-            incoming[m] = state.clients[m].model
+    attack = state.config.attack
+    for m in state.malicious_ids():
+        incoming[m] = _attack_payload(state, m, halves, t) if attack else state.clients[m].model
 
-    results = _map_ordered(lambda k: _aggregate_one(state, k, incoming), benign, executor)
     state.last_weights = {}
-    for node_id, (new_model, weight_row) in zip(benign, results):
+    for node_id in benign:
+        new_model, weight_row = _aggregate_one(state, node_id, incoming)
         if not new_model.is_finite():
             raise SimulationError(
                 f"non-finite aggregate for client {node_id} at round {t} "
@@ -339,7 +322,6 @@ def run_round(state: NetworkState, t: int, executor: ThreadPoolExecutor | None =
         state.clients[node_id].model = new_model
         if weight_row is not None:
             state.last_weights[node_id] = weight_row
-    state.round_index = t
     return state
 
 
@@ -415,6 +397,54 @@ def resolve_outdir(config: RunConfig, override: str | None = None) -> Path:
     return Path(base) / config.name
 
 
+def _run_seed(config: RunConfig, seed: int, quiet: bool = True) -> tuple:
+    """Run one seed from set-up to its last round, writing no file.
+
+    Returns (topology document, metrics.csv rows, {round: weight rows}, final
+    metrics); prints progress unless quiet.
+    """
+    try:
+        state = build_network(config, seed)
+    except Exception as exc:
+        raise SimulationError(f"setup failed for seed {seed}: {exc}") from exc
+    eval_rounds = set(_eval_rounds(config))
+    rows, weight_rows = [], {}
+    for t in range(0, config.rounds + 1):
+        if t > 0:
+            try:
+                run_round(state, t)
+            except SimulationError:
+                raise
+            except Exception as exc:
+                raise SimulationError(f"round {t} failed for seed {seed}: {exc}") from exc
+        if t not in eval_rounds:
+            continue
+        metrics = evaluate_network(state, t)
+        rows.extend(
+            [t, seed, node_id, _fmt(acc), _fmt(loss),
+             _fmt(metrics.mean_accuracy), _fmt(metrics.accuracy_variance)]
+            for node_id, acc, loss in zip(metrics.client_ids, metrics.accuracies, metrics.losses)
+        )
+        if config.export_weights and metrics.weight_snapshot:
+            weight_rows[t] = [
+                [seed, client, member, _fmt(w)]
+                for client, row in sorted(metrics.weight_snapshot.items())
+                for member, w in sorted(row.items())
+            ]
+        if not quiet:
+            print(
+                f"[seed {seed}] round {t}: mean_acc={metrics.mean_accuracy:.4f} "
+                f"var={metrics.accuracy_variance:.3f}"
+            )
+    final = {
+        "acc": dict(zip(metrics.client_ids, metrics.accuracies)),
+        "loss": dict(zip(metrics.client_ids, metrics.losses)),
+        "mean_acc": metrics.mean_accuracy,
+        "var_points": metrics.accuracy_variance,
+    }
+    return state.graph.to_json_dict(), rows, weight_rows, final
+
+
 def run_experiment(
     config: RunConfig,
     parallel: int = 1,
@@ -423,68 +453,38 @@ def run_experiment(
 ) -> RunSummary:
     """Execute the full multi-seed experiment and write run artifacts.
 
-    Writes config.json, topology.json, metrics.csv, summary.json, and
-    (when export_weights is set) weights_round_<t>.csv under the run
-    directory. Returns the cross-seed summary.
+    Seeds run in up to `parallel` worker processes (one after another in this
+    process when parallel is 1) and are merged in seed order, so the artifacts
+    are byte-identical for any worker count but for summary.json's
+    wall_clock_sec. Writes config.json, topology.json, metrics.csv,
+    summary.json, and (when export_weights is set) weights_round_<t>.csv under
+    the run directory. Returns the cross-seed summary.
     """
     start = time.perf_counter()
     run_dir = resolve_outdir(config, outdir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    eval_rounds = set(_eval_rounds(config))
+    run_seed = partial(_run_seed, config, quiet=quiet)
+    workers = min(parallel, len(config.seeds))
+    if workers > 1:
+        # Imported here: a serial run never pays for the process pool.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-    executor = ThreadPoolExecutor(max_workers=parallel) if parallel > 1 else None
-    metrics_rows = []
-    topo_docs = {}
-    per_seed_final = {}
-    weight_files = {}
-    try:
-        for seed in config.seeds:
-            try:
-                state = build_network(config, seed)
-            except Exception as exc:
-                raise SimulationError(f"setup failed for seed {seed}: {exc}") from exc
-            topo_docs[str(seed)] = state.graph.to_json_dict()
-            last_metrics = None
-            for t in range(0, config.rounds + 1):
-                if t > 0:
-                    try:
-                        run_round(state, t, executor)
-                    except SimulationError:
-                        raise
-                    except Exception as exc:
-                        raise SimulationError(
-                            f"round {t} failed for seed {seed}: {exc}"
-                        ) from exc
-                if t in eval_rounds:
-                    metrics = evaluate_network(state, t)
-                    last_metrics = metrics
-                    for node_id, acc, loss in zip(
-                        metrics.client_ids, metrics.accuracies, metrics.losses
-                    ):
-                        metrics_rows.append(
-                            [t, seed, node_id, _fmt(acc), _fmt(loss),
-                             _fmt(metrics.mean_accuracy), _fmt(metrics.accuracy_variance)]
-                        )
-                    if config.export_weights and metrics.weight_snapshot:
-                        weight_files.setdefault(t, []).extend(
-                            [seed, client, member, _fmt(w)]
-                            for client, row in sorted(metrics.weight_snapshot.items())
-                            for member, w in sorted(row.items())
-                        )
-                    if not quiet:
-                        print(
-                            f"[seed {seed}] round {t}: mean_acc={metrics.mean_accuracy:.4f} "
-                            f"var={metrics.accuracy_variance:.3f}"
-                        )
-            per_seed_final[seed] = {
-                "acc": dict(zip(last_metrics.client_ids, last_metrics.accuracies)),
-                "loss": dict(zip(last_metrics.client_ids, last_metrics.losses)),
-                "mean_acc": last_metrics.mean_accuracy,
-                "var_points": last_metrics.accuracy_variance,
-            }
-    finally:
-        if executor is not None:
-            executor.shutdown()
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
+        try:
+            results = list(pool.map(run_seed, config.seeds))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        results = list(map(run_seed, config.seeds))
+
+    topo_docs, metrics_rows, weight_files, per_seed_final = {}, [], {}, {}
+    for seed, (topo_doc, rows, weight_rows, final) in zip(config.seeds, results):
+        topo_docs[str(seed)] = topo_doc
+        metrics_rows.extend(rows)
+        for t, w_rows in weight_rows.items():
+            weight_files.setdefault(t, []).extend(w_rows)
+        per_seed_final[seed] = final
 
     summary = RunSummary(
         config=config,

@@ -19,12 +19,28 @@ class TopologyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TopologyConfig:
+class TopologyShape:
+    """A graph's size and density; config parsing and generate() share its range checks."""
+
     num_benign: int = 10
     num_malicious: int = 2
     edge_prob: float = 0.7
-    seed: int = 0
     max_retries: int = 1000
+
+    def __post_init__(self):
+        if self.num_benign < 2:
+            raise ValueError("num_benign must be at least 2")
+        if self.num_malicious < 0:
+            raise ValueError("num_malicious must be nonnegative")
+        if not 0.0 <= self.edge_prob <= 1.0:
+            raise ValueError("edge_prob must lie in [0, 1]")
+        if self.max_retries < 1:
+            raise ValueError("max_retries must be positive")
+
+
+@dataclass(frozen=True)
+class TopologyConfig(TopologyShape):
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -111,12 +127,6 @@ def is_benign_connected(g: TopologyGraph) -> bool:
 
 def generate(config: TopologyConfig) -> TopologyGraph:
     """Sample an Erdos-Renyi graph whose benign-induced subgraph is connected."""
-    if config.num_benign < 2:
-        raise ValueError("num_benign must be at least 2")
-    if config.num_malicious < 0:
-        raise ValueError("num_malicious must be nonnegative")
-    if not 0.0 <= config.edge_prob <= 1.0:
-        raise ValueError("edge_prob must lie in [0, 1]")
     n = config.num_benign + config.num_malicious
     benign = frozenset(range(config.num_benign))
     malicious = frozenset(range(config.num_benign, n))

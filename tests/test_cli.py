@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from dflsim.cli import cli_main
+from dflsim.config import BoundsConfig, parse_bounds_config
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -63,6 +64,23 @@ class TestValidate:
         assert "config.dataset.idx: subsample_fraction" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("topology, message", [
+        ({"num_benign": 1}, "num_benign must be at least 2"),
+        ({"edge_prob": 1.5}, "edge_prob must lie in [0, 1]"),
+        ({"num_malicious": -1}, "num_malicious must be nonnegative"),
+        ({"max_retries": 0}, "max_retries must be positive"),
+    ])
+    def test_topology_out_of_range(self, tmp_path, capsys, command, topology, message):
+        doc = tiny_config_doc(topology=topology)
+        args = [command, write_config(tmp_path, doc)]
+        if command == "run":
+            args += ["--outdir", str(tmp_path / "out")]
+        assert cli_main(args) == 1
+        assert f"config.topology: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_one(self, capsys):
         assert cli_main(["frobnicate"]) == 1
@@ -113,6 +131,22 @@ class TestRun:
         assert (tmp_path / "envout" / "envrun" / "metrics.csv").exists()
 
 
+    def test_failing_seed_under_parallel_exits_two_and_is_named(self, tmp_path, capsys):
+        # Krum with f=1 needs 4 candidates: every closed neighborhood of seed 45
+        # has them, seed 44 has a client with 3.
+        doc = tiny_config_doc(
+            name="krum-sparse",
+            topology={"num_benign": 10, "num_malicious": 2, "edge_prob": 0.3},
+            aggregator={"baseline": {"kind": "krum", "f": 1}},
+            attack={"kind": "sign_flip"},
+            seeds=[45, 44],
+        )
+        code = cli_main(["run", write_config(tmp_path, doc), "--outdir", str(tmp_path / "out"),
+                         "--parallel", "2", "--quiet"])
+        assert code == 2
+        assert "round 1 failed for seed 44" in capsys.readouterr().err
+
+
 class TestReport:
     def test_report_reproduces_summary_numbers(self, tmp_path, capsys):
         config = write_config(tmp_path, tiny_config_doc(name="rep", seeds=[43, 44]))
@@ -150,6 +184,28 @@ class TestBounds:
         bad.write_text(json.dumps({"smoothness": 1.0, "wibble": 2}))
         assert cli_main(["bounds", str(bad), "--outdir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("doc, path", [
+        ({"rounds": 10.7}, "bounds.rounds"),
+        ({"eta": "0.1"}, "bounds.eta"),
+        ({"seed": True}, "bounds.seed"),
+        ([], "bounds"),
+    ])
+    def test_bounds_mistyped_value(self, tmp_path, capsys, doc, path):
+        bad = tmp_path / "bounds.json"
+        bad.write_text(json.dumps(doc))
+        assert cli_main(["bounds", str(bad), "--outdir", str(tmp_path)]) == 1
+        assert f"config error: {path}: expected" in capsys.readouterr().err
+        assert not (tmp_path / "bounds.csv").exists()
+
+    def test_bounds_defaults(self, tmp_path):
+        empty = tmp_path / "bounds.json"
+        empty.write_text("{}")
+        assert cli_main(["bounds", str(empty), "--outdir", str(tmp_path)]) == 0
+        assert len((tmp_path / "bounds.csv").read_text().splitlines()) == 1 + 100  # rounds=100
+        assert parse_bounds_config({}) == BoundsConfig(
+            smoothness=1.0, dim=16, eta=0.1, rounds=100, num_clients=4, noise_scale=0.1,
+            seed=43, outdir=None)
+
 
 class TestSweep:
     def test_temperature_grid(self, tmp_path):
@@ -180,6 +236,21 @@ class TestSweep:
                          "--quiet"]) == 0
         assert (tmp_path / "out" / "atksweep-noattack" / "summary.json").exists()
         assert (tmp_path / "out" / "atksweep-attack-sign_flip" / "summary.json").exists()
+
+    @pytest.mark.parametrize("temperatures", [["0.5"], [0.1, True], 0.5, [None]])
+    def test_sweep_rejects_non_number_temperature(self, tmp_path, capsys, temperatures):
+        doc = {
+            "base": tiny_config_doc(
+                name="sweepbad",
+                aggregator={"dfed_reweighting": {"tpm": "accuracy",
+                                                 "crs": {"temp_softmax": {"temperature": 0.1}}}},
+            ),
+            "grid": {"temperature": temperatures},
+        }
+        config = write_config(tmp_path, doc, "sweep.json")
+        assert cli_main(["sweep", config, "--outdir", str(tmp_path / "out"), "--quiet"]) == 1
+        assert "config error: grid.temperature" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_rejects_unknown_grid_key(self, tmp_path):
         doc = {"base": tiny_config_doc(), "grid": {"q": [0.1]}}

@@ -1,14 +1,14 @@
 import json
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dflsim import rng
-from dflsim.config import parse_config
+from dflsim.config import ATTACKS, BASELINES, CRSS, SCHEMES, AttackSpec, DFedReweightingSpec, parse_config
 from dflsim.core_learning import Dataset, Minibatch, ParamVector, batch_gradient, sgd_step
-from dflsim.reweight import MetricVector, apply_crs, compute_tpm
+from dflsim.reweight import LossClip, MetricVector, TargetMetricKind, apply_crs, compute_tpm
 from dflsim.sim import (
     ClientState,
     NetworkState,
@@ -115,19 +115,6 @@ class TestRunRound:
         state = manual_state(config, complete_graph(2, [0, 1], []), clients, data)
         with pytest.raises(SimulationError, match="non-finite"):
             run_round(state, 1)
-
-    def test_round_replay_independent_of_executor(self):
-        config = tiny_config(rounds=3)
-        state_seq = build_network(config, seed=43)
-        state_par = build_network(config, seed=43)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            for t in range(1, 4):
-                run_round(state_seq, t)
-                run_round(state_par, t, pool)
-        for k in state_seq.benign_ids():
-            np.testing.assert_array_equal(
-                state_seq.clients[k].model.values, state_par.clients[k].model.values
-            )
 
 
 def loop_half_step(state, node_id, t):
@@ -295,6 +282,38 @@ class TestBaselineDispatch:
         np.testing.assert_array_equal(state.clients[0].model.values, expected.values)
 
 
+# Fields without a default, per registered kind.
+_REQUIRED = {"dirichlet": {"alpha": 1.0}, "label_skew": {"h": 2}, "temp_softmax": {"temperature": 0.5}}
+# family -> (registry table, how a spec of that family goes into a RunConfig)
+_KINDS = {
+    "scheme": (SCHEMES, lambda config, spec: replace(config, scheme=spec)),
+    "baseline": (BASELINES, lambda config, spec: replace(config, aggregator=spec)),
+    "attack": (ATTACKS, lambda config, spec: replace(config, attack=AttackSpec(spec))),
+    "crs": (CRSS, lambda config, spec: replace(config, aggregator=DFedReweightingSpec(
+        TargetMetricKind.LOSS_ON_AUX if isinstance(spec, LossClip) else
+        TargetMetricKind.ACCURACY_ON_AUX, spec))),
+}
+
+
+@pytest.mark.parametrize("family, name", [
+    (family, name) for family, (table, _) in _KINDS.items() for name in table
+])
+def test_every_registered_kind_runs_a_round(family, name):
+    table, place = _KINDS[family]
+    base = tiny_config(
+        topology={"num_benign": 6, "num_malicious": 1, "edge_prob": 1.0},
+        dataset={"synthetic": {"num_classes": 3, "feature_dim": 6, "n_per_class": 60,
+                                "spread": 0.5, "seed": 5, "test_n_per_class": 20}},
+        aggregator={"dfed_reweighting": {"tpm": "loss", "crs": "loss_clip"}},
+        attack={"kind": "sign_flip"},
+    )
+    state = build_network(place(base, table[name](**_REQUIRED.get(name, {}))), seed=43)
+    run_round(state, 1)
+    for k in state.benign_ids():
+        model = state.clients[k].model
+        assert model.is_finite() and np.any(model.values != 0), (family, name, k)
+
+
 class TestAttackDispatch:
     def attack_state(self, attack, knowledge="omniscient"):
         config = tiny_config(
@@ -409,6 +428,29 @@ class TestRunExperiment:
         bytes_a = (tmp_path / "a" / "det" / "metrics.csv").read_bytes()
         bytes_b = (tmp_path / "b" / "det" / "metrics.csv").read_bytes()
         assert bytes_a == bytes_b
+
+    def test_parallel_seeds_write_the_serial_artifacts(self, tmp_path):
+        config = tiny_config(
+            name="par", rounds=4, eval_every=2, seeds=[43, 44], export_weights=True,
+            topology={"num_benign": 4, "num_malicious": 1, "edge_prob": 1.0},
+            aggregator={"dfed_reweighting": {"tpm": "accuracy",
+                                             "crs": {"temp_softmax": {"temperature": 0.5}}}},
+            attack={"kind": "gaussian", "sigma": 1.0},
+        )
+        run_experiment(config, parallel=1, outdir=str(tmp_path / "one"))
+        run_experiment(config, parallel=2, outdir=str(tmp_path / "two"))
+        one, two = tmp_path / "one" / "par", tmp_path / "two" / "par"
+        names = sorted(path.name for path in one.iterdir())
+        assert names == sorted(path.name for path in two.iterdir())
+        assert {"weights_round_2.csv", "weights_round_4.csv"} <= set(names)
+        for name in names:
+            if name != "summary.json":
+                assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        summaries = [json.loads((d / "summary.json").read_text()) for d in (one, two)]
+        for doc in summaries:
+            del doc["wall_clock_sec"]
+        assert summaries[0] == summaries[1]
+        assert set(summaries[0]["per_seed"]) == {"43", "44"}
 
     def test_data_conservation_through_run(self, tmp_path):
         config = tiny_config(name="conserve", rounds=3)
