@@ -19,7 +19,6 @@ from .analysis import (
 )
 from .attacks import ALIE, AdversaryView, Gaussian, SignFlip, alie_update, gaussian_update, sign_flip_update
 from .baselines import (
-    CandidateSet,
     DFedAvg,
     Flame,
     Krum,

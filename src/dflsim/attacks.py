@@ -42,12 +42,13 @@ AttackKind = Union[Gaussian, SignFlip, ALIE]
 class AdversaryView:
     """What one malicious node sees in a round.
 
-    benign_models are the post-local-step models visible under the configured
-    knowledge model (all benign nodes, or benign neighbors only). own_model is
-    the malicious node's stored model and carries the target shape.
+    benign_models is the (k, C*d+C) matrix of the post-local-step models
+    visible under the configured knowledge model (all benign nodes, or benign
+    neighbors only), in ascending node id order. own_model is the malicious
+    node's stored model and carries the target shape.
     """
 
-    benign_models: tuple
+    benign_models: np.ndarray
     own_model: ParamVector
     num_nodes: int
     num_malicious: int
@@ -95,8 +96,6 @@ def alie_update(view: AdversaryView, z: float | None = None) -> ParamVector:
         raise ValueError("ALIE needs at least 2 visible benign models")
     if z is None:
         z = auto_alie_z(view.num_nodes, view.num_malicious)
-    stacked = np.stack([m.values for m in view.benign_models])
-    mu = stacked.mean(axis=0)
-    sigma = stacked.std(axis=0)
-    template = view.benign_models[0]
-    return template.replace_values(mu - z * sigma)
+    mu = view.benign_models.mean(axis=0)
+    sigma = view.benign_models.std(axis=0)
+    return view.own_model.replace_values(mu - z * sigma)

@@ -1,9 +1,10 @@
 """Reference aggregators: averaging, coordinate median, Krum, Multi-Krum,
 trimmed mean, and the distance-weighted FLAME variant.
 
-All aggregators operate on the closed neighborhood (candidates include the
-aggregating client's own post-local-step model) and break score/sort ties by
-lowest node id for determinism.
+Each aggregator takes the closed neighborhood (the aggregating client's own
+post-local-step model included) as a (k, C*d+C) matrix whose rows are in
+ascending node id order, and returns one row. Score and sort ties go to the
+first row, i.e. the lowest node id.
 """
 from __future__ import annotations
 
@@ -11,8 +12,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-
-from .core_learning import ParamVector, ShapeError
 
 
 @dataclass(frozen=True)
@@ -50,114 +49,65 @@ class Flame:
 BaselineKind = Union[DFedAvg, Median, Krum, MultiKrum, TrimmedMean, Flame]
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Ordered (node id, model) pairs with distinct ids and a uniform shape."""
-
-    members: tuple
-
-    def __post_init__(self):
-        members = tuple((int(i), m) for i, m in self.members)
-        if not members:
-            raise ValueError("candidate set must be nonempty")
-        ids = [i for i, _ in members]
-        if len(set(ids)) != len(ids):
-            raise ValueError("candidate node ids must be distinct")
-        shape = members[0][1].shape
-        for _, m in members:
-            if m.shape != shape:
-                raise ShapeError(f"candidate shape {m.shape} differs from {shape}")
-        object.__setattr__(self, "members", members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    @property
-    def ids(self) -> list:
-        return [i for i, _ in self.members]
-
-    def matrix(self) -> np.ndarray:
-        return np.stack([m.values for _, m in self.members])
-
-    def template(self) -> ParamVector:
-        return self.members[0][1]
+def dfedavg(params: np.ndarray) -> np.ndarray:
+    """Unweighted arithmetic mean of all rows."""
+    return params.mean(axis=0)
 
 
-def dfedavg(c: CandidateSet) -> ParamVector:
-    """Unweighted arithmetic mean of all candidates."""
-    return c.template().replace_values(c.matrix().mean(axis=0))
-
-
-def median_agg(c: CandidateSet) -> ParamVector:
+def median_agg(params: np.ndarray) -> np.ndarray:
     """Coordinate-wise lower median: sorted element floor((n-1)/2)."""
-    values = np.sort(c.matrix(), axis=0)
-    return c.template().replace_values(values[(len(c) - 1) // 2])
+    return np.sort(params, axis=0)[(len(params) - 1) // 2]
 
 
-def krum_scores(c: CandidateSet, f: int) -> list:
-    """Krum score per candidate: sum of its n-f-2 smallest squared distances."""
-    n = len(c)
+def krum_scores(params: np.ndarray, f: int) -> np.ndarray:
+    """Krum score per row: sum of its n-f-2 smallest squared distances."""
+    n = len(params)
     keep = n - f - 2
     if keep < 1:
         raise ValueError(
             f"krum needs n - f - 2 >= 1, got n={n} candidates with f={f}"
         )
-    mat = c.matrix()
-    diffs = mat[:, None, :] - mat[None, :, :]
+    diffs = params[:, None, :] - params[None, :, :]
     dists = np.einsum("ijk,ijk->ij", diffs, diffs)
     np.fill_diagonal(dists, np.inf)
-    scores = np.sort(dists, axis=1)[:, :keep].sum(axis=1)
-    return [(node_id, float(s)) for node_id, s in zip(c.ids, scores)]
+    return np.sort(dists, axis=1)[:, :keep].sum(axis=1)
 
 
-def krum(c: CandidateSet, f: int) -> ParamVector:
-    """Candidate with the minimal Krum score; ties go to the lowest node id."""
-    scores = dict(krum_scores(c, f))
-    best_id = min(c.ids, key=lambda i: (scores[i], i))
-    return next(m for i, m in c.members if i == best_id)
+def krum(params: np.ndarray, f: int) -> np.ndarray:
+    """Row with the minimal Krum score; ties go to the first row."""
+    return params[np.argmin(krum_scores(params, f))]
 
 
-def multi_krum(c: CandidateSet, f: int, m: int) -> ParamVector:
-    """Mean of the m lowest-Krum-score candidates."""
-    if not 1 <= m <= len(c):
-        raise ValueError(f"m={m} must lie in [1, {len(c)}]")
-    scores = dict(krum_scores(c, f))
-    chosen = sorted(c.ids, key=lambda i: (scores[i], i))[:m]
-    chosen_set = set(chosen)
-    rows = np.stack([model.values for i, model in c.members if i in chosen_set])
-    return c.template().replace_values(rows.mean(axis=0))
+def multi_krum(params: np.ndarray, f: int, m: int) -> np.ndarray:
+    """Mean of the m lowest-Krum-score rows, summed in row order."""
+    if not 1 <= m <= len(params):
+        raise ValueError(f"m={m} must lie in [1, {len(params)}]")
+    chosen = np.sort(np.argsort(krum_scores(params, f), kind="stable")[:m])
+    return params[chosen].mean(axis=0)
 
 
-def trimmed_mean(c: CandidateSet, f: int) -> ParamVector:
+def trimmed_mean(params: np.ndarray, f: int) -> np.ndarray:
     """Per coordinate: drop the f smallest and f largest values, average the rest."""
-    n = len(c)
+    n = len(params)
     if n <= 2 * f:
         raise ValueError(f"trimmed mean needs n > 2f, got n={n} with f={f}")
-    values = np.sort(c.matrix(), axis=0)
-    return c.template().replace_values(values[f:n - f].mean(axis=0))
+    return np.sort(params, axis=0)[f:n - f].mean(axis=0)
 
 
 def flame_weighted(
-    own: ParamVector, received: list, beta: float, include_self: bool = True
-) -> ParamVector:
+    own_row: np.ndarray, received_rows: np.ndarray, beta: float, include_self: bool = True
+) -> np.ndarray:
     """Distance-weighted average with weights 1/(||own - w_j||^2 + beta).
 
-    include_self adds the client's own model at distance zero (closed
+    include_self adds the client's own row at distance zero (closed
     neighborhood reading); include_self=False is the literal neighbors-only
     form.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if not received:
+    if not len(received_rows):
         raise ValueError("flame requires at least one received model")
-    models = [m for _, m in received]
-    for m in models:
-        if m.shape != own.shape:
-            raise ShapeError(f"received shape {m.shape} differs from {own.shape}")
-    if include_self:
-        models = [own] + models
-    diffs = np.stack([m.values for m in models]) - own.values
-    sq_dists = np.einsum("ij,ij->i", diffs, diffs)
-    u = 1.0 / (sq_dists + beta)
-    p = u / u.sum()
-    return own.replace_values(p @ np.stack([m.values for m in models]))
+    models = np.vstack([own_row, received_rows]) if include_self else received_rows
+    diffs = models - own_row
+    u = 1.0 / (np.einsum("ij,ij->i", diffs, diffs) + beta)
+    return (u / u.sum()) @ models

@@ -58,6 +58,14 @@ class DFedReweightingSpec:
     tpm: TargetMetricKind
     crs: CRSKind
 
+    def __post_init__(self):
+        # Temp-softmax and acc-clip favour high metric values, loss-clip low
+        # ones; a mismatched pairing hands the weight to the worst models.
+        name = next((n for n, cls in CRSS.items() if isinstance(self.crs, cls)), repr(self.crs))
+        want = TargetMetricKind.LOSS_ON_AUX if name == "loss_clip" else TargetMetricKind.ACCURACY_ON_AUX
+        if self.tpm is not want:
+            raise ConfigError(f"crs {name!r} requires tpm {want.value!r}, got {self.tpm.value!r}")
+
 
 AggregatorSpec = Union[DFedReweightingSpec, BaselineKind]
 

@@ -17,7 +17,6 @@ import numpy as np
 from .core_learning import (
     Dataset,
     ParamVector,
-    ShapeError,
     evaluate_accuracy,
     evaluate_mean_loss,
     stacked_accuracy,
@@ -213,47 +212,40 @@ def apply_crs(crs: CRSKind, metrics: MetricVector) -> WeightVector:
     return _CRSS[type(crs)](crs, metrics)
 
 
-def reweight_aggregate(models: list, weights: WeightVector) -> ParamVector:
-    """Weighted sum of parameter vectors; zero-weight entries are skipped.
+def reweight_aggregate(params: np.ndarray, weights: WeightVector) -> np.ndarray:
+    """Weighted sum of the rows of params; row i carries weights.weights[i].
 
-    Skipping happens before any arithmetic, so a zero-weight model may be
-    non-finite without contaminating the result. The surviving rows are summed
-    in member order, bit-identical to accumulating w * model one at a time.
+    Zero-weight rows are dropped before any arithmetic, so a zero-weight model
+    may be non-finite without contaminating the result. The surviving rows are
+    summed in row order, bit-identical to accumulating w * row one at a time.
     """
-    ids = [int(i) for i, _ in models]
-    if set(ids) != set(weights.ids):
-        raise ValueError("model ids and weight ids must match")
-    if len(set(ids)) != len(ids):
-        raise ValueError("model ids must be distinct")
-    shape = models[0][1].shape
-    for _, model in models:
-        if model.shape != shape:
-            raise ShapeError(f"model shape {model.shape} differs from {shape}")
-    by_id = dict(zip(weights.ids, weights.weights))
-    w = np.array([by_id[i] for i in ids])
+    w = weights.weights
+    if len(params) != len(w):
+        raise ValueError(f"{len(params)} parameter rows for {len(w)} weights")
     nz = np.flatnonzero(w)
-    stacked = np.array([models[i][1].values for i in nz])
-    return models[0][1].replace_values(np.add.reduce(w[nz, None] * stacked, axis=0))
+    return np.add.reduce(w[nz, None] * params[nz], axis=0)
 
 
 def dfedreweighting_round_weights(
     kind: TargetMetricKind,
     crs: CRSKind,
-    received: list,
-    own: tuple,
+    ids,
+    params: np.ndarray,
     aux: Dataset,
 ) -> WeightVector:
-    """Score the closed neighborhood on aux and apply the reweighting strategy.
+    """Score a closed neighborhood on aux and apply the reweighting strategy.
 
-    This is the composition each client runs every round: received models plus
-    its own, scored together with compute_tpm_batch, reweighted by the CRS.
-    If compute_tpm or a metric it calls has been replaced, each member is
-    scored by a call to the module's compute_tpm instead.
+    This is the composition each client runs every round: the rows of params
+    (the models of the nodes in ids, in that order) are scored together with
+    compute_tpm_batch and reweighted by the CRS. If compute_tpm or a metric it
+    calls has been replaced, each row is scored by a call to the module's
+    compute_tpm instead.
     """
-    members = sorted([own] + list(received), key=lambda pair: pair[0])
-    ids = tuple(node_id for node_id, _ in members)
     if (compute_tpm, evaluate_accuracy, evaluate_mean_loss) == _STOCK_SCORING:
-        values = compute_tpm_batch(kind, np.array([model.values for _, model in members]), aux)
+        values = compute_tpm_batch(kind, params, aux)
     else:
-        values = np.array([compute_tpm(kind, model, aux) for _, model in members])
+        values = np.array([
+            compute_tpm(kind, ParamVector(row, aux.num_classes, aux.feature_dim), aux)
+            for row in params
+        ])
     return apply_crs(crs, MetricVector(ids, values))

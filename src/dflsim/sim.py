@@ -25,7 +25,6 @@ from . import rng
 from .analysis import RoundMetrics, accuracy_variance, mean_accuracy
 from .attacks import ALIE, AdversaryView, Gaussian, SignFlip, alie_update, gaussian_update, sign_flip_update
 from .baselines import (
-    CandidateSet,
     DFedAvg,
     Flame,
     Krum,
@@ -63,7 +62,7 @@ from .data import (
     split_auxiliary,
 )
 from .reweight import dfedreweighting_round_weights, reweight_aggregate
-from .topology import TopologyConfig, TopologyGraph, generate, neighbors
+from .topology import TopologyConfig, TopologyGraph, generate
 
 log = logging.getLogger(__name__)
 
@@ -77,7 +76,6 @@ class SimulationError(RuntimeError):
 @dataclass
 class ClientState:
     node_id: int
-    role: str  # "benign" | "malicious"
     model: ParamVector
     train: Dataset | None
     aux: Dataset | None
@@ -157,19 +155,18 @@ def build_network(config: RunConfig, seed: int) -> NetworkState:
         if node_id in graph.benign:
             clients[node_id] = ClientState(
                 node_id,
-                "benign",
                 template,
                 train.subset(aux_split.train_indices[node_id]),
                 train.subset(aux_split.aux_indices[node_id]),
             )
         else:
             # Malicious nodes hold no data; their stored model never trains.
-            clients[node_id] = ClientState(node_id, "malicious", template, None, None)
+            clients[node_id] = ClientState(node_id, template, None, None)
     return NetworkState(config, seed, graph, clients, train, test, plan, aux_split)
 
 
-def _local_half_steps(state: NetworkState, node_ids: list, t: int) -> dict:
-    """Local SGD of the given benign clients, stepped together; node id -> model.
+def _local_half_steps(state: NetworkState, node_ids: list, t: int) -> np.ndarray:
+    """Local SGD of the given benign clients, stepped together; row i is node_ids[i]'s model.
 
     Each client draws its minibatches from its own (seed, node, round,
     "minibatch") stream, exactly as it would alone. Clients with the same
@@ -200,7 +197,7 @@ def _local_half_steps(state: NetworkState, node_ids: list, t: int) -> dict:
                 params[rows], np.array(features), np.array(labels),
                 clients[0].model.num_classes, config.learning_rate,
             )
-    return {k: client.model.replace_values(row) for k, client, row in zip(node_ids, clients, params)}
+    return params
 
 
 # _local_half_steps computes what batch_gradient + sgd_step compute, so it
@@ -223,29 +220,13 @@ def _local_half_step(state: NetworkState, node_id: int, t: int) -> ParamVector:
     return model
 
 
-def _adversary_view(state: NetworkState, node_id: int, halves: dict) -> AdversaryView:
-    if state.config.attack.knowledge == "neighborhood":
-        visible = [
-            halves[i] for i in sorted(neighbors(state.graph, node_id)) if i in state.graph.benign
-        ]
-    else:
-        visible = [halves[i] for i in state.benign_ids()]
-    return AdversaryView(
-        benign_models=tuple(visible),
-        own_model=state.clients[node_id].model,
-        num_nodes=state.graph.n,
-        num_malicious=len(state.graph.malicious),
-    )
-
-
 # A dataless Byzantine node has no trained local model to flip, so sign
 # flipping flips its running estimate of the benign consensus.
 def _benign_consensus(view: AdversaryView) -> ParamVector:
     """The mean of the visible benign models, or the node's own model if none."""
-    if not view.benign_models:
+    if not len(view.benign_models):
         return view.own_model
-    stacked = np.stack([m.values for m in view.benign_models])
-    return view.own_model.replace_values(stacked.mean(axis=0))
+    return view.own_model.replace_values(view.benign_models.mean(axis=0))
 
 
 # Rows take (attack kind, adversary view, (seed, node, round)); only the
@@ -258,68 +239,78 @@ _ATTACKS = {
 }
 
 
-def _attack_payload(state: NetworkState, node_id: int, halves: dict, t: int) -> ParamVector:
-    kind = state.config.attack.kind
-    view = _adversary_view(state, node_id, halves)
-    return _ATTACKS[type(kind)](kind, view, (state.seed, node_id, t))
+def _attack_payload(state: NetworkState, node_id: int, broadcast: np.ndarray, t: int) -> ParamVector:
+    """Malicious node_id's payload, made from the benign rows of broadcast it may see."""
+    attack = state.config.attack
+    visible = np.array(state.benign_ids())
+    if attack.knowledge == "neighborhood":
+        visible = visible[state.graph.adjacency[node_id, visible]]
+    view = AdversaryView(
+        benign_models=broadcast[visible],
+        own_model=state.clients[node_id].model,
+        num_nodes=state.graph.n,
+        num_malicious=len(state.graph.malicious),
+    )
+    return _ATTACKS[type(attack.kind)](attack.kind, view, (state.seed, node_id, t))
 
 
-# Rows take (baseline spec, own (id, model) pair, received pairs, the closed
-# neighborhood as a CandidateSet).
+# Rows take (baseline spec, the closed neighborhood's rows in node id order,
+# the index of the aggregating client's own row).
 _BASELINES = {
-    DFedAvg: lambda agg, own, received, cands: dfedavg(cands),
-    Median: lambda agg, own, received, cands: median_agg(cands),
-    Krum: lambda agg, own, received, cands: krum(cands, agg.f),
-    MultiKrum: lambda agg, own, received, cands: multi_krum(cands, agg.f, agg.m),
-    TrimmedMean: lambda agg, own, received, cands: trimmed_mean(cands, agg.f),
-    Flame: lambda agg, own, received, cands: flame_weighted(
-        own[1], received, agg.beta, agg.include_self),
+    DFedAvg: lambda agg, params, own: dfedavg(params),
+    Median: lambda agg, params, own: median_agg(params),
+    Krum: lambda agg, params, own: krum(params, agg.f),
+    MultiKrum: lambda agg, params, own: multi_krum(params, agg.f, agg.m),
+    TrimmedMean: lambda agg, params, own: trimmed_mean(params, agg.f),
+    Flame: lambda agg, params, own: flame_weighted(
+        params[own], np.delete(params, own, axis=0), agg.beta, agg.include_self),
 }
 
 
-def _aggregate_one(state: NetworkState, node_id: int, incoming: dict):
-    """Aggregate one benign client's closed neighborhood.
-
-    Returns (new model, weight row or None). incoming maps every node id to
-    the model it broadcast this round (half-step or attack payload).
+def _aggregate_one(state: NetworkState, node_id: int, members: np.ndarray, broadcast: np.ndarray):
+    """Aggregate one benign client's closed neighborhood, the ascending node ids
+    members, from their rows of broadcast. Returns (new row, weight row or None).
     """
-    own = (node_id, incoming[node_id])
-    received = [(i, incoming[i]) for i in sorted(neighbors(state.graph, node_id))]
-    members = tuple(sorted([own] + received, key=lambda pair: pair[0]))
+    params = broadcast[members]
     agg = state.config.aggregator
     if type(agg) is not DFedReweightingSpec:
-        return _BASELINES[type(agg)](agg, own, received, CandidateSet(members)), None
+        return _BASELINES[type(agg)](agg, params, int(np.searchsorted(members, node_id))), None
     aux = state.clients[node_id].aux
-    weights = dfedreweighting_round_weights(agg.tpm, agg.crs, received, own, aux)
-    return reweight_aggregate(members, weights), dict(zip(weights.ids, map(float, weights.weights)))
+    weights = dfedreweighting_round_weights(agg.tpm, agg.crs, members, params, aux)
+    return reweight_aggregate(params, weights), dict(zip(weights.ids, map(float, weights.weights)))
 
 
 def run_round(state: NetworkState, t: int) -> NetworkState:
     """Advance the network one synchronous learning round.
 
-    Local SGD runs as one stacked step over all benign clients, or client by
-    client if batch_gradient or sgd_step has been replaced; then each benign
-    client aggregates its closed neighborhood in turn.
+    Row i of the round's broadcast matrix is what node i sends: a benign
+    client's local half-step or a malicious node's payload. Local SGD runs as
+    one stacked step over all benign clients, or client by client if
+    batch_gradient or sgd_step has been replaced; then each benign client
+    aggregates the rows of its closed neighborhood in turn.
     """
     benign = state.benign_ids()
+    broadcast = np.empty((state.graph.n, state.clients[benign[0]].model.values.size))
     if (batch_gradient, sgd_step) == _STOCK_LOCAL_STEP:
-        halves = _local_half_steps(state, benign, t)
+        broadcast[benign] = _local_half_steps(state, benign, t)
     else:
-        halves = {k: _local_half_step(state, k, t) for k in benign}
-    incoming = dict(halves)
+        broadcast[benign] = [_local_half_step(state, k, t).values for k in benign]
     attack = state.config.attack
     for m in state.malicious_ids():
-        incoming[m] = _attack_payload(state, m, halves, t) if attack else state.clients[m].model
+        payload = _attack_payload(state, m, broadcast, t) if attack else state.clients[m].model
+        broadcast[m] = payload.values
 
+    closed = state.graph.adjacency | np.eye(state.graph.n, dtype=bool)
     state.last_weights = {}
     for node_id in benign:
-        new_model, weight_row = _aggregate_one(state, node_id, incoming)
-        if not new_model.is_finite():
+        row, weight_row = _aggregate_one(state, node_id, np.flatnonzero(closed[node_id]), broadcast)
+        if not np.all(np.isfinite(row)):
             raise SimulationError(
                 f"non-finite aggregate for client {node_id} at round {t} "
                 f"(seed {state.seed}); weights={weight_row}"
             )
-        state.clients[node_id].model = new_model
+        client = state.clients[node_id]
+        client.model = client.model.replace_values(row)
         if weight_row is not None:
             state.last_weights[node_id] = weight_row
     return state
@@ -460,6 +451,8 @@ def run_experiment(
     summary.json, and (when export_weights is set) weights_round_<t>.csv under
     the run directory. Returns the cross-seed summary.
     """
+    if parallel < 1:
+        raise ValueError(f"parallel must be at least 1, got {parallel}")
     start = time.perf_counter()
     run_dir = resolve_outdir(config, outdir)
     run_dir.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,6 @@ import pytest
 from dflsim import rng
 from dflsim.analysis import BoundParams, theorem1_bound, theorem2_bound
 from dflsim.baselines import (
-    CandidateSet,
     dfedavg,
     flame_weighted,
     krum,
@@ -184,30 +183,27 @@ def test_criterion_4_aggregator_oracle_equivalence():
         n = int(gen.integers(4, 7))
         d = int(gen.integers(1, 5))
         vectors = [list(gen.standard_normal(d)) for _ in range(n)]
-        models = tuple(
-            (i, ParamVector(np.concatenate([v, [0.0]]), 1, d)) for i, v in enumerate(vectors)
-        )
-        candidates = CandidateSet(models)
+        candidates = np.array([np.concatenate([v, [0.0]]) for v in vectors])
         f = 1
         m = int(gen.integers(1, n + 1))
 
         np.testing.assert_allclose(
-            dfedavg(candidates).values[:-1], naive_mean(vectors), atol=1e-12)
+            dfedavg(candidates)[:-1], naive_mean(vectors), atol=1e-12)
         np.testing.assert_array_equal(
-            median_agg(candidates).values[:-1], naive_median(vectors))
+            median_agg(candidates)[:-1], naive_median(vectors))
         np.testing.assert_allclose(
-            trimmed_mean(candidates, f).values[:-1],
+            trimmed_mean(candidates, f)[:-1],
             naive_trimmed_mean(vectors, f), atol=1e-12)
         expected_scores = naive_krum_scores(vectors, f)
-        for (node, score), expected in zip(krum_scores(candidates, f), expected_scores):
+        for score, expected in zip(krum_scores(candidates, f), expected_scores):
             assert abs(score - expected) <= 1e-12
         best = min(range(n), key=lambda i: (expected_scores[i], i))
-        np.testing.assert_array_equal(krum(candidates, f).values[:-1], vectors[best])
+        np.testing.assert_array_equal(krum(candidates, f)[:-1], vectors[best])
         np.testing.assert_allclose(
-            multi_krum(candidates, f, m).values[:-1],
+            multi_krum(candidates, f, m)[:-1],
             naive_multi_krum(vectors, f, m), atol=1e-12)
         np.testing.assert_allclose(
-            flame_weighted(models[0][1], list(models[1:]), 1.0).values[:-1],
+            flame_weighted(candidates[0], candidates[1:], 1.0)[:-1],
             naive_flame(vectors[0], vectors[1:], 1.0), atol=1e-12)
     elapsed = time.time() - start
     report(4, elapsed <= 10,

@@ -21,8 +21,8 @@ def pv(values):
 
 
 def view(benign_vectors, num_nodes=12, num_malicious=2):
-    models = tuple(pv(v) for v in benign_vectors)
-    return AdversaryView(models, models[0], num_nodes, num_malicious)
+    models = np.array([pv(v).values for v in benign_vectors])
+    return AdversaryView(models, pv(benign_vectors[0]), num_nodes, num_malicious)
 
 
 class TestGaussian:

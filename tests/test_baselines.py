@@ -3,7 +3,6 @@ import pytest
 
 from dflsim import rng
 from dflsim.baselines import (
-    CandidateSet,
     dfedavg,
     flame_weighted,
     krum,
@@ -12,22 +11,20 @@ from dflsim.baselines import (
     multi_krum,
     trimmed_mean,
 )
-from dflsim.core_learning import ParamVector
-
 
 def pv(values):
-    values = np.asarray(values, dtype=float)
-    return ParamVector(np.concatenate([values, [0.0]]), 1, len(values))
+    """One parameter row: the values plus a padding bias coordinate."""
+    return np.concatenate([np.asarray(values, dtype=float), [0.0]])
 
 
-def cs(vectors, ids=None):
-    ids = range(len(vectors)) if ids is None else ids
-    return CandidateSet(tuple((i, pv(v)) for i, v in zip(ids, vectors)))
+def cs(vectors):
+    """The closed neighborhood as a matrix, one row per vector in the given order."""
+    return np.array([pv(v) for v in vectors])
 
 
-def body(model):
+def body(row):
     """Drop the padding bias coordinate added by pv()."""
-    return model.values[:-1]
+    return row[:-1]
 
 
 class TestDFedAvg:
@@ -41,7 +38,7 @@ class TestDFedAvg:
         gen = rng.stream(50, purpose="test")
         vectors = [gen.standard_normal(3) for _ in range(5)]
         a = body(dfedavg(cs(vectors)))
-        b = body(dfedavg(cs(vectors[::-1], ids=range(4, -1, -1))))
+        b = body(dfedavg(cs(vectors[::-1])))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -69,14 +66,14 @@ class TestMedian:
 
 class TestKrum:
     def test_scores_hand_example(self):
-        scores = dict(krum_scores(cs([[0.0], [1.0], [2.0], [10.0]]), f=1))
+        scores = krum_scores(cs([[0.0], [1.0], [2.0], [10.0]]), f=1)
         assert scores[0] == pytest.approx(1.0)
         assert scores[1] == pytest.approx(1.0)
         assert scores[2] == pytest.approx(1.0)
         assert scores[3] == pytest.approx(64.0)
 
     def test_identical_candidates_score_zero(self):
-        scores = dict(krum_scores(cs([[1.0], [1.0], [5.0], [9.0]]), f=1))
+        scores = krum_scores(cs([[1.0], [1.0], [5.0], [9.0]]), f=1)
         assert scores[0] == 0.0 and scores[1] == 0.0
 
     def test_selection_tie_break_lowest_id(self):
@@ -104,13 +101,13 @@ class TestMultiKrum:
     def test_m_one_reduces_to_krum(self):
         candidates = cs([[0.0], [1.0], [2.0], [10.0]])
         np.testing.assert_array_equal(
-            multi_krum(candidates, f=1, m=1).values, krum(candidates, f=1).values
+            multi_krum(candidates, f=1, m=1), krum(candidates, f=1)
         )
 
     def test_m_n_reduces_to_mean(self):
         candidates = cs([[0.0], [1.0], [2.0], [10.0]])
         np.testing.assert_allclose(
-            multi_krum(candidates, f=1, m=4).values, dfedavg(candidates).values
+            multi_krum(candidates, f=1, m=4), dfedavg(candidates)
         )
 
     def test_hand_example(self):
@@ -130,7 +127,7 @@ class TestTrimmedMean:
     def test_f_zero_is_mean(self):
         candidates = cs([[1.0, 2.0], [5.0, -2.0], [0.0, 0.0]])
         np.testing.assert_allclose(
-            trimmed_mean(candidates, f=0).values, dfedavg(candidates).values
+            trimmed_mean(candidates, f=0), dfedavg(candidates)
         )
 
     def test_matches_sort_oracle(self):
@@ -150,25 +147,25 @@ class TestTrimmedMean:
 
 class TestFlame:
     def test_identical_pair(self):
-        out = flame_weighted(pv([0.0]), [(1, pv([0.0]))], beta=1.0)
+        out = flame_weighted(pv([0.0]), cs([[0.0]]), beta=1.0)
         np.testing.assert_allclose(body(out), [0.0])
 
     def test_hand_example_with_self(self):
-        out = flame_weighted(pv([0.0]), [(1, pv([1.0]))], beta=1.0)
+        out = flame_weighted(pv([0.0]), cs([[1.0]]), beta=1.0)
         np.testing.assert_allclose(body(out), [1.0 / 3.0], rtol=1e-12)
 
     def test_literal_neighbors_only_form(self):
-        out = flame_weighted(pv([0.0]), [(1, pv([1.0]))], beta=1.0, include_self=False)
+        out = flame_weighted(pv([0.0]), cs([[1.0]]), beta=1.0, include_self=False)
         np.testing.assert_allclose(body(out), [1.0])
 
     def test_fixed_point_when_all_equal(self):
         own = pv([2.0, -1.0])
-        out = flame_weighted(own, [(1, own), (2, own)], beta=0.5)
-        np.testing.assert_allclose(out.values, own.values, atol=1e-12)
+        out = flame_weighted(own, np.array([own, own]), beta=0.5)
+        np.testing.assert_allclose(out, own, atol=1e-12)
 
     def test_beta_must_be_positive(self):
         with pytest.raises(ValueError):
-            flame_weighted(pv([0.0]), [(1, pv([1.0]))], beta=0.0)
+            flame_weighted(pv([0.0]), cs([[1.0]]), beta=0.0)
 
 
 class TestSharedProperties:
@@ -180,8 +177,7 @@ class TestSharedProperties:
             out.append(("mkrum", multi_krum(candidates, f=1, m=2)))
         if n >= 3:
             out.append(("trimmed", trimmed_mean(candidates, f=1)))
-        own = candidates.members[0][1]
-        out.append(("flame", flame_weighted(own, list(candidates.members[1:]), beta=1.0)))
+        out.append(("flame", flame_weighted(candidates[0], candidates[1:], beta=1.0)))
         return out
 
     def test_translation_equivariance(self):

@@ -81,6 +81,22 @@ class TestValidate:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("tpm, crs", [
+        ("loss", {"temp_softmax": {"temperature": 0.1}}),
+        ("accuracy", "loss_clip"),
+        ("loss", "acc_clip"),
+    ])
+    def test_wrong_direction_tpm_crs_pairing(self, tmp_path, capsys, command, tpm, crs):
+        doc = tiny_config_doc(aggregator={"dfed_reweighting": {"tpm": tpm, "crs": crs}})
+        args = [command, write_config(tmp_path, doc)]
+        if command == "run":
+            args += ["--outdir", str(tmp_path / "out")]
+        assert cli_main(args) == 1
+        assert "config.aggregator.dfed_reweighting: crs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_one(self, capsys):
         assert cli_main(["frobnicate"]) == 1
@@ -93,6 +109,18 @@ class TestUsage:
 
     def test_no_subcommand_exits_one(self):
         assert cli_main([]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("parallel", ["0", "-3"])
+    def test_parallel_below_one_exits_one(self, tmp_path, capsys, command, parallel):
+        doc = tiny_config_doc()
+        if command == "sweep":
+            doc = {"base": doc, "grid": {"attack": [None]}}
+        args = [command, write_config(tmp_path, doc), "--parallel", parallel,
+                "--outdir", str(tmp_path / "out"), "--quiet"]
+        assert cli_main(args) == 1
+        assert f"parallel must be at least 1, got {parallel}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestRun:

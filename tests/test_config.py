@@ -21,7 +21,7 @@ from dflsim.config import (
     parse_config,
 )
 from dflsim.data import Dirichlet, LabelSkew
-from dflsim.reweight import TargetMetricKind
+from dflsim.reweight import LossClip, TargetMetricKind
 from dflsim.sim import _stratified_subsample
 from dflsim.topology import TopologyConfig
 
@@ -106,6 +106,31 @@ class TestParsing:
             parse_config(minimal_doc(eval_mode="sideways"))
 
 
+# Temp-softmax and acc-clip favour high metric values, loss-clip low ones.
+PAIRINGS = [
+    ("accuracy", {"temp_softmax": {"temperature": 0.1}}, True),
+    ("accuracy", "acc_clip", True),
+    ("loss", "loss_clip", True),
+    ("loss", {"temp_softmax": {"temperature": 0.1}}, False),
+    ("loss", "acc_clip", False),
+    ("accuracy", "loss_clip", False),
+]
+
+
+@pytest.mark.parametrize("tpm, crs, ok", PAIRINGS)
+def test_tpm_crs_pairing_must_optimise_the_right_direction(tpm, crs, ok):
+    doc = minimal_doc(aggregator={"dfed_reweighting": {"tpm": tpm, "crs": crs}})
+    if ok:
+        assert parse_config(doc).aggregator.tpm.value == tpm
+        return
+    want = "loss" if crs == "loss_clip" else "accuracy"
+    name = crs if isinstance(crs, str) else "temp_softmax"
+    with pytest.raises(ConfigError, match=re.escape(
+            f"config.aggregator.dfed_reweighting: crs '{name}' requires tpm '{want}', "
+            f"got '{tpm}'")):
+        parse_config(doc)
+
+
 # Each value has the wrong type for its field; the error must name its JSON path.
 MISTYPED = [
     ("config.aggregator.baseline.include_self",
@@ -186,8 +211,9 @@ def sample_spec(cls, fill):
 FAMILIES = {
     "dataset": (DATASETS, lambda config, spec: replace(config, dataset=spec)),
     "scheme": (SCHEMES, lambda config, spec: replace(config, scheme=spec)),
-    "crs": (CRSS, lambda config, spec: replace(
-        config, aggregator=DFedReweightingSpec(TargetMetricKind.LOSS_ON_AUX, spec))),
+    "crs": (CRSS, lambda config, spec: replace(config, aggregator=DFedReweightingSpec(
+        TargetMetricKind.LOSS_ON_AUX if isinstance(spec, LossClip) else
+        TargetMetricKind.ACCURACY_ON_AUX, spec))),
     "baseline": (BASELINES, lambda config, spec: replace(config, aggregator=spec)),
     "attack": (ATTACKS, lambda config, spec: replace(
         config, attack=AttackSpec(spec, "neighborhood"))),

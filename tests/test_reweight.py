@@ -239,25 +239,25 @@ class TestCrsProperties:
 class TestReweightAggregate:
     def test_single_model_identity(self):
         model = ParamVector([1.0, 2.0, 3.0, 4.0], 1, 3)
-        out = reweight_aggregate([(5, model)], WeightVector((5,), [1.0]))
-        np.testing.assert_array_equal(out.values, model.values)
+        out = reweight_aggregate(np.array([model.values]), WeightVector((5,), [1.0]))
+        np.testing.assert_array_equal(out, model.values)
 
     def test_midpoint(self):
         a = ParamVector([0.0, 0.0], 1, 1)
         b = ParamVector([2.0, 4.0], 1, 1)
         out = reweight_aggregate(
-            [(0, a), (1, b)], WeightVector((0, 1), [0.5, 0.5])
+            np.array([a.values, b.values]), WeightVector((0, 1), [0.5, 0.5])
         )
-        np.testing.assert_allclose(out.values, [1.0, 2.0], atol=1e-15)
+        np.testing.assert_allclose(out, [1.0, 2.0], atol=1e-15)
 
     def test_zero_weight_nan_model_skipped(self):
         good = ParamVector([1.0, 1.0], 1, 1)
         bad = ParamVector([math.nan, math.nan], 1, 1)
         out = reweight_aggregate(
-            [(0, good), (1, bad)], WeightVector((0, 1), [1.0, 0.0])
+            np.array([good.values, bad.values]), WeightVector((0, 1), [1.0, 0.0])
         )
-        assert out.is_finite()
-        np.testing.assert_array_equal(out.values, good.values)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_array_equal(out, good.values)
 
     def test_equals_sequential_weighted_sum(self):
         gen = rng.stream(39, purpose="test")
@@ -272,26 +272,30 @@ class TestReweightAggregate:
                 w = weights.weight_of(node_id)
                 if w != 0.0:
                     acc = w * model.values if acc is None else acc + w * model.values
-            np.testing.assert_array_equal(reweight_aggregate(models, weights).values, acc)
+            params = np.array([model.values for _, model in models])
+            np.testing.assert_array_equal(reweight_aggregate(params, weights), acc)
 
-    def test_id_mismatch_rejected(self):
-        model = ParamVector([0.0, 0.0], 1, 1)
-        with pytest.raises(ValueError):
-            reweight_aggregate([(0, model)], WeightVector((1,), [1.0]))
+    def test_row_count_mismatch_rejected(self):
+        params = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="2 parameter rows for 1 weights"):
+            reweight_aggregate(params, WeightVector((1,), [1.0]))
+        with pytest.raises(ValueError, match="1 parameter rows for 2 weights"):
+            reweight_aggregate(params[:1], WeightVector((0, 1), [0.5, 0.5]))
 
     def test_permutation_invariance_and_linearity(self):
         gen = rng.stream(34, purpose="test")
-        models = [(i, ParamVector(gen.standard_normal(6), 1, 5)) for i in range(4)]
+        models = np.array([gen.standard_normal(6) for _ in range(4)])
         raw = gen.uniform(0.1, 1.0, size=4)
         weights = WeightVector(tuple(range(4)), raw / raw.sum())
         out = reweight_aggregate(models, weights)
-        shuffled = [models[2], models[0], models[3], models[1]]
+        perm = [2, 0, 3, 1]
+        shuffled = WeightVector(tuple(perm), weights.weights[perm])
         np.testing.assert_allclose(
-            out.values, reweight_aggregate(shuffled, weights).values, atol=1e-12
+            out, reweight_aggregate(models[perm], shuffled), atol=1e-12
         )
-        scaled = [(i, m.replace_values(3.0 * m.values)) for i, m in models]
+        scaled = 3.0 * models
         np.testing.assert_allclose(
-            reweight_aggregate(scaled, weights).values, 3.0 * out.values, atol=1e-12
+            reweight_aggregate(scaled, weights), 3.0 * out, atol=1e-12
         )
 
 
@@ -299,13 +303,13 @@ class TestRoundWeights:
     def test_identical_models_uniform_for_every_crs(self):
         data = gen_synthetic_blobs(3, 4, 10, 0.5, seed=40)
         model = ParamVector(np.linspace(-1, 1, 15), 3, 4)
-        received = [(1, model), (2, model)]
+        params = np.array([model.values] * 3)
         for tpm, crs in [
             (TargetMetricKind.ACCURACY_ON_AUX, TempSoftmax(0.1)),
             (TargetMetricKind.LOSS_ON_AUX, LossClip()),
             (TargetMetricKind.ACCURACY_ON_AUX, AccClip()),
         ]:
-            w = dfedreweighting_round_weights(tpm, crs, received, (0, model), data)
+            w = dfedreweighting_round_weights(tpm, crs, (0, 1, 2), params, data)
             np.testing.assert_allclose(w.weights, 1 / 3, atol=1e-12)
 
     def test_noise_model_zeroed_by_loss_clip(self):
@@ -320,8 +324,8 @@ class TestRoundWeights:
         w = dfedreweighting_round_weights(
             TargetMetricKind.LOSS_ON_AUX,
             LossClip(),
-            [(1, trained), (2, noise)],
-            (0, trained),
+            (0, 1, 2),
+            np.array([trained.values, trained.values, noise.values]),
             data,
         )
         assert w.weight_of(2) == 0.0
@@ -340,7 +344,8 @@ class TestRoundWeights:
                 model = sgd_step(model, batch_gradient(model, data, batch), 0.1)
         pairs = list(enumerate(models))
         w = dfedreweighting_round_weights(
-            TargetMetricKind.LOSS_ON_AUX, LossClip(), pairs[1:], pairs[0], data
+            TargetMetricKind.LOSS_ON_AUX, LossClip(), range(5),
+            np.array([m.values for m in models]), data
         )
         assert_valid(w)
         losses = {i: evaluate_mean_loss(m, data) for i, m in pairs}
@@ -357,8 +362,9 @@ class TestRoundWeights:
         data = gen_synthetic_blobs(3, 4, 10, 0.5, seed=44)
         gen = np.random.default_rng(9)
         pairs = [(i, ParamVector(gen.standard_normal(15), 3, 4)) for i in range(5)]
+        params = np.array([m.values for _, m in pairs])
         batched = dfedreweighting_round_weights(
-            TargetMetricKind.LOSS_ON_AUX, LossClip(), pairs[1:], pairs[0], data)
+            TargetMetricKind.LOSS_ON_AUX, LossClip(), range(5), params, data)
         scored = []
 
         def counting_tpm(kind, model, aux):
@@ -367,7 +373,7 @@ class TestRoundWeights:
 
         monkeypatch.setattr(reweight, "compute_tpm", counting_tpm)
         per_member = dfedreweighting_round_weights(
-            TargetMetricKind.LOSS_ON_AUX, LossClip(), pairs[1:], pairs[0], data)
+            TargetMetricKind.LOSS_ON_AUX, LossClip(), range(5), params, data)
         assert [m.values.tobytes() for m in scored] == [m.values.tobytes() for _, m in pairs]
         np.testing.assert_array_equal(per_member.weights, batched.weights)
 
@@ -375,7 +381,7 @@ class TestRoundWeights:
         monkeypatch.undo()
         monkeypatch.setattr(reweight, "evaluate_mean_loss", lambda model, aux: 2.0)
         w = dfedreweighting_round_weights(
-            TargetMetricKind.LOSS_ON_AUX, LossClip(), pairs[1:], pairs[0], data)
+            TargetMetricKind.LOSS_ON_AUX, LossClip(), range(5), params, data)
         np.testing.assert_array_equal(w.weights, np.full(5, 0.2))
 
     def test_apply_crs_dispatch(self):

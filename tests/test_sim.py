@@ -62,7 +62,7 @@ class TestRunRound:
                        np.random.default_rng(1).integers(0, 3, 20), 3)
         template = ParamVector.zeros(3, 6)
         clients = {
-            k: ClientState(k, "benign", template, data, data) for k in (0, 1)
+            k: ClientState(k, template, data, data) for k in (0, 1)
         }
         state = manual_state(config, complete_graph(2, [0, 1], []), clients, data)
         for t in range(1, 6):
@@ -82,7 +82,7 @@ class TestRunRound:
             data = Dataset(gen.standard_normal((40, 6)), gen.integers(0, 3, 40), 3)
             template = ParamVector.zeros(3, 6)
             clients = {
-                k: ClientState(k, "benign", template, data, data) for k in (0, 1)
+                k: ClientState(k, template, data, data) for k in (0, 1)
             }
             state = manual_state(config, graph_without_edges(2), clients, data)
             run_round(state, 1)
@@ -109,12 +109,20 @@ class TestRunRound:
         data = Dataset(gen.standard_normal((10, 6)), gen.integers(0, 3, 10), 3)
         bad = ParamVector(np.full(3 * 6 + 3, np.nan), 3, 6)
         clients = {
-            0: ClientState(0, "benign", ParamVector.zeros(3, 6), data, data),
-            1: ClientState(1, "benign", bad, data, data),
+            0: ClientState(0, ParamVector.zeros(3, 6), data, data),
+            1: ClientState(1, bad, data, data),
         }
         state = manual_state(config, complete_graph(2, [0, 1], []), clients, data)
         with pytest.raises(SimulationError, match="non-finite"):
             run_round(state, 1)
+
+
+def broadcast_matrix(state, models):
+    """A round's broadcast matrix: row k holds models[k]; the other rows are zero."""
+    out = np.zeros((state.graph.n, next(iter(models.values())).values.size))
+    for k, model in models.items():
+        out[k] = model.values
+    return out
 
 
 def loop_half_step(state, node_id, t):
@@ -141,19 +149,19 @@ class TestStackedRoundEngine:
         for k, n in enumerate([3, 8, 8, 20, 5, 13]):
             data = Dataset(gen.standard_normal((n, 6)), gen.integers(0, 3, n), 3)
             model = ParamVector(gen.standard_normal(21), 3, 6)
-            clients[k] = ClientState(k, "benign", model, data, data)
+            clients[k] = ClientState(k, model, data, data)
         state = manual_state(config, graph_without_edges(6), clients, clients[0].train)
         for t in (1, 2):
             stacked = _local_half_steps(state, state.benign_ids(), t)
             for k in state.benign_ids():
                 np.testing.assert_array_equal(
-                    stacked[k].values, loop_half_step(state, k, t).values)
-                state.clients[k].model = stacked[k]
+                    stacked[k], loop_half_step(state, k, t).values)
+                state.clients[k].model = state.clients[k].model.replace_values(stacked[k])
 
     def test_stacked_local_step_checks_shapes(self):
         config = tiny_config()
         data = Dataset(np.zeros((4, 6)), [0, 1, 2, 0], 3)
-        clients = {k: ClientState(k, "benign", ParamVector.zeros(3, 5), data, data)
+        clients = {k: ClientState(k, ParamVector.zeros(3, 5), data, data)
                    for k in (0, 1)}
         state = manual_state(config, graph_without_edges(2), clients, data)
         with pytest.raises(ValueError, match="dimensions disagree"):
@@ -180,7 +188,7 @@ class TestStackedRoundEngine:
             halves = {k: loop_half_step(oracle, k, t) for k in oracle.benign_ids()}
             incoming = dict(halves)
             for m in oracle.malicious_ids():
-                incoming[m] = _attack_payload(oracle, m, halves, t)
+                incoming[m] = _attack_payload(oracle, m, broadcast_matrix(oracle, halves), t)
             updated = {}
             for k in oracle.benign_ids():
                 members = sorted({k, *np.flatnonzero(oracle.graph.adjacency[k]).tolist()})
@@ -243,7 +251,6 @@ class TestBaselineDispatch:
     )
     def test_each_baseline_matches_direct_aggregation(self, kind):
         from dflsim.baselines import (
-            CandidateSet,
             dfedavg,
             flame_weighted,
             krum,
@@ -261,25 +268,25 @@ class TestBaselineDispatch:
         )
         # identical streams make the half-steps of a twin network bit-equal
         twin = build_network(config, seed=43)
-        halves = {k: _local_half_step(twin, k, 1) for k in twin.benign_ids()}
+        halves = np.array([_local_half_step(twin, k, 1).values for k in twin.benign_ids()])
 
         state = build_network(config, seed=43)
         run_round(state, 1)
-        members = tuple(sorted(halves.items()))
-        candidates = CandidateSet(members)
-        if kind["kind"] == "dfedavg":
-            expected = dfedavg(candidates)
-        elif kind["kind"] == "median":
-            expected = median_agg(candidates)
-        elif kind["kind"] == "krum":
-            expected = krum(candidates, 2)
-        elif kind["kind"] == "multi_krum":
-            expected = multi_krum(candidates, 2, 2)
-        elif kind["kind"] == "trimmed_mean":
-            expected = trimmed_mean(candidates, 2)
-        else:
-            expected = flame_weighted(halves[0], members[1:], 1.0)
-        np.testing.assert_array_equal(state.clients[0].model.values, expected.values)
+        # Every client: FLAME is anchored on the own row, which is not always row 0.
+        for k in state.benign_ids():
+            if kind["kind"] == "dfedavg":
+                expected = dfedavg(halves)
+            elif kind["kind"] == "median":
+                expected = median_agg(halves)
+            elif kind["kind"] == "krum":
+                expected = krum(halves, 2)
+            elif kind["kind"] == "multi_krum":
+                expected = multi_krum(halves, 2, 2)
+            elif kind["kind"] == "trimmed_mean":
+                expected = trimmed_mean(halves, 2)
+            else:
+                expected = flame_weighted(halves[k], np.delete(halves, k, axis=0), 1.0)
+            np.testing.assert_array_equal(state.clients[k].model.values, expected, err_msg=k)
 
 
 # Fields without a default, per registered kind.
@@ -327,14 +334,14 @@ class TestAttackDispatch:
         halves = {k: state.clients[k].model.replace_values(
             np.full_like(state.clients[k].model.values, k + 1.0))
             for k in state.benign_ids()}
-        payload = _attack_payload(state, 3, halves, t=1)
+        payload = _attack_payload(state, 3, broadcast_matrix(state, halves), t=1)
         np.testing.assert_allclose(payload.values, -10.0 * 2.0 * np.ones_like(payload.values))
 
     def test_gaussian_payload_replays(self):
         state = self.attack_state({"kind": "gaussian", "sigma": 30.0})
         halves = {k: state.clients[k].model for k in state.benign_ids()}
-        a = _attack_payload(state, 3, halves, t=4)
-        b = _attack_payload(state, 3, halves, t=4)
+        a = _attack_payload(state, 3, broadcast_matrix(state, halves), t=4)
+        b = _attack_payload(state, 3, broadcast_matrix(state, halves), t=4)
         np.testing.assert_array_equal(a.values, b.values)
         assert a.values.std() > 20.0
 
@@ -345,7 +352,7 @@ class TestAttackDispatch:
             1: ParamVector(np.full(21, 2.0), 3, 6),
             2: ParamVector(np.full(21, 4.0), 3, 6),
         }
-        payload = _attack_payload(state, 3, halves, t=1)
+        payload = _attack_payload(state, 3, broadcast_matrix(state, halves), t=1)
         mu, sigma = 2.0, float(np.std([0.0, 2.0, 4.0]))
         np.testing.assert_allclose(payload.values, mu - sigma, atol=1e-12)
 
@@ -367,7 +374,7 @@ class TestAttackDispatch:
         state.graph = TopologyGraph(4, adj, state.graph.benign, state.graph.malicious)
         halves = {k: state.clients[k].model.replace_values(
             np.full(21, float(k))) for k in state.benign_ids()}
-        payload = _attack_payload(state, 3, halves, t=1)
+        payload = _attack_payload(state, 3, broadcast_matrix(state, halves), t=1)
         # mean over visible benign {1, 2} only, flipped by -1
         np.testing.assert_allclose(payload.values, -1.5, atol=1e-12)
 
@@ -410,6 +417,13 @@ class TestRunExperiment:
         run_dir = tmp_path / "artifacts"
         for name in ("config.json", "topology.json", "metrics.csv", "summary.json"):
             assert (run_dir / name).exists(), name
+
+    @pytest.mark.parametrize("parallel", [0, -3])
+    def test_parallel_below_one_rejected_before_any_output(self, tmp_path, parallel):
+        with pytest.raises(ValueError, match="parallel must be at least 1"):
+            run_experiment(tiny_config(name="bad-parallel"), parallel=parallel,
+                           outdir=str(tmp_path))
+        assert not (tmp_path / "bad-parallel").exists()
 
     def test_summary_recomputable_from_per_client_values(self, tmp_path):
         config = tiny_config(name="recompute", rounds=3, seeds=[43, 44])
