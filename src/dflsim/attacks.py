@@ -12,8 +12,6 @@ from typing import Union
 
 import numpy as np
 
-from .core_learning import ParamVector
-
 
 @dataclass(frozen=True)
 class Gaussian:
@@ -45,27 +43,25 @@ class AdversaryView:
     benign_models is the (k, C*d+C) matrix of the post-local-step models
     visible under the configured knowledge model (all benign nodes, or benign
     neighbors only), in ascending node id order. own_model is the malicious
-    node's stored model and carries the target shape.
+    node's stored model row and carries the target length.
     """
 
     benign_models: np.ndarray
-    own_model: ParamVector
+    own_model: np.ndarray
     num_nodes: int
     num_malicious: int
 
 
-def gaussian_update(shape: tuple, sigma: float, gen: np.random.Generator) -> ParamVector:
-    """Per-coordinate i.i.d. draws from Normal(0, sigma^2)."""
+def gaussian_update(size: int, sigma: float, gen: np.random.Generator) -> np.ndarray:
+    """A model row of size i.i.d. draws from Normal(0, sigma^2)."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    num_classes, feature_dim = shape
-    size = num_classes * feature_dim + num_classes
-    return ParamVector(sigma * gen.standard_normal(size), num_classes, feature_dim)
+    return sigma * gen.standard_normal(size)
 
 
-def sign_flip_update(model: ParamVector, factor: float) -> ParamVector:
+def sign_flip_update(model: np.ndarray, factor: float) -> np.ndarray:
     """Element-wise factor * model."""
-    return model.replace_values(factor * model.values)
+    return factor * model
 
 
 def auto_alie_z(num_nodes: int, num_malicious: int) -> float:
@@ -86,7 +82,7 @@ def auto_alie_z(num_nodes: int, num_malicious: int) -> float:
     return float(min(max(z, 0.0), 3.0))
 
 
-def alie_update(view: AdversaryView, z: float | None = None) -> ParamVector:
+def alie_update(view: AdversaryView, z: float | None = None) -> np.ndarray:
     """Coordinate-wise mean - z * std of the visible benign models.
 
     Statistics use the population standard deviation. z=None resolves via
@@ -98,4 +94,4 @@ def alie_update(view: AdversaryView, z: float | None = None) -> ParamVector:
         z = auto_alie_z(view.num_nodes, view.num_malicious)
     mu = view.benign_models.mean(axis=0)
     sigma = view.benign_models.std(axis=0)
-    return view.own_model.replace_values(mu - z * sigma)
+    return mu - z * sigma

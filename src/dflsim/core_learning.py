@@ -65,9 +65,6 @@ class ParamVector:
     def replace_values(self, values: np.ndarray) -> "ParamVector":
         return ParamVector(values, self.num_classes, self.feature_dim)
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
-
 
 def _require_same_shape(a: ParamVector, b: ParamVector) -> None:
     if a.shape != b.shape:

@@ -106,13 +106,6 @@ class WeightVector:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "weights", w)
 
-    def weight_of(self, node_id: int) -> float:
-        """Weight for node_id; implicitly 0 outside the neighborhood."""
-        try:
-            return float(self.weights[self.ids.index(node_id)])
-        except ValueError:
-            return 0.0
-
 
 def compute_tpm(kind: TargetMetricKind, model: ParamVector, aux: Dataset) -> float:
     """Score a model on the auxiliary set; non-finite values become +inf."""

@@ -43,11 +43,10 @@ from .core_learning import (
     Dataset,
     Minibatch,
     ParamVector,
-    ShapeError,
     batch_gradient,
-    evaluate_accuracy,
-    evaluate_mean_loss,
     sgd_step,
+    stacked_accuracy,
+    stacked_mean_loss,
     stacked_sgd_step,
 )
 from .data import (
@@ -70,29 +69,28 @@ METRICS_COLUMNS = ["round", "seed", "client", "acc", "loss", "mean_acc", "var"]
 
 
 class SimulationError(RuntimeError):
-    """A run failed mid-flight; the message carries seed/round context."""
+    """A run failed mid-flight; the message carries seed/round/node context."""
 
 
 @dataclass
 class ClientState:
-    node_id: int
-    model: ParamVector
-    train: Dataset | None
-    aux: Dataset | None
+    """A benign client's local data: its training share and its auxiliary set."""
+
+    train: Dataset
+    aux: Dataset
 
 
 @dataclass
 class NetworkState:
-    """One seed's mutable world: graph, clients, and data provenance."""
+    """One seed's mutable world: graph, benign clients' data, and models (row i: node i)."""
 
     config: RunConfig
     seed: int
     graph: TopologyGraph
     clients: dict
+    models: np.ndarray
     train_data: Dataset
     test_data: Dataset | None
-    plan: object
-    aux_split: object
     last_weights: dict = field(default_factory=dict)
 
     def benign_ids(self) -> list:
@@ -144,25 +142,17 @@ _PARTITIONS = {
 
 
 def build_network(config: RunConfig, seed: int) -> NetworkState:
-    """Topology, partition, aux split, and zero-initialized client models."""
+    """Topology, partition, aux split, and zero-initialized models."""
     train, test = build_dataset(config)
     graph = generate(TopologyConfig(seed=seed, **asdict(config.topology)))
     plan = _PARTITIONS[type(config.scheme)](train, config.topology.num_benign, config.scheme, seed)
     aux_split = split_auxiliary(train, plan, config.aux_fraction, seed)
-    template = ParamVector.zeros(train.num_classes, train.feature_dim)
-    clients = {}
-    for node_id in range(graph.n):
-        if node_id in graph.benign:
-            clients[node_id] = ClientState(
-                node_id,
-                template,
-                train.subset(aux_split.train_indices[node_id]),
-                train.subset(aux_split.aux_indices[node_id]),
-            )
-        else:
-            # Malicious nodes hold no data; their stored model never trains.
-            clients[node_id] = ClientState(node_id, template, None, None)
-    return NetworkState(config, seed, graph, clients, train, test, plan, aux_split)
+    clients = {
+        k: ClientState(train.subset(aux_split.train_indices[k]), train.subset(aux_split.aux_indices[k]))
+        for k in sorted(graph.benign)
+    }
+    models = np.zeros((graph.n, train.num_classes * train.feature_dim + train.num_classes))
+    return NetworkState(config, seed, graph, clients, models, train, test)
 
 
 def _local_half_steps(state: NetworkState, node_ids: list, t: int) -> np.ndarray:
@@ -174,28 +164,20 @@ def _local_half_steps(state: NetworkState, node_ids: list, t: int) -> np.ndarray
     bit-identical to batch_gradient + sgd_step per client.
     """
     config = state.config
-    clients = [state.clients[k] for k in node_ids]
-    for client in clients:
-        model, train = client.model, client.train
-        if train.num_classes != model.num_classes or train.feature_dim != model.feature_dim:
-            raise ShapeError(f"model and dataset dimensions disagree for client {client.node_id}")
-    params = np.array([client.model.values for client in clients])
+    trains = [state.clients[k].train for k in node_ids]
+    params = state.models[node_ids]
     gens = [rng.stream(state.seed, k, t, "minibatch") for k in node_ids]
     groups = {}
-    for row, client in enumerate(clients):
-        groups.setdefault(min(config.batch_size, len(client.train)), []).append(row)
+    for row, train in enumerate(trains):
+        groups.setdefault(min(config.batch_size, len(train)), []).append(row)
     for _ in range(config.local_steps):
         for size, rows in groups.items():
-            features, labels = [], []
-            for row in rows:
-                train = clients[row].train
-                batch = Minibatch(gens[row].choice(len(train), size=size, replace=False))
-                batch.validate_for(train)
-                features.append(train.features[batch.indices])
-                labels.append(train.labels[batch.indices])
+            idx = [gens[row].choice(len(trains[row]), size=size, replace=False) for row in rows]
             params[rows] = stacked_sgd_step(
-                params[rows], np.array(features), np.array(labels),
-                clients[0].model.num_classes, config.learning_rate,
+                params[rows],
+                np.array([trains[row].features[i] for row, i in zip(rows, idx)]),
+                np.array([trains[row].labels[i] for row, i in zip(rows, idx)]),
+                state.train_data.num_classes, config.learning_rate,
             )
     return params
 
@@ -208,38 +190,38 @@ _STOCK_LOCAL_STEP = (batch_gradient, sgd_step)
 
 def _local_half_step(state: NetworkState, node_id: int, t: int) -> ParamVector:
     """One client's local SGD through batch_gradient + sgd_step."""
-    client = state.clients[node_id]
+    train = state.clients[node_id].train
     gen = rng.stream(state.seed, node_id, t, "minibatch")
-    model = client.model
-    n = len(client.train)
+    model = ParamVector(state.models[node_id], train.num_classes, train.feature_dim)
+    n = len(train)
     batch_size = min(state.config.batch_size, n)
     for _ in range(state.config.local_steps):
         batch = Minibatch(gen.choice(n, size=batch_size, replace=False))
-        grad = batch_gradient(model, client.train, batch)
+        grad = batch_gradient(model, train, batch)
         model = sgd_step(model, grad, state.config.learning_rate)
     return model
 
 
 # A dataless Byzantine node has no trained local model to flip, so sign
 # flipping flips its running estimate of the benign consensus.
-def _benign_consensus(view: AdversaryView) -> ParamVector:
+def _benign_consensus(view: AdversaryView) -> np.ndarray:
     """The mean of the visible benign models, or the node's own model if none."""
     if not len(view.benign_models):
         return view.own_model
-    return view.own_model.replace_values(view.benign_models.mean(axis=0))
+    return view.benign_models.mean(axis=0)
 
 
 # Rows take (attack kind, adversary view, (seed, node, round)); only the
 # Gaussian row draws randomness.
 _ATTACKS = {
     Gaussian: lambda kind, view, key: gaussian_update(
-        view.own_model.shape, kind.sigma, rng.stream(*key, "attack")),
+        view.own_model.size, kind.sigma, rng.stream(*key, "attack")),
     SignFlip: lambda kind, view, key: sign_flip_update(_benign_consensus(view), kind.factor),
     ALIE: lambda kind, view, key: alie_update(view, kind.z),
 }
 
 
-def _attack_payload(state: NetworkState, node_id: int, broadcast: np.ndarray, t: int) -> ParamVector:
+def _attack_payload(state: NetworkState, node_id: int, broadcast: np.ndarray, t: int) -> np.ndarray:
     """Malicious node_id's payload, made from the benign rows of broadcast it may see."""
     attack = state.config.attack
     visible = np.array(state.benign_ids())
@@ -247,7 +229,7 @@ def _attack_payload(state: NetworkState, node_id: int, broadcast: np.ndarray, t:
         visible = visible[state.graph.adjacency[node_id, visible]]
     view = AdversaryView(
         benign_models=broadcast[visible],
-        own_model=state.clients[node_id].model,
+        own_model=state.models[node_id],
         num_nodes=state.graph.n,
         num_malicious=len(state.graph.malicious),
     )
@@ -280,37 +262,46 @@ def _aggregate_one(state: NetworkState, node_id: int, members: np.ndarray, broad
     return reweight_aggregate(params, weights), dict(zip(weights.ids, map(float, weights.weights)))
 
 
+def _node_failure(state: NetworkState, t: int, node_id: int, exc: Exception) -> SimulationError:
+    return SimulationError(f"round {t} failed for seed {state.seed} at node {node_id}: {exc}")
+
+
 def run_round(state: NetworkState, t: int) -> NetworkState:
     """Advance the network one synchronous learning round.
 
     Row i of the round's broadcast matrix is what node i sends: a benign
-    client's local half-step or a malicious node's payload. Local SGD runs as
-    one stacked step over all benign clients, or client by client if
-    batch_gradient or sgd_step has been replaced; then each benign client
-    aggregates the rows of its closed neighborhood in turn.
+    client's local half-step, or a malicious node's payload (its zero row if
+    no attack is configured). Local SGD runs as one stacked step over all
+    benign clients, or client by client if batch_gradient or sgd_step has been
+    replaced; then each benign client aggregates its closed neighborhood's rows
+    into its row of state.models.
     """
     benign = state.benign_ids()
-    broadcast = np.empty((state.graph.n, state.clients[benign[0]].model.values.size))
+    broadcast = state.models.copy()
     if (batch_gradient, sgd_step) == _STOCK_LOCAL_STEP:
         broadcast[benign] = _local_half_steps(state, benign, t)
     else:
         broadcast[benign] = [_local_half_step(state, k, t).values for k in benign]
-    attack = state.config.attack
-    for m in state.malicious_ids():
-        payload = _attack_payload(state, m, broadcast, t) if attack else state.clients[m].model
-        broadcast[m] = payload.values
+    if state.config.attack:
+        for m in state.malicious_ids():
+            try:
+                broadcast[m] = _attack_payload(state, m, broadcast, t)
+            except Exception as exc:
+                raise _node_failure(state, t, m, exc) from exc
 
     closed = state.graph.adjacency | np.eye(state.graph.n, dtype=bool)
     state.last_weights = {}
     for node_id in benign:
-        row, weight_row = _aggregate_one(state, node_id, np.flatnonzero(closed[node_id]), broadcast)
+        try:
+            row, weight_row = _aggregate_one(state, node_id, np.flatnonzero(closed[node_id]), broadcast)
+        except Exception as exc:
+            raise _node_failure(state, t, node_id, exc) from exc
         if not np.all(np.isfinite(row)):
             raise SimulationError(
                 f"non-finite aggregate for client {node_id} at round {t} "
                 f"(seed {state.seed}); weights={weight_row}"
             )
-        client = state.clients[node_id]
-        client.model = client.model.replace_values(row)
+        state.models[node_id] = row
         if weight_row is not None:
             state.last_weights[node_id] = weight_row
     return state
@@ -321,10 +312,10 @@ def evaluate_network(state: NetworkState, t: int) -> RoundMetrics:
     mode = state.config.resolved_eval_mode()
     accs, losses = [], []
     for node_id in state.benign_ids():
-        client = state.clients[node_id]
-        eval_set = client.aux if mode == "local" else state.test_data
-        accs.append(evaluate_accuracy(client.model, eval_set))
-        losses.append(evaluate_mean_loss(client.model, eval_set))
+        eval_set = state.clients[node_id].aux if mode == "local" else state.test_data
+        row = state.models[node_id:node_id + 1]
+        accs.append(float(stacked_accuracy(row, eval_set)[0]))
+        losses.append(float(stacked_mean_loss(row, eval_set)[0]))
     return RoundMetrics(
         round_index=t,
         client_ids=tuple(state.benign_ids()),

@@ -172,7 +172,23 @@ class TestRun:
         code = cli_main(["run", write_config(tmp_path, doc), "--outdir", str(tmp_path / "out"),
                          "--parallel", "2", "--quiet"])
         assert code == 2
-        assert "round 1 failed for seed 44" in capsys.readouterr().err
+        # Node 5 of seed 44 has two neighbors, so Krum sees n=3 candidates.
+        assert "round 1 failed for seed 44 at node 5:" in capsys.readouterr().err
+
+    def test_failing_attack_names_the_malicious_node(self, tmp_path, capsys):
+        # Malicious node 6 of seed 40 has one benign neighbor; ALIE needs two.
+        doc = tiny_config_doc(
+            name="alie-sparse",
+            topology={"num_benign": 6, "num_malicious": 1, "edge_prob": 0.3},
+            attack={"kind": "alie", "knowledge": "neighborhood"},
+            seeds=[40],
+        )
+        code = cli_main(["run", write_config(tmp_path, doc), "--outdir", str(tmp_path / "out"),
+                         "--parallel", "1", "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "round 1 failed for seed 40 at node 6:" in err
+        assert "ALIE needs at least 2 visible benign models" in err
 
 
 class TestReport:

@@ -268,8 +268,9 @@ class TestReweightAggregate:
             raw[1], raw[0] = 0.0, 1.0
             weights = WeightVector(tuple(range(k)), raw / raw.sum())
             acc = None
+            weight_of = dict(zip(weights.ids, weights.weights))
             for node_id, model in models:
-                w = weights.weight_of(node_id)
+                w = weight_of[node_id]
                 if w != 0.0:
                     acc = w * model.values if acc is None else acc + w * model.values
             params = np.array([model.values for _, model in models])
@@ -328,8 +329,9 @@ class TestRoundWeights:
             np.array([trained.values, trained.values, noise.values]),
             data,
         )
-        assert w.weight_of(2) == 0.0
-        assert w.weight_of(0) > 0 and w.weight_of(1) > 0
+        weight_of = dict(zip(w.ids, w.weights))
+        assert weight_of[2] == 0.0
+        assert weight_of[0] > 0 and weight_of[1] > 0
 
     def test_fixture_zeros_exactly_above_mean_losses(self):
         # closed neighborhood of models with controlled loss ordering
@@ -350,11 +352,12 @@ class TestRoundWeights:
         assert_valid(w)
         losses = {i: evaluate_mean_loss(m, data) for i, m in pairs}
         mu = np.mean(list(losses.values()))
+        weight_of = dict(zip(w.ids, w.weights))
         for i, loss in losses.items():
             if loss > mu:
-                assert w.weight_of(i) == 0.0
+                assert weight_of[i] == 0.0
             else:
-                assert w.weight_of(i) > 0.0
+                assert weight_of[i] > 0.0
 
     def test_replaced_scoring_functions_are_called_per_member(self, monkeypatch):
         import dflsim.reweight as reweight

@@ -7,7 +7,17 @@ import pytest
 
 from dflsim import rng
 from dflsim.config import ATTACKS, BASELINES, CRSS, SCHEMES, AttackSpec, DFedReweightingSpec, parse_config
-from dflsim.core_learning import Dataset, Minibatch, ParamVector, batch_gradient, sgd_step
+from dflsim.core_learning import (
+    Dataset,
+    Minibatch,
+    ParamVector,
+    ShapeError,
+    batch_gradient,
+    evaluate_accuracy,
+    evaluate_mean_loss,
+    sgd_step,
+)
+from dflsim.data import partition_iid, split_auxiliary
 from dflsim.reweight import LossClip, MetricVector, TargetMetricKind, apply_crs, compute_tpm
 from dflsim.sim import (
     ClientState,
@@ -50,9 +60,9 @@ def complete_graph(n, benign, malicious):
     return TopologyGraph(n, adj, frozenset(benign), frozenset(malicious))
 
 
-def manual_state(config, graph, clients, train, test=None):
+def manual_state(config, graph, clients, models, train, test=None):
     return NetworkState(config, seed=config.seeds[0], graph=graph, clients=clients,
-                        train_data=train, test_data=test, plan=None, aux_split=None)
+                        models=models, train_data=train, test_data=test)
 
 
 class TestRunRound:
@@ -60,15 +70,15 @@ class TestRunRound:
         config = tiny_config()
         data = Dataset(np.random.default_rng(0).standard_normal((20, 6)),
                        np.random.default_rng(1).integers(0, 3, 20), 3)
-        template = ParamVector.zeros(3, 6)
         clients = {
-            k: ClientState(k, template, data, data) for k in (0, 1)
+            k: ClientState(data, data) for k in (0, 1)
         }
-        state = manual_state(config, complete_graph(2, [0, 1], []), clients, data)
+        state = manual_state(config, complete_graph(2, [0, 1], []), clients, np.zeros((2, 21)),
+                             data)
         for t in range(1, 6):
             run_round(state, t)
             np.testing.assert_array_equal(
-                state.clients[0].model.values, state.clients[1].model.values
+                state.models[0], state.models[1]
             )
 
     def test_isolated_client_round_is_plain_sgd(self):
@@ -82,9 +92,9 @@ class TestRunRound:
             data = Dataset(gen.standard_normal((40, 6)), gen.integers(0, 3, 40), 3)
             template = ParamVector.zeros(3, 6)
             clients = {
-                k: ClientState(k, template, data, data) for k in (0, 1)
+                k: ClientState(data, data) for k in (0, 1)
             }
-            state = manual_state(config, graph_without_edges(2), clients, data)
+            state = manual_state(config, graph_without_edges(2), clients, np.zeros((2, 21)), data)
             run_round(state, 1)
 
             manual = template
@@ -92,36 +102,37 @@ class TestRunRound:
             batch = Minibatch(stream.choice(40, size=32, replace=False))
             manual = sgd_step(manual, batch_gradient(manual, data, batch),
                               config.learning_rate)
-            np.testing.assert_array_equal(state.clients[0].model.values, manual.values)
+            np.testing.assert_array_equal(state.models[0], manual.values)
 
     def test_iid_complete_graph_models_equal_after_every_round(self):
         config = tiny_config(rounds=4)
         state = build_network(config, seed=43)
         for t in range(1, 5):
             run_round(state, t)
-            reference = state.clients[0].model.values
+            reference = state.models[0]
             for k in state.benign_ids()[1:]:
-                np.testing.assert_array_equal(state.clients[k].model.values, reference)
+                np.testing.assert_array_equal(state.models[k], reference)
 
     def test_nonfinite_aggregate_aborts_with_context(self):
         config = tiny_config()
         gen = np.random.default_rng(3)
         data = Dataset(gen.standard_normal((10, 6)), gen.integers(0, 3, 10), 3)
-        bad = ParamVector(np.full(3 * 6 + 3, np.nan), 3, 6)
+        models = np.zeros((2, 3 * 6 + 3))
+        models[1] = np.nan
         clients = {
-            0: ClientState(0, ParamVector.zeros(3, 6), data, data),
-            1: ClientState(1, bad, data, data),
+            0: ClientState(data, data),
+            1: ClientState(data, data),
         }
-        state = manual_state(config, complete_graph(2, [0, 1], []), clients, data)
+        state = manual_state(config, complete_graph(2, [0, 1], []), clients, models, data)
         with pytest.raises(SimulationError, match="non-finite"):
             run_round(state, 1)
 
 
 def broadcast_matrix(state, models):
-    """A round's broadcast matrix: row k holds models[k]; the other rows are zero."""
-    out = np.zeros((state.graph.n, next(iter(models.values())).values.size))
+    """A round's broadcast matrix: row k holds the row models[k]; the other rows are zero."""
+    out = np.zeros((state.graph.n, next(iter(models.values())).size))
     for k, model in models.items():
-        out[k] = model.values
+        out[k] = model
     return out
 
 
@@ -130,7 +141,7 @@ def loop_half_step(state, node_id, t):
     client = state.clients[node_id]
     gen = rng.stream(state.seed, node_id, t, "minibatch")
     n = len(client.train)
-    model = client.model
+    model = ParamVector(state.models[node_id], client.train.num_classes, client.train.feature_dim)
     for _ in range(state.config.local_steps):
         batch = Minibatch(gen.choice(n, size=min(state.config.batch_size, n), replace=False))
         model = sgd_step(model, batch_gradient(model, client.train, batch),
@@ -144,27 +155,29 @@ class TestStackedRoundEngine:
     def test_stacked_local_step_equals_per_client_loop(self):
         config = tiny_config(batch_size=8, local_steps=2, learning_rate=0.3)
         gen = np.random.default_rng(4)
-        clients = {}
+        clients, models = {}, []
         # Train sizes below, at and above batch_size give three stacked groups.
         for k, n in enumerate([3, 8, 8, 20, 5, 13]):
             data = Dataset(gen.standard_normal((n, 6)), gen.integers(0, 3, n), 3)
-            model = ParamVector(gen.standard_normal(21), 3, 6)
-            clients[k] = ClientState(k, model, data, data)
-        state = manual_state(config, graph_without_edges(6), clients, clients[0].train)
+            models.append(gen.standard_normal(21))
+            clients[k] = ClientState(data, data)
+        state = manual_state(config, graph_without_edges(6), clients, np.array(models),
+                             clients[0].train)
         for t in (1, 2):
             stacked = _local_half_steps(state, state.benign_ids(), t)
             for k in state.benign_ids():
                 np.testing.assert_array_equal(
                     stacked[k], loop_half_step(state, k, t).values)
-                state.clients[k].model = state.clients[k].model.replace_values(stacked[k])
+                state.models[k] = stacked[k]
 
     def test_stacked_local_step_checks_shapes(self):
+        # Rows of C*d+C = 18 parameters hold C=3, d=5 models; the data has d=6.
         config = tiny_config()
         data = Dataset(np.zeros((4, 6)), [0, 1, 2, 0], 3)
-        clients = {k: ClientState(k, ParamVector.zeros(3, 5), data, data)
-                   for k in (0, 1)}
-        state = manual_state(config, graph_without_edges(2), clients, data)
-        with pytest.raises(ValueError, match="dimensions disagree"):
+        clients = {k: ClientState(data, data) for k in (0, 1)}
+        state = manual_state(config, graph_without_edges(2), clients, np.zeros((2, 3 * 5 + 3)),
+                             data)
+        with pytest.raises(ShapeError, match="does not hold C=3, d=6 models"):
             _local_half_steps(state, [0, 1], 1)
 
     @pytest.mark.parametrize("aggregator", [
@@ -188,7 +201,8 @@ class TestStackedRoundEngine:
             halves = {k: loop_half_step(oracle, k, t) for k in oracle.benign_ids()}
             incoming = dict(halves)
             for m in oracle.malicious_ids():
-                incoming[m] = _attack_payload(oracle, m, broadcast_matrix(oracle, halves), t)
+                incoming[m] = ParamVector(_attack_payload(oracle, m, broadcast_matrix(
+                    oracle, {k: half.values for k, half in halves.items()}), t), 10, 64)
             updated = {}
             for k in oracle.benign_ids():
                 members = sorted({k, *np.flatnonzero(oracle.graph.adjacency[k]).tolist()})
@@ -196,15 +210,16 @@ class TestStackedRoundEngine:
                     compute_tpm(agg.tpm, incoming[i], oracle.clients[k].aux) for i in members])
                 weights = apply_crs(agg.crs, metrics)
                 acc = None
+                weight_of = dict(zip(weights.ids, weights.weights))
                 for i in members:
-                    w = weights.weight_of(i)
+                    w = weight_of[i]
                     if w != 0.0:
                         acc = w * incoming[i].values if acc is None else acc + w * incoming[i].values
-                np.testing.assert_array_equal(state.clients[k].model.values, acc)
+                np.testing.assert_array_equal(state.models[k], acc)
                 assert state.last_weights[k] == dict(zip(weights.ids, weights.weights.tolist()))
-                updated[k] = incoming[k].replace_values(acc)
+                updated[k] = acc
             for k, model in updated.items():
-                oracle.clients[k].model = model
+                oracle.models[k] = model
 
     def test_replaced_local_step_functions_are_called_per_client(self, monkeypatch):
         import dflsim.sim as sim
@@ -234,7 +249,7 @@ class TestStackedRoundEngine:
         assert calls == {"batch_gradient": 2 * 5 * 2, "sgd_step": 2 * 5 * 2}
         for k in stacked.benign_ids():
             np.testing.assert_array_equal(
-                per_client.clients[k].model.values, stacked.clients[k].model.values)
+                per_client.models[k], stacked.models[k])
 
 
 class TestBaselineDispatch:
@@ -286,7 +301,7 @@ class TestBaselineDispatch:
                 expected = trimmed_mean(halves, 2)
             else:
                 expected = flame_weighted(halves[k], np.delete(halves, k, axis=0), 1.0)
-            np.testing.assert_array_equal(state.clients[k].model.values, expected, err_msg=k)
+            np.testing.assert_array_equal(state.models[k], expected, err_msg=k)
 
 
 # Fields without a default, per registered kind.
@@ -317,8 +332,8 @@ def test_every_registered_kind_runs_a_round(family, name):
     state = build_network(place(base, table[name](**_REQUIRED.get(name, {}))), seed=43)
     run_round(state, 1)
     for k in state.benign_ids():
-        model = state.clients[k].model
-        assert model.is_finite() and np.any(model.values != 0), (family, name, k)
+        row = state.models[k]
+        assert np.all(np.isfinite(row)) and np.any(row != 0), (family, name, k)
 
 
 class TestAttackDispatch:
@@ -331,36 +346,34 @@ class TestAttackDispatch:
 
     def test_sign_flip_payload_flips_benign_mean(self):
         state = self.attack_state({"kind": "sign_flip", "factor": -10.0})
-        halves = {k: state.clients[k].model.replace_values(
-            np.full_like(state.clients[k].model.values, k + 1.0))
-            for k in state.benign_ids()}
+        halves = {k: np.full_like(state.models[k], k + 1.0)
+                  for k in state.benign_ids()}
         payload = _attack_payload(state, 3, broadcast_matrix(state, halves), t=1)
-        np.testing.assert_allclose(payload.values, -10.0 * 2.0 * np.ones_like(payload.values))
+        np.testing.assert_allclose(payload, -10.0 * 2.0 * np.ones_like(payload))
 
     def test_gaussian_payload_replays(self):
         state = self.attack_state({"kind": "gaussian", "sigma": 30.0})
-        halves = {k: state.clients[k].model for k in state.benign_ids()}
+        halves = {k: state.models[k] for k in state.benign_ids()}
         a = _attack_payload(state, 3, broadcast_matrix(state, halves), t=4)
         b = _attack_payload(state, 3, broadcast_matrix(state, halves), t=4)
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.values.std() > 20.0
+        np.testing.assert_array_equal(a, b)
+        assert a.std() > 20.0
 
     def test_alie_payload_uses_benign_statistics(self):
         state = self.attack_state({"kind": "alie", "z": 1.0})
         halves = {
-            0: ParamVector(np.zeros(21), 3, 6),
-            1: ParamVector(np.full(21, 2.0), 3, 6),
-            2: ParamVector(np.full(21, 4.0), 3, 6),
+            0: np.zeros(21),
+            1: np.full(21, 2.0),
+            2: np.full(21, 4.0),
         }
         payload = _attack_payload(state, 3, broadcast_matrix(state, halves), t=1)
         mu, sigma = 2.0, float(np.std([0.0, 2.0, 4.0]))
-        np.testing.assert_allclose(payload.values, mu - sigma, atol=1e-12)
+        np.testing.assert_allclose(payload, mu - sigma, atol=1e-12)
 
     def test_malicious_clients_hold_no_data(self):
         state = self.attack_state({"kind": "gaussian"})
         for m in state.malicious_ids():
-            assert state.clients[m].train is None
-            assert state.clients[m].aux is None
+            assert m not in state.clients
 
     def test_neighborhood_knowledge_restricts_view(self):
         config = tiny_config(
@@ -372,11 +385,10 @@ class TestAttackDispatch:
         adj = state.graph.adjacency.copy()
         adj[3, 0] = adj[0, 3] = False
         state.graph = TopologyGraph(4, adj, state.graph.benign, state.graph.malicious)
-        halves = {k: state.clients[k].model.replace_values(
-            np.full(21, float(k))) for k in state.benign_ids()}
+        halves = {k: np.full(21, float(k)) for k in state.benign_ids()}
         payload = _attack_payload(state, 3, broadcast_matrix(state, halves), t=1)
         # mean over visible benign {1, 2} only, flipped by -1
-        np.testing.assert_allclose(payload.values, -1.5, atol=1e-12)
+        np.testing.assert_allclose(payload, -1.5, atol=1e-12)
 
 
 class TestEvaluation:
@@ -399,6 +411,26 @@ class TestEvaluation:
         assert metrics.accuracy_variance == pytest.approx(
             float(np.var([a * 100 for a in metrics.accuracies]))
         )
+
+    @pytest.mark.parametrize("eval_mode", ["local", "global"])
+    def test_evaluation_equals_per_vector_functions(self, eval_mode):
+        config = tiny_config(
+            topology={"num_benign": 5, "num_malicious": 1, "edge_prob": 0.8},
+            aggregator={"dfed_reweighting": {"tpm": "loss", "crs": "loss_clip"}},
+            attack={"kind": "gaussian", "sigma": 30.0},
+            eval_mode=eval_mode,
+        )
+        state = build_network(config, seed=43)
+        for t in (1, 2):
+            run_round(state, t)
+        metrics = evaluate_network(state, 2)
+        assert metrics.client_ids == tuple(state.benign_ids())
+        for k, acc, loss in zip(metrics.client_ids, metrics.accuracies, metrics.losses):
+            model = ParamVector(state.models[k], 3, 6)
+            eval_set = state.clients[k].aux if eval_mode == "local" else state.test_data
+            assert type(acc) is float and type(loss) is float
+            assert acc == evaluate_accuracy(model, eval_set)
+            assert loss == evaluate_mean_loss(model, eval_set)
 
     def test_zero_rounds_reports_initial_metrics(self, tmp_path):
         config = tiny_config(rounds=0, name="t0")
@@ -469,15 +501,20 @@ class TestRunExperiment:
     def test_data_conservation_through_run(self, tmp_path):
         config = tiny_config(name="conserve", rounds=3)
         state = build_network(config, seed=43)
-        before = sorted(i for idx in state.plan.client_indices for i in idx)
+        plan = partition_iid(state.train_data, config.topology.num_benign, 43)
+        aux_split = split_auxiliary(state.train_data, plan, config.aux_fraction, 43)
         for t in range(1, 4):
             run_round(state, t)
-        after = sorted(i for idx in state.plan.client_indices for i in idx)
-        assert before == after
         # client datasets were never replaced or resized
         for k in state.benign_ids():
+            np.testing.assert_array_equal(
+                state.clients[k].train.features,
+                state.train_data.features[list(aux_split.train_indices[k])])
+            np.testing.assert_array_equal(
+                state.clients[k].aux.features,
+                state.train_data.features[list(aux_split.aux_indices[k])])
             total = len(state.clients[k].train) + len(state.clients[k].aux)
-            assert total == len(state.plan.client_indices[k])
+            assert total == len(plan.client_indices[k])
 
     def test_weight_export_gated_by_eval_every(self, tmp_path):
         config = tiny_config(
