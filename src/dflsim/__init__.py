@@ -88,6 +88,7 @@ from .reweight import (
     crs_temp_softmax,
     dfedreweighting_round_weights,
     reweight_aggregate,
+    reweight_round,
 )
 from .sim import (
     ClientState,

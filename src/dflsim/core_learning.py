@@ -6,6 +6,7 @@ bias, so model exchange and aggregation reduce to vector arithmetic.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,8 +216,10 @@ def evaluate_mean_loss(model: ParamVector, data: Dataset) -> float:
 
 
 def _stacked_logits(params: np.ndarray, features: np.ndarray, num_classes: int) -> np.ndarray:
-    """(k, n, C) logits of k stacked models on (n, d) or per-model (k, n, d) features.
+    """(..., k, n, C) logits of stacked (..., k, C*d+C) models on features.
 
+    features is (n, d) for every model, or stacked like the models with one
+    axis to broadcast: (k, n, d) per model, or (g, 1, n, d) per group of k.
     One batched matmul with a transposed (d, C) weight block per model issues
     the same gemm as _logits does for each model. A single matmul against all
     k*C weight rows at once would not be bit-identical.
@@ -224,29 +227,55 @@ def _stacked_logits(params: np.ndarray, features: np.ndarray, num_classes: int) 
     params = np.asarray(params, dtype=np.float64)
     d = features.shape[-1]
     cd = num_classes * d
-    if params.ndim != 2 or params.shape[1] != cd + num_classes:
+    if params.ndim < 2 or params.shape[-1] != cd + num_classes:
         raise ShapeError(
             f"parameter matrix of shape {params.shape} does not hold C={num_classes}, d={d} models"
         )
-    weights = params[:, :cd].reshape(-1, num_classes, d)
-    return features @ weights.transpose(0, 2, 1) + params[:, None, cd:]
+    weights = params[..., :cd].reshape(*params.shape[:-1], num_classes, d)
+    return features @ weights.swapaxes(-1, -2) + params[..., None, cd:]
 
 
 def stacked_mean_loss(params: np.ndarray, data: Dataset) -> np.ndarray:
     """evaluate_mean_loss of every row of a stacked parameter matrix."""
     # evaluate_mean_loss multiplies a fresh C-ordered copy of the features.
     features = np.ascontiguousarray(data.features)
-    probs = _softmax_rows(_stacked_logits(params, features, data.num_classes))
-    # The fancy-indexed view is strided; summing it row by row in a
-    # different order than the per-model mean would change the last bits.
-    p_true = np.ascontiguousarray(probs[:, np.arange(len(data)), data.labels])
-    return np.mean(-np.log(np.maximum(p_true, PROB_FLOOR)), axis=1)
+    params = np.asarray(params, dtype=np.float64)
+    return grouped_mean_loss(params[None], features[None], data.labels[None], data.num_classes)[0]
 
 
 def stacked_accuracy(params: np.ndarray, data: Dataset) -> np.ndarray:
     """evaluate_accuracy of every row of a stacked parameter matrix."""
-    logits = _stacked_logits(params, data.features, data.num_classes)
-    return np.mean(np.argmax(logits, axis=2) == data.labels, axis=1)
+    params = np.asarray(params, dtype=np.float64)
+    return grouped_accuracy(params[None], data.features[None], data.labels[None], data.num_classes)[0]
+
+
+def grouped_mean_loss(
+    params: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int
+) -> np.ndarray:
+    """(g, k) mean losses: model j of group i, params[i, j], on dataset i.
+
+    features is (g, n, d) and labels is (g, n); every value equals
+    evaluate_mean_loss of that model on that dataset bit for bit.
+    """
+    logits = _stacked_logits(params, features[:, None], num_classes)
+    # _softmax_rows, dividing out only the true-label probabilities. A max is
+    # exact in any order, and one pass per class beats reducing each short row.
+    logits -= functools.reduce(np.maximum, np.moveaxis(logits, -1, 0))[..., None]
+    exp = np.exp(logits, out=logits)
+    # The true-label entry of every (model, example) row, taken by flat index
+    # into a fresh C-ordered p_true: summing a strided gather row by row in a
+    # different order than the per-model mean would change the last bits.
+    rows = np.arange(exp.size // num_classes).reshape(exp.shape[:-1])
+    p_true = np.take(exp, rows * num_classes + labels[:, None]) / exp.sum(axis=-1)
+    return np.mean(-np.log(np.maximum(p_true, PROB_FLOOR)), axis=-1)
+
+
+def grouped_accuracy(
+    params: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int
+) -> np.ndarray:
+    """(g, k) accuracies: model j of group i, params[i, j], on dataset i (see grouped_mean_loss)."""
+    logits = _stacked_logits(params, features[:, None], num_classes)
+    return np.mean(np.argmax(logits, axis=-1) == labels[:, None], axis=-1)
 
 
 def stacked_sgd_step(

@@ -19,6 +19,8 @@ from .core_learning import (
     ParamVector,
     evaluate_accuracy,
     evaluate_mean_loss,
+    grouped_accuracy,
+    grouped_mean_loss,
     stacked_accuracy,
     stacked_mean_loss,
 )
@@ -122,6 +124,11 @@ def compute_tpm(kind: TargetMetricKind, model: ParamVector, aux: Dataset) -> flo
 # stands in for them only while they are this module's own. A caller that
 # replaces one (to instrument or to change scoring) gets it called per member.
 _STOCK_SCORING = (compute_tpm, evaluate_accuracy, evaluate_mean_loss)
+
+
+def scoring_is_stock() -> bool:
+    """Whether compute_tpm and the metrics it calls are still this module's own."""
+    return (compute_tpm, evaluate_accuracy, evaluate_mean_loss) == _STOCK_SCORING
 
 
 def compute_tpm_batch(kind: TargetMetricKind, params: np.ndarray, aux: Dataset) -> np.ndarray:
@@ -234,7 +241,7 @@ def dfedreweighting_round_weights(
     calls has been replaced, each row is scored by a call to the module's
     compute_tpm instead.
     """
-    if (compute_tpm, evaluate_accuracy, evaluate_mean_loss) == _STOCK_SCORING:
+    if scoring_is_stock():
         values = compute_tpm_batch(kind, params, aux)
     else:
         values = np.array([
@@ -242,3 +249,110 @@ def dfedreweighting_round_weights(
             for row in params
         ])
     return apply_crs(crs, MetricVector(ids, values))
+
+
+# Row-wise forms of the CRSs for a (g, k) matrix of finite metrics, one
+# closed neighborhood per row. Each returns the weights and a per-row flag
+# that is False where the per-vector CRS would reject the row. Rows of equal
+# length reduce in the same order as a single vector, so each weight row is
+# bit-identical to the CRS on that row alone.
+
+
+def _clip_rows(values: np.ndarray, survivors: np.ndarray) -> np.ndarray:
+    raw = np.where(survivors, values, 0.0)
+    total = raw.sum(axis=1, keepdims=True)
+    uniform = survivors / survivors.sum(axis=1, keepdims=True)
+    return np.divide(raw, total, out=uniform, where=total > 0)
+
+
+def _temp_softmax_rows(crs: TempSoftmax, values: np.ndarray) -> tuple:
+    z = values / crs.temperature
+    exp = np.exp(z - z.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True), True
+
+
+def _loss_clip_rows(crs: LossClip, values: np.ndarray) -> tuple:
+    mu = np.maximum(values.mean(axis=1), values.min(axis=1))
+    return _clip_rows(values, values <= mu[:, None]), (values >= 0).all(axis=1)
+
+
+def _acc_clip_rows(crs: AccClip, values: np.ndarray) -> tuple:
+    mu = np.minimum(values.mean(axis=1), values.max(axis=1))
+    return _clip_rows(values, values >= mu[:, None]), ((values >= 0) & (values <= 1)).all(axis=1)
+
+
+_CRS_ROWS = {TempSoftmax: _temp_softmax_rows, LossClip: _loss_clip_rows, AccClip: _acc_clip_rows}
+
+_GROUPED_TPMS = {
+    TargetMetricKind.ACCURACY_ON_AUX: grouped_accuracy,
+    TargetMetricKind.LOSS_ON_AUX: grouped_mean_loss,
+}
+
+
+def _group_weights(crs: CRSKind, ids: np.ndarray, metrics: np.ndarray, nodes: list, failures: dict):
+    """(g, k) weights of one group's metric rows; a row that fails records its node in failures.
+
+    Rows holding the +inf sentinel, and rows the row-wise CRS or the weight
+    check rejects, go through apply_crs one by one, which computes them or
+    raises what it raises for a single client.
+    """
+    finite = np.isfinite(metrics).all(axis=1)
+    # Sentinel rows are reweighted as zeros here, and then again one by one.
+    weights, ok = _CRS_ROWS[type(crs)](crs, np.where(finite[:, None], metrics, 0.0))
+    # A NaN or infinite weight also takes its row's sum away from 1.
+    ok &= finite & (weights >= 0).all(axis=1) & (np.abs(weights.sum(axis=1) - 1.0) <= WEIGHT_SUM_TOL)
+    for i in np.flatnonzero(~ok):
+        try:
+            weights[i] = apply_crs(crs, MetricVector(ids[i], metrics[i])).weights
+        except ValueError as exc:
+            failures[nodes[i]] = exc
+    return weights
+
+
+def reweight_round(kind: TargetMetricKind, crs: CRSKind, broadcast: np.ndarray, clients: dict) -> tuple:
+    """One DFedReweighting aggregation for every client of a round.
+
+    clients maps each aggregating node to (members, aux): its closed
+    neighborhood's node ids in ascending order and its auxiliary set; row i
+    of broadcast is node i's model. Clients with equal neighborhood and aux
+    sizes form a group, which is gathered once into a (g, k, C*d+C) array,
+    scored with the gemm compute_tpm_batch issues for each member, reweighted
+    row by row and mixed in member order. Every result equals
+    reweight_aggregate(params, dfedreweighting_round_weights(...)) on that
+    client alone, bit for bit.
+
+    Returns (rows, weights, failures): rows[i] is the new model of the i-th
+    client of clients, weights maps each client to {member: weight}, and
+    failures maps each client whose aggregation failed to its exception;
+    those clients' rows and weights are meaningless.
+    """
+    groups = {}
+    for node, (members, aux) in clients.items():
+        groups.setdefault((len(members), len(aux)), []).append(node)
+    position = {node: i for i, node in enumerate(clients)}
+    rows = np.zeros((len(clients), broadcast.shape[1]))
+    weights, failures = {}, {}
+    for nodes in groups.values():
+        ids = np.array([clients[node][0] for node in nodes])
+        auxes = [clients[node][1] for node in nodes]
+        params = broadcast[ids]
+        try:
+            values = _GROUPED_TPMS[kind](
+                params, np.stack([aux.features for aux in auxes]),
+                np.stack([aux.labels for aux in auxes]), auxes[0].num_classes,
+            )
+        except Exception as exc:
+            # Scoring fails for a whole group at once; alone, its first client would fail first.
+            failures[nodes[0]] = exc
+            continue
+        metrics = np.where(np.isfinite(values), values, SENTINEL)
+        w = _group_weights(crs, ids, metrics, nodes, failures)
+        # Zero-weight rows become -0.0 (and stay -0.0 when weighted), which
+        # adds nothing to any sum: a non-finite model among them is dropped
+        # as reweight_aggregate drops it, and the others sum in member order.
+        params[w == 0] = -0.0
+        params *= w[..., None]
+        rows[[position[node] for node in nodes]] = np.add.reduce(params, axis=1)
+        for node, member_ids, row in zip(nodes, ids.tolist(), w.tolist()):
+            weights[node] = dict(zip(member_ids, row))
+    return rows, {node: weights[node] for node in clients if node in weights}, failures

@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -60,7 +61,7 @@ from .data import (
     partition_label_skew,
     split_auxiliary,
 )
-from .reweight import dfedreweighting_round_weights, reweight_aggregate
+from .reweight import dfedreweighting_round_weights, reweight_aggregate, reweight_round, scoring_is_stock
 from .topology import TopologyConfig, TopologyGraph, generate
 
 log = logging.getLogger(__name__)
@@ -262,6 +263,22 @@ def _aggregate_one(state: NetworkState, node_id: int, members: np.ndarray, broad
     return reweight_aggregate(params, weights), dict(zip(weights.ids, map(float, weights.weights)))
 
 
+def _aggregate_each(state: NetworkState, neighborhoods: dict, broadcast: np.ndarray) -> tuple:
+    """_aggregate_one for each client in turn, up to the first that fails.
+
+    Returns (rows, weights, failures) as reweight_round does.
+    """
+    rows, weights = np.zeros((len(neighborhoods), broadcast.shape[1])), {}
+    for i, (node_id, members) in enumerate(neighborhoods.items()):
+        try:
+            rows[i], weight_row = _aggregate_one(state, node_id, members, broadcast)
+        except Exception as exc:
+            return rows, weights, {node_id: exc}
+        if weight_row is not None:
+            weights[node_id] = weight_row
+    return rows, weights, {}
+
+
 def _node_failure(state: NetworkState, t: int, node_id: int, exc: Exception) -> SimulationError:
     return SimulationError(f"round {t} failed for seed {state.seed} at node {node_id}: {exc}")
 
@@ -273,8 +290,12 @@ def run_round(state: NetworkState, t: int) -> NetworkState:
     client's local half-step, or a malicious node's payload (its zero row if
     no attack is configured). Local SGD runs as one stacked step over all
     benign clients, or client by client if batch_gradient or sgd_step has been
-    replaced; then each benign client aggregates its closed neighborhood's rows
-    into its row of state.models.
+    replaced. Then every benign client aggregates its closed neighborhood's
+    rows into its row of state.models: DFedReweighting clients all at once in
+    reweight_round, or client by client through a baseline, or if
+    reweight.compute_tpm or a metric it calls has been replaced. The first
+    client, in node id order, whose aggregation fails or is non-finite is
+    named in the SimulationError raised.
     """
     benign = state.benign_ids()
     broadcast = state.models.copy()
@@ -290,20 +311,25 @@ def run_round(state: NetworkState, t: int) -> NetworkState:
                 raise _node_failure(state, t, m, exc) from exc
 
     closed = state.graph.adjacency | np.eye(state.graph.n, dtype=bool)
-    state.last_weights = {}
-    for node_id in benign:
-        try:
-            row, weight_row = _aggregate_one(state, node_id, np.flatnonzero(closed[node_id]), broadcast)
-        except Exception as exc:
-            raise _node_failure(state, t, node_id, exc) from exc
-        if not np.all(np.isfinite(row)):
+    neighborhoods = {k: np.flatnonzero(closed[k]) for k in benign}
+    agg = state.config.aggregator
+    if type(agg) is DFedReweightingSpec and scoring_is_stock():
+        rows, weights, failures = reweight_round(
+            agg.tpm, agg.crs, broadcast,
+            {k: (members, state.clients[k].aux) for k, members in neighborhoods.items()},
+        )
+    else:
+        rows, weights, failures = _aggregate_each(state, neighborhoods, broadcast)
+    for node_id, finite in zip(benign, np.isfinite(rows).all(axis=1)):
+        if node_id in failures:
+            raise _node_failure(state, t, node_id, failures[node_id]) from failures[node_id]
+        if not finite:
             raise SimulationError(
                 f"non-finite aggregate for client {node_id} at round {t} "
-                f"(seed {state.seed}); weights={weight_row}"
+                f"(seed {state.seed}); weights={weights.get(node_id)}"
             )
-        state.models[node_id] = row
-        if weight_row is not None:
-            state.last_weights[node_id] = weight_row
+    state.models[benign] = rows
+    state.last_weights = weights
     return state
 
 
@@ -427,6 +453,36 @@ def _run_seed(config: RunConfig, seed: int, quiet: bool = True) -> tuple:
     return state.graph.to_json_dict(), rows, weight_rows, final
 
 
+# Read by OpenBLAS and OpenMP when a process loads them, so a spawned worker
+# takes its BLAS thread count from the environment it starts with.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@contextmanager
+def _seed_pool(workers: int):
+    """A pool of spawned worker processes that each use one BLAS thread.
+
+    Seeds already run in parallel, so worker BLAS threads would only contend
+    for the same cores. A thread variable the user has set is passed on as
+    it is; the ones set here are removed again when the pool is shut down.
+    """
+    # Imported here: a serial run never pays for the process pool.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    unset = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
+        try:
+            yield pool
+        finally:
+            pool.shutdown(cancel_futures=True)
+    finally:
+        for var in unset:
+            os.environ.pop(var, None)
+
+
 def run_experiment(
     config: RunConfig,
     parallel: int = 1,
@@ -450,15 +506,8 @@ def run_experiment(
     run_seed = partial(_run_seed, config, quiet=quiet)
     workers = min(parallel, len(config.seeds))
     if workers > 1:
-        # Imported here: a serial run never pays for the process pool.
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
-        try:
+        with _seed_pool(workers) as pool:
             results = list(pool.map(run_seed, config.seeds))
-        finally:
-            pool.shutdown(cancel_futures=True)
     else:
         results = list(map(run_seed, config.seeds))
 

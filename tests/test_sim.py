@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,13 +19,23 @@ from dflsim.core_learning import (
     sgd_step,
 )
 from dflsim.data import partition_iid, split_auxiliary
-from dflsim.reweight import LossClip, MetricVector, TargetMetricKind, apply_crs, compute_tpm
+from dflsim.reweight import (
+    LossClip,
+    MetricVector,
+    TargetMetricKind,
+    apply_crs,
+    compute_tpm,
+    dfedreweighting_round_weights,
+    reweight_aggregate,
+    reweight_round,
+)
 from dflsim.sim import (
     ClientState,
     NetworkState,
     SimulationError,
     _attack_payload,
     _local_half_steps,
+    _seed_pool,
     build_network,
     evaluate_network,
     run_experiment,
@@ -220,6 +231,107 @@ class TestStackedRoundEngine:
                 updated[k] = acc
             for k, model in updated.items():
                 oracle.models[k] = model
+
+    @staticmethod
+    def grouped_round_state(aggregator):
+        """Dirichlet aux sets of unequal sizes, size groups shared by several
+        clients, and closed neighborhoods of 9 to 14 members."""
+        config = tiny_config(
+            dataset={"synthetic": {"num_classes": 4, "feature_dim": 8, "n_per_class": 60,
+                                   "spread": 1.0, "seed": 5, "test_n_per_class": 10}},
+            scheme={"dirichlet": {"alpha": 0.5}},
+            topology={"num_benign": 12, "num_malicious": 2, "edge_prob": 0.7},
+            aggregator={"dfed_reweighting": aggregator},
+            attack={"kind": "sign_flip", "factor": -10.0},
+        )
+        return build_network(config, seed=43)
+
+    @staticmethod
+    def round_broadcast(state, t):
+        broadcast = state.models.copy()
+        broadcast[state.benign_ids()] = _local_half_steps(state, state.benign_ids(), t)
+        for m in state.malicious_ids():
+            broadcast[m] = _attack_payload(state, m, broadcast, t)
+        return broadcast
+
+    @staticmethod
+    def per_client_oracle(state, broadcast, k):
+        """(row, weights) of client k alone through the per-vector functions."""
+        agg = state.config.aggregator
+        members = np.flatnonzero(state.graph.adjacency[k] | (np.arange(state.graph.n) == k))
+        weights = dfedreweighting_round_weights(
+            agg.tpm, agg.crs, members, broadcast[members], state.clients[k].aux)
+        return reweight_aggregate(broadcast[members], weights), dict(zip(weights.ids, weights.weights.tolist()))
+
+    @pytest.mark.parametrize("aggregator", [
+        {"tpm": "loss", "crs": "loss_clip"},
+        {"tpm": "accuracy", "crs": {"temp_softmax": {"temperature": 0.1}}},
+        {"tpm": "accuracy", "crs": "acc_clip"},
+    ])
+    def test_grouped_round_equals_per_client_oracles(self, aggregator, monkeypatch):
+        import dflsim.reweight as reweight
+        import dflsim.sim as sim
+
+        state, oracle = self.grouped_round_state(aggregator), self.grouped_round_state(aggregator)
+        closed = state.graph.adjacency | np.eye(state.graph.n, dtype=bool)
+        sizes = [(closed[k].sum(), len(state.clients[k].aux)) for k in state.benign_ids()]
+        assert len({aux for _, aux in sizes}) > 1
+        assert len(set(sizes)) < len(sizes)
+        assert max(k for k, _ in sizes) >= 9
+
+        def per_client(*args):
+            raise AssertionError("a stock reweighting round aggregated client by client")
+
+        built = []
+        monkeypatch.setattr(sim, "_aggregate_one", per_client)
+        monkeypatch.setattr(reweight, "MetricVector", lambda *args: built.append(args) or MetricVector(*args))
+        for t in (1, 2, 3):
+            run_round(state, t)
+            assert built == []
+            broadcast = self.round_broadcast(oracle, t)
+            for k in oracle.benign_ids():
+                row, weights = self.per_client_oracle(oracle, broadcast, k)
+                assert state.models[k].tobytes() == row.tobytes()
+                assert state.last_weights[k] == weights
+                oracle.models[k] = row
+            built.clear()
+        assert list(state.last_weights) == state.benign_ids()
+
+    def test_grouped_round_gives_a_nan_member_zero_weight(self):
+        state = self.grouped_round_state({"tpm": "loss", "crs": "loss_clip"})
+        broadcast = self.round_broadcast(state, 1)
+        nan_node = state.malicious_ids()[0]
+        broadcast[nan_node] = np.nan
+        clients = {k: (np.flatnonzero(state.graph.adjacency[k] | (np.arange(state.graph.n) == k)),
+                       state.clients[k].aux) for k in state.benign_ids()}
+        rows, weights, failures = reweight_round(
+            TargetMetricKind.LOSS_ON_AUX, LossClip(), broadcast, clients)
+        assert failures == {}
+        seen = [k for k in state.benign_ids() if nan_node in weights[k]]
+        assert seen
+        for i, k in enumerate(state.benign_ids()):
+            row, oracle_weights = self.per_client_oracle(state, broadcast, k)
+            assert rows[i].tobytes() == row.tobytes()
+            assert weights[k] == oracle_weights
+            assert np.all(np.isfinite(rows[i]))
+        assert all(weights[k][nan_node] == 0.0 for k in seen)
+
+    def test_grouped_round_failure_names_its_node(self):
+        # Nodes 0 and 2 are isolated, so they share the one-member group; node
+        # 2's own model is NaN, which leaves loss-clip no finite metric.
+        config = tiny_config(aggregator={"dfed_reweighting": {"tpm": "loss", "crs": "loss_clip"}})
+        gen = np.random.default_rng(5)
+        data = Dataset(gen.standard_normal((10, 6)), gen.integers(0, 3, 10), 3)
+        adjacency = np.zeros((4, 4), dtype=bool)
+        adjacency[1, 3] = adjacency[3, 1] = True
+        graph = TopologyGraph(4, adjacency, frozenset(range(4)), frozenset())
+        models = np.zeros((4, 3 * 6 + 3))
+        models[2] = np.nan
+        clients = {k: ClientState(data, data) for k in range(4)}
+        state = manual_state(config, graph, clients, models, data)
+        with pytest.raises(SimulationError,
+                           match="round 1 failed for seed 43 at node 2: loss-clip requires at least one"):
+            run_round(state, 1)
 
     def test_replaced_local_step_functions_are_called_per_client(self, monkeypatch):
         import dflsim.sim as sim
@@ -474,6 +586,16 @@ class TestRunExperiment:
         bytes_a = (tmp_path / "a" / "det" / "metrics.csv").read_bytes()
         bytes_b = (tmp_path / "b" / "det" / "metrics.csv").read_bytes()
         assert bytes_a == bytes_b
+
+    def test_seed_workers_get_one_blas_thread_unless_set(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        with _seed_pool(1) as pool:
+            seen = [pool.submit(os.getenv, var).result(timeout=120)
+                    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
+        assert seen == ["1", "3"]
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        assert os.environ["OMP_NUM_THREADS"] == "3"
 
     def test_parallel_seeds_write_the_serial_artifacts(self, tmp_path):
         config = tiny_config(
