@@ -45,10 +45,6 @@ class ParamVector:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def zeros(cls, num_classes: int, feature_dim: int) -> "ParamVector":
-        return cls(np.zeros(num_classes * feature_dim + num_classes), num_classes, feature_dim)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.num_classes, self.feature_dim)
@@ -142,8 +138,14 @@ def _logits(model: ParamVector, features_matrix: np.ndarray) -> np.ndarray:
     return features_matrix @ model.weights.T + model.bias
 
 
+# The max over the last axis, kept as a length-1 axis. A max is exact in any
+# order, and one np.maximum pass per class beats reducing each short row.
+def _row_max(logits: np.ndarray) -> np.ndarray:
+    return functools.reduce(np.maximum, np.moveaxis(logits, -1, 0))[..., None]
+
+
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - _row_max(logits)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
 
@@ -258,9 +260,8 @@ def grouped_mean_loss(
     evaluate_mean_loss of that model on that dataset bit for bit.
     """
     logits = _stacked_logits(params, features[:, None], num_classes)
-    # _softmax_rows, dividing out only the true-label probabilities. A max is
-    # exact in any order, and one pass per class beats reducing each short row.
-    logits -= functools.reduce(np.maximum, np.moveaxis(logits, -1, 0))[..., None]
+    # _softmax_rows, dividing out only the true-label probabilities.
+    logits -= _row_max(logits)
     exp = np.exp(logits, out=logits)
     # The true-label entry of every (model, example) row, taken by flat index
     # into a fresh C-ordered p_true: summing a strided gather row by row in a

@@ -56,42 +56,41 @@ class LabelSkew:
 HeterogeneityScheme = Union[IID, Dirichlet, LabelSkew]
 
 
-@dataclass(frozen=True)
+def _read_only(idx: np.ndarray) -> np.ndarray:
+    idx.setflags(write=False)
+    return idx
+
+
+@dataclass(frozen=True, eq=False)
 class PartitionPlan:
-    """Per-benign-client example indices into the global training dataset."""
+    """Per-benign-client example indices into the global training dataset.
+
+    Each client's indices are a read-only int64 array; partitioners sort them.
+    """
 
     client_indices: tuple
     scheme: HeterogeneityScheme
     seed: int
 
     def __post_init__(self):
-        clients = tuple(tuple(int(i) for i in idx) for idx in self.client_indices)
-        seen = set()
+        clients = tuple(_read_only(np.array(idx, dtype=np.int64)) for idx in self.client_indices)
         for k, idx in enumerate(clients):
-            if not idx:
+            if len(idx) == 0:
                 raise PartitionError(f"client {k} received no examples")
-            dup = seen.intersection(idx)
-            if dup:
-                raise PartitionError(f"index {min(dup)} assigned to multiple clients")
-            seen.update(idx)
+        pooled = np.sort(np.concatenate([np.empty(0, np.int64), *clients]))
+        dup = pooled[1:][pooled[1:] == pooled[:-1]]
+        if len(dup):
+            raise PartitionError(f"index {dup[0]} assigned to multiple clients")
         object.__setattr__(self, "client_indices", clients)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuxiliarySplit:
-    """Disjoint train/aux index lists per client, covering each allocation."""
+    """Disjoint, sorted train/aux int64 index arrays per client, covering each allocation."""
 
     train_indices: tuple
     aux_indices: tuple
     aux_fraction: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "train_indices", tuple(tuple(int(i) for i in t) for t in self.train_indices)
-        )
-        object.__setattr__(
-            self, "aux_indices", tuple(tuple(int(i) for i in a) for a in self.aux_indices)
-        )
 
 
 def _read_be_u32(buf: bytes, offset: int, path: str) -> int:
@@ -195,12 +194,24 @@ def _class_index_lists(data: Dataset) -> list:
     return [np.flatnonzero(data.labels == c) for c in range(data.num_classes)]
 
 
+def _largest_remainder(targets: np.ndarray, total: int) -> np.ndarray:
+    """Integer counts summing to total: floor each target, then give one more
+    to the largest fractional parts, ties to the lower position.
+
+    total must lie between the floors' sum and that sum plus len(targets).
+    """
+    counts = np.floor(targets).astype(np.int64)
+    order = np.argsort(-(targets - counts), kind="stable")
+    counts[order[: total - int(counts.sum())]] += 1
+    return counts
+
+
 def partition_iid(data: Dataset, num_clients: int, seed: int) -> PartitionPlan:
     """Equal per-class shards for every client; per-class remainders are dropped."""
     if num_clients < 1:
         raise ValueError("num_clients must be positive")
     gen = rng.stream(seed, purpose="partition-iid")
-    assigned = [[] for _ in range(num_clients)]
+    dealt = [[] for _ in range(num_clients)]
     for c, idx in enumerate(_class_index_lists(data)):
         if len(idx) < num_clients:
             raise PartitionError(
@@ -209,8 +220,8 @@ def partition_iid(data: Dataset, num_clients: int, seed: int) -> PartitionPlan:
         perm = gen.permutation(idx)
         per = len(idx) // num_clients
         for k in range(num_clients):
-            assigned[k].extend(int(i) for i in perm[k * per:(k + 1) * per])
-    return PartitionPlan(tuple(tuple(sorted(a)) for a in assigned), IID(), seed)
+            dealt[k].append(perm[k * per:(k + 1) * per])
+    return PartitionPlan(tuple(np.sort(np.concatenate(d)) for d in dealt), IID(), seed)
 
 
 def partition_label_skew(data: Dataset, num_clients: int, h: int, seed: int) -> PartitionPlan:
@@ -247,7 +258,7 @@ def partition_label_skew(data: Dataset, num_clients: int, h: int, seed: int) -> 
         if len(classes) != h:
             raise PartitionError(f"client {k} was assigned {len(classes)} classes, want {h}")
 
-    assigned = [[] for _ in range(num_clients)]
+    dealt = [[] for _ in range(num_clients)]
     for c, idx in enumerate(_class_index_lists(data)):
         if not holders[c]:
             continue
@@ -258,8 +269,8 @@ def partition_label_skew(data: Dataset, num_clients: int, h: int, seed: int) -> 
             )
         perm = gen.permutation(idx)
         for slot, k in enumerate(holders[c]):
-            assigned[k].extend(int(i) for i in perm[slot * per:(slot + 1) * per])
-    return PartitionPlan(tuple(tuple(sorted(a)) for a in assigned), LabelSkew(h), seed)
+            dealt[k].append(perm[slot * per:(slot + 1) * per])
+    return PartitionPlan(tuple(np.sort(np.concatenate(d)) for d in dealt), LabelSkew(h), seed)
 
 
 def partition_dirichlet(data: Dataset, num_clients: int, alpha: float, seed: int) -> PartitionPlan:
@@ -274,29 +285,25 @@ def partition_dirichlet(data: Dataset, num_clients: int, alpha: float, seed: int
     if num_clients < 1:
         raise ValueError("num_clients must be positive")
     gen = rng.stream(seed, purpose="partition-dirichlet")
-    assigned = [[] for _ in range(num_clients)]
+    dealt = [[] for _ in range(num_clients)]
     for c, idx in enumerate(_class_index_lists(data)):
         if len(idx) == 0:
             continue
         props = gen.dirichlet(np.full(num_clients, alpha))
-        targets = props * len(idx)
-        counts = np.floor(targets).astype(np.int64)
-        deficit = len(idx) - int(counts.sum())
-        order = np.argsort(-(targets - counts), kind="stable")
-        counts[order[:deficit]] += 1
+        counts = _largest_remainder(props * len(idx), len(idx))
         perm = gen.permutation(idx)
-        start = 0
-        for k in range(num_clients):
-            assigned[k].extend(int(i) for i in perm[start:start + counts[k]])
-            start += counts[k]
+        for k, part in enumerate(np.split(perm, np.cumsum(counts)[:-1])):
+            dealt[k].append(part)
 
-    empties = [k for k in range(num_clients) if not assigned[k]]
+    # Indices stay in dealing order until the top-up, which moves the donor's last-dealt one.
+    assigned = [np.concatenate(d) for d in dealt]
+    empties = [k for k in range(num_clients) if len(assigned[k]) == 0]
     for k in empties:
         donor = max(range(num_clients), key=lambda j: (len(assigned[j]), -j))
         if len(assigned[donor]) < 2:
             raise PartitionError("not enough examples to populate every client")
-        assigned[k].append(assigned[donor].pop())
-    return PartitionPlan(tuple(tuple(sorted(a)) for a in assigned), Dirichlet(alpha), seed)
+        assigned[k], assigned[donor] = assigned[donor][-1:], assigned[donor][:-1]
+    return PartitionPlan(tuple(np.sort(a) for a in assigned), Dirichlet(alpha), seed)
 
 
 def split_auxiliary(
@@ -312,38 +319,24 @@ def split_auxiliary(
         raise ValueError("aux_fraction must lie strictly between 0 and 1")
     gen = rng.stream(seed, purpose="aux-split")
     train_out, aux_out = [], []
-    for k, client_idx in enumerate(plan.client_indices):
-        idx = np.asarray(client_idx, dtype=np.int64)
+    for k, idx in enumerate(plan.client_indices):
         n_k = len(idx)
         if n_k == 1:
             log.warning(
                 "client %d holds a single example; aux and train both reuse it", k
             )
-            train_out.append(tuple(idx))
-            aux_out.append(tuple(idx))
+            train_out.append(idx)
+            aux_out.append(idx)
             continue
         want = min(int(np.ceil(aux_fraction * n_k)), n_k - 1)
         labels = data.labels[idx]
-        classes = np.unique(labels)
-        targets = np.array([aux_fraction * np.sum(labels == c) for c in classes])
-        counts = np.floor(targets).astype(np.int64)
-        deficit = want - int(counts.sum())
-        order = np.argsort(-(targets - counts), kind="stable")
-        pos = 0
-        while deficit > 0 and pos < len(order):
-            j = order[pos]
-            cap = int(np.sum(labels == classes[j]))
-            if counts[j] < cap:
-                counts[j] += 1
-                deficit -= 1
-            pos += 1
-        aux_k = []
-        for j, c in enumerate(classes):
-            members = idx[labels == c]
-            perm = gen.permutation(members)
-            aux_k.extend(int(i) for i in perm[: counts[j]])
-        aux_set = set(aux_k)
-        train_k = [int(i) for i in idx if int(i) not in aux_set]
-        train_out.append(tuple(sorted(train_k)))
-        aux_out.append(tuple(sorted(aux_k)))
+        classes, sizes = np.unique(labels, return_counts=True)
+        # floor(f * size) <= size - 1 for f < 1, so no count can exceed its class size.
+        counts = _largest_remainder(aux_fraction * sizes, want)
+        # One permutation per class, count 0 included, keeps the aux-split stream in step.
+        aux = np.sort(np.concatenate(
+            [gen.permutation(idx[labels == c])[:n] for c, n in zip(classes, counts)]
+        ))
+        train_out.append(_read_only(np.setdiff1d(idx, aux)))
+        aux_out.append(_read_only(aux))
     return AuxiliarySplit(tuple(train_out), tuple(aux_out), aux_fraction)

@@ -126,10 +126,9 @@ def _stratified_subsample(data: Dataset, fraction: float, seed: int) -> Dataset:
     keep = []
     for c in range(data.num_classes):
         idx = np.flatnonzero(data.labels == c)
-        take = max(1, int(round(fraction * len(idx)))) if len(idx) else 0
-        if take:
-            keep.extend(int(i) for i in gen.permutation(idx)[:take])
-    return data.subset(sorted(keep))
+        if len(idx):
+            keep.append(gen.permutation(idx)[: max(1, int(round(fraction * len(idx))))])
+    return data.subset(np.sort(np.concatenate(keep)))
 
 
 # The dispatch tables below are keyed by spec class. Each row names its

@@ -311,7 +311,7 @@ def test_criterion_7_partitioner_properties():
             p = partition_dirichlet(small, num_clients, float(gen.uniform(0.05, 5.0)), seed)
         seen = set()
         for idx in p.client_indices:
-            if not idx or seen & set(idx) or not all(0 <= i < len(small) for i in idx):
+            if not len(idx) or seen & set(idx) or not all(0 <= i < len(small) for i in idx):
                 fuzz_ok = False
             seen.update(idx)
     elapsed = time.time() - start

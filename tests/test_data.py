@@ -1,3 +1,5 @@
+import hashlib
+import json
 import struct
 
 import numpy as np
@@ -19,6 +21,7 @@ from dflsim.data import (
     partition_label_skew,
     split_auxiliary,
 )
+from dflsim.sim import _stratified_subsample
 
 
 def write_idx_pair(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,
@@ -74,7 +77,7 @@ class TestSyntheticBlobs:
             block = data.features[data.labels == c]
             assert np.all(block == block[0])
         # degenerate clusters are perfectly learnable by a linear model
-        model = ParamVector.zeros(4, 8)
+        model = ParamVector(np.zeros(4 * 8 + 4), 4, 8)
         batch = Minibatch(np.arange(len(data)))
         for _ in range(200):
             model = sgd_step(model, batch_gradient(model, data, batch), 0.5)
@@ -242,8 +245,8 @@ class TestSplitAuxiliary:
         data = Dataset([[0.0], [1.0], [2.0], [3.0], [4.0]], [0, 0, 0, 0, 0], 1)
         with caplog.at_level("WARNING"):
             split = split_auxiliary(data, plan, 0.2, seed=16)
-        assert split.aux_indices[0] == (0,)
-        assert split.train_indices[0] == (0,)
+        assert split.aux_indices[0].tolist() == [0]
+        assert split.train_indices[0].tolist() == [0]
         assert any("single example" in r.message for r in caplog.records)
 
 
@@ -259,16 +262,56 @@ class TestPlanInvariantsAndDeterminism:
             for plan in plans:
                 seen = set()
                 for idx in plan.client_indices:
-                    assert idx, "client left empty"
+                    assert len(idx), "client left empty"
                     assert not seen & set(idx)
                     assert all(0 <= i < len(data) for i in idx)
                     seen.update(idx)
 
-    def test_determinism_byte_identical_serialization(self):
+    def test_plan_checks_name_empty_client_and_lowest_shared_index(self):
+        with pytest.raises(PartitionError, match="client 1 received no examples"):
+            PartitionPlan(((0, 1), ()), IID(), seed=0)
+        with pytest.raises(PartitionError, match="index 2 assigned to multiple clients"):
+            PartitionPlan(((5, 3, 2), (3, 2)), IID(), seed=0)
+
+    def test_index_sets_are_read_only_int64_arrays(self):
+        data = gen_synthetic_blobs(4, 3, 20, 1.0, seed=23)
+        plan = partition_dirichlet(data, 3, 0.5, seed=1)
+        split = split_auxiliary(data, plan, 0.2, seed=1)
+        for idx in (*plan.client_indices, *split.train_indices, *split.aux_indices):
+            assert idx.dtype == np.int64 and not idx.flags.writeable
+            assert np.all(np.diff(idx) > 0)
+
+    def test_determinism_identical_index_arrays(self):
         data = gen_synthetic_blobs(4, 3, 50, 1.0, seed=21)
         for build in (
             lambda s: partition_iid(data, 3, s),
             lambda s: partition_label_skew(data, 3, 2, s),
             lambda s: partition_dirichlet(data, 3, 0.3, s),
         ):
-            assert build(7) == build(7)
+            a, b = build(7), build(7)
+            assert (a.scheme, a.seed) == (b.scheme, b.seed)
+            assert len(a.client_indices) == len(b.client_indices)
+            assert all(np.array_equal(x, y) for x, y in zip(a.client_indices, b.client_indices))
+
+
+def test_unbenched_draws_reproduce_their_digest():
+    """Dirichlet with empty-client top-ups, its aux splits and the IDX subsample.
+
+    The bench digests cover only iid and label-skew runs; this pins the index
+    sets of the other draws. Seed 3 leaves three of the nine clients empty
+    before the top-up. The subsample's features are the row numbers, so the
+    kept rows are its first column.
+    """
+    data = gen_synthetic_blobs(5, 3, 40, 1.0, seed=22)
+    plan = partition_dirichlet(data, 9, 0.05, seed=3)
+    splits = [split_auxiliary(data, plan, f, seed=3) for f in (0.1, 0.2, 0.37)]
+    rows = Dataset(np.arange(len(data), dtype=np.float64)[:, None], data.labels, data.num_classes)
+    kept = [_stratified_subsample(rows, f, seed=5).features[:, 0] for f in (0.25, 0.37)]
+    index_sets = list(plan.client_indices)
+    for split in splits:
+        index_sets += [*split.train_indices, *split.aux_indices]
+    index_sets += kept
+    payload = json.dumps([np.asarray(idx, dtype=np.int64).tolist() for idx in index_sets])
+    assert hashlib.sha256(payload.encode()).hexdigest() == (
+        "e688ec0b841f233682e38e08f448ca654ab56ca99184ae3c13119a53c57ebc68"
+    )

@@ -44,7 +44,7 @@ class TestComputeTpm:
 
     def test_loss_of_zero_model(self):
         data = Dataset(np.ones((3, 2)), [0, 5, 9], 10)
-        model = ParamVector.zeros(10, 2)
+        model = ParamVector(np.zeros(10 * 2 + 10), 10, 2)
         assert compute_tpm(TargetMetricKind.LOSS_ON_AUX, model, data) == pytest.approx(
             math.log(10)
         )
@@ -315,7 +315,7 @@ class TestRoundWeights:
 
     def test_noise_model_zeroed_by_loss_clip(self):
         data = gen_synthetic_blobs(4, 6, 25, 0.5, seed=41)
-        trained = ParamVector.zeros(4, 6)
+        trained = ParamVector(np.zeros(4 * 6 + 4), 4, 6)
         from dflsim.core_learning import Minibatch, batch_gradient, sgd_step
 
         batch = Minibatch(np.arange(len(data)))
@@ -339,7 +339,7 @@ class TestRoundWeights:
         from dflsim.core_learning import Minibatch, batch_gradient, evaluate_mean_loss, sgd_step
 
         batch = Minibatch(np.arange(len(data)))
-        models, model = [], ParamVector.zeros(3, 4)
+        models, model = [], ParamVector(np.zeros(3 * 4 + 3), 3, 4)
         for steps in range(5):
             models.append(model)
             for _ in range(40):

@@ -101,7 +101,7 @@ class TestRunRound:
             config = tiny_config(aggregator=aggregator)
             gen = np.random.default_rng(2)
             data = Dataset(gen.standard_normal((40, 6)), gen.integers(0, 3, 40), 3)
-            template = ParamVector.zeros(3, 6)
+            template = ParamVector(np.zeros(3 * 6 + 3), 3, 6)
             clients = {
                 k: ClientState(data, data) for k in (0, 1)
             }
