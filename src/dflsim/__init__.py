@@ -8,12 +8,12 @@ and convergence-bound evaluators.
 from .analysis import (
     BoundParams,
     Ordering,
-    RoundMetrics,
     accuracy_variance,
     fairness_compare,
     mean_accuracy,
     quadratic_testbed,
     robustness_compare,
+    summarize,
     theorem1_bound,
     theorem2_bound,
 )

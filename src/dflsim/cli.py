@@ -8,15 +8,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import accuracy_variance, mean_accuracy, quadratic_bound_rows
+from .analysis import quadratic_bound_rows, summarize
 from .config import (ConfigError, DFedReweightingSpec, _decode, load_config, parse_attack_spec,
                      parse_bounds_config, parse_config)
 from .reweight import TempSoftmax
-from .sim import SimulationError, run_experiment
+from .sim import METRICS_COLUMNS, SimulationError, run_experiment
+
+# The package logger: progress records from dflsim.sim reach the same level.
+log = logging.getLogger("dflsim")
 
 
 class UsageError(Exception):
@@ -35,7 +39,8 @@ def _build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--outdir", help="output directory (overrides config and DFLSIM_OUTDIR)")
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
+        p.add_argument("--quiet", action="store_true",
+                       help="log warnings only: no progress or summary lines")
         p.add_argument("--parallel", type=int, default=1, metavar="N",
                        help="worker processes that run the seeds (at most one per seed)")
         p.add_argument("--rounds", type=int, help="override the configured round count")
@@ -75,14 +80,9 @@ def _apply_overrides(config, args):
 
 def _cmd_run(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    summary = run_experiment(
-        config, parallel=args.parallel, outdir=args.outdir, quiet=args.quiet
-    )
-    if not args.quiet:
-        print(
-            f"run '{config.name}': mean_acc={summary.mean_acc:.4f} "
-            f"var={summary.var_points:.3f} ({summary.wall_clock_sec:.1f}s)"
-        )
+    summary = run_experiment(config, parallel=args.parallel, outdir=args.outdir)
+    log.info("run '%s': mean_acc=%.4f var=%.3f (%.1fs)", config.name, summary.mean_acc,
+             summary.var_points, summary.wall_clock_sec)
     return 0
 
 
@@ -96,6 +96,9 @@ def _cmd_sweep(args) -> int:
     unknown = set(grid) - allowed
     if unknown:
         raise ConfigError(f"grid: unknown key(s) {sorted(unknown)}")
+    for key, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"grid.{key}: expected a nonempty list, got {values!r}")
     base = parse_config(doc["base"])
     temperatures = [None]
     if "temperature" in grid:
@@ -124,14 +127,9 @@ def _cmd_sweep(args) -> int:
                 suffix.append("noattack" if attack is None else f"attack-{attack['kind']}")
             config = replace(config, name="-".join([config.name] + suffix))
             config = _apply_overrides(config, args)
-            summary = run_experiment(
-                config, parallel=args.parallel, outdir=args.outdir, quiet=args.quiet
-            )
-            if not args.quiet:
-                print(
-                    f"sweep '{config.name}': mean_acc={summary.mean_acc:.4f} "
-                    f"var={summary.var_points:.3f}"
-                )
+            summary = run_experiment(config, parallel=args.parallel, outdir=args.outdir)
+            log.info("sweep '%s': mean_acc=%.4f var=%.3f", config.name, summary.mean_acc,
+                     summary.var_points)
     return 0
 
 
@@ -167,32 +165,15 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    rundir = Path(args.rundir)
-    metrics_path = rundir / "metrics.csv"
+    metrics_path = Path(args.rundir) / "metrics.csv"
     if not metrics_path.exists():
-        raise ConfigError(f"no metrics.csv under {rundir}")
-    by_seed = {}
+        raise ConfigError(f"no metrics.csv under {args.rundir}")
     with open(metrics_path, newline="") as f:
-        for row in csv.DictReader(f):
-            seed, t = int(row["seed"]), int(row["round"])
-            by_seed.setdefault(seed, {}).setdefault(t, {})[int(row["client"])] = float(row["acc"])
-    per_seed = {}
-    for seed, rounds in sorted(by_seed.items()):
-        final_round = max(rounds)
-        accs = [acc for _, acc in sorted(rounds[final_round].items())]
-        per_seed[str(seed)] = {
-            "final_round": final_round,
-            "mean_acc": mean_accuracy(accs),
-            "var_points": accuracy_variance([a * 100.0 for a in accs]),
-        }
-    derived = {
-        "per_seed": per_seed,
-        "cross_seed": {
-            "mean_acc": mean_accuracy([s["mean_acc"] for s in per_seed.values()]),
-            "var_points": mean_accuracy([s["var_points"] for s in per_seed.values()]),
-        },
-    }
-    print(json.dumps(derived, indent=2, sort_keys=True))
+        rows = list(csv.reader(f))
+    if not rows or rows[0] != METRICS_COLUMNS:
+        raise ConfigError(f"{metrics_path}: expected the columns {','.join(METRICS_COLUMNS)}")
+    per_seed, cross_seed = summarize(rows[1:])
+    print(json.dumps({"per_seed": per_seed, "cross_seed": cross_seed}, indent=2, sort_keys=True))
     return 0
 
 
@@ -203,6 +184,8 @@ def cli_main(argv=None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
+    logging.basicConfig(format="%(message)s")
+    log.setLevel(logging.WARNING if getattr(args, "quiet", False) else logging.INFO)
     handlers = {
         "run": _cmd_run,
         "sweep": _cmd_sweep,

@@ -108,6 +108,9 @@ class RunConfig:
             raise ConfigError("aux_fraction must lie strictly between 0 and 1")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
+        if repeated:
+            raise ConfigError(f"seeds must be distinct: seed {repeated[0]} is repeated")
         if self.eval_every < 1:
             raise ConfigError("eval_every must be positive")
         if self.eval_mode not in ("local", "global", "auto"):

@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .analysis import RoundMetrics, accuracy_variance, mean_accuracy
+from .analysis import accuracy_variance, mean_accuracy, summarize
 from .attacks import ALIE, AdversaryView, Gaussian, SignFlip, alie_update, gaussian_update, sign_flip_update
 from .baselines import (
     DFedAvg,
@@ -332,8 +332,9 @@ def run_round(state: NetworkState, t: int) -> NetworkState:
     return state
 
 
-def evaluate_network(state: NetworkState, t: int) -> RoundMetrics:
-    """Per-benign-client accuracy/loss on the mode's evaluation set."""
+def evaluate_network(state: NetworkState, t: int) -> tuple:
+    """(accuracies, losses): two lists over the benign clients in node id order,
+    scored on the mode's evaluation set."""
     mode = state.config.resolved_eval_mode()
     accs, losses = [], []
     for node_id in state.benign_ids():
@@ -341,39 +342,33 @@ def evaluate_network(state: NetworkState, t: int) -> RoundMetrics:
         row = state.models[node_id:node_id + 1]
         accs.append(float(stacked_accuracy(row, eval_set)[0]))
         losses.append(float(stacked_mean_loss(row, eval_set)[0]))
-    return RoundMetrics(
-        round_index=t,
-        client_ids=tuple(state.benign_ids()),
-        accuracies=tuple(accs),
-        losses=tuple(losses),
-        mean_accuracy=mean_accuracy(accs),
-        accuracy_variance=accuracy_variance([a * 100.0 for a in accs]),
-        weight_snapshot=dict(state.last_weights) if state.last_weights else None,
-    )
+    return accs, losses
 
 
 @dataclass
 class RunSummary:
+    """What summary.json records of a run: the blocks analysis.summarize derives
+    from its metrics.csv rows, and provenance."""
+
     config: RunConfig
-    per_seed_final: dict
-    mean_acc: float
-    var_points: float
+    per_seed: dict
+    cross_seed: dict | None
     wall_clock_sec: float
     source_fingerprint: str
+
+    @property
+    def mean_acc(self) -> float:
+        return self.cross_seed["mean_acc"]
+
+    @property
+    def var_points(self) -> float:
+        return self.cross_seed["var_points"]
 
     def to_json_dict(self) -> dict:
         return {
             "config": config_to_json_dict(self.config),
-            "per_seed": {
-                str(seed): {
-                    "final_accuracies": {str(k): v for k, v in final["acc"].items()},
-                    "final_losses": {str(k): v for k, v in final["loss"].items()},
-                    "mean_acc": final["mean_acc"],
-                    "var_points": final["var_points"],
-                }
-                for seed, final in self.per_seed_final.items()
-            },
-            "cross_seed": {"mean_acc": self.mean_acc, "var_points": self.var_points},
+            "per_seed": self.per_seed,
+            "cross_seed": self.cross_seed,
             "wall_clock_sec": self.wall_clock_sec,
             "source_fingerprint": self.source_fingerprint,
         }
@@ -404,11 +399,10 @@ def resolve_outdir(config: RunConfig, override: str | None = None) -> Path:
     return Path(base) / config.name
 
 
-def _run_seed(config: RunConfig, seed: int, quiet: bool = True) -> tuple:
+def _run_seed(config: RunConfig, seed: int) -> tuple:
     """Run one seed from set-up to its last round, writing no file.
 
-    Returns (topology document, metrics.csv rows, {round: weight rows}, final
-    metrics); prints progress unless quiet.
+    Returns (topology document, metrics.csv rows, {round: weight rows}).
     """
     try:
         state = build_network(config, seed)
@@ -426,30 +420,19 @@ def _run_seed(config: RunConfig, seed: int, quiet: bool = True) -> tuple:
                 raise SimulationError(f"round {t} failed for seed {seed}: {exc}") from exc
         if t not in eval_rounds:
             continue
-        metrics = evaluate_network(state, t)
+        accs, losses = evaluate_network(state, t)
+        mean, var = _fmt(mean_accuracy(accs)), _fmt(accuracy_variance([a * 100.0 for a in accs]))
         rows.extend(
-            [t, seed, node_id, _fmt(acc), _fmt(loss),
-             _fmt(metrics.mean_accuracy), _fmt(metrics.accuracy_variance)]
-            for node_id, acc, loss in zip(metrics.client_ids, metrics.accuracies, metrics.losses)
+            [t, seed, node_id, _fmt(acc), _fmt(loss), mean, var]
+            for node_id, acc, loss in zip(state.benign_ids(), accs, losses)
         )
-        if config.export_weights and metrics.weight_snapshot:
+        if config.export_weights and state.last_weights:
             weight_rows[t] = [
                 [seed, client, member, _fmt(w)]
-                for client, row in sorted(metrics.weight_snapshot.items())
+                for client, row in sorted(state.last_weights.items())
                 for member, w in sorted(row.items())
             ]
-        if not quiet:
-            print(
-                f"[seed {seed}] round {t}: mean_acc={metrics.mean_accuracy:.4f} "
-                f"var={metrics.accuracy_variance:.3f}"
-            )
-    final = {
-        "acc": dict(zip(metrics.client_ids, metrics.accuracies)),
-        "loss": dict(zip(metrics.client_ids, metrics.losses)),
-        "mean_acc": metrics.mean_accuracy,
-        "var_points": metrics.accuracy_variance,
-    }
-    return state.graph.to_json_dict(), rows, weight_rows, final
+    return state.graph.to_json_dict(), rows, weight_rows
 
 
 # Read by OpenBLAS and OpenMP when a process loads them, so a spawned worker
@@ -482,50 +465,22 @@ def _seed_pool(workers: int):
             os.environ.pop(var, None)
 
 
-def run_experiment(
-    config: RunConfig,
-    parallel: int = 1,
-    outdir: str | None = None,
-    quiet: bool = True,
-) -> RunSummary:
-    """Execute the full multi-seed experiment and write run artifacts.
-
-    Seeds run in up to `parallel` worker processes (one after another in this
-    process when parallel is 1) and are merged in seed order, so the artifacts
-    are byte-identical for any worker count but for summary.json's
-    wall_clock_sec. Writes config.json, topology.json, metrics.csv,
-    summary.json, and (when export_weights is set) weights_round_<t>.csv under
-    the run directory. Returns the cross-seed summary.
-    """
-    if parallel < 1:
-        raise ValueError(f"parallel must be at least 1, got {parallel}")
-    start = time.perf_counter()
-    run_dir = resolve_outdir(config, outdir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    run_seed = partial(_run_seed, config, quiet=quiet)
-    workers = min(parallel, len(config.seeds))
-    if workers > 1:
-        with _seed_pool(workers) as pool:
-            results = list(pool.map(run_seed, config.seeds))
-    else:
-        results = list(map(run_seed, config.seeds))
-
-    topo_docs, metrics_rows, weight_files, per_seed_final = {}, [], {}, {}
-    for seed, (topo_doc, rows, weight_rows, final) in zip(config.seeds, results):
+def _write_run(run_dir: Path, config: RunConfig, results: list, start: float,
+               failed_seed: int | None = None) -> RunSummary:
+    """Write the artifacts of the seeds whose _run_seed results are given, in
+    config order, and return their summary."""
+    topo_docs, metrics_rows, weight_files = {}, [], {}
+    for seed, (topo_doc, rows, weight_rows) in zip(config.seeds, results):
         topo_docs[str(seed)] = topo_doc
         metrics_rows.extend(rows)
         for t, w_rows in weight_rows.items():
             weight_files.setdefault(t, []).extend(w_rows)
-        per_seed_final[seed] = final
-
     summary = RunSummary(
-        config=config,
-        per_seed_final=per_seed_final,
-        mean_acc=mean_accuracy([f["mean_acc"] for f in per_seed_final.values()]),
-        var_points=mean_accuracy([f["var_points"] for f in per_seed_final.values()]),
-        wall_clock_sec=time.perf_counter() - start,
-        source_fingerprint=source_fingerprint(),
+        config, *summarize(metrics_rows), time.perf_counter() - start, source_fingerprint()
     )
+    outcome = {"status": "complete"}
+    if failed_seed is not None:
+        outcome = {"status": "failed", "failed_seed": failed_seed}
 
     with open(run_dir / "config.json", "w") as f:
         json.dump(config_to_json_dict(config), f, indent=2, sort_keys=True)
@@ -541,5 +496,41 @@ def run_experiment(
             writer.writerow(["seed", "client", "member", "weight"])
             writer.writerows(rows)
     with open(run_dir / "summary.json", "w") as f:
-        json.dump(summary.to_json_dict(), f, indent=2, sort_keys=True)
+        json.dump({**summary.to_json_dict(), **outcome}, f, indent=2, sort_keys=True)
     return summary
+
+
+def run_experiment(config: RunConfig, parallel: int = 1, outdir: str | None = None) -> RunSummary:
+    """Execute the full multi-seed experiment and write run artifacts.
+
+    Seeds run in up to `parallel` worker processes (one after another in this
+    process when parallel is 1) and are merged in seed order, so the artifacts
+    are byte-identical for any worker count but for summary.json's
+    wall_clock_sec. As each seed's rows arrive, in seed order, one progress
+    record per evaluated round goes to this module's logger at INFO. Writes
+    config.json, topology.json, metrics.csv, summary.json, and (when
+    export_weights is set) weights_round_<t>.csv under the run directory, and
+    returns the summary. If a seed fails, the seeds before it in config order
+    are written, summary.json records the failed seed, and the
+    SimulationError is raised again.
+    """
+    if parallel < 1:
+        raise ValueError(f"parallel must be at least 1, got {parallel}")
+    start = time.perf_counter()
+    run_dir = resolve_outdir(config, outdir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    workers = min(parallel, len(config.seeds))
+    run_seed = partial(_run_seed, config)
+    results = []
+    try:
+        with _seed_pool(workers) if workers > 1 else nullcontext() as pool:
+            for result in (pool.map if pool else map)(run_seed, config.seeds):
+                # One record per evaluated round, read from the round's last row.
+                for t, seed, *_, mean, var in {row[0]: row for row in result[1]}.values():
+                    log.info("[seed %d] round %d: mean_acc=%.4f var=%.3f",
+                             seed, t, float(mean), float(var))
+                results.append(result)
+    except SimulationError:
+        _write_run(run_dir, config, results, start, failed_seed=config.seeds[len(results)])
+        raise
+    return _write_run(run_dir, config, results, start)

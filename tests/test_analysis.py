@@ -13,6 +13,7 @@ from dflsim.analysis import (
     quadratic_bound_rows,
     quadratic_testbed,
     robustness_compare,
+    summarize,
     theorem1_bound,
     theorem2_bound,
 )
@@ -56,6 +57,39 @@ class TestMetrics:
             mean_accuracy([])
         with pytest.raises(ValueError):
             accuracy_variance([])
+
+
+class TestSummarize:
+    # (round, seed, client, acc, loss): seed 9 before seed 2, two rounds each.
+    ROWS = [
+        (0, 9, 0, 0.1, 2.0), (0, 9, 2, 0.3, 2.1),
+        (1, 9, 0, 0.7, 1.0), (1, 9, 2, 0.6, 1.2),
+        (0, 2, 0, 0.2, 2.2), (0, 2, 2, 0.2, 2.3),
+        (1, 2, 0, 0.9, 0.5), (1, 2, 2, 0.8, 0.4),
+    ]
+
+    def test_blocks_come_from_each_seeds_last_round_in_order_of_appearance(self):
+        per_seed, cross_seed = summarize(self.ROWS)
+        assert list(per_seed) == ["9", "2"]
+        assert per_seed["9"] == {
+            "final_accuracies": {"0": 0.7, "2": 0.6},
+            "final_losses": {"0": 1.0, "2": 1.2},
+            "mean_acc": mean_accuracy([0.7, 0.6]),
+            "var_points": accuracy_variance([70.0, 60.0]),
+        }
+        assert cross_seed == {
+            "mean_acc": mean_accuracy([mean_accuracy([0.7, 0.6]), mean_accuracy([0.9, 0.8])]),
+            "var_points": mean_accuracy([accuracy_variance([70.0, 60.0]),
+                                         accuracy_variance([90.0, 80.0])]),
+        }
+
+    def test_csv_strings_give_the_same_blocks_as_numbers(self):
+        as_csv = [[str(t), str(seed), str(k), repr(acc), repr(loss), "0.5", "1.0"]
+                  for t, seed, k, acc, loss in self.ROWS]
+        assert summarize(as_csv) == summarize(self.ROWS)
+
+    def test_no_rows_give_no_cross_seed_block(self):
+        assert summarize([]) == ({}, None)
 
 
 class TestComparisons:

@@ -27,6 +27,17 @@ def tiny_config_doc(name="cli-tiny", **overrides):
     return doc
 
 
+def krum_sparse_doc(name, seeds):
+    """Krum f=1 on sparse graphs: seed 44 has a client with too few candidates, seed 45 none."""
+    return tiny_config_doc(
+        name=name,
+        topology={"num_benign": 10, "num_malicious": 2, "edge_prob": 0.3},
+        aggregator={"baseline": {"kind": "krum", "f": 1}},
+        attack={"kind": "sign_flip"},
+        seeds=seeds,
+    )
+
+
 def write_config(tmp_path, doc, filename="config.json"):
     path = tmp_path / filename
     path.write_text(json.dumps(doc))
@@ -94,6 +105,19 @@ class TestValidate:
             args += ["--outdir", str(tmp_path / "out")]
         assert cli_main(args) == 1
         assert "config.aggregator.dfed_reweighting: crs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seeds, command, flags, repeated", [
+        ([43, 44, 43], "validate", [], 43),
+        ([43, 44, 43], "run", [], 43),
+        ([43], "run", ["--seed-override", "7,8,7"], 7),
+    ])
+    def test_repeated_seed_rejected(self, tmp_path, capsys, monkeypatch, seeds, command, flags,
+                                    repeated):
+        monkeypatch.setenv("DFLSIM_OUTDIR", str(tmp_path / "out"))
+        config = write_config(tmp_path, tiny_config_doc(seeds=seeds))
+        assert cli_main([command, config, *flags]) == 1
+        assert f"seeds must be distinct: seed {repeated} is repeated" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -190,6 +214,55 @@ class TestRun:
         assert "round 1 failed for seed 40 at node 6:" in err
         assert "ALIE needs at least 2 visible benign models" in err
 
+    def test_failing_seed_keeps_the_seeds_before_it(self, tmp_path, capsys):
+        # Seed 45 finishes; seed 44 fails at round 1 (see the test above).
+        config = write_config(tmp_path, krum_sparse_doc("krum-sparse", [45, 44]))
+        run_dirs = []
+        for workers in ("1", "2"):
+            outdir = tmp_path / f"p{workers}"
+            assert cli_main(["run", config, "--outdir", str(outdir), "--parallel", workers,
+                             "--quiet"]) == 2
+            run_dirs.append(outdir / "krum-sparse")
+        serial, parallel = run_dirs
+        rows = (serial / "metrics.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 * 10 and {row.split(",")[1] for row in rows} == {"45"}
+        assert list(json.loads((serial / "topology.json").read_text())["seeds"]) == ["45"]
+        for name in ("config.json", "topology.json", "metrics.csv"):
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+        summaries = [json.loads((d / "summary.json").read_text()) for d in run_dirs]
+        for doc in summaries:
+            del doc["wall_clock_sec"]
+        assert summaries[0] == summaries[1]
+        assert summaries[0]["status"] == "failed" and summaries[0]["failed_seed"] == 44
+        assert list(summaries[0]["per_seed"]) == ["45"]
+        assert summaries[0]["cross_seed"]["mean_acc"] == summaries[0]["per_seed"]["45"]["mean_acc"]
+
+    def test_failing_first_seed_writes_a_summary_without_cross_seed(self, tmp_path):
+        doc = krum_sparse_doc("krum-first", [44, 45])
+        assert cli_main(["run", write_config(tmp_path, doc), "--outdir", str(tmp_path),
+                         "--quiet"]) == 2
+        summary = json.loads((tmp_path / "krum-first" / "summary.json").read_text())
+        assert summary["status"] == "failed" and summary["failed_seed"] == 44
+        assert summary["per_seed"] == {} and summary["cross_seed"] is None
+        assert (tmp_path / "krum-first" / "metrics.csv").read_text().splitlines() == [
+            "round,seed,client,acc,loss,mean_acc,var"]
+
+    def test_progress_is_one_record_per_evaluated_round_for_any_worker_count(
+            self, tmp_path, caplog):
+        config = write_config(tmp_path, tiny_config_doc(name="progress", seeds=[44, 43]))
+        messages = []
+        for workers in ("1", "2"):
+            caplog.clear()
+            assert cli_main(["run", config, "--outdir", str(tmp_path / workers),
+                             "--parallel", workers]) == 0
+            messages.append([r.getMessage() for r in caplog.records if r.name == "dflsim.sim"])
+        assert messages[0] == messages[1]
+        assert [m.split(":")[0] for m in messages[0]] == [
+            f"[seed {seed}] round {t}" for seed in (44, 43) for t in (0, 2, 4)]
+        caplog.clear()
+        assert cli_main(["run", config, "--outdir", str(tmp_path / "q"), "--quiet"]) == 0
+        assert not caplog.records
+
 
 class TestReport:
     def test_report_reproduces_summary_numbers(self, tmp_path, capsys):
@@ -206,6 +279,19 @@ class TestReport:
         for seed, block in stored["per_seed"].items():
             assert derived["per_seed"][seed]["mean_acc"] == block["mean_acc"]
             assert derived["per_seed"][seed]["var_points"] == block["var_points"]
+
+    def test_report_prints_the_summary_blocks_with_seeds_out_of_order(self, tmp_path, capsys):
+        assert cli_main(["run", str(REPO_CONFIGS / "fairness_labelskew.json"), "--rounds", "3",
+                         "--seed-override", "44,45,43", "--outdir", str(tmp_path),
+                         "--quiet"]) == 0
+        run_dir = tmp_path / "fairness-labelskew"
+        capsys.readouterr()
+        assert cli_main(["report", str(run_dir)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        stored = json.loads((run_dir / "summary.json").read_text())
+        assert stored["status"] == "complete"
+        assert list(stored["per_seed"]) == ["43", "44", "45"]  # sort_keys; seeds ran 44, 45, 43
+        assert printed == {"per_seed": stored["per_seed"], "cross_seed": stored["cross_seed"]}
 
     def test_report_missing_dir(self, capsys):
         assert cli_main(["report", "/nonexistent/run"]) == 1
@@ -294,6 +380,18 @@ class TestSweep:
         config = write_config(tmp_path, doc, "sweep.json")
         assert cli_main(["sweep", config, "--outdir", str(tmp_path / "out"), "--quiet"]) == 1
         assert "config error: grid.temperature" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid, key", [
+        ({"temperature": []}, "temperature"),
+        ({"attack": []}, "attack"),
+        ({"attack": {"kind": "sign_flip"}}, "attack"),
+    ])
+    def test_sweep_rejects_empty_or_non_list_grid(self, tmp_path, capsys, grid, key):
+        doc = {"base": tiny_config_doc(name="sweepempty"), "grid": grid}
+        config = write_config(tmp_path, doc, "sweep.json")
+        assert cli_main(["sweep", config, "--outdir", str(tmp_path / "out"), "--quiet"]) == 1
+        assert f"config error: grid.{key}: expected a nonempty list" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_sweep_rejects_unknown_grid_key(self, tmp_path):

@@ -35,6 +35,7 @@ from dflsim.sim import (
     SimulationError,
     _attack_payload,
     _local_half_steps,
+    _run_seed,
     _seed_pool,
     build_network,
     evaluate_network,
@@ -513,16 +514,14 @@ class TestEvaluation:
         assert attacked.resolved_eval_mode() == "global"
 
     def test_round_metrics_accounting(self):
-        config = tiny_config(rounds=2)
-        state = build_network(config, seed=43)
-        run_round(state, 1)
-        metrics = evaluate_network(state, 1)
-        assert metrics.mean_accuracy == pytest.approx(
-            float(np.mean(metrics.accuracies))
-        )
-        assert metrics.accuracy_variance == pytest.approx(
-            float(np.var([a * 100 for a in metrics.accuracies]))
-        )
+        config = tiny_config(rounds=2, eval_every=1)
+        _, rows, _ = _run_seed(config, 43)
+        for t in (0, 1, 2):
+            round_rows = [row for row in rows if row[0] == t]
+            accuracies = [float(row[3]) for row in round_rows]
+            for row in round_rows:
+                assert float(row[5]) == pytest.approx(float(np.mean(accuracies)))
+                assert float(row[6]) == pytest.approx(float(np.var([a * 100 for a in accuracies])))
 
     @pytest.mark.parametrize("eval_mode", ["local", "global"])
     def test_evaluation_equals_per_vector_functions(self, eval_mode):
@@ -535,9 +534,9 @@ class TestEvaluation:
         state = build_network(config, seed=43)
         for t in (1, 2):
             run_round(state, t)
-        metrics = evaluate_network(state, 2)
-        assert metrics.client_ids == tuple(state.benign_ids())
-        for k, acc, loss in zip(metrics.client_ids, metrics.accuracies, metrics.losses):
+        accuracies, losses = evaluate_network(state, 2)
+        assert len(accuracies) == len(losses) == len(state.benign_ids())
+        for k, acc, loss in zip(state.benign_ids(), accuracies, losses):
             model = ParamVector(state.models[k], 3, 6)
             eval_set = state.clients[k].aux if eval_mode == "local" else state.test_data
             assert type(acc) is float and type(loss) is float
@@ -573,10 +572,10 @@ class TestRunExperiment:
         config = tiny_config(name="recompute", rounds=3, seeds=[43, 44])
         summary = run_experiment(config, outdir=str(tmp_path))
         per_seed_means = []
-        for seed, final in summary.per_seed_final.items():
-            accs = [final["acc"][k] for k in sorted(final["acc"])]
-            assert final["mean_acc"] == pytest.approx(float(np.mean(accs)))
-            per_seed_means.append(final["mean_acc"])
+        for seed, block in summary.per_seed.items():
+            accs = [block["final_accuracies"][k] for k in sorted(block["final_accuracies"])]
+            assert block["mean_acc"] == pytest.approx(float(np.mean(accs)))
+            per_seed_means.append(block["mean_acc"])
         assert summary.mean_acc == pytest.approx(float(np.mean(per_seed_means)))
 
     def test_determinism_across_runs_and_workers(self, tmp_path):
