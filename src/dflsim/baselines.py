@@ -4,7 +4,9 @@ trimmed mean, and the distance-weighted FLAME variant.
 Each aggregator takes the closed neighborhood (the aggregating client's own
 post-local-step model included) as a (k, C*d+C) matrix whose rows are in
 ascending node id order, and returns one row. Score and sort ties go to the
-first row, i.e. the lowest node id.
+first row, i.e. the lowest node id. Averaging, median and trimmed mean also
+take a (..., k, C*d+C) stack of neighborhoods of k members each and reduce
+every one over axis -2, bit-identical to one call per neighborhood.
 """
 from __future__ import annotations
 
@@ -51,12 +53,12 @@ BaselineKind = Union[DFedAvg, Median, Krum, MultiKrum, TrimmedMean, Flame]
 
 def dfedavg(params: np.ndarray) -> np.ndarray:
     """Unweighted arithmetic mean of all rows."""
-    return params.mean(axis=0)
+    return params.mean(axis=-2)
 
 
 def median_agg(params: np.ndarray) -> np.ndarray:
     """Coordinate-wise lower median: sorted element floor((n-1)/2)."""
-    return np.sort(params, axis=0)[(len(params) - 1) // 2]
+    return np.sort(params, axis=-2)[..., (params.shape[-2] - 1) // 2, :]
 
 
 def krum_scores(params: np.ndarray, f: int) -> np.ndarray:
@@ -88,10 +90,10 @@ def multi_krum(params: np.ndarray, f: int, m: int) -> np.ndarray:
 
 def trimmed_mean(params: np.ndarray, f: int) -> np.ndarray:
     """Per coordinate: drop the f smallest and f largest values, average the rest."""
-    n = len(params)
+    n = params.shape[-2]
     if n <= 2 * f:
         raise ValueError(f"trimmed mean needs n > 2f, got n={n} with f={f}")
-    return np.sort(params, axis=0)[f:n - f].mean(axis=0)
+    return np.sort(params, axis=-2)[..., f:n - f, :].mean(axis=-2)
 
 
 def flame_weighted(

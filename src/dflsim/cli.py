@@ -107,6 +107,8 @@ def _cmd_sweep(args) -> int:
         temperatures = list(zip(grid["temperature"], values))
     attacks = grid.get("attack", ["__keep__"])
 
+    # Every grid point's config is built, and so checked, before the first run.
+    configs = []
     for entry in temperatures:
         for attack in attacks:
             config = base
@@ -126,10 +128,11 @@ def _cmd_sweep(args) -> int:
                 config = replace(config, attack=parse_attack_spec(attack, "grid.attack"))
                 suffix.append("noattack" if attack is None else f"attack-{attack['kind']}")
             config = replace(config, name="-".join([config.name] + suffix))
-            config = _apply_overrides(config, args)
-            summary = run_experiment(config, parallel=args.parallel, outdir=args.outdir)
-            log.info("sweep '%s': mean_acc=%.4f var=%.3f", config.name, summary.mean_acc,
-                     summary.var_points)
+            configs.append(_apply_overrides(config, args))
+    for config in configs:
+        summary = run_experiment(config, parallel=args.parallel, outdir=args.outdir)
+        log.info("sweep '%s': mean_acc=%.4f var=%.3f", config.name, summary.mean_acc,
+                 summary.var_points)
     return 0
 
 

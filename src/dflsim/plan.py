@@ -1,0 +1,104 @@
+"""A seed's round plan: the structure every round of one network reuses.
+
+The graph and the clients' data stay fixed for a whole run, so which clients
+step and aggregate together, and which rows each of them reads, is worked out
+once per seed. The plan holds node ids and index arrays: a client's
+minibatch is read from the network's training set through the rows the
+client holds, not from a copy of them.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+
+@dataclass(frozen=True)
+class AggregationGroup:
+    """Benign clients whose closed neighborhoods have k members and whose aux
+    sets have one size; a round gathers and aggregates them as one (g, k, P) array."""
+
+    nodes: list
+    # (g,) their rows among the benign clients, in node id order
+    positions: np.ndarray
+    # (g, k) each client's closed neighborhood, ascending
+    members: np.ndarray
+    # (g,) the column of each client's own id in its members row
+    own: np.ndarray
+
+
+@dataclass(frozen=True)
+class StepGroup:
+    """Benign clients that draw minibatches of one size, stepped as one stacked batch."""
+
+    nodes: list
+    positions: np.ndarray
+    # their train-set sizes
+    lengths: list
+    # (g, 1) where each client's examples start in the plan's train_rows
+    starts: np.ndarray
+    size: int
+
+
+@dataclass(frozen=True)
+class RoundPlan:
+    """The benign ids, closed neighborhoods, aggregation and step groups of one network."""
+
+    benign: list
+    # node -> closed neighborhood ids, ascending, for every benign node
+    neighborhoods: dict
+    groups: tuple
+    steps: tuple
+    # The client at starts[j] of a step group holds the training examples
+    # train_features[train_rows[starts[j]:starts[j] + lengths[j]]].
+    train_features: np.ndarray
+    train_labels: np.ndarray
+    train_rows: np.ndarray
+
+
+def _positions_by(keys: list) -> dict:
+    """key -> the positions holding it, keys in order of first appearance."""
+    out = {}
+    for position, key in enumerate(keys):
+        out.setdefault(key, []).append(position)
+    return out
+
+
+def _train_rows(state, benign: list) -> tuple:
+    """(features, labels, rows): benign client i's train set is features[rows[a:b]]
+    for the i-th run a:b of its train-set lengths.
+
+    A network built by sim.build_network records which rows of its training
+    set each client holds, and they are read in place. A hand-built network's
+    train sets are copied into one block.
+    """
+    if state.train_rows is not None:
+        rows = np.concatenate([state.train_rows[k] for k in benign])
+        return state.train_data.features, state.train_data.labels, rows
+    trains = [state.clients[k].train for k in benign]
+    features = np.concatenate([t.features for t in trains])
+    return features, np.concatenate([t.labels for t in trains]), np.arange(len(features))
+
+
+def plan_rounds(state) -> RoundPlan:
+    """The round plan of a sim.NetworkState, from its graph and its clients' data."""
+    graph, clients = state.graph, state.clients
+    benign = sorted(graph.benign)
+    closed = graph.adjacency | np.eye(graph.n, dtype=bool)
+    neighborhoods = {k: np.flatnonzero(closed[k]) for k in benign}
+    groups = []
+    keys = [(len(neighborhoods[k]), len(clients[k].aux)) for k in benign]
+    for positions in _positions_by(keys).values():
+        nodes = [benign[p] for p in positions]
+        members = np.array([neighborhoods[k] for k in nodes])
+        own = np.argmax(members == np.array(nodes)[:, None], axis=1)
+        groups.append(AggregationGroup(nodes, np.array(positions), members, own))
+
+    lengths = [len(clients[k].train) for k in benign]
+    starts = np.cumsum([0] + lengths[:-1])
+    steps = []
+    sizes = [min(state.config.batch_size, n) for n in lengths]
+    for size, positions in _positions_by(sizes).items():
+        steps.append(StepGroup([benign[p] for p in positions], np.array(positions),
+                               [lengths[p] for p in positions], starts[positions, None], size))
+    return RoundPlan(benign, neighborhoods, tuple(groups), tuple(steps), *_train_rows(state, benign))

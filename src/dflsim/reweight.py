@@ -24,6 +24,7 @@ from .core_learning import (
     stacked_accuracy,
     stacked_mean_loss,
 )
+from .plan import RoundPlan
 
 #: Sentinel for a non-finite metric evaluation (e.g. a diverged model's loss).
 SENTINEL = math.inf
@@ -309,32 +310,29 @@ def _group_weights(crs: CRSKind, ids: np.ndarray, metrics: np.ndarray, nodes: li
     return weights
 
 
-def reweight_round(kind: TargetMetricKind, crs: CRSKind, broadcast: np.ndarray, clients: dict) -> tuple:
-    """One DFedReweighting aggregation for every client of a round.
+def reweight_round(
+    kind: TargetMetricKind, crs: CRSKind, broadcast: np.ndarray, plan: RoundPlan, aux_of: dict
+) -> tuple:
+    """One DFedReweighting aggregation for every benign client of a round.
 
-    clients maps each aggregating node to (members, aux): its closed
-    neighborhood's node ids in ascending order and its auxiliary set; row i
-    of broadcast is node i's model. Clients with equal neighborhood and aux
-    sizes form a group, which is gathered once into a (g, k, C*d+C) array,
-    scored with the gemm compute_tpm_batch issues for each member, reweighted
-    row by row and mixed in member order. Every result equals
-    reweight_aggregate(params, dfedreweighting_round_weights(...)) on that
-    client alone, bit for bit.
+    plan is the network's RoundPlan and aux_of maps each benign node to its
+    auxiliary set; row i of broadcast is node i's model. Each aggregation
+    group of the plan (equal closed-neighborhood and aux sizes) is gathered
+    once into a (g, k, C*d+C) array, scored with the gemm compute_tpm_batch
+    issues for each member, reweighted row by row and mixed in member order.
+    Every result equals reweight_aggregate(params,
+    dfedreweighting_round_weights(...)) on that client alone, bit for bit.
 
     Returns (rows, weights, failures): rows[i] is the new model of the i-th
-    client of clients, weights maps each client to {member: weight}, and
+    benign client, weights maps each client to {member: weight}, and
     failures maps each client whose aggregation failed to its exception;
     those clients' rows and weights are meaningless.
     """
-    groups = {}
-    for node, (members, aux) in clients.items():
-        groups.setdefault((len(members), len(aux)), []).append(node)
-    position = {node: i for i, node in enumerate(clients)}
-    rows = np.zeros((len(clients), broadcast.shape[1]))
+    rows = np.zeros((len(plan.benign), broadcast.shape[1]))
     weights, failures = {}, {}
-    for nodes in groups.values():
-        ids = np.array([clients[node][0] for node in nodes])
-        auxes = [clients[node][1] for node in nodes]
+    for group in plan.groups:
+        nodes, ids = group.nodes, group.members
+        auxes = [aux_of[node] for node in nodes]
         params = broadcast[ids]
         try:
             values = _GROUPED_TPMS[kind](
@@ -352,7 +350,7 @@ def reweight_round(kind: TargetMetricKind, crs: CRSKind, broadcast: np.ndarray, 
         # as reweight_aggregate drops it, and the others sum in member order.
         params[w == 0] = -0.0
         params *= w[..., None]
-        rows[[position[node] for node in nodes]] = np.add.reduce(params, axis=1)
+        rows[group.positions] = np.add.reduce(params, axis=1)
         for node, member_ids, row in zip(nodes, ids.tolist(), w.tolist()):
             weights[node] = dict(zip(member_ids, row))
-    return rows, {node: weights[node] for node in clients if node in weights}, failures
+    return rows, {node: weights[node] for node in plan.benign if node in weights}, failures

@@ -61,6 +61,7 @@ from .data import (
     partition_label_skew,
     split_auxiliary,
 )
+from .plan import RoundPlan, plan_rounds
 from .reweight import dfedreweighting_round_weights, reweight_aggregate, reweight_round, scoring_is_stock
 from .topology import TopologyConfig, TopologyGraph, generate
 
@@ -83,7 +84,11 @@ class ClientState:
 
 @dataclass
 class NetworkState:
-    """One seed's mutable world: graph, benign clients' data, and models (row i: node i)."""
+    """One seed's mutable world: graph, benign clients' data, and models (row i: node i).
+
+    round_plan is built from the graph and the clients' data at the first
+    round that needs it, and kept: neither may change once it is built.
+    """
 
     config: RunConfig
     seed: int
@@ -93,6 +98,15 @@ class NetworkState:
     train_data: Dataset
     test_data: Dataset | None
     last_weights: dict = field(default_factory=dict)
+    # Client k's train set is train_data.subset(train_rows[k]); None in a
+    # state built by hand.
+    train_rows: tuple | None = None
+    round_plan: RoundPlan | None = field(default=None, repr=False)
+
+    def plan(self) -> RoundPlan:
+        if self.round_plan is None:
+            self.round_plan = plan_rounds(self)
+        return self.round_plan
 
     def benign_ids(self) -> list:
         return sorted(self.graph.benign)
@@ -152,33 +166,31 @@ def build_network(config: RunConfig, seed: int) -> NetworkState:
         for k in sorted(graph.benign)
     }
     models = np.zeros((graph.n, train.num_classes * train.feature_dim + train.num_classes))
-    return NetworkState(config, seed, graph, clients, models, train, test)
+    return NetworkState(config, seed, graph, clients, models, train, test,
+                        train_rows=aux_split.train_indices)
 
 
-def _local_half_steps(state: NetworkState, node_ids: list, t: int) -> np.ndarray:
-    """Local SGD of the given benign clients, stepped together; row i is node_ids[i]'s model.
+def _local_half_steps(state: NetworkState, t: int) -> np.ndarray:
+    """Local SGD of the benign clients; row i is the i-th benign client's model.
 
     Each client draws its minibatches from its own (seed, node, round,
-    "minibatch") stream, exactly as it would alone. Clients with the same
-    batch size min(batch_size, |train|) take each step as one stacked batch,
-    bit-identical to batch_gradient + sgd_step per client.
+    "minibatch") stream, exactly as it would alone. The clients of a step
+    group take each step as one stacked batch, gathered from the plan's
+    training rows in one index, bit-identical to batch_gradient + sgd_step
+    per client.
     """
-    config = state.config
-    trains = [state.clients[k].train for k in node_ids]
-    params = state.models[node_ids]
-    gens = [rng.stream(state.seed, k, t, "minibatch") for k in node_ids]
-    groups = {}
-    for row, train in enumerate(trains):
-        groups.setdefault(min(config.batch_size, len(train)), []).append(row)
-    for _ in range(config.local_steps):
-        for size, rows in groups.items():
-            idx = [gens[row].choice(len(trains[row]), size=size, replace=False) for row in rows]
-            params[rows] = stacked_sgd_step(
-                params[rows],
-                np.array([trains[row].features[i] for row, i in zip(rows, idx)]),
-                np.array([trains[row].labels[i] for row, i in zip(rows, idx)]),
-                state.train_data.num_classes, config.learning_rate,
-            )
+    config, plan = state.config, state.plan()
+    params = state.models[plan.benign]
+    for step in plan.steps:
+        gens = [rng.stream(state.seed, k, t, "minibatch") for k in step.nodes]
+        models = params[step.positions]
+        for _ in range(config.local_steps):
+            rows = plan.train_rows[step.starts + np.array([
+                gen.choice(n, size=step.size, replace=False) for gen, n in zip(gens, step.lengths)
+            ])]
+            models = stacked_sgd_step(models, plan.train_features[rows], plan.train_labels[rows],
+                                      state.train_data.num_classes, config.learning_rate)
+        params[step.positions] = models
     return params
 
 
@@ -236,45 +248,63 @@ def _attack_payload(state: NetworkState, node_id: int, broadcast: np.ndarray, t:
     return _ATTACKS[type(attack.kind)](attack.kind, view, (state.seed, node_id, t))
 
 
-# Rows take (baseline spec, the closed neighborhood's rows in node id order,
-# the index of the aggregating client's own row).
+# Rows take (baseline spec, the (g, k, C*d+C) rows of a group's closed
+# neighborhoods, each in node id order, and the (g,) columns of the clients'
+# own rows) and return the group's (g, C*d+C) aggregates. Averaging, median
+# and trimmed mean reduce all g neighborhoods at once; the others run one
+# neighborhood at a time.
 _BASELINES = {
     DFedAvg: lambda agg, params, own: dfedavg(params),
     Median: lambda agg, params, own: median_agg(params),
-    Krum: lambda agg, params, own: krum(params, agg.f),
-    MultiKrum: lambda agg, params, own: multi_krum(params, agg.f, agg.m),
+    Krum: lambda agg, params, own: np.array([krum(p, agg.f) for p in params]),
+    MultiKrum: lambda agg, params, own: np.array([multi_krum(p, agg.f, agg.m) for p in params]),
     TrimmedMean: lambda agg, params, own: trimmed_mean(params, agg.f),
-    Flame: lambda agg, params, own: flame_weighted(
-        params[own], np.delete(params, own, axis=0), agg.beta, agg.include_self),
+    Flame: lambda agg, params, own: np.array([
+        flame_weighted(p[o], np.delete(p, o, axis=0), agg.beta, agg.include_self)
+        for p, o in zip(params, own)
+    ]),
 }
 
 
-def _aggregate_one(state: NetworkState, node_id: int, members: np.ndarray, broadcast: np.ndarray):
-    """Aggregate one benign client's closed neighborhood, the ascending node ids
-    members, from their rows of broadcast. Returns (new row, weight row or None).
+def _baseline_round(state: NetworkState, broadcast: np.ndarray) -> tuple:
+    """The configured baseline for every benign client, one aggregation group at a time.
+
+    Returns (rows, weights, failures) as reweight_round does; weights is
+    empty, and a group that fails records its lowest node.
     """
-    params = broadcast[members]
+    agg, plan = state.config.aggregator, state.plan()
+    rows, failures = np.zeros((len(plan.benign), broadcast.shape[1])), {}
+    for group in plan.groups:
+        try:
+            rows[group.positions] = _BASELINES[type(agg)](agg, broadcast[group.members], group.own)
+        except Exception as exc:
+            failures[group.nodes[0]] = exc
+    return rows, {}, failures
+
+
+def _aggregate_one(state: NetworkState, node_id: int, members: np.ndarray, broadcast: np.ndarray):
+    """DFedReweighting of one benign client's closed neighborhood, the ascending
+    node ids members, from their rows of broadcast. Returns (new row, weight row).
+    """
     agg = state.config.aggregator
-    if type(agg) is not DFedReweightingSpec:
-        return _BASELINES[type(agg)](agg, params, int(np.searchsorted(members, node_id))), None
+    params = broadcast[members]
     aux = state.clients[node_id].aux
     weights = dfedreweighting_round_weights(agg.tpm, agg.crs, members, params, aux)
     return reweight_aggregate(params, weights), dict(zip(weights.ids, map(float, weights.weights)))
 
 
-def _aggregate_each(state: NetworkState, neighborhoods: dict, broadcast: np.ndarray) -> tuple:
-    """_aggregate_one for each client in turn, up to the first that fails.
+def _aggregate_each(state: NetworkState, broadcast: np.ndarray) -> tuple:
+    """_aggregate_one for each benign client in turn, up to the first that fails.
 
     Returns (rows, weights, failures) as reweight_round does.
     """
+    neighborhoods = state.plan().neighborhoods
     rows, weights = np.zeros((len(neighborhoods), broadcast.shape[1])), {}
     for i, (node_id, members) in enumerate(neighborhoods.items()):
         try:
-            rows[i], weight_row = _aggregate_one(state, node_id, members, broadcast)
+            rows[i], weights[node_id] = _aggregate_one(state, node_id, members, broadcast)
         except Exception as exc:
             return rows, weights, {node_id: exc}
-        if weight_row is not None:
-            weights[node_id] = weight_row
     return rows, weights, {}
 
 
@@ -287,19 +317,21 @@ def run_round(state: NetworkState, t: int) -> NetworkState:
 
     Row i of the round's broadcast matrix is what node i sends: a benign
     client's local half-step, or a malicious node's payload (its zero row if
-    no attack is configured). Local SGD runs as one stacked step over all
-    benign clients, or client by client if batch_gradient or sgd_step has been
-    replaced. Then every benign client aggregates its closed neighborhood's
-    rows into its row of state.models: DFedReweighting clients all at once in
-    reweight_round, or client by client through a baseline, or if
-    reweight.compute_tpm or a metric it calls has been replaced. The first
-    client, in node id order, whose aggregation fails or is non-finite is
-    named in the SimulationError raised.
+    no attack is configured). Local SGD runs as one stacked step per step
+    group of the network's plan, or client by client if batch_gradient or
+    sgd_step has been replaced. Then every benign client aggregates its
+    closed neighborhood's rows into its row of state.models, one aggregation
+    group of the plan at a time: in reweight_round for DFedReweighting, or
+    through the configured baseline. DFedReweighting goes client by client
+    instead if reweight.compute_tpm or a metric it calls has been replaced.
+    The first client, in node id order, whose aggregation fails or is
+    non-finite is named in the SimulationError raised.
     """
-    benign = state.benign_ids()
+    plan = state.plan()
+    benign = plan.benign
     broadcast = state.models.copy()
     if (batch_gradient, sgd_step) == _STOCK_LOCAL_STEP:
-        broadcast[benign] = _local_half_steps(state, benign, t)
+        broadcast[benign] = _local_half_steps(state, t)
     else:
         broadcast[benign] = [_local_half_step(state, k, t).values for k in benign]
     if state.config.attack:
@@ -309,16 +341,14 @@ def run_round(state: NetworkState, t: int) -> NetworkState:
             except Exception as exc:
                 raise _node_failure(state, t, m, exc) from exc
 
-    closed = state.graph.adjacency | np.eye(state.graph.n, dtype=bool)
-    neighborhoods = {k: np.flatnonzero(closed[k]) for k in benign}
     agg = state.config.aggregator
-    if type(agg) is DFedReweightingSpec and scoring_is_stock():
-        rows, weights, failures = reweight_round(
-            agg.tpm, agg.crs, broadcast,
-            {k: (members, state.clients[k].aux) for k, members in neighborhoods.items()},
-        )
+    if type(agg) is not DFedReweightingSpec:
+        rows, weights, failures = _baseline_round(state, broadcast)
+    elif scoring_is_stock():
+        aux_of = {k: state.clients[k].aux for k in benign}
+        rows, weights, failures = reweight_round(agg.tpm, agg.crs, broadcast, plan, aux_of)
     else:
-        rows, weights, failures = _aggregate_each(state, neighborhoods, broadcast)
+        rows, weights, failures = _aggregate_each(state, broadcast)
     for node_id, finite in zip(benign, np.isfinite(rows).all(axis=1)):
         if node_id in failures:
             raise _node_failure(state, t, node_id, failures[node_id]) from failures[node_id]

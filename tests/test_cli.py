@@ -394,6 +394,22 @@ class TestSweep:
         assert f"config error: grid.{key}: expected a nonempty list" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_sweep_rejects_a_bad_grid_point_before_any_run(self, tmp_path, capsys):
+        # The first grid point is valid; the second names an unknown attack.
+        doc = {
+            "base": tiny_config_doc(
+                name="sweeplate",
+                topology={"num_benign": 3, "num_malicious": 1, "edge_prob": 1.0},
+            ),
+            "grid": {"attack": [None, {"kind": "teleport"}]},
+        }
+        out = tmp_path / "out"
+        out.mkdir()
+        config = write_config(tmp_path, doc, "sweep.json")
+        assert cli_main(["sweep", config, "--outdir", str(out), "--quiet"]) == 1
+        assert "config error: grid.attack" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_sweep_rejects_unknown_grid_key(self, tmp_path):
         doc = {"base": tiny_config_doc(), "grid": {"q": [0.1]}}
         assert cli_main(["sweep", write_config(tmp_path, doc, "s.json")]) == 1

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dflsim import rng
+from dflsim.baselines import dfedavg, flame_weighted, krum, median_agg, multi_krum, trimmed_mean
 from dflsim.config import ATTACKS, BASELINES, CRSS, SCHEMES, AttackSpec, DFedReweightingSpec, parse_config
 from dflsim.core_learning import (
     Dataset,
@@ -176,11 +177,29 @@ class TestStackedRoundEngine:
         state = manual_state(config, graph_without_edges(6), clients, np.array(models),
                              clients[0].train)
         for t in (1, 2):
-            stacked = _local_half_steps(state, state.benign_ids(), t)
+            stacked = _local_half_steps(state, t)
             for k in state.benign_ids():
                 np.testing.assert_array_equal(
                     stacked[k], loop_half_step(state, k, t).values)
                 state.models[k] = stacked[k]
+
+    def test_plan_gathers_each_clients_own_train_rows(self):
+        built = build_network(tiny_config(topology={"num_benign": 5, "num_malicious": 1,
+                                                     "edge_prob": 0.6}), seed=43)
+        gen = np.random.default_rng(6)
+        data = Dataset(gen.standard_normal((9, 6)), gen.integers(0, 3, 9), 3)
+        other = Dataset(gen.standard_normal((4, 6)), gen.integers(0, 3, 4), 3)
+        by_hand = manual_state(tiny_config(), graph_without_edges(3),
+                               {0: ClientState(data, data), 1: ClientState(other, data),
+                                2: ClientState(data, other)}, np.zeros((3, 21)), data)
+        for state, copied in ((built, False), (by_hand, True)):
+            plan = state.plan()
+            assert (plan.train_features is state.train_data.features) != copied
+            for step in plan.steps:
+                for k, start, n in zip(step.nodes, step.starts[:, 0], step.lengths):
+                    train, rows = state.clients[k].train, plan.train_rows[start:start + n]
+                    assert plan.train_features[rows].tobytes() == train.features.tobytes()
+                    assert plan.train_labels[rows].tolist() == train.labels.tolist()
 
     def test_stacked_local_step_checks_shapes(self):
         # Rows of C*d+C = 18 parameters hold C=3, d=5 models; the data has d=6.
@@ -190,7 +209,7 @@ class TestStackedRoundEngine:
         state = manual_state(config, graph_without_edges(2), clients, np.zeros((2, 3 * 5 + 3)),
                              data)
         with pytest.raises(ShapeError, match="does not hold C=3, d=6 models"):
-            _local_half_steps(state, [0, 1], 1)
+            _local_half_steps(state, 1)
 
     @pytest.mark.parametrize("aggregator", [
         {"tpm": "loss", "crs": "loss_clip"},
@@ -250,7 +269,7 @@ class TestStackedRoundEngine:
     @staticmethod
     def round_broadcast(state, t):
         broadcast = state.models.copy()
-        broadcast[state.benign_ids()] = _local_half_steps(state, state.benign_ids(), t)
+        broadcast[state.benign_ids()] = _local_half_steps(state, t)
         for m in state.malicious_ids():
             broadcast[m] = _attack_payload(state, m, broadcast, t)
         return broadcast
@@ -303,10 +322,9 @@ class TestStackedRoundEngine:
         broadcast = self.round_broadcast(state, 1)
         nan_node = state.malicious_ids()[0]
         broadcast[nan_node] = np.nan
-        clients = {k: (np.flatnonzero(state.graph.adjacency[k] | (np.arange(state.graph.n) == k)),
-                       state.clients[k].aux) for k in state.benign_ids()}
+        aux_of = {k: state.clients[k].aux for k in state.benign_ids()}
         rows, weights, failures = reweight_round(
-            TargetMetricKind.LOSS_ON_AUX, LossClip(), broadcast, clients)
+            TargetMetricKind.LOSS_ON_AUX, LossClip(), broadcast, state.plan(), aux_of)
         assert failures == {}
         seen = [k for k in state.benign_ids() if nan_node in weights[k]]
         assert seen
@@ -365,27 +383,29 @@ class TestStackedRoundEngine:
                 per_client.models[k], stacked.models[k])
 
 
+_BASELINE_KINDS = [
+    {"kind": "dfedavg"},
+    {"kind": "median"},
+    {"kind": "krum", "f": 2},
+    {"kind": "multi_krum", "f": 2, "m": 2},
+    {"kind": "trimmed_mean", "f": 2},
+    {"kind": "flame", "beta": 1.0},
+]
+
+# Per-vector oracles: (closed neighborhood's rows, index of the own row) -> row.
+_BASELINE_ORACLES = {
+    "dfedavg": lambda params, own: dfedavg(params),
+    "median": lambda params, own: median_agg(params),
+    "krum": lambda params, own: krum(params, 2),
+    "multi_krum": lambda params, own: multi_krum(params, 2, 2),
+    "trimmed_mean": lambda params, own: trimmed_mean(params, 2),
+    "flame": lambda params, own: flame_weighted(params[own], np.delete(params, own, axis=0), 1.0),
+}
+
+
 class TestBaselineDispatch:
-    @pytest.mark.parametrize(
-        "kind",
-        [
-            {"kind": "dfedavg"},
-            {"kind": "median"},
-            {"kind": "krum", "f": 2},
-            {"kind": "multi_krum", "f": 2, "m": 2},
-            {"kind": "trimmed_mean", "f": 2},
-            {"kind": "flame", "beta": 1.0},
-        ],
-    )
+    @pytest.mark.parametrize("kind", _BASELINE_KINDS)
     def test_each_baseline_matches_direct_aggregation(self, kind):
-        from dflsim.baselines import (
-            dfedavg,
-            flame_weighted,
-            krum,
-            median_agg,
-            multi_krum,
-            trimmed_mean,
-        )
         from dflsim.sim import _local_half_step
 
         config = tiny_config(
@@ -402,19 +422,48 @@ class TestBaselineDispatch:
         run_round(state, 1)
         # Every client: FLAME is anchored on the own row, which is not always row 0.
         for k in state.benign_ids():
-            if kind["kind"] == "dfedavg":
-                expected = dfedavg(halves)
-            elif kind["kind"] == "median":
-                expected = median_agg(halves)
-            elif kind["kind"] == "krum":
-                expected = krum(halves, 2)
-            elif kind["kind"] == "multi_krum":
-                expected = multi_krum(halves, 2, 2)
-            elif kind["kind"] == "trimmed_mean":
-                expected = trimmed_mean(halves, 2)
-            else:
-                expected = flame_weighted(halves[k], np.delete(halves, k, axis=0), 1.0)
+            expected = _BASELINE_ORACLES[kind["kind"]](halves, k)
             np.testing.assert_array_equal(state.models[k], expected, err_msg=k)
+
+    @staticmethod
+    def ten_client_network(kind, edge_prob, seed):
+        config = tiny_config(
+            topology={"num_benign": 10, "num_malicious": 0, "edge_prob": edge_prob},
+            aggregator={"baseline": kind},
+            dataset={"synthetic": {"num_classes": 3, "feature_dim": 6, "n_per_class": 60,
+                                    "spread": 0.5, "seed": 5, "test_n_per_class": 20}},
+        )
+        return build_network(config, seed=seed)
+
+    @pytest.mark.parametrize("kind", _BASELINE_KINDS)
+    def test_grouped_baselines_equal_per_client_oracles(self, kind):
+        from dflsim.sim import _local_half_step
+
+        state = self.ten_client_network(kind, 0.6, 48)
+        twin = self.ten_client_network(kind, 0.6, 48)
+        closed = state.graph.adjacency | np.eye(state.graph.n, dtype=bool)
+        sizes = closed.sum(axis=1).tolist()
+        # Closed neighborhoods of 5 to 8 members, each size shared by several clients.
+        assert len(set(sizes)) > 1 and all(sizes.count(size) > 1 for size in sizes)
+        oracle = _BASELINE_ORACLES[kind["kind"]]
+        for t in (1, 2):
+            run_round(state, t)
+            halves = np.array([_local_half_step(twin, k, t).values for k in twin.benign_ids()])
+            for k in twin.benign_ids():
+                members = np.flatnonzero(closed[k])
+                expected = oracle(halves[members], members.tolist().index(k))
+                assert state.models[k].tobytes() == expected.tobytes(), (t, k)
+                twin.models[k] = expected
+
+    def test_infeasible_grouped_krum_names_its_lowest_failing_node(self):
+        state = self.ten_client_network({"kind": "krum", "f": 2}, 0.4, 50)
+        closed = state.graph.adjacency | np.eye(state.graph.n, dtype=bool)
+        # Krum with f=2 needs n - f - 2 >= 1, i.e. closed neighborhoods of 5 or more.
+        failing = [k for k in state.benign_ids() if closed[k].sum() < 5]
+        assert len({closed[k].sum() for k in failing}) > 1 and failing[0] > 0
+        with pytest.raises(SimulationError,
+                           match=f"round 1 failed for seed 50 at node {failing[0]}: krum needs"):
+            run_round(state, 1)
 
 
 # Fields without a default, per registered kind.
