@@ -138,14 +138,8 @@ def _logits(model: ParamVector, features_matrix: np.ndarray) -> np.ndarray:
     return features_matrix @ model.weights.T + model.bias
 
 
-# The max over the last axis, kept as a length-1 axis. A max is exact in any
-# order, and one np.maximum pass per class beats reducing each short row.
-def _row_max(logits: np.ndarray) -> np.ndarray:
-    return functools.reduce(np.maximum, np.moveaxis(logits, -1, 0))[..., None]
-
-
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - _row_max(logits)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
 
@@ -260,8 +254,10 @@ def grouped_mean_loss(
     evaluate_mean_loss of that model on that dataset bit for bit.
     """
     logits = _stacked_logits(params, features[:, None], num_classes)
-    # _softmax_rows, dividing out only the true-label probabilities.
-    logits -= _row_max(logits)
+    # _softmax_rows, dividing out only the true-label probabilities. The max
+    # is exact in any order; on scoring-sized arrays one np.maximum pass per
+    # class beats reducing each short row.
+    logits -= functools.reduce(np.maximum, np.moveaxis(logits, -1, 0))[..., None]
     exp = np.exp(logits, out=logits)
     # The true-label entry of every (model, example) row, taken by flat index
     # into a fresh C-ordered p_true: summing a strided gather row by row in a

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import RoundStreams
+
 
 @dataclass(frozen=True)
 class AggregationGroup:
@@ -38,6 +40,8 @@ class StepGroup:
     # (g, 1) where each client's examples start in the plan's train_rows
     starts: np.ndarray
     size: int
+    # their (seed, node, round, "minibatch") generators, round by round
+    streams: RoundStreams
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,8 @@ def plan_rounds(state) -> RoundPlan:
     steps = []
     sizes = [min(state.config.batch_size, n) for n in lengths]
     for size, positions in _positions_by(sizes).items():
-        steps.append(StepGroup([benign[p] for p in positions], np.array(positions),
-                               [lengths[p] for p in positions], starts[positions, None], size))
+        nodes = [benign[p] for p in positions]
+        steps.append(StepGroup(nodes, np.array(positions), [lengths[p] for p in positions],
+                               starts[positions, None], size,
+                               RoundStreams(state.seed, nodes, "minibatch")))
     return RoundPlan(benign, neighborhoods, tuple(groups), tuple(steps), *_train_rows(state, benign))

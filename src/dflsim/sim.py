@@ -45,6 +45,8 @@ from .core_learning import (
     Minibatch,
     ParamVector,
     batch_gradient,
+    grouped_accuracy,
+    grouped_mean_loss,
     sgd_step,
     stacked_accuracy,
     stacked_mean_loss,
@@ -174,15 +176,16 @@ def _local_half_steps(state: NetworkState, t: int) -> np.ndarray:
     """Local SGD of the benign clients; row i is the i-th benign client's model.
 
     Each client draws its minibatches from its own (seed, node, round,
-    "minibatch") stream, exactly as it would alone. The clients of a step
-    group take each step as one stacked batch, gathered from the plan's
-    training rows in one index, bit-identical to batch_gradient + sgd_step
-    per client.
+    "minibatch") stream, exactly as it would alone: its step group's
+    RoundStreams seeds each generator with the state rng.stream would give
+    it. The clients of a step group take each step as one stacked batch,
+    gathered from the plan's training rows in one index, bit-identical to
+    batch_gradient + sgd_step per client.
     """
     config, plan = state.config, state.plan()
     params = state.models[plan.benign]
     for step in plan.steps:
-        gens = [rng.stream(state.seed, k, t, "minibatch") for k in step.nodes]
+        gens = step.streams.generators(t)
         models = params[step.positions]
         for _ in range(config.local_steps):
             rows = plan.train_rows[step.starts + np.array([
@@ -364,15 +367,26 @@ def run_round(state: NetworkState, t: int) -> NetworkState:
 
 def evaluate_network(state: NetworkState, t: int) -> tuple:
     """(accuracies, losses): two lists over the benign clients in node id order,
-    scored on the mode's evaluation set."""
-    mode = state.config.resolved_eval_mode()
-    accs, losses = [], []
-    for node_id in state.benign_ids():
-        eval_set = state.clients[node_id].aux if mode == "local" else state.test_data
-        row = state.models[node_id:node_id + 1]
-        accs.append(float(stacked_accuracy(row, eval_set)[0]))
-        losses.append(float(stacked_mean_loss(row, eval_set)[0]))
-    return accs, losses
+    scored on the mode's evaluation set.
+
+    Global mode scores every benign model on the test set in one stacked
+    call per metric; local mode scores each aggregation group of the plan,
+    whose clients' aux sets have one size, against their stacked aux sets.
+    Every value equals evaluate_accuracy / evaluate_mean_loss of that model.
+    """
+    plan = state.plan()
+    if state.config.resolved_eval_mode() == "global":
+        models = state.models[plan.benign]
+        return (stacked_accuracy(models, state.test_data).tolist(),
+                stacked_mean_loss(models, state.test_data).tolist())
+    accs, losses = np.zeros(len(plan.benign)), np.zeros(len(plan.benign))
+    for group in plan.groups:
+        auxes = [state.clients[k].aux for k in group.nodes]
+        scored = (state.models[group.nodes][:, None], np.stack([aux.features for aux in auxes]),
+                  np.stack([aux.labels for aux in auxes]), auxes[0].num_classes)
+        accs[group.positions] = grouped_accuracy(*scored)[:, 0]
+        losses[group.positions] = grouped_mean_loss(*scored)[:, 0]
+    return accs.tolist(), losses.tolist()
 
 
 @dataclass

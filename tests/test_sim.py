@@ -18,6 +18,8 @@ from dflsim.core_learning import (
     evaluate_accuracy,
     evaluate_mean_loss,
     sgd_step,
+    stacked_accuracy,
+    stacked_mean_loss,
 )
 from dflsim.data import partition_iid, split_auxiliary
 from dflsim.reweight import (
@@ -210,6 +212,21 @@ class TestStackedRoundEngine:
                              data)
         with pytest.raises(ShapeError, match="does not hold C=3, d=6 models"):
             _local_half_steps(state, 1)
+
+    def test_stacked_local_step_equals_per_client_step_in_every_stream_block(self):
+        from dflsim.sim import _local_half_step
+
+        # Dirichlet train sets below and above batch_size give several step groups.
+        config = tiny_config(scheme={"dirichlet": {"alpha": 0.5}}, batch_size=16, local_steps=2,
+                             topology={"num_benign": 6, "num_malicious": 0, "edge_prob": 1.0})
+        state = build_network(config, seed=43)
+        assert len(state.plan().steps) > 1
+        # Rounds in the first and second blocks of RoundStreams, and past config.rounds.
+        for t in (1, 128, 129, config.rounds + 5):
+            stacked = _local_half_steps(state, t)
+            per_client = np.array([_local_half_step(state, k, t).values for k in state.benign_ids()])
+            assert stacked.tobytes() == per_client.tobytes(), t
+            state.models[state.benign_ids()] = stacked
 
     @pytest.mark.parametrize("aggregator", [
         {"tpm": "loss", "crs": "loss_clip"},
@@ -591,6 +608,30 @@ class TestEvaluation:
             assert type(acc) is float and type(loss) is float
             assert acc == evaluate_accuracy(model, eval_set)
             assert loss == evaluate_mean_loss(model, eval_set)
+
+    @pytest.mark.parametrize("eval_mode", ["local", "global"])
+    def test_evaluation_equals_per_client_stacked_calls(self, eval_mode):
+        config = tiny_config(
+            dataset={"synthetic": {"num_classes": 4, "feature_dim": 8, "n_per_class": 200,
+                                   "spread": 1.0, "seed": 5, "test_n_per_class": 10}},
+            scheme={"dirichlet": {"alpha": 0.5}},
+            topology={"num_benign": 12, "num_malicious": 0, "edge_prob": 0.7},
+            eval_mode=eval_mode,
+        )
+        state = build_network(config, seed=43)
+        assert len({len(state.clients[k].aux) for k in state.benign_ids()}) > 1
+        # Random models score differently, so a value in another client's row shows.
+        state.models[:] = np.random.default_rng(3).standard_normal(state.models.shape)
+        accuracies, losses = evaluate_network(state, 0)
+        shared = [group for group in state.plan().groups if len(group.nodes) > 1]
+        assert shared and all(len({accuracies[p] for p in group.positions}) == len(group.nodes)
+                              for group in shared)
+        for k, acc, loss in zip(state.benign_ids(), accuracies, losses):
+            eval_set = state.clients[k].aux if eval_mode == "local" else state.test_data
+            row = state.models[k:k + 1]
+            assert type(acc) is float and type(loss) is float
+            assert acc == float(stacked_accuracy(row, eval_set)[0])
+            assert loss == float(stacked_mean_loss(row, eval_set)[0])
 
     def test_zero_rounds_reports_initial_metrics(self, tmp_path):
         config = tiny_config(rounds=0, name="t0")
