@@ -50,6 +50,14 @@ class Flame:
 
 BaselineKind = Union[DFedAvg, Median, Krum, MultiKrum, TrimmedMean, Flame]
 
+# The aggregators that cannot reduce every closed neighborhood: the fewest
+# models each needs, and the rule as its error message states it.
+NEIGHBORHOOD_RULES = {
+    Krum: (lambda agg: agg.f + 3, "n - f - 2 >= 1"),
+    MultiKrum: (lambda agg: max(agg.f + 3, agg.m), "n - f - 2 >= 1 and m <= n"),
+    TrimmedMean: (lambda agg: 2 * agg.f + 1, "n > 2f"),
+}
+
 
 def dfedavg(params: np.ndarray) -> np.ndarray:
     """Unweighted arithmetic mean of all rows."""

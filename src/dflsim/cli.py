@@ -17,7 +17,7 @@ from .analysis import quadratic_bound_rows, summarize
 from .config import (ConfigError, DFedReweightingSpec, _decode, load_config, parse_attack_spec,
                      parse_bounds_config, parse_config)
 from .reweight import TempSoftmax
-from .sim import METRICS_COLUMNS, SimulationError, run_experiment
+from .sim import METRICS_COLUMNS, SimulationError, check_topologies, run_experiment
 
 # The package logger: progress records from dflsim.sim reach the same level.
 log = logging.getLogger("dflsim")
@@ -163,6 +163,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = load_config(args.config)
+    check_topologies(config)
     print(f"ok: '{config.name}' is a valid run config")
     return 0
 

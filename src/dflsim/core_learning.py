@@ -6,7 +6,6 @@ bias, so model exchange and aggregation reduce to vector arithmetic.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,8 +216,9 @@ def _stacked_logits(params: np.ndarray, features: np.ndarray, num_classes: int) 
     features is (n, d) for every model, or stacked like the models with one
     axis to broadcast: (k, n, d) per model, or (g, 1, n, d) per group of k.
     One batched matmul with a transposed (d, C) weight block per model issues
-    the same gemm as _logits does for each model. A single matmul against all
-    k*C weight rows at once would not be bit-identical.
+    the same gemm as _logits does for each model, and the bias is added into
+    its output. A single matmul against all k*C weight rows at once would not
+    be bit-identical.
     """
     params = np.asarray(params, dtype=np.float64)
     d = features.shape[-1]
@@ -228,7 +228,9 @@ def _stacked_logits(params: np.ndarray, features: np.ndarray, num_classes: int) 
             f"parameter matrix of shape {params.shape} does not hold C={num_classes}, d={d} models"
         )
     weights = params[..., :cd].reshape(*params.shape[:-1], num_classes, d)
-    return features @ weights.swapaxes(-1, -2) + params[..., None, cd:]
+    logits = features @ weights.swapaxes(-1, -2)
+    logits += params[..., None, cd:]
+    return logits
 
 
 def stacked_mean_loss(params: np.ndarray, data: Dataset) -> np.ndarray:
@@ -236,13 +238,15 @@ def stacked_mean_loss(params: np.ndarray, data: Dataset) -> np.ndarray:
     # evaluate_mean_loss multiplies a fresh C-ordered copy of the features.
     features = np.ascontiguousarray(data.features)
     params = np.asarray(params, dtype=np.float64)
-    return grouped_mean_loss(params[None], features[None], data.labels[None], data.num_classes)[0]
+    return grouped_mean_loss(params[None], features[None, None], data.labels[None],
+                             data.num_classes)[0]
 
 
 def stacked_accuracy(params: np.ndarray, data: Dataset) -> np.ndarray:
     """evaluate_accuracy of every row of a stacked parameter matrix."""
     params = np.asarray(params, dtype=np.float64)
-    return grouped_accuracy(params[None], data.features[None], data.labels[None], data.num_classes)[0]
+    return grouped_accuracy(params[None], data.features[None, None], data.labels[None],
+                            data.num_classes)[0]
 
 
 def grouped_mean_loss(
@@ -250,28 +254,37 @@ def grouped_mean_loss(
 ) -> np.ndarray:
     """(g, k) mean losses: model j of group i, params[i, j], on dataset i.
 
-    features is (g, n, d) and labels is (g, n); every value equals
-    evaluate_mean_loss of that model on that dataset bit for bit.
+    features is (g, 1, n, d), each group's dataset broadcast over its k
+    models, and labels is (g, n); every value equals evaluate_mean_loss of
+    that model on that dataset bit for bit.
     """
-    logits = _stacked_logits(params, features[:, None], num_classes)
+    logits = _stacked_logits(params, features, num_classes)
     # _softmax_rows, dividing out only the true-label probabilities. The max
     # is exact in any order; on scoring-sized arrays one np.maximum pass per
-    # class beats reducing each short row.
-    logits -= functools.reduce(np.maximum, np.moveaxis(logits, -1, 0))[..., None]
+    # class, into one buffer, beats reducing each short row.
+    top = logits[..., 0].copy()
+    for c in range(1, num_classes):
+        np.maximum(top, logits[..., c], out=top)
+    logits -= top[..., None]
     exp = np.exp(logits, out=logits)
     # The true-label entry of every (model, example) row, taken by flat index
     # into a fresh C-ordered p_true: summing a strided gather row by row in a
     # different order than the per-model mean would change the last bits.
     rows = np.arange(exp.size // num_classes).reshape(exp.shape[:-1])
-    p_true = np.take(exp, rows * num_classes + labels[:, None]) / exp.sum(axis=-1)
-    return np.mean(-np.log(np.maximum(p_true, PROB_FLOOR)), axis=-1)
+    p_true = np.take(exp, rows * num_classes + labels[:, None])
+    p_true /= exp.sum(axis=-1)
+    np.maximum(p_true, PROB_FLOOR, out=p_true)
+    np.log(p_true, out=p_true)
+    np.negative(p_true, out=p_true)
+    # np.mean's own steps: the pairwise sum along the row, then one division.
+    return np.add.reduce(p_true, axis=-1) / labels.shape[-1]
 
 
 def grouped_accuracy(
     params: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int
 ) -> np.ndarray:
     """(g, k) accuracies: model j of group i, params[i, j], on dataset i (see grouped_mean_loss)."""
-    logits = _stacked_logits(params, features[:, None], num_classes)
+    logits = _stacked_logits(params, features, num_classes)
     return np.mean(np.argmax(logits, axis=-1) == labels[:, None], axis=-1)
 
 

@@ -4,7 +4,9 @@ The graph and the clients' data stay fixed for a whole run, so which clients
 step and aggregate together, and which rows each of them reads, is worked out
 once per seed. The plan holds node ids and index arrays: a client's
 minibatch is read from the network's training set through the rows the
-client holds, not from a copy of them.
+client holds, not from a copy of them. The aux sets are copied once,
+stacked per aggregation group, so that scoring and local evaluation read
+each group's aux sets as one block every round.
 """
 from __future__ import annotations
 
@@ -27,6 +29,10 @@ class AggregationGroup:
     members: np.ndarray
     # (g,) the column of each client's own id in its members row
     own: np.ndarray
+    # (g, 1, n, d) and (g, n), read-only: each client's aux set, broadcast
+    # over its k members
+    aux_features: np.ndarray
+    aux_labels: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,12 @@ def plan_rounds(state) -> RoundPlan:
         nodes = [benign[p] for p in positions]
         members = np.array([neighborhoods[k] for k in nodes])
         own = np.argmax(members == np.array(nodes)[:, None], axis=1)
-        groups.append(AggregationGroup(nodes, np.array(positions), members, own))
+        aux_features = np.stack([clients[k].aux.features for k in nodes])[:, None]
+        aux_labels = np.stack([clients[k].aux.labels for k in nodes])
+        aux_features.setflags(write=False)
+        aux_labels.setflags(write=False)
+        groups.append(AggregationGroup(nodes, np.array(positions), members, own,
+                                       aux_features, aux_labels))
 
     lengths = [len(clients[k].train) for k in benign]
     starts = np.cumsum([0] + lengths[:-1])

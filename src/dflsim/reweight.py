@@ -299,9 +299,12 @@ def _group_weights(crs: CRSKind, ids: np.ndarray, metrics: np.ndarray, nodes: li
     """
     finite = np.isfinite(metrics).all(axis=1)
     # Sentinel rows are reweighted as zeros here, and then again one by one.
-    weights, ok = _CRS_ROWS[type(crs)](crs, np.where(finite[:, None], metrics, 0.0))
+    rows = metrics if finite.all() else np.where(finite[:, None], metrics, 0.0)
+    weights, ok = _CRS_ROWS[type(crs)](crs, rows)
     # A NaN or infinite weight also takes its row's sum away from 1.
     ok &= finite & (weights >= 0).all(axis=1) & (np.abs(weights.sum(axis=1) - 1.0) <= WEIGHT_SUM_TOL)
+    if ok.all():
+        return weights
     for i in np.flatnonzero(~ok):
         try:
             weights[i] = apply_crs(crs, MetricVector(ids[i], metrics[i])).weights
@@ -311,15 +314,16 @@ def _group_weights(crs: CRSKind, ids: np.ndarray, metrics: np.ndarray, nodes: li
 
 
 def reweight_round(
-    kind: TargetMetricKind, crs: CRSKind, broadcast: np.ndarray, plan: RoundPlan, aux_of: dict
+    kind: TargetMetricKind, crs: CRSKind, broadcast: np.ndarray, plan: RoundPlan, num_classes: int
 ) -> tuple:
     """One DFedReweighting aggregation for every benign client of a round.
 
-    plan is the network's RoundPlan and aux_of maps each benign node to its
-    auxiliary set; row i of broadcast is node i's model. Each aggregation
-    group of the plan (equal closed-neighborhood and aux sizes) is gathered
-    once into a (g, k, C*d+C) array, scored with the gemm compute_tpm_batch
-    issues for each member, reweighted row by row and mixed in member order.
+    plan is the network's RoundPlan, row i of broadcast is node i's model
+    and num_classes is C. Each aggregation group of the plan (equal
+    closed-neighborhood and aux sizes) is gathered once into a (g, k,
+    C*d+C) array, scored on the group's stacked aux sets with the gemm
+    compute_tpm_batch issues for each member, reweighted row by row and
+    mixed in member order.
     Every result equals reweight_aggregate(params,
     dfedreweighting_round_weights(...)) on that client alone, bit for bit.
 
@@ -332,18 +336,15 @@ def reweight_round(
     weights, failures = {}, {}
     for group in plan.groups:
         nodes, ids = group.nodes, group.members
-        auxes = [aux_of[node] for node in nodes]
         params = broadcast[ids]
         try:
-            values = _GROUPED_TPMS[kind](
-                params, np.stack([aux.features for aux in auxes]),
-                np.stack([aux.labels for aux in auxes]), auxes[0].num_classes,
-            )
+            values = _GROUPED_TPMS[kind](params, group.aux_features, group.aux_labels, num_classes)
         except Exception as exc:
             # Scoring fails for a whole group at once; alone, its first client would fail first.
             failures[nodes[0]] = exc
             continue
-        metrics = np.where(np.isfinite(values), values, SENTINEL)
+        finite = np.isfinite(values)
+        metrics = values if finite.all() else np.where(finite, values, SENTINEL)
         w = _group_weights(crs, ids, metrics, nodes, failures)
         # Zero-weight rows become -0.0 (and stay -0.0 when weighted), which
         # adds nothing to any sum: a non-finite model among them is dropped

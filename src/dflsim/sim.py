@@ -26,6 +26,7 @@ from . import rng
 from .analysis import accuracy_variance, mean_accuracy, summarize
 from .attacks import ALIE, AdversaryView, Gaussian, SignFlip, alie_update, gaussian_update, sign_flip_update
 from .baselines import (
+    NEIGHBORHOOD_RULES,
     DFedAvg,
     Flame,
     Krum,
@@ -39,7 +40,7 @@ from .baselines import (
     multi_krum,
     trimmed_mean,
 )
-from .config import DFedReweightingSpec, RunConfig, SyntheticSpec, config_to_json_dict
+from .config import ConfigError, DFedReweightingSpec, RunConfig, SyntheticSpec, config_to_json_dict
 from .core_learning import (
     Dataset,
     Minibatch,
@@ -65,7 +66,7 @@ from .data import (
 )
 from .plan import RoundPlan, plan_rounds
 from .reweight import dfedreweighting_round_weights, reweight_aggregate, reweight_round, scoring_is_stock
-from .topology import TopologyConfig, TopologyGraph, generate
+from .topology import TopologyConfig, TopologyError, TopologyGraph, generate
 
 log = logging.getLogger(__name__)
 
@@ -172,6 +173,36 @@ def build_network(config: RunConfig, seed: int) -> NetworkState:
                         train_rows=aux_split.train_indices)
 
 
+def check_neighborhoods(config: RunConfig, seed: int, sizes: dict) -> None:
+    """Raise ConfigError if the configured baseline cannot aggregate some
+    benign client's closed neighborhood; sizes maps clients to the number of
+    models in theirs, and the lowest client id that fails is named."""
+    agg = config.aggregator
+    if type(agg) not in NEIGHBORHOOD_RULES:
+        return
+    least, rule = NEIGHBORHOOD_RULES[type(agg)]
+    need = least(agg)
+    for node in sorted(sizes):
+        if sizes[node] < need:
+            raise ConfigError(
+                f"seed {seed}: node {node} has a closed neighborhood of {sizes[node]} models, "
+                f"but {agg} needs {rule} (at least {need})"
+            )
+
+
+def check_topologies(config: RunConfig) -> None:
+    """check_neighborhoods on the graph of every seed, without building its data."""
+    if type(config.aggregator) not in NEIGHBORHOOD_RULES:
+        return
+    for seed in config.seeds:
+        try:
+            graph = generate(TopologyConfig(seed=seed, **asdict(config.topology)))
+        except TopologyError as exc:
+            raise ConfigError(f"seed {seed}: {exc}") from exc
+        sizes = graph.adjacency.sum(axis=1) + 1
+        check_neighborhoods(config, seed, {k: int(sizes[k]) for k in graph.benign})
+
+
 def _local_half_steps(state: NetworkState, t: int) -> np.ndarray:
     """Local SGD of the benign clients; row i is the i-th benign client's model.
 
@@ -239,7 +270,7 @@ _ATTACKS = {
 def _attack_payload(state: NetworkState, node_id: int, broadcast: np.ndarray, t: int) -> np.ndarray:
     """Malicious node_id's payload, made from the benign rows of broadcast it may see."""
     attack = state.config.attack
-    visible = np.array(state.benign_ids())
+    visible = np.array(state.plan().benign)
     if attack.knowledge == "neighborhood":
         visible = visible[state.graph.adjacency[node_id, visible]]
     view = AdversaryView(
@@ -348,8 +379,8 @@ def run_round(state: NetworkState, t: int) -> NetworkState:
     if type(agg) is not DFedReweightingSpec:
         rows, weights, failures = _baseline_round(state, broadcast)
     elif scoring_is_stock():
-        aux_of = {k: state.clients[k].aux for k in benign}
-        rows, weights, failures = reweight_round(agg.tpm, agg.crs, broadcast, plan, aux_of)
+        rows, weights, failures = reweight_round(agg.tpm, agg.crs, broadcast, plan,
+                                                 state.train_data.num_classes)
     else:
         rows, weights, failures = _aggregate_each(state, broadcast)
     for node_id, finite in zip(benign, np.isfinite(rows).all(axis=1)):
@@ -381,9 +412,8 @@ def evaluate_network(state: NetworkState, t: int) -> tuple:
                 stacked_mean_loss(models, state.test_data).tolist())
     accs, losses = np.zeros(len(plan.benign)), np.zeros(len(plan.benign))
     for group in plan.groups:
-        auxes = [state.clients[k].aux for k in group.nodes]
-        scored = (state.models[group.nodes][:, None], np.stack([aux.features for aux in auxes]),
-                  np.stack([aux.labels for aux in auxes]), auxes[0].num_classes)
+        scored = (state.models[group.nodes][:, None], group.aux_features, group.aux_labels,
+                  state.train_data.num_classes)
         accs[group.positions] = grouped_accuracy(*scored)[:, 0]
         losses[group.positions] = grouped_mean_loss(*scored)[:, 0]
     return accs.tolist(), losses.tolist()
@@ -450,8 +480,10 @@ def _run_seed(config: RunConfig, seed: int) -> tuple:
     """
     try:
         state = build_network(config, seed)
+        sizes = {group.nodes[0]: group.members.shape[1] for group in state.plan().groups}
     except Exception as exc:
         raise SimulationError(f"setup failed for seed {seed}: {exc}") from exc
+    check_neighborhoods(config, seed, sizes)
     eval_rounds = set(_eval_rounds(config))
     rows, weight_rows = [], {}
     for t in range(0, config.rounds + 1):
@@ -554,9 +586,11 @@ def run_experiment(config: RunConfig, parallel: int = 1, outdir: str | None = No
     record per evaluated round goes to this module's logger at INFO. Writes
     config.json, topology.json, metrics.csv, summary.json, and (when
     export_weights is set) weights_round_<t>.csv under the run directory, and
-    returns the summary. If a seed fails, the seeds before it in config order
-    are written, summary.json records the failed seed, and the
-    SimulationError is raised again.
+    returns the summary. Before its first round, each seed's plan is checked
+    against the aggregator's closed-neighborhood rule (check_neighborhoods).
+    If a seed fails, or is rejected by that check, the seeds before it in
+    config order are written, summary.json records the failed seed, and the
+    SimulationError or ConfigError is raised again.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {parallel}")
@@ -574,7 +608,7 @@ def run_experiment(config: RunConfig, parallel: int = 1, outdir: str | None = No
                     log.info("[seed %d] round %d: mean_acc=%.4f var=%.3f",
                              seed, t, float(mean), float(var))
                 results.append(result)
-    except SimulationError:
+    except (SimulationError, ConfigError):
         _write_run(run_dir, config, results, start, failed_seed=config.seeds[len(results)])
         raise
     return _write_run(run_dir, config, results, start)

@@ -27,13 +27,13 @@ def tiny_config_doc(name="cli-tiny", **overrides):
     return doc
 
 
-def krum_sparse_doc(name, seeds):
-    """Krum f=1 on sparse graphs: seed 44 has a client with too few candidates, seed 45 none."""
+def alie_sparse_doc(name, seeds):
+    """ALIE seeing only its neighbors on sparse graphs: malicious node 9 of seed
+    44 has no benign neighbor, and each malicious node of seed 45 has two or more."""
     return tiny_config_doc(
         name=name,
-        topology={"num_benign": 10, "num_malicious": 2, "edge_prob": 0.3},
-        aggregator={"baseline": {"kind": "krum", "f": 1}},
-        attack={"kind": "sign_flip"},
+        topology={"num_benign": 8, "num_malicious": 2, "edge_prob": 0.3},
+        attack={"kind": "alie", "knowledge": "neighborhood"},
         seeds=seeds,
     )
 
@@ -106,6 +106,39 @@ class TestValidate:
         assert cli_main(args) == 1
         assert "config.aggregator.dfed_reweighting: crs" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    # Seed 43's graph with 10 benign and 2 malicious nodes at edge_prob 0.3 gives
+    # benign nodes 0..9 closed neighborhoods of 5, 5, 6, 3, 4, 3, 8, 4, 3 and 2 models.
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("baseline, node, size, rule", [
+        ({"kind": "krum", "f": 2}, 3, 3, "Krum(f=2) needs n - f - 2 >= 1 (at least 5)"),
+        ({"kind": "multi_krum", "f": 1, "m": 2}, 3, 3,
+         "MultiKrum(f=1, m=2) needs n - f - 2 >= 1 and m <= n (at least 4)"),
+        ({"kind": "multi_krum", "f": 0, "m": 5}, 3, 3,
+         "MultiKrum(f=0, m=5) needs n - f - 2 >= 1 and m <= n (at least 5)"),
+        ({"kind": "trimmed_mean", "f": 1}, 9, 2, "TrimmedMean(f=1) needs n > 2f (at least 3)"),
+    ])
+    def test_baseline_infeasible_for_a_closed_neighborhood(self, tmp_path, capsys, command,
+                                                           baseline, node, size, rule):
+        doc = tiny_config_doc(
+            name="infeasible",
+            topology={"num_benign": 10, "num_malicious": 2, "edge_prob": 0.3},
+            aggregator={"baseline": baseline},
+            attack={"kind": "sign_flip"},
+        )
+        args = [command, write_config(tmp_path, doc)]
+        if command == "run":
+            args += ["--outdir", str(tmp_path / "out"), "--quiet"]
+        assert cli_main(args) == 1
+        assert (f"seed 43: node {node} has a closed neighborhood of {size} models, but {rule}"
+                in capsys.readouterr().err)
+        if command == "run":
+            # Rejected before round 1: no round of the seed was run or recorded.
+            run_dir = tmp_path / "out" / "infeasible"
+            assert (run_dir / "metrics.csv").read_text().splitlines() == [
+                "round,seed,client,acc,loss,mean_acc,var"]
+            summary = json.loads((run_dir / "summary.json").read_text())
+            assert summary["status"] == "failed" and summary["failed_seed"] == 43
 
     @pytest.mark.parametrize("seeds, command, flags, repeated", [
         ([43, 44, 43], "validate", [], 43),
@@ -184,20 +217,13 @@ class TestRun:
 
 
     def test_failing_seed_under_parallel_exits_two_and_is_named(self, tmp_path, capsys):
-        # Krum with f=1 needs 4 candidates: every closed neighborhood of seed 45
-        # has them, seed 44 has a client with 3.
-        doc = tiny_config_doc(
-            name="krum-sparse",
-            topology={"num_benign": 10, "num_malicious": 2, "edge_prob": 0.3},
-            aggregator={"baseline": {"kind": "krum", "f": 1}},
-            attack={"kind": "sign_flip"},
-            seeds=[45, 44],
-        )
+        doc = alie_sparse_doc("alie-sparse", [45, 44])
         code = cli_main(["run", write_config(tmp_path, doc), "--outdir", str(tmp_path / "out"),
                          "--parallel", "2", "--quiet"])
         assert code == 2
-        # Node 5 of seed 44 has two neighbors, so Krum sees n=3 candidates.
-        assert "round 1 failed for seed 44 at node 5:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "round 1 failed for seed 44 at node 9:" in err
+        assert "ALIE needs at least 2 visible benign models" in err
 
     def test_failing_attack_names_the_malicious_node(self, tmp_path, capsys):
         # Malicious node 6 of seed 40 has one benign neighbor; ALIE needs two.
@@ -216,16 +242,16 @@ class TestRun:
 
     def test_failing_seed_keeps_the_seeds_before_it(self, tmp_path, capsys):
         # Seed 45 finishes; seed 44 fails at round 1 (see the test above).
-        config = write_config(tmp_path, krum_sparse_doc("krum-sparse", [45, 44]))
+        config = write_config(tmp_path, alie_sparse_doc("alie-sparse", [45, 44]))
         run_dirs = []
         for workers in ("1", "2"):
             outdir = tmp_path / f"p{workers}"
             assert cli_main(["run", config, "--outdir", str(outdir), "--parallel", workers,
                              "--quiet"]) == 2
-            run_dirs.append(outdir / "krum-sparse")
+            run_dirs.append(outdir / "alie-sparse")
         serial, parallel = run_dirs
         rows = (serial / "metrics.csv").read_text().splitlines()[1:]
-        assert len(rows) == 3 * 10 and {row.split(",")[1] for row in rows} == {"45"}
+        assert len(rows) == 3 * 8 and {row.split(",")[1] for row in rows} == {"45"}
         assert list(json.loads((serial / "topology.json").read_text())["seeds"]) == ["45"]
         for name in ("config.json", "topology.json", "metrics.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
@@ -238,13 +264,13 @@ class TestRun:
         assert summaries[0]["cross_seed"]["mean_acc"] == summaries[0]["per_seed"]["45"]["mean_acc"]
 
     def test_failing_first_seed_writes_a_summary_without_cross_seed(self, tmp_path):
-        doc = krum_sparse_doc("krum-first", [44, 45])
+        doc = alie_sparse_doc("alie-first", [44, 45])
         assert cli_main(["run", write_config(tmp_path, doc), "--outdir", str(tmp_path),
                          "--quiet"]) == 2
-        summary = json.loads((tmp_path / "krum-first" / "summary.json").read_text())
+        summary = json.loads((tmp_path / "alie-first" / "summary.json").read_text())
         assert summary["status"] == "failed" and summary["failed_seed"] == 44
         assert summary["per_seed"] == {} and summary["cross_seed"] is None
-        assert (tmp_path / "krum-first" / "metrics.csv").read_text().splitlines() == [
+        assert (tmp_path / "alie-first" / "metrics.csv").read_text().splitlines() == [
             "round,seed,client,acc,loss,mean_acc,var"]
 
     def test_progress_is_one_record_per_evaluated_round_for_any_worker_count(

@@ -9,6 +9,8 @@ from dflsim.core_learning import (
     Minibatch,
     ParamVector,
     ShapeError,
+    _logits,
+    _stacked_logits,
     batch_gradient,
     batch_loss,
     evaluate_accuracy,
@@ -229,6 +231,20 @@ class TestEvaluate:
         assert evaluate_mean_loss(model, data) == pytest.approx(
             float(np.mean(per_example)), abs=1e-10
         )
+
+    def test_stacked_logits_equal_logits_on_a_broadcast_feature_block(self):
+        gen = rng.stream(22, purpose="test")
+        C, d, g, k, n = 4, 7, 3, 5, 11
+        params = gen.standard_normal((g, k, C * d + C))
+        before = params.copy()
+        features = np.stack([gen.standard_normal((n, d)) for _ in range(g)])[:, None]
+        logits = _stacked_logits(params, features, C)
+        assert params.tobytes() == before.tobytes()
+        assert logits.shape == (g, k, n, C)
+        for i in range(g):
+            for j in range(k):
+                expected = _logits(ParamVector(params[i, j], C, d), features[i, 0])
+                assert logits[i, j].tobytes() == expected.tobytes()
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from dflsim.reweight import (
     TargetMetricKind,
     TempSoftmax,
     WeightVector,
+    _group_weights,
     apply_crs,
     compute_tpm,
     compute_tpm_batch,
@@ -396,3 +397,47 @@ class TestRoundWeights:
         np.testing.assert_allclose(
             apply_crs(AccClip(), metrics).weights, crs_acc_clip(metrics).weights
         )
+
+
+# Per CRS: an all-finite row, a row holding the +inf sentinel, and a row a
+# check rejects. The temp-softmax row overflows m / T to inf and so gives NaN
+# weights; the loss-clip row's sum overflows, which divides every weight to 0;
+# the acc-clip row lies outside [0, 1].
+_GROUP_ROWS = [
+    (TempSoftmax(0.1), [[0.2, 0.9, 0.5], [0.2, SENTINEL, 0.5], [1e308, 0.5, 0.2]]),
+    (LossClip(), [[0.3, 1.2, 0.7], [0.3, SENTINEL, 0.7], [1e308, 1e308, 1e308]]),
+    (AccClip(), [[0.2, 0.9, 0.5], [0.2, SENTINEL, 0.5], [1.5, 0.5, 0.2]]),
+]
+
+
+class TestGroupWeights:
+    @staticmethod
+    def check_rows_against_apply_crs(crs, metrics):
+        ids = np.arange(metrics.size).reshape(metrics.shape)
+        nodes = [10 + i for i in range(len(metrics))]
+        before = metrics.copy()
+        failures = {}
+        # The rejected rows overflow on purpose, in both paths.
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = _group_weights(crs, ids, metrics, nodes, failures)
+            assert metrics.tobytes() == before.tobytes()
+            for i, node in enumerate(nodes):
+                try:
+                    expected = apply_crs(crs, MetricVector(ids[i], metrics[i])).weights
+                except ValueError as exc:
+                    assert str(failures[node]) == str(exc)
+                    continue
+                assert node not in failures
+                assert weights[i].tobytes() == expected.tobytes()
+        return failures
+
+    @pytest.mark.parametrize("crs, rows", _GROUP_ROWS)
+    def test_all_finite_rows_equal_apply_crs(self, crs, rows):
+        finite = np.array([rows[0], rows[0][::-1], rows[0][1:] + rows[0][:1]])
+        assert self.check_rows_against_apply_crs(crs, finite) == {}
+
+    @pytest.mark.parametrize("crs, rows", _GROUP_ROWS)
+    def test_sentinel_and_rejected_rows_equal_apply_crs_or_its_failure(self, crs, rows):
+        failures = self.check_rows_against_apply_crs(crs, np.array(rows))
+        assert 12 in failures and 10 not in failures
+        assert (11 in failures) == (not isinstance(crs, LossClip))

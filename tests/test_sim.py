@@ -203,6 +203,26 @@ class TestStackedRoundEngine:
                     assert plan.train_features[rows].tobytes() == train.features.tobytes()
                     assert plan.train_labels[rows].tolist() == train.labels.tolist()
 
+    def test_plan_stacks_each_groups_aux_sets_once_read_only(self):
+        state = self.grouped_round_state({"tpm": "loss", "crs": "loss_clip"})
+        plan = state.plan()
+        assert len({len(state.clients[k].aux) for k in plan.benign}) > 1
+        assert sorted(k for group in plan.groups for k in group.nodes) == plan.benign
+        for group in plan.groups:
+            assert group.nodes == sorted(group.nodes)
+            n = len(state.clients[group.nodes[0]].aux)
+            assert group.aux_features.shape == (len(group.nodes), 1, n, 8)
+            assert group.aux_labels.shape == (len(group.nodes), n)
+            for i, k in enumerate(group.nodes):
+                aux = state.clients[k].aux
+                assert group.aux_features[i, 0].tobytes() == aux.features.tobytes()
+                assert group.aux_labels[i].tolist() == aux.labels.tolist()
+            with pytest.raises(ValueError, match="read-only"):
+                group.aux_features[0, 0, 0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                group.aux_labels[0, 0] = 0
+        assert state.plan() is plan
+
     def test_stacked_local_step_checks_shapes(self):
         # Rows of C*d+C = 18 parameters hold C=3, d=5 models; the data has d=6.
         config = tiny_config()
@@ -339,9 +359,9 @@ class TestStackedRoundEngine:
         broadcast = self.round_broadcast(state, 1)
         nan_node = state.malicious_ids()[0]
         broadcast[nan_node] = np.nan
-        aux_of = {k: state.clients[k].aux for k in state.benign_ids()}
         rows, weights, failures = reweight_round(
-            TargetMetricKind.LOSS_ON_AUX, LossClip(), broadcast, state.plan(), aux_of)
+            TargetMetricKind.LOSS_ON_AUX, LossClip(), broadcast, state.plan(),
+            state.train_data.num_classes)
         assert failures == {}
         seen = [k for k in state.benign_ids() if nan_node in weights[k]]
         assert seen
