@@ -61,7 +61,7 @@ from .core_learning import (
 )
 from .data import (
     IID,
-    AuxiliarySplit,
+    ClientState,
     Dirichlet,
     FormatError,
     LabelSkew,
@@ -91,7 +91,6 @@ from .reweight import (
     reweight_round,
 )
 from .sim import (
-    ClientState,
     NetworkState,
     RunSummary,
     SimulationError,

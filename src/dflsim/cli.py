@@ -168,15 +168,28 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+# How each metrics.csv column is read: round, seed and client are integers.
+_METRICS_TYPES = (int, int, int, float, float, float, float)
+
+
 def _cmd_report(args) -> int:
     metrics_path = Path(args.rundir) / "metrics.csv"
     if not metrics_path.exists():
         raise ConfigError(f"no metrics.csv under {args.rundir}")
+    rows = []
     with open(metrics_path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] != METRICS_COLUMNS:
-        raise ConfigError(f"{metrics_path}: expected the columns {','.join(METRICS_COLUMNS)}")
-    per_seed, cross_seed = summarize(rows[1:])
+        reader = csv.reader(f)
+        if next(reader, None) != METRICS_COLUMNS:
+            raise ConfigError(f"{metrics_path}: expected the columns {','.join(METRICS_COLUMNS)}")
+        for row in reader:
+            where = f"{metrics_path}, line {reader.line_num}"
+            if len(row) != len(METRICS_COLUMNS):
+                raise ConfigError(f"{where}: expected {len(METRICS_COLUMNS)} values, got {len(row)}")
+            try:
+                rows.append([read(value) for read, value in zip(_METRICS_TYPES, row)])
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+    per_seed, cross_seed = summarize(rows)
     print(json.dumps({"per_seed": per_seed, "cross_seed": cross_seed}, indent=2, sort_keys=True))
     return 0
 

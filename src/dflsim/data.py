@@ -85,12 +85,12 @@ class PartitionPlan:
 
 
 @dataclass(frozen=True, eq=False)
-class AuxiliarySplit:
-    """Disjoint, sorted train/aux int64 index arrays per client, covering each allocation."""
+class ClientState:
+    """A benign client's data as rows of the network's training set: its
+    training share and its auxiliary set, each a read-only int64 array."""
 
-    train_indices: tuple
-    aux_indices: tuple
-    aux_fraction: float
+    train: np.ndarray
+    aux: np.ndarray
 
 
 def _read_be_u32(buf: bytes, offset: int, path: str) -> int:
@@ -308,25 +308,25 @@ def partition_dirichlet(data: Dataset, num_clients: int, alpha: float, seed: int
 
 def split_auxiliary(
     data: Dataset, plan: PartitionPlan, aux_fraction: float, seed: int
-) -> AuxiliarySplit:
-    """Class-stratified aux/train holdout of each client's allocation.
+) -> tuple:
+    """Class-stratified aux/train holdout of each client's allocation: one
+    ClientState per client, whose sorted, disjoint index arrays cover it.
 
     The aux side receives ceil(aux_fraction * n_k) examples (capped so train
     stays nonempty), apportioned across classes by largest remainder. A
-    single-example client degenerates to aux == train == that example.
+    single-example client degenerates to aux is train, that one example.
     """
     if not 0 < aux_fraction < 1:
         raise ValueError("aux_fraction must lie strictly between 0 and 1")
     gen = rng.stream(seed, purpose="aux-split")
-    train_out, aux_out = [], []
+    clients = []
     for k, idx in enumerate(plan.client_indices):
         n_k = len(idx)
         if n_k == 1:
             log.warning(
                 "client %d holds a single example; aux and train both reuse it", k
             )
-            train_out.append(idx)
-            aux_out.append(idx)
+            clients.append(ClientState(idx, idx))
             continue
         want = min(int(np.ceil(aux_fraction * n_k)), n_k - 1)
         labels = data.labels[idx]
@@ -337,6 +337,5 @@ def split_auxiliary(
         aux = np.sort(np.concatenate(
             [gen.permutation(idx[labels == c])[:n] for c, n in zip(classes, counts)]
         ))
-        train_out.append(_read_only(np.setdiff1d(idx, aux)))
-        aux_out.append(_read_only(aux))
-    return AuxiliarySplit(tuple(train_out), tuple(aux_out), aux_fraction)
+        clients.append(ClientState(_read_only(np.setdiff1d(idx, aux)), _read_only(aux)))
+    return tuple(clients)

@@ -2,11 +2,11 @@
 
 The graph and the clients' data stay fixed for a whole run, so which clients
 step and aggregate together, and which rows each of them reads, is worked out
-once per seed. The plan holds node ids and index arrays: a client's
-minibatch is read from the network's training set through the rows the
-client holds, not from a copy of them. The aux sets are copied once,
-stacked per aggregation group, so that scoring and local evaluation read
-each group's aux sets as one block every round.
+once per seed. A client holds rows of the network's training set, so its
+minibatches are read from that set through the plan's train_rows, not from a
+copy. The aux sets are gathered once, stacked per aggregation group, so that
+scoring and local evaluation read each group's aux sets as one block every
+round.
 """
 from __future__ import annotations
 
@@ -59,10 +59,8 @@ class RoundPlan:
     neighborhoods: dict
     groups: tuple
     steps: tuple
-    # The client at starts[j] of a step group holds the training examples
-    # train_features[train_rows[starts[j]:starts[j] + lengths[j]]].
-    train_features: np.ndarray
-    train_labels: np.ndarray
+    # The client at starts[j] of a step group holds the rows
+    # train_rows[starts[j]:starts[j] + lengths[j]] of the network's training set.
     train_rows: np.ndarray
 
 
@@ -74,25 +72,9 @@ def _positions_by(keys: list) -> dict:
     return out
 
 
-def _train_rows(state, benign: list) -> tuple:
-    """(features, labels, rows): benign client i's train set is features[rows[a:b]]
-    for the i-th run a:b of its train-set lengths.
-
-    A network built by sim.build_network records which rows of its training
-    set each client holds, and they are read in place. A hand-built network's
-    train sets are copied into one block.
-    """
-    if state.train_rows is not None:
-        rows = np.concatenate([state.train_rows[k] for k in benign])
-        return state.train_data.features, state.train_data.labels, rows
-    trains = [state.clients[k].train for k in benign]
-    features = np.concatenate([t.features for t in trains])
-    return features, np.concatenate([t.labels for t in trains]), np.arange(len(features))
-
-
 def plan_rounds(state) -> RoundPlan:
     """The round plan of a sim.NetworkState, from its graph and its clients' data."""
-    graph, clients = state.graph, state.clients
+    graph, clients, train = state.graph, state.clients, state.train_data
     benign = sorted(graph.benign)
     closed = graph.adjacency | np.eye(graph.n, dtype=bool)
     neighborhoods = {k: np.flatnonzero(closed[k]) for k in benign}
@@ -102,8 +84,8 @@ def plan_rounds(state) -> RoundPlan:
         nodes = [benign[p] for p in positions]
         members = np.array([neighborhoods[k] for k in nodes])
         own = np.argmax(members == np.array(nodes)[:, None], axis=1)
-        aux_features = np.stack([clients[k].aux.features for k in nodes])[:, None]
-        aux_labels = np.stack([clients[k].aux.labels for k in nodes])
+        aux_idx = np.stack([clients[k].aux for k in nodes])
+        aux_features, aux_labels = train.features[aux_idx][:, None], train.labels[aux_idx]
         aux_features.setflags(write=False)
         aux_labels.setflags(write=False)
         groups.append(AggregationGroup(nodes, np.array(positions), members, own,
@@ -118,4 +100,5 @@ def plan_rounds(state) -> RoundPlan:
         steps.append(StepGroup(nodes, np.array(positions), [lengths[p] for p in positions],
                                starts[positions, None], size,
                                RoundStreams(state.seed, nodes, "minibatch")))
-    return RoundPlan(benign, neighborhoods, tuple(groups), tuple(steps), *_train_rows(state, benign))
+    return RoundPlan(benign, neighborhoods, tuple(groups), tuple(steps),
+                     np.concatenate([clients[k].train for k in benign]))

@@ -55,6 +55,7 @@ from .core_learning import (
 )
 from .data import (
     IID,
+    ClientState,
     Dirichlet,
     LabelSkew,
     gen_synthetic_blobs,
@@ -78,19 +79,13 @@ class SimulationError(RuntimeError):
 
 
 @dataclass
-class ClientState:
-    """A benign client's local data: its training share and its auxiliary set."""
-
-    train: Dataset
-    aux: Dataset
-
-
-@dataclass
 class NetworkState:
     """One seed's mutable world: graph, benign clients' data, and models (row i: node i).
 
-    round_plan is built from the graph and the clients' data at the first
-    round that needs it, and kept: neither may change once it is built.
+    clients maps each benign node to its ClientState, whose index arrays are
+    rows of train_data; malicious nodes hold no data. round_plan is built
+    from the graph and the clients' data at the first round that needs it,
+    and kept: neither may change once it is built.
     """
 
     config: RunConfig
@@ -101,9 +96,6 @@ class NetworkState:
     train_data: Dataset
     test_data: Dataset | None
     last_weights: dict = field(default_factory=dict)
-    # Client k's train set is train_data.subset(train_rows[k]); None in a
-    # state built by hand.
-    train_rows: tuple | None = None
     round_plan: RoundPlan | None = field(default=None, repr=False)
 
     def plan(self) -> RoundPlan:
@@ -159,30 +151,31 @@ _PARTITIONS = {
 
 
 def build_network(config: RunConfig, seed: int) -> NetworkState:
-    """Topology, partition, aux split, and zero-initialized models."""
+    """Topology, partition, aux split, and zero-initialized models.
+
+    Each benign client holds the ClientState split_auxiliary made for it: rows
+    of the training set, not a copy of its examples.
+    """
     train, test = build_dataset(config)
     graph = generate(TopologyConfig(seed=seed, **asdict(config.topology)))
     plan = _PARTITIONS[type(config.scheme)](train, config.topology.num_benign, config.scheme, seed)
-    aux_split = split_auxiliary(train, plan, config.aux_fraction, seed)
-    clients = {
-        k: ClientState(train.subset(aux_split.train_indices[k]), train.subset(aux_split.aux_indices[k]))
-        for k in sorted(graph.benign)
-    }
+    split = split_auxiliary(train, plan, config.aux_fraction, seed)
+    clients = {k: split[k] for k in sorted(graph.benign)}
     models = np.zeros((graph.n, train.num_classes * train.feature_dim + train.num_classes))
-    return NetworkState(config, seed, graph, clients, models, train, test,
-                        train_rows=aux_split.train_indices)
+    return NetworkState(config, seed, graph, clients, models, train, test)
 
 
-def check_neighborhoods(config: RunConfig, seed: int, sizes: dict) -> None:
+def check_neighborhoods(config: RunConfig, seed: int, graph: TopologyGraph) -> None:
     """Raise ConfigError if the configured baseline cannot aggregate some
-    benign client's closed neighborhood; sizes maps clients to the number of
-    models in theirs, and the lowest client id that fails is named."""
+    benign client's closed neighborhood (the client and its neighbors) in
+    graph; the lowest client id that fails is named."""
     agg = config.aggregator
     if type(agg) not in NEIGHBORHOOD_RULES:
         return
     least, rule = NEIGHBORHOOD_RULES[type(agg)]
     need = least(agg)
-    for node in sorted(sizes):
+    sizes = graph.adjacency.sum(axis=1) + 1
+    for node in sorted(graph.benign):
         if sizes[node] < need:
             raise ConfigError(
                 f"seed {seed}: node {node} has a closed neighborhood of {sizes[node]} models, "
@@ -199,8 +192,7 @@ def check_topologies(config: RunConfig) -> None:
             graph = generate(TopologyConfig(seed=seed, **asdict(config.topology)))
         except TopologyError as exc:
             raise ConfigError(f"seed {seed}: {exc}") from exc
-        sizes = graph.adjacency.sum(axis=1) + 1
-        check_neighborhoods(config, seed, {k: int(sizes[k]) for k in graph.benign})
+        check_neighborhoods(config, seed, graph)
 
 
 def _local_half_steps(state: NetworkState, t: int) -> np.ndarray:
@@ -210,10 +202,10 @@ def _local_half_steps(state: NetworkState, t: int) -> np.ndarray:
     "minibatch") stream, exactly as it would alone: its step group's
     RoundStreams seeds each generator with the state rng.stream would give
     it. The clients of a step group take each step as one stacked batch,
-    gathered from the plan's training rows in one index, bit-identical to
-    batch_gradient + sgd_step per client.
+    gathered from the training set through the plan's train_rows in one
+    index, bit-identical to batch_gradient + sgd_step per client.
     """
-    config, plan = state.config, state.plan()
+    config, plan, data = state.config, state.plan(), state.train_data
     params = state.models[plan.benign]
     for step in plan.steps:
         gens = step.streams.generators(t)
@@ -222,8 +214,8 @@ def _local_half_steps(state: NetworkState, t: int) -> np.ndarray:
             rows = plan.train_rows[step.starts + np.array([
                 gen.choice(n, size=step.size, replace=False) for gen, n in zip(gens, step.lengths)
             ])]
-            models = stacked_sgd_step(models, plan.train_features[rows], plan.train_labels[rows],
-                                      state.train_data.num_classes, config.learning_rate)
+            models = stacked_sgd_step(models, data.features[rows], data.labels[rows],
+                                      data.num_classes, config.learning_rate)
         params[step.positions] = models
     return params
 
@@ -236,14 +228,14 @@ _STOCK_LOCAL_STEP = (batch_gradient, sgd_step)
 
 def _local_half_step(state: NetworkState, node_id: int, t: int) -> ParamVector:
     """One client's local SGD through batch_gradient + sgd_step."""
-    train = state.clients[node_id].train
+    rows, data = state.clients[node_id].train, state.train_data
     gen = rng.stream(state.seed, node_id, t, "minibatch")
-    model = ParamVector(state.models[node_id], train.num_classes, train.feature_dim)
-    n = len(train)
+    model = ParamVector(state.models[node_id], data.num_classes, data.feature_dim)
+    n = len(rows)
     batch_size = min(state.config.batch_size, n)
     for _ in range(state.config.local_steps):
-        batch = Minibatch(gen.choice(n, size=batch_size, replace=False))
-        grad = batch_gradient(model, train, batch)
+        batch = Minibatch(rows[gen.choice(n, size=batch_size, replace=False)])
+        grad = batch_gradient(model, data, batch)
         model = sgd_step(model, grad, state.config.learning_rate)
     return model
 
@@ -322,7 +314,7 @@ def _aggregate_one(state: NetworkState, node_id: int, members: np.ndarray, broad
     """
     agg = state.config.aggregator
     params = broadcast[members]
-    aux = state.clients[node_id].aux
+    aux = state.train_data.subset(state.clients[node_id].aux)
     weights = dfedreweighting_round_weights(agg.tpm, agg.crs, members, params, aux)
     return reweight_aggregate(params, weights), dict(zip(weights.ids, map(float, weights.weights)))
 
@@ -480,10 +472,10 @@ def _run_seed(config: RunConfig, seed: int) -> tuple:
     """
     try:
         state = build_network(config, seed)
-        sizes = {group.nodes[0]: group.members.shape[1] for group in state.plan().groups}
+        state.plan()
     except Exception as exc:
         raise SimulationError(f"setup failed for seed {seed}: {exc}") from exc
-    check_neighborhoods(config, seed, sizes)
+    check_neighborhoods(config, seed, state.graph)
     eval_rounds = set(_eval_rounds(config))
     rows, weight_rows = [], {}
     for t in range(0, config.rounds + 1):
@@ -586,7 +578,7 @@ def run_experiment(config: RunConfig, parallel: int = 1, outdir: str | None = No
     record per evaluated round goes to this module's logger at INFO. Writes
     config.json, topology.json, metrics.csv, summary.json, and (when
     export_weights is set) weights_round_<t>.csv under the run directory, and
-    returns the summary. Before its first round, each seed's plan is checked
+    returns the summary. Before its first round, each seed's graph is checked
     against the aggregator's closed-neighborhood rule (check_neighborhoods).
     If a seed fails, or is rejected by that check, the seeds before it in
     config order are written, summary.json records the failed seed, and the

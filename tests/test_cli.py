@@ -319,6 +319,20 @@ class TestReport:
         assert list(stored["per_seed"]) == ["43", "44", "45"]  # sort_keys; seeds ran 44, 45, 43
         assert printed == {"per_seed": stored["per_seed"], "cross_seed": stored["cross_seed"]}
 
+    @pytest.mark.parametrize("line, error", [
+        ("1,43,0,0.5", "expected 7 values, got 4"),
+        ("1,43,0,0.5,1.0,0.5,0.0,9", "expected 7 values, got 8"),
+        ("1,43,0,high,1.0,0.5,0.0", "could not convert string to float: 'high'"),
+        ("1.5,43,0,0.5,1.0,0.5,0.0", "invalid literal for int"),
+    ])
+    def test_report_rejects_a_malformed_row_naming_file_and_line(self, tmp_path, capsys, line,
+                                                                  error):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("round,seed,client,acc,loss,mean_acc,var\n"
+                           f"1,43,1,0.5,1.0,0.5,0.0\n{line}\n")
+        assert cli_main(["report", str(tmp_path)]) == 1
+        assert f"{metrics}, line 3: {error}" in capsys.readouterr().err
+
     def test_report_missing_dir(self, capsys):
         assert cli_main(["report", "/nonexistent/run"]) == 1
 

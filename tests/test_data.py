@@ -218,8 +218,8 @@ class TestSplitAuxiliary:
         plan = partition_iid(data, 5, seed=10)
         split = split_auxiliary(data, plan, 0.2, seed=11)
         for k in range(5):
-            assert len(split.aux_indices[k]) == 20
-            assert len(split.train_indices[k]) == 80
+            assert len(split[k].aux) == 20
+            assert len(split[k].train) == 80
 
     def test_stratified_within_one(self):
         data = gen_synthetic_blobs(4, 3, 60, 1.0, seed=18)
@@ -227,7 +227,7 @@ class TestSplitAuxiliary:
         split = split_auxiliary(data, plan, 0.25, seed=13)
         for k in range(4):
             alloc = histogram(data, plan.client_indices[k])
-            aux = histogram(data, split.aux_indices[k])
+            aux = histogram(data, split[k].aux)
             for c in range(4):
                 assert abs(aux[c] - 0.25 * alloc[c]) <= 1.0
 
@@ -236,7 +236,7 @@ class TestSplitAuxiliary:
         plan = partition_iid(data, 3, seed=14)
         split = split_auxiliary(data, plan, 0.3, seed=15)
         for k in range(3):
-            train, aux = set(split.train_indices[k]), set(split.aux_indices[k])
+            train, aux = set(split[k].train), set(split[k].aux)
             assert not train & aux
             assert train | aux == set(plan.client_indices[k])
 
@@ -245,8 +245,8 @@ class TestSplitAuxiliary:
         data = Dataset([[0.0], [1.0], [2.0], [3.0], [4.0]], [0, 0, 0, 0, 0], 1)
         with caplog.at_level("WARNING"):
             split = split_auxiliary(data, plan, 0.2, seed=16)
-        assert split.aux_indices[0].tolist() == [0]
-        assert split.train_indices[0].tolist() == [0]
+        assert split[0].aux.tolist() == [0]
+        assert split[0].train.tolist() == [0]
         assert any("single example" in r.message for r in caplog.records)
 
 
@@ -277,7 +277,7 @@ class TestPlanInvariantsAndDeterminism:
         data = gen_synthetic_blobs(4, 3, 20, 1.0, seed=23)
         plan = partition_dirichlet(data, 3, 0.5, seed=1)
         split = split_auxiliary(data, plan, 0.2, seed=1)
-        for idx in (*plan.client_indices, *split.train_indices, *split.aux_indices):
+        for idx in (*plan.client_indices, *(c.train for c in split), *(c.aux for c in split)):
             assert idx.dtype == np.int64 and not idx.flags.writeable
             assert np.all(np.diff(idx) > 0)
 
@@ -309,7 +309,7 @@ def test_unbenched_draws_reproduce_their_digest():
     kept = [_stratified_subsample(rows, f, seed=5).features[:, 0] for f in (0.25, 0.37)]
     index_sets = list(plan.client_indices)
     for split in splits:
-        index_sets += [*split.train_indices, *split.aux_indices]
+        index_sets += [*(c.train for c in split), *(c.aux for c in split)]
     index_sets += kept
     payload = json.dumps([np.asarray(idx, dtype=np.int64).tolist() for idx in index_sets])
     assert hashlib.sha256(payload.encode()).hexdigest() == (

@@ -75,9 +75,28 @@ def complete_graph(n, benign, malicious):
     return TopologyGraph(n, adj, frozenset(benign), frozenset(malicious))
 
 
-def manual_state(config, graph, clients, models, train, test=None):
+def manual_state(config, graph, client_data, models, test=None):
+    """A hand-built NetworkState. client_data maps each client to its (train,
+    aux) Datasets; each distinct Dataset is pooled once, in order of first
+    appearance, into the network's training set, and each ClientState holds
+    the read-only rows of its two Datasets there."""
+    pool, rows = [], {}
+    for data in (held for pair in client_data.values() for held in pair):
+        if id(data) not in rows:
+            start = sum(len(seen) for seen in pool)
+            rows[id(data)] = np.arange(start, start + len(data))
+            rows[id(data)].setflags(write=False)
+            pool.append(data)
+    train = Dataset(np.concatenate([data.features for data in pool]),
+                    np.concatenate([data.labels for data in pool]), pool[0].num_classes)
+    clients = {k: ClientState(rows[id(t)], rows[id(a)]) for k, (t, a) in client_data.items()}
     return NetworkState(config, seed=config.seeds[0], graph=graph, clients=clients,
                         models=models, train_data=train, test_data=test)
+
+
+def aux_set(state, k):
+    """Client k's aux set as a Dataset of its own."""
+    return state.train_data.subset(state.clients[k].aux)
 
 
 class TestRunRound:
@@ -86,10 +105,9 @@ class TestRunRound:
         data = Dataset(np.random.default_rng(0).standard_normal((20, 6)),
                        np.random.default_rng(1).integers(0, 3, 20), 3)
         clients = {
-            k: ClientState(data, data) for k in (0, 1)
+            k: (data, data) for k in (0, 1)
         }
-        state = manual_state(config, complete_graph(2, [0, 1], []), clients, np.zeros((2, 21)),
-                             data)
+        state = manual_state(config, complete_graph(2, [0, 1], []), clients, np.zeros((2, 21)))
         for t in range(1, 6):
             run_round(state, t)
             np.testing.assert_array_equal(
@@ -107,9 +125,9 @@ class TestRunRound:
             data = Dataset(gen.standard_normal((40, 6)), gen.integers(0, 3, 40), 3)
             template = ParamVector(np.zeros(3 * 6 + 3), 3, 6)
             clients = {
-                k: ClientState(data, data) for k in (0, 1)
+                k: (data, data) for k in (0, 1)
             }
-            state = manual_state(config, graph_without_edges(2), clients, np.zeros((2, 21)), data)
+            state = manual_state(config, graph_without_edges(2), clients, np.zeros((2, 21)))
             run_round(state, 1)
 
             manual = template
@@ -135,10 +153,10 @@ class TestRunRound:
         models = np.zeros((2, 3 * 6 + 3))
         models[1] = np.nan
         clients = {
-            0: ClientState(data, data),
-            1: ClientState(data, data),
+            0: (data, data),
+            1: (data, data),
         }
-        state = manual_state(config, complete_graph(2, [0, 1], []), clients, models, data)
+        state = manual_state(config, complete_graph(2, [0, 1], []), clients, models)
         with pytest.raises(SimulationError, match="non-finite"):
             run_round(state, 1)
 
@@ -152,14 +170,15 @@ def broadcast_matrix(state, models):
 
 
 def loop_half_step(state, node_id, t):
-    """Reference local SGD: per-client batch_gradient + sgd_step on the client's stream."""
-    client = state.clients[node_id]
+    """Reference local SGD: per-client batch_gradient + sgd_step on the client's
+    stream, over a copy of the client's train set."""
+    train = state.train_data.subset(state.clients[node_id].train)
     gen = rng.stream(state.seed, node_id, t, "minibatch")
-    n = len(client.train)
-    model = ParamVector(state.models[node_id], client.train.num_classes, client.train.feature_dim)
+    n = len(train)
+    model = ParamVector(state.models[node_id], train.num_classes, train.feature_dim)
     for _ in range(state.config.local_steps):
         batch = Minibatch(gen.choice(n, size=min(state.config.batch_size, n), replace=False))
-        model = sgd_step(model, batch_gradient(model, client.train, batch),
+        model = sgd_step(model, batch_gradient(model, train, batch),
                          state.config.learning_rate)
     return model
 
@@ -175,9 +194,8 @@ class TestStackedRoundEngine:
         for k, n in enumerate([3, 8, 8, 20, 5, 13]):
             data = Dataset(gen.standard_normal((n, 6)), gen.integers(0, 3, n), 3)
             models.append(gen.standard_normal(21))
-            clients[k] = ClientState(data, data)
-        state = manual_state(config, graph_without_edges(6), clients, np.array(models),
-                             clients[0].train)
+            clients[k] = (data, data)
+        state = manual_state(config, graph_without_edges(6), clients, np.array(models))
         for t in (1, 2):
             stacked = _local_half_steps(state, t)
             for k in state.benign_ids():
@@ -192,16 +210,19 @@ class TestStackedRoundEngine:
         data = Dataset(gen.standard_normal((9, 6)), gen.integers(0, 3, 9), 3)
         other = Dataset(gen.standard_normal((4, 6)), gen.integers(0, 3, 4), 3)
         by_hand = manual_state(tiny_config(), graph_without_edges(3),
-                               {0: ClientState(data, data), 1: ClientState(other, data),
-                                2: ClientState(data, other)}, np.zeros((3, 21)), data)
-        for state, copied in ((built, False), (by_hand, True)):
+                               {0: (data, data), 1: (other, data), 2: (data, other)},
+                               np.zeros((3, 21)))
+        built_trains = {k: built.train_data.subset(built.clients[k].train)
+                        for k in built.benign_ids()}
+        for state, trains in ((built, built_trains), (by_hand, {0: data, 1: other, 2: data})):
             plan = state.plan()
-            assert (plan.train_features is state.train_data.features) != copied
+            assert plan.train_rows.dtype == np.int64
             for step in plan.steps:
                 for k, start, n in zip(step.nodes, step.starts[:, 0], step.lengths):
-                    train, rows = state.clients[k].train, plan.train_rows[start:start + n]
-                    assert plan.train_features[rows].tobytes() == train.features.tobytes()
-                    assert plan.train_labels[rows].tolist() == train.labels.tolist()
+                    train, rows = trains[k], plan.train_rows[start:start + n]
+                    assert rows.tobytes() == state.clients[k].train.tobytes()
+                    assert state.train_data.features[rows].tobytes() == train.features.tobytes()
+                    assert state.train_data.labels[rows].tolist() == train.labels.tolist()
 
     def test_plan_stacks_each_groups_aux_sets_once_read_only(self):
         state = self.grouped_round_state({"tpm": "loss", "crs": "loss_clip"})
@@ -214,7 +235,7 @@ class TestStackedRoundEngine:
             assert group.aux_features.shape == (len(group.nodes), 1, n, 8)
             assert group.aux_labels.shape == (len(group.nodes), n)
             for i, k in enumerate(group.nodes):
-                aux = state.clients[k].aux
+                aux = aux_set(state, k)
                 assert group.aux_features[i, 0].tobytes() == aux.features.tobytes()
                 assert group.aux_labels[i].tolist() == aux.labels.tolist()
             with pytest.raises(ValueError, match="read-only"):
@@ -227,9 +248,8 @@ class TestStackedRoundEngine:
         # Rows of C*d+C = 18 parameters hold C=3, d=5 models; the data has d=6.
         config = tiny_config()
         data = Dataset(np.zeros((4, 6)), [0, 1, 2, 0], 3)
-        clients = {k: ClientState(data, data) for k in (0, 1)}
-        state = manual_state(config, graph_without_edges(2), clients, np.zeros((2, 3 * 5 + 3)),
-                             data)
+        clients = {k: (data, data) for k in (0, 1)}
+        state = manual_state(config, graph_without_edges(2), clients, np.zeros((2, 3 * 5 + 3)))
         with pytest.raises(ShapeError, match="does not hold C=3, d=6 models"):
             _local_half_steps(state, 1)
 
@@ -275,7 +295,7 @@ class TestStackedRoundEngine:
             for k in oracle.benign_ids():
                 members = sorted({k, *np.flatnonzero(oracle.graph.adjacency[k]).tolist()})
                 metrics = MetricVector(members, [
-                    compute_tpm(agg.tpm, incoming[i], oracle.clients[k].aux) for i in members])
+                    compute_tpm(agg.tpm, incoming[i], aux_set(oracle, k)) for i in members])
                 weights = apply_crs(agg.crs, metrics)
                 acc = None
                 weight_of = dict(zip(weights.ids, weights.weights))
@@ -317,7 +337,7 @@ class TestStackedRoundEngine:
         agg = state.config.aggregator
         members = np.flatnonzero(state.graph.adjacency[k] | (np.arange(state.graph.n) == k))
         weights = dfedreweighting_round_weights(
-            agg.tpm, agg.crs, members, broadcast[members], state.clients[k].aux)
+            agg.tpm, agg.crs, members, broadcast[members], aux_set(state, k))
         return reweight_aggregate(broadcast[members], weights), dict(zip(weights.ids, weights.weights.tolist()))
 
     @pytest.mark.parametrize("aggregator", [
@@ -383,8 +403,8 @@ class TestStackedRoundEngine:
         graph = TopologyGraph(4, adjacency, frozenset(range(4)), frozenset())
         models = np.zeros((4, 3 * 6 + 3))
         models[2] = np.nan
-        clients = {k: ClientState(data, data) for k in range(4)}
-        state = manual_state(config, graph, clients, models, data)
+        clients = {k: (data, data) for k in range(4)}
+        state = manual_state(config, graph, clients, models)
         with pytest.raises(SimulationError,
                            match="round 1 failed for seed 43 at node 2: loss-clip requires at least one"):
             run_round(state, 1)
@@ -624,7 +644,7 @@ class TestEvaluation:
         assert len(accuracies) == len(losses) == len(state.benign_ids())
         for k, acc, loss in zip(state.benign_ids(), accuracies, losses):
             model = ParamVector(state.models[k], 3, 6)
-            eval_set = state.clients[k].aux if eval_mode == "local" else state.test_data
+            eval_set = aux_set(state, k) if eval_mode == "local" else state.test_data
             assert type(acc) is float and type(loss) is float
             assert acc == evaluate_accuracy(model, eval_set)
             assert loss == evaluate_mean_loss(model, eval_set)
@@ -647,7 +667,7 @@ class TestEvaluation:
         assert shared and all(len({accuracies[p] for p in group.positions}) == len(group.nodes)
                               for group in shared)
         for k, acc, loss in zip(state.benign_ids(), accuracies, losses):
-            eval_set = state.clients[k].aux if eval_mode == "local" else state.test_data
+            eval_set = aux_set(state, k) if eval_mode == "local" else state.test_data
             row = state.models[k:k + 1]
             assert type(acc) is float and type(loss) is float
             assert acc == float(stacked_accuracy(row, eval_set)[0])
@@ -738,14 +758,58 @@ class TestRunExperiment:
             run_round(state, t)
         # client datasets were never replaced or resized
         for k in state.benign_ids():
+            client = state.clients[k]
+            np.testing.assert_array_equal(client.train, aux_split[k].train)
+            np.testing.assert_array_equal(client.aux, aux_split[k].aux)
             np.testing.assert_array_equal(
-                state.clients[k].train.features,
-                state.train_data.features[list(aux_split.train_indices[k])])
+                state.train_data.features[client.train],
+                state.train_data.features[list(aux_split[k].train)])
             np.testing.assert_array_equal(
-                state.clients[k].aux.features,
-                state.train_data.features[list(aux_split.aux_indices[k])])
-            total = len(state.clients[k].train) + len(state.clients[k].aux)
+                state.train_data.features[client.aux],
+                state.train_data.features[list(aux_split[k].aux)])
+            total = len(client.train) + len(client.aux)
             assert total == len(plan.client_indices[k])
+
+    def test_build_network_keeps_the_split_arrays_and_copies_no_examples(self, monkeypatch):
+        import dflsim.sim as sim
+
+        # Dirichlet alpha 0.05 on these blobs leaves four of the nine clients
+        # of seed 3 with a single example: three topped up, one dealt it.
+        config = tiny_config(
+            dataset={"synthetic": {"num_classes": 5, "feature_dim": 3, "n_per_class": 40,
+                                   "spread": 1.0, "seed": 22, "test_n_per_class": 10}},
+            scheme={"dirichlet": {"alpha": 0.05}},
+            topology={"num_benign": 9, "num_malicious": 0, "edge_prob": 1.0},
+        )
+        splits = []
+
+        def recorded(data, plan, aux_fraction, seed):
+            splits.append((plan, split_auxiliary(data, plan, aux_fraction, seed)))
+            return splits[-1][1]
+
+        def copied(*args):
+            raise AssertionError("build_network copied client examples")
+
+        monkeypatch.setattr(sim, "split_auxiliary", recorded)
+        monkeypatch.setattr(Dataset, "subset", copied)
+        state = build_network(config, seed=3)
+        monkeypatch.undo()
+        [(plan, split)] = splits
+        singles = 0
+        for k in state.benign_ids():
+            client = state.clients[k]
+            assert client is split[k]
+            for idx in (client.train, client.aux):
+                assert isinstance(idx, np.ndarray) and idx.dtype == np.int64
+                assert not idx.flags.writeable
+            np.testing.assert_array_equal(np.union1d(client.train, client.aux),
+                                          plan.client_indices[k])
+            if len(plan.client_indices[k]) == 1:
+                singles += 1
+                assert client.train is client.aux
+            else:
+                assert np.intersect1d(client.train, client.aux).size == 0
+        assert singles == 4
 
     def test_weight_export_gated_by_eval_every(self, tmp_path):
         config = tiny_config(
