@@ -99,7 +99,6 @@ class BoundParams:
     grad_bound: float
     eta_schedule: tuple
     d0: float
-    w_star: np.ndarray | None = None
 
     def __post_init__(self):
         if self.smoothness <= 0:
@@ -220,7 +219,7 @@ def quadratic_bound_rows(
         models = [consensus.copy() for _ in range(num_clients)]
         empirical.append(float(np.sum((consensus - testbed.w_star) ** 2)))
 
-    params = BoundParams(L, grad_max, (eta,) * rounds, d0, w_star=testbed.w_star)
+    params = BoundParams(L, grad_max, (eta,) * rounds, d0)
     rows = []
     for t in range(rounds):
         bound = theorem2_bound(params, t)

@@ -30,22 +30,40 @@ class Median:
 class Krum:
     f: int = 2
 
+    def __post_init__(self):
+        if self.f < 0:
+            raise ValueError("f must be nonnegative")
+
 
 @dataclass(frozen=True)
 class MultiKrum:
     f: int = 2
     m: int = 2
 
+    def __post_init__(self):
+        if self.f < 0:
+            raise ValueError("f must be nonnegative")
+        if self.m < 1:
+            raise ValueError("m must be positive")
+
 
 @dataclass(frozen=True)
 class TrimmedMean:
     f: int = 2
+
+    def __post_init__(self):
+        if self.f < 0:
+            raise ValueError("f must be nonnegative")
 
 
 @dataclass(frozen=True)
 class Flame:
     beta: float = 1.0
     include_self: bool = True
+
+    def __post_init__(self):
+        if self.beta <= 0:
+            raise ValueError("beta must be positive")
 
 
 BaselineKind = Union[DFedAvg, Median, Krum, MultiKrum, TrimmedMean, Flame]

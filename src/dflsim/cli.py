@@ -14,9 +14,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .analysis import quadratic_bound_rows, summarize
-from .config import (ConfigError, DFedReweightingSpec, _decode, load_config, parse_attack_spec,
-                     parse_bounds_config, parse_config)
-from .reweight import TempSoftmax
+from .config import (ConfigError, load_config, parse_bounds_config, parse_config, parse_sweep,
+                     read_document)
 from .sim import METRICS_COLUMNS, SimulationError, check_topologies, run_experiment
 
 # The package logger: progress records from dflsim.sim reach the same level.
@@ -87,48 +86,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict) or set(doc) != {"base", "grid"}:
-        raise ConfigError("sweep config must have exactly the keys 'base' and 'grid'")
-    grid = doc["grid"]
-    allowed = {"temperature", "attack"}
-    unknown = set(grid) - allowed
-    if unknown:
-        raise ConfigError(f"grid: unknown key(s) {sorted(unknown)}")
-    for key, values in grid.items():
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"grid.{key}: expected a nonempty list, got {values!r}")
-    base = parse_config(doc["base"])
-    temperatures = [None]
-    if "temperature" in grid:
-        # (value as written, which names the run; value as a float)
-        values = _decode(tuple[float, ...], grid["temperature"], "grid.temperature")
-        temperatures = list(zip(grid["temperature"], values))
-    attacks = grid.get("attack", ["__keep__"])
-
-    # Every grid point's config is built, and so checked, before the first run.
-    configs = []
-    for entry in temperatures:
-        for attack in attacks:
-            config = base
-            suffix = []
-            if entry is not None:
-                label, temp = entry
-                agg = config.aggregator
-                if not (isinstance(agg, DFedReweightingSpec) and isinstance(agg.crs, TempSoftmax)):
-                    raise ConfigError(
-                        "temperature sweep requires a dfed_reweighting/temp_softmax aggregator"
-                    )
-                config = replace(
-                    config, aggregator=replace(agg, crs=TempSoftmax(temp))
-                )
-                suffix.append(f"T{label}")
-            if attack != "__keep__":
-                config = replace(config, attack=parse_attack_spec(attack, "grid.attack"))
-                suffix.append("noattack" if attack is None else f"attack-{attack['kind']}")
-            config = replace(config, name="-".join([config.name] + suffix))
-            configs.append(_apply_overrides(config, args))
+    configs = [_apply_overrides(config, args) for config in parse_sweep(read_document(args.config))]
+    for config in configs:
+        check_topologies(config)
     for config in configs:
         summary = run_experiment(config, parallel=args.parallel, outdir=args.outdir)
         log.info("sweep '%s': mean_acc=%.4f var=%.3f", config.name, summary.mean_acc,
@@ -137,9 +97,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    with open(args.config) as f:
-        doc = json.load(f)
-    bounds = parse_bounds_config(doc)
+    bounds = parse_bounds_config(read_document(args.config))
     rows = quadratic_bound_rows(
         L=bounds.smoothness,
         dim=bounds.dim,
@@ -162,9 +120,15 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = load_config(args.config)
-    check_topologies(config)
-    print(f"ok: '{config.name}' is a valid run config")
+    doc = read_document(args.config)
+    # A sweep document is told apart by its keys; parse_sweep names any it lacks.
+    if isinstance(doc, dict) and not doc.keys().isdisjoint({"base", "grid"}):
+        configs = parse_sweep(doc)
+    else:
+        configs = (parse_config(doc),)
+    for config in configs:
+        check_topologies(config)
+    print("\n".join(f"ok: '{config.name}' is a valid run config" for config in configs))
     return 0
 
 
@@ -212,7 +176,7 @@ def cli_main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except SimulationError as exc:

@@ -6,9 +6,10 @@ match a field's annotation are rejected with their JSON path.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from functools import cache
 from typing import Union, get_args, get_origin, get_type_hints
@@ -141,6 +142,14 @@ class BoundsConfig:
     outdir: str | None = None
 
 
+@dataclass(frozen=True)
+class SweepGrid:
+    """A `dflsim sweep` grid: each list given replaces that part of the base config."""
+
+    temperature: tuple[float, ...] | None = None
+    attack: tuple[AttackSpec | None, ...] | None = None
+
+
 DATASETS = {"synthetic": SyntheticSpec, "idx": IdxSpec}
 SCHEMES = {"iid": IID, "dirichlet": Dirichlet, "label_skew": LabelSkew}
 CRSS = {"temp_softmax": TempSoftmax, "loss_clip": LossClip, "acc_clip": AccClip}
@@ -157,15 +166,15 @@ ATTACKS = {"gaussian": Gaussian, "sign_flip": SignFlip, "alie": ALIE}
 
 @cache
 def _fields(cls) -> tuple:
-    """(name, type, nullable, required) per field; an `X | None` field has type X, nullable."""
-    hints, out = get_type_hints(cls), []
-    for f in fields(cls):
-        t = hints[f.name]
-        nullable = type(None) in get_args(t)
-        if nullable:
-            (t,) = set(get_args(t)) - {type(None)}
-        out.append((f.name, t, nullable, f.default is MISSING and f.default_factory is MISSING))
-    return tuple(out)
+    """(name, type, required) per field."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls))
+
+
+def _non_null(t):
+    """X for an `X | None` annotation, else t itself."""
+    return next(a for a in get_args(t) if a is not type(None)) if type(None) in get_args(t) else t
 
 
 def _bare(entry) -> bool:
@@ -184,10 +193,7 @@ def _build(cls, obj, path: str):
     missing = {name for name, *_, required in spec if required} - set(obj)
     if missing:
         raise ConfigError(f"{path}: missing required key(s) {sorted(missing)}")
-    kwargs = {
-        name: None if nullable and obj[name] is None else _decode(t, obj[name], f"{path}.{name}")
-        for name, t, nullable, _ in spec if name in obj
-    }
+    kwargs = {name: _decode(t, obj[name], f"{path}.{name}") for name, t, _ in spec if name in obj}
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -195,7 +201,10 @@ def _build(cls, obj, path: str):
 
 
 def _decode(t, obj, path: str):
-    """Check one JSON value against type t and convert it."""
+    """Check one JSON value against type t and convert it; `X | None` also takes null."""
+    if obj is None and type(None) in get_args(t):
+        return None
+    t = _non_null(t)
     if t in _FAMILIES:
         return _FAMILIES[t].decode(obj, path)
     if t is bool:
@@ -208,8 +217,8 @@ def _decode(t, obj, path: str):
     elif t is str:
         ok, want = isinstance(obj, str), "a string"
     elif get_origin(t) is tuple:
-        if not isinstance(obj, (list, tuple)):
-            raise ConfigError(f"{path}: expected a list, got {obj!r}")
+        if not (isinstance(obj, (list, tuple)) and obj):
+            raise ConfigError(f"{path}: expected a nonempty list, got {obj!r}")
         return tuple(_decode(get_args(t)[0], x, f"{path}[{i}]") for i, x in enumerate(obj))
     elif isinstance(t, type) and issubclass(t, Enum):
         values = [m.value for m in t]
@@ -226,13 +235,16 @@ def _encode(t, value):
     """The JSON echo of a value of type t."""
     if value is None:
         return None
+    t = _non_null(t)
     if t in _FAMILIES:
         return _FAMILIES[t].encode(value)
     if is_dataclass(t):
-        return {name: _encode(ft, getattr(value, name)) for name, ft, *_ in _fields(t)}
+        return {name: _encode(ft, getattr(value, name)) for name, ft, _ in _fields(t)}
     if isinstance(value, Enum):
         return value.value
-    return list(value) if isinstance(value, tuple) else value
+    if get_origin(t) is tuple:
+        return [_encode(get_args(t)[0], x) for x in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -302,11 +314,6 @@ _FAMILIES = {
 }
 
 
-def parse_attack_spec(obj, path: str) -> AttackSpec | None:
-    """An `attack` block: null, or {"kind": name, "knowledge": ..., <the attack's fields>}."""
-    return None if obj is None else _decode(AttackSpec, obj, path)
-
-
 def parse_config(doc: dict) -> RunConfig:
     """Validate a JSON document and build a RunConfig; raises ConfigError."""
     return _build(RunConfig, doc, "config")
@@ -317,15 +324,47 @@ def parse_bounds_config(doc: dict) -> BoundsConfig:
     return _build(BoundsConfig, doc, "bounds")
 
 
-def load_config(path: str) -> RunConfig:
+def parse_sweep(doc) -> tuple[RunConfig, ...]:
+    """The runs of a sweep document {"base": <run config>, "grid": {...}}, one per grid point,
+    temperature outer and attack inner, each built and so checked; raises ConfigError."""
+    if not isinstance(doc, dict) or set(doc) != {"base", "grid"}:
+        raise ConfigError("sweep config must have exactly the keys 'base' and 'grid'")
+    base, grid = parse_config(doc["base"]), _build(SweepGrid, doc["grid"], "grid")
+    agg = base.aggregator
+    if grid.temperature is not None and not (
+            isinstance(agg, DFedReweightingSpec) and isinstance(agg.crs, TempSoftmax)):
+        raise ConfigError("temperature sweep requires a dfed_reweighting/temp_softmax aggregator")
+    axes, runs = [], []  # an axis lists (run name suffix, RunConfig field, value)
+    try:
+        if grid.temperature is not None:
+            axes.append([(f"T{t!r}", "aggregator", replace(agg, crs=TempSoftmax(t)))
+                         for t in grid.temperature])
+        if grid.attack is not None:
+            axes.append([("noattack" if a is None else f"attack-{_encode(AttackSpec, a)['kind']}",
+                          "attack", a) for a in grid.attack])
+        for point in itertools.product(*axes):
+            name = "-".join([base.name] + [suffix for suffix, _, _ in point])
+            if any(run.name == name for run in runs):
+                raise ConfigError(f"more than one run is named {name!r}")
+            runs.append(replace(base, name=name, **{field: value for _, field, value in point}))
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
+    return tuple(runs)
+
+
+def read_document(path: str):
+    """The JSON document in a config file; raises ConfigError."""
     try:
         with open(path) as f:
-            doc = json.load(f)
+            return json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return parse_config(doc)
+
+
+def load_config(path: str) -> RunConfig:
+    return parse_config(read_document(path))
 
 
 def config_to_json_dict(config: RunConfig) -> dict:

@@ -35,12 +35,8 @@ def stream(seed: int, node: int = 0, round_idx: int = 0, purpose: str = "") -> n
     those words as one uint32 array, which gives the same generator state
     without its per-int conversion.
     """
-    words = []
-    for part in (seed & _U64, node & _U64, round_idx & _U64, _purpose_code(purpose)):
-        words.append(part & _U32)
-        if part > _U32:
-            words.append(part >> 32)
-    entropy = np.array(words, dtype=np.uint32)
+    parts = (seed & _U64, node & _U64, round_idx & _U64, _purpose_code(purpose))
+    entropy = np.array([word for part in parts for word in _words(part)], dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 

@@ -51,6 +51,11 @@ class TestValidate:
             assert cli_main(["validate", str(REPO_CONFIGS / name)]) == 0
         assert "valid" in capsys.readouterr().out
 
+    def test_shipped_sweep_is_valid(self, capsys):
+        assert cli_main(["validate", str(REPO_CONFIGS / "sweep_temperature.json")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"ok: 'temp-sweep-T{t}' is a valid run config" for t in ("0.01", "0.1", "0.5")]
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         doc = tiny_config_doc()
         doc["learning_rte"] = 0.1
@@ -139,6 +144,23 @@ class TestValidate:
                 "round,seed,client,acc,loss,mean_acc,var"]
             summary = json.loads((run_dir / "summary.json").read_text())
             assert summary["status"] == "failed" and summary["failed_seed"] == 43
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("baseline, message", [
+        ({"kind": "krum", "f": -1}, "f must be nonnegative"),
+        ({"kind": "multi_krum", "f": -1}, "f must be nonnegative"),
+        ({"kind": "multi_krum", "m": 0}, "m must be positive"),
+        ({"kind": "trimmed_mean", "f": -1}, "f must be nonnegative"),
+        ({"kind": "flame", "beta": 0}, "beta must be positive"),
+    ])
+    def test_out_of_range_baseline_parameter(self, tmp_path, capsys, command, baseline, message):
+        doc = tiny_config_doc(aggregator={"baseline": baseline})
+        args = [command, write_config(tmp_path, doc)]
+        if command == "run":
+            args += ["--outdir", str(tmp_path / "out"), "--quiet"]
+        assert cli_main(args) == 1
+        assert f"config error: config.aggregator.baseline: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seeds, command, flags, repeated", [
         ([43, 44, 43], "validate", [], 43),
@@ -453,3 +475,62 @@ class TestSweep:
     def test_sweep_rejects_unknown_grid_key(self, tmp_path):
         doc = {"base": tiny_config_doc(), "grid": {"q": [0.1]}}
         assert cli_main(["sweep", write_config(tmp_path, doc, "s.json")]) == 1
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_bad_grid_point_is_named_by_its_index(self, tmp_path, capsys, command):
+        doc = {"base": tiny_config_doc(name="sweepindex"),
+               "grid": {"attack": [None, {"kind": "teleport"}]}}
+        out = tmp_path / "out"
+        out.mkdir()
+        args = [command, write_config(tmp_path, doc, "sweep.json")]
+        if command == "sweep":
+            args += ["--outdir", str(out), "--quiet"]
+        assert cli_main(args) == 1
+        assert "config error: grid.attack[1]: expected an object whose 'kind'" in (
+            capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_infeasible_sweep_is_rejected_before_any_run(self, tmp_path, capsys, command):
+        # Krum with f=2 needs closed neighborhoods of 5 models; node 3 of seed 43 has 3.
+        base = tiny_config_doc(
+            name="sweepkrum",
+            topology={"num_benign": 10, "num_malicious": 2, "edge_prob": 0.3},
+            aggregator={"baseline": {"kind": "krum", "f": 2}},
+            attack={"kind": "sign_flip", "factor": -10.0},
+        )
+        doc = {"base": base, "grid": {"attack": [{"kind": "sign_flip"}, {"kind": "alie"}]}}
+        out = tmp_path / "out"
+        out.mkdir()
+        args = [command, write_config(tmp_path, doc, "sweep.json")]
+        if command == "sweep":
+            args += ["--outdir", str(out), "--quiet"]
+        assert cli_main(args) == 1
+        assert "seed 43: node 3 has a closed neighborhood of 3 models" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    @pytest.mark.parametrize("grid, name", [
+        ({"temperature": [0.1, 0.1]}, "dup-T0.1"),
+        ({"temperature": [1, 1.0]}, "dup-T1.0"),
+        ({"temperature": [0.1], "attack": [None, {"kind": "sign_flip"},
+                                           {"kind": "sign_flip", "factor": -2.0}]},
+         "dup-T0.1-attack-sign_flip"),
+    ])
+    def test_runs_sharing_a_name_are_rejected_before_any_run(self, tmp_path, capsys, command,
+                                                             grid, name):
+        base = tiny_config_doc(
+            name="dup",
+            topology={"num_benign": 3, "num_malicious": 1, "edge_prob": 1.0},
+            aggregator={"dfed_reweighting": {"tpm": "accuracy",
+                                             "crs": {"temp_softmax": {"temperature": 0.1}}}},
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        args = [command, write_config(tmp_path, {"base": base, "grid": grid}, "sweep.json")]
+        if command == "sweep":
+            args += ["--outdir", str(out), "--quiet"]
+        assert cli_main(args) == 1
+        assert f"config error: grid: more than one run is named {name!r}" in (
+            capsys.readouterr().err)
+        assert list(out.iterdir()) == []

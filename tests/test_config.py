@@ -17,8 +17,12 @@ from dflsim.config import (
     AttackSpec,
     ConfigError,
     DFedReweightingSpec,
+    SweepGrid,
+    _build,
+    _encode,
     config_to_json_dict,
     parse_config,
+    parse_sweep,
 )
 from dflsim.data import Dirichlet, LabelSkew
 from dflsim.reweight import LossClip, TargetMetricKind
@@ -147,6 +151,7 @@ MISTYPED = [
     ("config.attack.sigma", {"attack": {"kind": "gaussian", "sigma": float("inf")}}),
     ("config.name", {"name": 5}),
     ("config.seeds[0]", {"seeds": [1.5]}),
+    ("config.seeds", {"seeds": []}),
 ]
 
 
@@ -251,6 +256,32 @@ def test_echo_shapes():
     krum = config_to_json_dict(parse_config(minimal_doc(aggregator={"baseline": {"kind": "krum"}})))
     assert krum["aggregator"] == {"baseline": {"kind": "krum", "f": 2}}
     assert krum["scheme"] == "iid" and krum["attack"] is None
+
+
+def test_sweep_runs_are_named_temperature_outer_attack_inner():
+    base = minimal_doc(name="grid", aggregator={
+        "dfed_reweighting": {"tpm": "accuracy", "crs": {"temp_softmax": {"temperature": 0.1}}}})
+    runs = parse_sweep({"base": base, "grid": {"temperature": [0.5, 2],
+                                               "attack": [None, {"kind": "sign_flip"}]}})
+    assert [run.name for run in runs] == [
+        "grid-T0.5-noattack", "grid-T0.5-attack-sign_flip",
+        "grid-T2.0-noattack", "grid-T2.0-attack-sign_flip"]
+    assert [run.aggregator.crs.temperature for run in runs] == [0.5, 0.5, 2.0, 2.0]
+    assert [run.attack for run in runs] == [None, AttackSpec(SignFlip())] * 2
+    assert parse_sweep({"base": base, "grid": {}}) == (parse_config(base),)
+
+
+def test_sweep_grid_must_be_an_object():
+    with pytest.raises(ConfigError, match=re.escape("grid: expected an object")):
+        parse_sweep({"base": minimal_doc(), "grid": []})
+
+
+def test_null_tuple_element_decodes_and_echoes():
+    doc = {"attack": [None, {"kind": "sign_flip", "factor": -2.0, "knowledge": "neighborhood"}]}
+    grid = _build(SweepGrid, doc, "grid")
+    assert grid == SweepGrid(attack=(None, AttackSpec(SignFlip(-2.0), "neighborhood")))
+    assert _encode(SweepGrid, grid) == {"temperature": None, "attack": [
+        None, {"kind": "sign_flip", "factor": -2.0, "knowledge": "neighborhood"}]}
 
 
 class TestSubsample:
