@@ -31,6 +31,10 @@ class SignFlip:
 class ALIE:
     #: None selects the standard quantile-based z for the network size.
     z: float | None = None
+    # As an infeasible baseline does, ALIE declares the fewest benign models
+    # a malicious node must see and its rule as its error message states it.
+    fewest = 2
+    rule = "the mean and std of its visible benign models"
 
 
 AttackKind = Union[Gaussian, SignFlip, ALIE]

@@ -26,9 +26,15 @@ class Median:
     pass
 
 
+# An aggregator that cannot reduce every closed neighborhood of n models
+# declares the fewest it needs and its rule as its error message states it.
+
+
 @dataclass(frozen=True)
 class Krum:
     f: int = 2
+    rule = "n - f - 2 >= 1"
+    fewest = property(lambda self: self.f + 3)
 
     def __post_init__(self):
         if self.f < 0:
@@ -39,6 +45,8 @@ class Krum:
 class MultiKrum:
     f: int = 2
     m: int = 2
+    rule = "n - f - 2 >= 1 and m <= n"
+    fewest = property(lambda self: max(self.f + 3, self.m))
 
     def __post_init__(self):
         if self.f < 0:
@@ -50,6 +58,8 @@ class MultiKrum:
 @dataclass(frozen=True)
 class TrimmedMean:
     f: int = 2
+    rule = "n > 2f"
+    fewest = property(lambda self: 2 * self.f + 1)
 
     def __post_init__(self):
         if self.f < 0:
@@ -67,15 +77,6 @@ class Flame:
 
 
 BaselineKind = Union[DFedAvg, Median, Krum, MultiKrum, TrimmedMean, Flame]
-
-# The aggregators that cannot reduce every closed neighborhood: the fewest
-# models each needs, and the rule as its error message states it.
-NEIGHBORHOOD_RULES = {
-    Krum: (lambda agg: agg.f + 3, "n - f - 2 >= 1"),
-    MultiKrum: (lambda agg: max(agg.f + 3, agg.m), "n - f - 2 >= 1 and m <= n"),
-    TrimmedMean: (lambda agg: 2 * agg.f + 1, "n > 2f"),
-}
-
 
 def dfedavg(params: np.ndarray) -> np.ndarray:
     """Unweighted arithmetic mean of all rows."""

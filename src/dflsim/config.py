@@ -60,11 +60,11 @@ class DFedReweightingSpec:
     crs: CRSKind
 
     def __post_init__(self):
-        # Temp-softmax and acc-clip favour high metric values, loss-clip low
-        # ones; a mismatched pairing hands the weight to the worst models.
-        name = next((n for n, cls in CRSS.items() if isinstance(self.crs, cls)), repr(self.crs))
-        want = TargetMetricKind.LOSS_ON_AUX if name == "loss_clip" else TargetMetricKind.ACCURACY_ON_AUX
-        if self.tpm is not want:
+        # A CRS that favours low metric values paired with a TPM on which high
+        # values are better, or the reverse, hands the weight to the worst models.
+        if self.crs.favours != self.tpm.direction:
+            name = next((n for n, cls in CRSS.items() if isinstance(self.crs, cls)), repr(self.crs))
+            want = next(kind for kind in TargetMetricKind if kind.direction == self.crs.favours)
             raise ConfigError(f"crs {name!r} requires tpm {want.value!r}, got {self.tpm.value!r}")
 
 

@@ -14,6 +14,7 @@ from typing import Union
 
 import numpy as np
 
+# The TPM kernels below are called through TargetMetricKind.kernel, by name.
 from .core_learning import (
     Dataset,
     ParamVector,
@@ -33,8 +34,29 @@ WEIGHT_SUM_TOL = 1e-9
 
 
 class TargetMetricKind(enum.Enum):
-    ACCURACY_ON_AUX = "accuracy"
-    LOSS_ON_AUX = "loss"
+    """A TPM: its config name, which scores ("high" or "low") are better, its kernels' name."""
+
+    ACCURACY_ON_AUX = ("accuracy", "high", "accuracy")
+    LOSS_ON_AUX = ("loss", "low", "mean_loss")
+
+    def __new__(cls, value: str, direction: str, kernel: str):
+        member = object.__new__(cls)
+        member._value_, member.direction, member._kernel_name = value, direction, kernel
+        return member
+
+    def kernel(self, form: str):
+        """This module's <form>_<name>, for form "evaluate", "stacked" or "grouped"."""
+        # Looked up when called, so a replaced module attribute (a tracer's wrapper, say) runs.
+        return globals()[f"{form}_{self._kernel_name}"]
+
+
+# A CRS is a frozen dataclass whose fields are its config keys. It declares
+# which metric values it favours ("high" or "low"), its per-vector form
+# weights(metrics), and its row form rows(values): for a (g, k) matrix of
+# finite metrics, one closed neighborhood per row, the weights and a per-row
+# flag that is False where the per-vector form would reject the row. Rows of
+# equal length reduce in the same order as a single vector, so each weight
+# row is bit-identical to the per-vector form on that row alone.
 
 
 @dataclass(frozen=True)
@@ -42,20 +64,54 @@ class TempSoftmax:
     """Temperature-scaled softmax: smaller temperature sharpens the weights."""
 
     temperature: float
+    favours = "high"
 
     def __post_init__(self):
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+
+    def weights(self, metrics: MetricVector) -> WeightVector:
+        return crs_temp_softmax(metrics, self.temperature)
+
+    def rows(self, values: np.ndarray) -> tuple:
+        z = values / self.temperature
+        exp = np.exp(z - z.max(axis=1, keepdims=True))
+        return exp / exp.sum(axis=1, keepdims=True), True
 
 
 @dataclass(frozen=True)
 class LossClip:
     """Zero-weight any metric above the neighborhood mean, then normalize."""
 
+    favours = "low"
+
+    def weights(self, metrics: MetricVector) -> WeightVector:
+        return crs_loss_clip(metrics)
+
+    def rows(self, values: np.ndarray) -> tuple:
+        mu = np.maximum(values.mean(axis=1), values.min(axis=1))
+        return _clip_rows(values, values <= mu[:, None]), (values >= 0).all(axis=1)
+
 
 @dataclass(frozen=True)
 class AccClip:
     """Zero-weight any metric below the neighborhood mean, then normalize."""
+
+    favours = "high"
+
+    def weights(self, metrics: MetricVector) -> WeightVector:
+        return crs_acc_clip(metrics)
+
+    def rows(self, values: np.ndarray) -> tuple:
+        mu = np.minimum(values.mean(axis=1), values.max(axis=1))
+        return _clip_rows(values, values >= mu[:, None]), ((values >= 0) & (values <= 1)).all(axis=1)
+
+
+def _clip_rows(values: np.ndarray, survivors: np.ndarray) -> np.ndarray:
+    raw = np.where(survivors, values, 0.0)
+    total = raw.sum(axis=1, keepdims=True)
+    uniform = survivors / survivors.sum(axis=1, keepdims=True)
+    return np.divide(raw, total, out=uniform, where=total > 0)
 
 
 CRSKind = Union[TempSoftmax, LossClip, AccClip]
@@ -112,24 +168,23 @@ class WeightVector:
 
 def compute_tpm(kind: TargetMetricKind, model: ParamVector, aux: Dataset) -> float:
     """Score a model on the auxiliary set; non-finite values become +inf."""
-    if kind is TargetMetricKind.ACCURACY_ON_AUX:
-        value = evaluate_accuracy(model, aux)
-    elif kind is TargetMetricKind.LOSS_ON_AUX:
-        value = evaluate_mean_loss(model, aux)
-    else:
-        raise TypeError(f"unknown metric kind {kind!r}")
+    value = kind.kernel("evaluate")(model, aux)
     return value if math.isfinite(value) else SENTINEL
+
+
+def _scoring() -> tuple:
+    return (compute_tpm, *(kind.kernel("evaluate") for kind in TargetMetricKind))
 
 
 # compute_tpm_batch computes what these module-level functions compute, so it
 # stands in for them only while they are this module's own. A caller that
 # replaces one (to instrument or to change scoring) gets it called per member.
-_STOCK_SCORING = (compute_tpm, evaluate_accuracy, evaluate_mean_loss)
+_STOCK_SCORING = _scoring()
 
 
 def scoring_is_stock() -> bool:
     """Whether compute_tpm and the metrics it calls are still this module's own."""
-    return (compute_tpm, evaluate_accuracy, evaluate_mean_loss) == _STOCK_SCORING
+    return _scoring() == _STOCK_SCORING
 
 
 def compute_tpm_batch(kind: TargetMetricKind, params: np.ndarray, aux: Dataset) -> np.ndarray:
@@ -138,12 +193,7 @@ def compute_tpm_batch(kind: TargetMetricKind, params: np.ndarray, aux: Dataset) 
     All k models are scored in one batched matmul; each value is
     bit-identical to compute_tpm on that row.
     """
-    if kind is TargetMetricKind.ACCURACY_ON_AUX:
-        values = stacked_accuracy(params, aux)
-    elif kind is TargetMetricKind.LOSS_ON_AUX:
-        values = stacked_mean_loss(params, aux)
-    else:
-        raise TypeError(f"unknown metric kind {kind!r}")
+    values = kind.kernel("stacked")(params, aux)
     return np.where(np.isfinite(values), values, SENTINEL)
 
 
@@ -156,6 +206,13 @@ def crs_temp_softmax(metrics: MetricVector, temperature: float) -> WeightVector:
     z = metrics.values / temperature
     exp = np.exp(z - z.max())
     return WeightVector(metrics.ids, exp / exp.sum())
+
+
+def _clip(ids: tuple, values: np.ndarray, survivors: np.ndarray) -> WeightVector:
+    """The survivors' values normalized; all-zero survivors get uniform weights."""
+    raw = np.where(survivors, values, 0.0)
+    total = float(raw.sum())
+    return WeightVector(ids, raw / total if total > 0 else survivors / survivors.sum())
 
 
 def crs_loss_clip(metrics: MetricVector) -> WeightVector:
@@ -175,13 +232,7 @@ def crs_loss_clip(metrics: MetricVector) -> WeightVector:
     # rounds past the common value.
     mu = max(float(values[finite].mean()), float(values[finite].min()))
     survivors = finite & (values <= mu)
-    raw = np.where(survivors, values, 0.0)
-    total = float(raw.sum())
-    if total > 0:
-        weights = raw / total
-    else:
-        weights = survivors / survivors.sum()
-    return WeightVector(metrics.ids, weights)
+    return _clip(metrics.ids, values, survivors)
 
 
 def crs_acc_clip(metrics: MetricVector) -> WeightVector:
@@ -191,26 +242,11 @@ def crs_acc_clip(metrics: MetricVector) -> WeightVector:
         raise ValueError("accuracy metrics must be finite and lie in [0, 1]")
     mu = min(float(values.mean()), float(values.max()))
     survivors = values >= mu
-    raw = np.where(survivors, values, 0.0)
-    total = float(raw.sum())
-    if total > 0:
-        weights = raw / total
-    else:
-        weights = survivors / survivors.sum()
-    return WeightVector(metrics.ids, weights)
-
-
-_CRSS = {
-    TempSoftmax: lambda crs, metrics: crs_temp_softmax(metrics, crs.temperature),
-    LossClip: lambda crs, metrics: crs_loss_clip(metrics),
-    AccClip: lambda crs, metrics: crs_acc_clip(metrics),
-}
+    return _clip(metrics.ids, values, survivors)
 
 
 def apply_crs(crs: CRSKind, metrics: MetricVector) -> WeightVector:
-    if type(crs) not in _CRSS:
-        raise TypeError(f"unknown reweighting strategy {crs!r}")
-    return _CRSS[type(crs)](crs, metrics)
+    return crs.weights(metrics)
 
 
 def reweight_aggregate(params: np.ndarray, weights: WeightVector) -> np.ndarray:
@@ -252,55 +288,17 @@ def dfedreweighting_round_weights(
     return apply_crs(crs, MetricVector(ids, values))
 
 
-# Row-wise forms of the CRSs for a (g, k) matrix of finite metrics, one
-# closed neighborhood per row. Each returns the weights and a per-row flag
-# that is False where the per-vector CRS would reject the row. Rows of equal
-# length reduce in the same order as a single vector, so each weight row is
-# bit-identical to the CRS on that row alone.
-
-
-def _clip_rows(values: np.ndarray, survivors: np.ndarray) -> np.ndarray:
-    raw = np.where(survivors, values, 0.0)
-    total = raw.sum(axis=1, keepdims=True)
-    uniform = survivors / survivors.sum(axis=1, keepdims=True)
-    return np.divide(raw, total, out=uniform, where=total > 0)
-
-
-def _temp_softmax_rows(crs: TempSoftmax, values: np.ndarray) -> tuple:
-    z = values / crs.temperature
-    exp = np.exp(z - z.max(axis=1, keepdims=True))
-    return exp / exp.sum(axis=1, keepdims=True), True
-
-
-def _loss_clip_rows(crs: LossClip, values: np.ndarray) -> tuple:
-    mu = np.maximum(values.mean(axis=1), values.min(axis=1))
-    return _clip_rows(values, values <= mu[:, None]), (values >= 0).all(axis=1)
-
-
-def _acc_clip_rows(crs: AccClip, values: np.ndarray) -> tuple:
-    mu = np.minimum(values.mean(axis=1), values.max(axis=1))
-    return _clip_rows(values, values >= mu[:, None]), ((values >= 0) & (values <= 1)).all(axis=1)
-
-
-_CRS_ROWS = {TempSoftmax: _temp_softmax_rows, LossClip: _loss_clip_rows, AccClip: _acc_clip_rows}
-
-_GROUPED_TPMS = {
-    TargetMetricKind.ACCURACY_ON_AUX: grouped_accuracy,
-    TargetMetricKind.LOSS_ON_AUX: grouped_mean_loss,
-}
-
-
 def _group_weights(crs: CRSKind, ids: np.ndarray, metrics: np.ndarray, nodes: list, failures: dict):
     """(g, k) weights of one group's metric rows; a row that fails records its node in failures.
 
-    Rows holding the +inf sentinel, and rows the row-wise CRS or the weight
+    Rows holding the +inf sentinel, and rows crs.rows or the weight
     check rejects, go through apply_crs one by one, which computes them or
     raises what it raises for a single client.
     """
     finite = np.isfinite(metrics).all(axis=1)
     # Sentinel rows are reweighted as zeros here, and then again one by one.
     rows = metrics if finite.all() else np.where(finite[:, None], metrics, 0.0)
-    weights, ok = _CRS_ROWS[type(crs)](crs, rows)
+    weights, ok = crs.rows(rows)
     # A NaN or infinite weight also takes its row's sum away from 1.
     ok &= finite & (weights >= 0).all(axis=1) & (np.abs(weights.sum(axis=1) - 1.0) <= WEIGHT_SUM_TOL)
     if ok.all():
@@ -338,7 +336,7 @@ def reweight_round(
         nodes, ids = group.nodes, group.members
         params = broadcast[ids]
         try:
-            values = _GROUPED_TPMS[kind](params, group.aux_features, group.aux_labels, num_classes)
+            values = kind.kernel("grouped")(params, group.aux_features, group.aux_labels, num_classes)
         except Exception as exc:
             # Scoring fails for a whole group at once; alone, its first client would fail first.
             failures[nodes[0]] = exc

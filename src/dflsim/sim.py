@@ -26,7 +26,6 @@ from . import rng
 from .analysis import accuracy_variance, mean_accuracy, summarize
 from .attacks import ALIE, AdversaryView, Gaussian, SignFlip, alie_update, gaussian_update, sign_flip_update
 from .baselines import (
-    NEIGHBORHOOD_RULES,
     DFedAvg,
     Flame,
     Krum,
@@ -168,24 +167,29 @@ def build_network(config: RunConfig, seed: int) -> NetworkState:
 def check_neighborhoods(config: RunConfig, seed: int, graph: TopologyGraph) -> None:
     """Raise ConfigError if the configured baseline cannot aggregate some
     benign client's closed neighborhood (the client and its neighbors) in
-    graph; the lowest client id that fails is named."""
-    agg = config.aggregator
-    if type(agg) not in NEIGHBORHOOD_RULES:
-        return
-    least, rule = NEIGHBORHOOD_RULES[type(agg)]
-    need = least(agg)
-    sizes = graph.adjacency.sum(axis=1) + 1
-    for node in sorted(graph.benign):
-        if sizes[node] < need:
-            raise ConfigError(
-                f"seed {seed}: node {node} has a closed neighborhood of {sizes[node]} models, "
-                f"but {agg} needs {rule} (at least {need})"
-            )
+    graph, or the configured attack cannot be made from the benign models
+    some malicious node sees. A kind that cannot work on every graph declares
+    the fewest models it needs and its rule; the lowest node that fails is named."""
+    benign, attack = sorted(graph.benign), config.attack
+    checks = [(config.aggregator, benign, graph.adjacency.sum(axis=1) + 1,
+               "node {} has a closed neighborhood of {} models")]
+    if attack:
+        seen = np.full(graph.n, len(benign))
+        if attack.knowledge == "neighborhood":
+            seen = graph.adjacency[:, benign].sum(axis=1)
+        checks.append((attack.kind, sorted(graph.malicious), seen,
+                       "malicious node {} sees {} benign models"))
+    for spec, nodes, counts, what in checks:
+        for node in nodes:
+            if hasattr(spec, "rule") and counts[node] < spec.fewest:
+                raise ConfigError(f"seed {seed}: {what.format(node, counts[node])}, "
+                                  f"but {spec} needs {spec.rule} (at least {spec.fewest})")
 
 
 def check_topologies(config: RunConfig) -> None:
     """check_neighborhoods on the graph of every seed, without building its data."""
-    if type(config.aggregator) not in NEIGHBORHOOD_RULES:
+    specs = (config.aggregator, config.attack and config.attack.kind)
+    if not any(hasattr(spec, "rule") for spec in specs):
         return
     for seed in config.seeds:
         try:
@@ -579,7 +583,7 @@ def run_experiment(config: RunConfig, parallel: int = 1, outdir: str | None = No
     config.json, topology.json, metrics.csv, summary.json, and (when
     export_weights is set) weights_round_<t>.csv under the run directory, and
     returns the summary. Before its first round, each seed's graph is checked
-    against the aggregator's closed-neighborhood rule (check_neighborhoods).
+    against the aggregator's and the attack's rules (check_neighborhoods).
     If a seed fails, or is rejected by that check, the seeds before it in
     config order are written, summary.json records the failed seed, and the
     SimulationError or ConfigError is raised again.

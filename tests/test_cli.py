@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from dflsim import sim
 from dflsim.cli import cli_main
 from dflsim.config import BoundsConfig, parse_bounds_config
 
@@ -34,6 +35,19 @@ def alie_sparse_doc(name, seeds):
         name=name,
         topology={"num_benign": 8, "num_malicious": 2, "edge_prob": 0.3},
         attack={"kind": "alie", "knowledge": "neighborhood"},
+        seeds=seeds,
+    )
+
+
+def overflow_doc(name, seeds):
+    """Gaussian payloads of sigma 1e308 under DFedAvg on sparse graphs: the
+    malicious node of seed 10 has no benign neighbor, so the run finishes; that
+    of seed 44 neighbors clients 4 and 7, and client 4's round-2 average
+    overflows."""
+    return tiny_config_doc(
+        name=name,
+        topology={"num_benign": 8, "num_malicious": 1, "edge_prob": 0.3},
+        attack={"kind": "gaussian", "sigma": 1e308},
         seeds=seeds,
     )
 
@@ -146,6 +160,25 @@ class TestValidate:
             assert summary["status"] == "failed" and summary["failed_seed"] == 43
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_neighborhood_alie_infeasible_for_a_malicious_node(self, tmp_path, capsys, command):
+        doc = alie_sparse_doc("alie-sparse", [45, 44])
+        args = [command, write_config(tmp_path, doc)]
+        if command == "run":
+            args += ["--outdir", str(tmp_path / "out"), "--quiet"]
+        assert cli_main(args) == 1
+        assert ("seed 44: malicious node 9 sees 0 benign models, but ALIE(z=None) needs the mean "
+                "and std of its visible benign models (at least 2)") in capsys.readouterr().err
+        if command == "run":
+            # Seed 44 is rejected before its round 1; seed 45 ran as it runs alone.
+            run_dir = tmp_path / "out" / "alie-sparse"
+            summary = json.loads((run_dir / "summary.json").read_text())
+            assert summary["status"] == "failed" and summary["failed_seed"] == 44
+            alone = write_config(tmp_path, alie_sparse_doc("alie-sparse", [45]), "alone.json")
+            assert cli_main(["run", alone, "--outdir", str(tmp_path / "alone"), "--quiet"]) == 0
+            assert ((run_dir / "metrics.csv").read_bytes()
+                    == (tmp_path / "alone" / "alie-sparse" / "metrics.csv").read_bytes())
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("baseline, message", [
         ({"kind": "krum", "f": -1}, "f must be nonnegative"),
         ({"kind": "multi_krum", "f": -1}, "f must be nonnegative"),
@@ -238,43 +271,46 @@ class TestRun:
         assert (tmp_path / "envout" / "envrun" / "metrics.csv").exists()
 
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_failing_seed_under_parallel_exits_two_and_is_named(self, tmp_path, capsys):
-        doc = alie_sparse_doc("alie-sparse", [45, 44])
+        doc = overflow_doc("overflow", [10, 44])
         code = cli_main(["run", write_config(tmp_path, doc), "--outdir", str(tmp_path / "out"),
                          "--parallel", "2", "--quiet"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "round 1 failed for seed 44 at node 9:" in err
-        assert "ALIE needs at least 2 visible benign models" in err
+        assert "non-finite aggregate for client 4 at round 2 (seed 44)" in err
 
-    def test_failing_attack_names_the_malicious_node(self, tmp_path, capsys):
-        # Malicious node 6 of seed 40 has one benign neighbor; ALIE needs two.
+    def test_failing_attack_names_the_malicious_node(self, tmp_path, capsys, monkeypatch):
+        def refuse(model, factor):
+            raise ValueError("payload refused")
+
+        monkeypatch.setattr(sim, "sign_flip_update", refuse)
         doc = tiny_config_doc(
-            name="alie-sparse",
+            name="attack-fails",
             topology={"num_benign": 6, "num_malicious": 1, "edge_prob": 0.3},
-            attack={"kind": "alie", "knowledge": "neighborhood"},
+            attack={"kind": "sign_flip"},
             seeds=[40],
         )
         code = cli_main(["run", write_config(tmp_path, doc), "--outdir", str(tmp_path / "out"),
                          "--parallel", "1", "--quiet"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "round 1 failed for seed 40 at node 6:" in err
-        assert "ALIE needs at least 2 visible benign models" in err
+        assert "round 1 failed for seed 40 at node 6: payload refused" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_failing_seed_keeps_the_seeds_before_it(self, tmp_path, capsys):
-        # Seed 45 finishes; seed 44 fails at round 1 (see the test above).
-        config = write_config(tmp_path, alie_sparse_doc("alie-sparse", [45, 44]))
+        # Seed 10 finishes; seed 44 fails at round 2 (see overflow_doc).
+        config = write_config(tmp_path, overflow_doc("overflow", [10, 44]))
         run_dirs = []
         for workers in ("1", "2"):
             outdir = tmp_path / f"p{workers}"
             assert cli_main(["run", config, "--outdir", str(outdir), "--parallel", workers,
                              "--quiet"]) == 2
-            run_dirs.append(outdir / "alie-sparse")
+            run_dirs.append(outdir / "overflow")
         serial, parallel = run_dirs
         rows = (serial / "metrics.csv").read_text().splitlines()[1:]
-        assert len(rows) == 3 * 8 and {row.split(",")[1] for row in rows} == {"45"}
-        assert list(json.loads((serial / "topology.json").read_text())["seeds"]) == ["45"]
+        assert len(rows) == 3 * 8 and {row.split(",")[1] for row in rows} == {"10"}
+        assert list(json.loads((serial / "topology.json").read_text())["seeds"]) == ["10"]
         for name in ("config.json", "topology.json", "metrics.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
         summaries = [json.loads((d / "summary.json").read_text()) for d in run_dirs]
@@ -282,17 +318,18 @@ class TestRun:
             del doc["wall_clock_sec"]
         assert summaries[0] == summaries[1]
         assert summaries[0]["status"] == "failed" and summaries[0]["failed_seed"] == 44
-        assert list(summaries[0]["per_seed"]) == ["45"]
-        assert summaries[0]["cross_seed"]["mean_acc"] == summaries[0]["per_seed"]["45"]["mean_acc"]
+        assert list(summaries[0]["per_seed"]) == ["10"]
+        assert summaries[0]["cross_seed"]["mean_acc"] == summaries[0]["per_seed"]["10"]["mean_acc"]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_failing_first_seed_writes_a_summary_without_cross_seed(self, tmp_path):
-        doc = alie_sparse_doc("alie-first", [44, 45])
+        doc = overflow_doc("overflow-first", [44, 10])
         assert cli_main(["run", write_config(tmp_path, doc), "--outdir", str(tmp_path),
                          "--quiet"]) == 2
-        summary = json.loads((tmp_path / "alie-first" / "summary.json").read_text())
+        summary = json.loads((tmp_path / "overflow-first" / "summary.json").read_text())
         assert summary["status"] == "failed" and summary["failed_seed"] == 44
         assert summary["per_seed"] == {} and summary["cross_seed"] is None
-        assert (tmp_path / "alie-first" / "metrics.csv").read_text().splitlines() == [
+        assert (tmp_path / "overflow-first" / "metrics.csv").read_text().splitlines() == [
             "round,seed,client,acc,loss,mean_acc,var"]
 
     def test_progress_is_one_record_per_evaluated_round_for_any_worker_count(

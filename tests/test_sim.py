@@ -1,6 +1,7 @@
 import json
 import os
-from dataclasses import replace
+import re
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from dflsim import rng
 from dflsim.baselines import dfedavg, flame_weighted, krum, median_agg, multi_krum, trimmed_mean
-from dflsim.config import ATTACKS, BASELINES, CRSS, SCHEMES, AttackSpec, DFedReweightingSpec, parse_config
+from dflsim.config import (ATTACKS, BASELINES, CRSS, SCHEMES, AttackSpec, ConfigError,
+                           DFedReweightingSpec, config_to_json_dict, parse_config)
 from dflsim.core_learning import (
     Dataset,
     Minibatch,
@@ -26,6 +28,7 @@ from dflsim.reweight import (
     LossClip,
     MetricVector,
     TargetMetricKind,
+    WeightVector,
     apply_crs,
     compute_tpm,
     dfedreweighting_round_weights,
@@ -41,6 +44,7 @@ from dflsim.sim import (
     _run_seed,
     _seed_pool,
     build_network,
+    check_neighborhoods,
     evaluate_network,
     run_experiment,
     run_round,
@@ -409,6 +413,30 @@ class TestStackedRoundEngine:
                            match="round 1 failed for seed 43 at node 2: loss-clip requires at least one"):
             run_round(state, 1)
 
+    @pytest.mark.parametrize("aggregator, kernel", [
+        ({"tpm": "loss", "crs": "loss_clip"}, "grouped_mean_loss"),
+        ({"tpm": "accuracy", "crs": "acc_clip"}, "grouped_accuracy"),
+    ])
+    def test_grouped_kernel_is_looked_up_once_per_group_and_round(self, aggregator, kernel,
+                                                                  monkeypatch):
+        # A wrapper on the reweight module's attribute sees every group's
+        # scoring: the round looks the kernel up when it runs, not at import.
+        import dflsim.reweight as reweight
+
+        state = self.grouped_round_state(aggregator)
+        original, shapes = getattr(reweight, kernel), []
+
+        def counted(params, *args):
+            shapes.append(params.shape)
+            return original(params, *args)
+
+        monkeypatch.setattr(reweight, kernel, counted)
+        for t in (1, 2):
+            run_round(state, t)
+        groups = state.plan().groups
+        assert len(groups) > 1
+        assert shapes == [(*group.members.shape, state.models.shape[1]) for group in groups] * 2
+
     def test_replaced_local_step_functions_are_called_per_client(self, monkeypatch):
         import dflsim.sim as sim
 
@@ -555,6 +583,41 @@ def test_every_registered_kind_runs_a_round(family, name):
         assert np.all(np.isfinite(row)) and np.any(row != 0), (family, name, k)
 
 
+@dataclass(frozen=True)
+class _UniformCRS:
+    """A CRS that weighs every member of a closed neighborhood alike."""
+
+    favours = "high"
+
+    def weights(self, metrics):
+        return WeightVector(metrics.ids, np.full(len(metrics), 1 / len(metrics)))
+
+    def rows(self, values):
+        return np.full(values.shape, 1 / values.shape[1]), True
+
+
+def test_a_crs_registered_by_name_alone_parses_and_runs(monkeypatch):
+    # The class and its name in config.CRSS are all a CRS needs: the pairing
+    # rule reads its favours, and the round its row form.
+    monkeypatch.setitem(CRSS, "uniform", _UniformCRS)
+    config = tiny_config(
+        topology={"num_benign": 6, "num_malicious": 1, "edge_prob": 0.5},
+        aggregator={"dfed_reweighting": {"tpm": "accuracy", "crs": "uniform"}},
+        attack={"kind": "sign_flip"},
+    )
+    assert config_to_json_dict(config)["aggregator"] == {
+        "dfed_reweighting": {"tpm": "accuracy", "crs": "uniform"}}
+    state = build_network(config, seed=43)
+    run_round(state, 1)
+    neighborhoods = state.plan().neighborhoods
+    assert len({len(members) for members in neighborhoods.values()}) > 1
+    for k in state.benign_ids():
+        members = neighborhoods[k].tolist()
+        assert state.last_weights[k] == {m: 1 / len(members) for m in members}
+    with pytest.raises(ConfigError, match="crs 'uniform' requires tpm 'accuracy', got 'loss'"):
+        tiny_config(aggregator={"dfed_reweighting": {"tpm": "loss", "crs": "uniform"}})
+
+
 class TestAttackDispatch:
     def attack_state(self, attack, knowledge="omniscient"):
         config = tiny_config(
@@ -608,6 +671,25 @@ class TestAttackDispatch:
         payload = _attack_payload(state, 3, broadcast_matrix(state, halves), t=1)
         # mean over visible benign {1, 2} only, flipped by -1
         np.testing.assert_allclose(payload, -1.5, atol=1e-12)
+
+    @pytest.mark.parametrize("knowledge, failure", [
+        ("neighborhood", "seed 43: malicious node 4 sees 1 benign models, but ALIE(z=None) "
+                         "needs the mean and std of its visible benign models (at least 2)"),
+        ("omniscient", None),
+    ], ids=["neighborhood", "omniscient"])
+    def test_alie_needs_two_visible_benign_models(self, knowledge, failure):
+        # Malicious node 4 neighbors benign node 2 alone; omniscient, it sees all four.
+        config = tiny_config(topology={"num_benign": 4, "num_malicious": 1, "edge_prob": 1.0},
+                             attack={"kind": "alie", "knowledge": knowledge})
+        adj = np.zeros((5, 5), dtype=bool)
+        for i, j in [(0, 1), (1, 2), (2, 3), (2, 4)]:
+            adj[i, j] = adj[j, i] = True
+        graph = TopologyGraph(5, adj, frozenset(range(4)), frozenset({4}))
+        if failure is None:
+            check_neighborhoods(config, 43, graph)
+            return
+        with pytest.raises(ConfigError, match=re.escape(failure)):
+            check_neighborhoods(config, 43, graph)
 
 
 class TestEvaluation:
