@@ -1,4 +1,4 @@
-"""Evaluation metrics, fairness/robustness orderings, and convergence-bound
+"""Evaluation metrics, the summary blocks of a run, and convergence-bound
 evaluators with an L-smooth quadratic testbed.
 
 Bound evaluation is diagnostic only: the evaluators report (empirical, bound,
@@ -6,7 +6,6 @@ slack) rows and never assert that the bound dominates a trajectory.
 """
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -14,12 +13,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import rng
-
-
-class Ordering(enum.Enum):
-    FIRST = "first"
-    SECOND = "second"
-    INCOMPARABLE = "incomparable"
 
 
 def mean_accuracy(per_client) -> float:
@@ -68,22 +61,6 @@ def summarize(rows) -> tuple:
         "mean_acc": mean_accuracy([block["mean_acc"] for block in per_seed.values()]),
         "var_points": mean_accuracy([block["var_points"] for block in per_seed.values()]),
     }
-
-
-def fairness_compare(run_a, run_b, tol: float = 1e-9) -> Ordering:
-    """Strictly smaller accuracy variance is more client-fair."""
-    va, vb = accuracy_variance(run_a), accuracy_variance(run_b)
-    if abs(va - vb) <= tol:
-        return Ordering.INCOMPARABLE
-    return Ordering.FIRST if va < vb else Ordering.SECOND
-
-
-def robustness_compare(run_a, run_b, tol: float = 1e-9) -> Ordering:
-    """Higher benign mean accuracy is more Byzantine-robust."""
-    ma, mb = mean_accuracy(run_a), mean_accuracy(run_b)
-    if abs(ma - mb) <= tol:
-        return Ordering.INCOMPARABLE
-    return Ordering.FIRST if ma > mb else Ordering.SECOND
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: run, sweep, bounds, validate, report. Exit codes: 0 success,
-1 config/usage error, 2 runtime failure.
+1 config/usage error or a seed that fails before its round 1, 2 a failure
+during a round.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from pathlib import Path
 from .analysis import quadratic_bound_rows, summarize
 from .config import (ConfigError, load_config, parse_bounds_config, parse_config, parse_sweep,
                      read_document)
-from .sim import METRICS_COLUMNS, SimulationError, check_topologies, run_experiment
+from .sim import METRICS_COLUMNS, SimulationError, run_experiment, setup_seed
 
 # The package logger: progress records from dflsim.sim reach the same level.
 log = logging.getLogger("dflsim")
@@ -57,7 +58,7 @@ def _build_parser() -> _Parser:
     p_bounds.add_argument("config")
     p_bounds.add_argument("--outdir", help="output directory for bounds.csv")
 
-    p_validate = sub.add_parser("validate", help="schema-check a config file")
+    p_validate = sub.add_parser("validate", help="check a config and set up each of its seeds")
     p_validate.add_argument("config")
 
     p_report = sub.add_parser("report", help="re-derive summary tables from a run directory")
@@ -77,6 +78,13 @@ def _apply_overrides(config, args):
     return config
 
 
+def _set_up_every_seed(configs) -> None:
+    """setup_seed on every seed of every config, as run does before each seed's round 1."""
+    for config in configs:
+        for seed in config.seeds:
+            setup_seed(config, seed)
+
+
 def _cmd_run(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     summary = run_experiment(config, parallel=args.parallel, outdir=args.outdir)
@@ -87,8 +95,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     configs = [_apply_overrides(config, args) for config in parse_sweep(read_document(args.config))]
-    for config in configs:
-        check_topologies(config)
+    _set_up_every_seed(configs)
     for config in configs:
         summary = run_experiment(config, parallel=args.parallel, outdir=args.outdir)
         log.info("sweep '%s': mean_acc=%.4f var=%.3f", config.name, summary.mean_acc,
@@ -126,8 +133,7 @@ def _cmd_validate(args) -> int:
         configs = parse_sweep(doc)
     else:
         configs = (parse_config(doc),)
-    for config in configs:
-        check_topologies(config)
+    _set_up_every_seed(configs)
     print("\n".join(f"ok: '{config.name}' is a valid run config" for config in configs))
     return 0
 

@@ -106,9 +106,6 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.features[idx], self.labels[idx], self.num_classes)
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
-
 
 @dataclass(frozen=True)
 class Minibatch:

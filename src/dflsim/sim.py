@@ -16,7 +16,7 @@ import logging
 import os
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -66,7 +66,7 @@ from .data import (
 )
 from .plan import RoundPlan, plan_rounds
 from .reweight import dfedreweighting_round_weights, reweight_aggregate, reweight_round, scoring_is_stock
-from .topology import TopologyConfig, TopologyError, TopologyGraph, generate
+from .topology import TopologyGraph, generate
 
 log = logging.getLogger(__name__)
 
@@ -156,7 +156,7 @@ def build_network(config: RunConfig, seed: int) -> NetworkState:
     of the training set, not a copy of its examples.
     """
     train, test = build_dataset(config)
-    graph = generate(TopologyConfig(seed=seed, **asdict(config.topology)))
+    graph = generate(config.topology, seed)
     plan = _PARTITIONS[type(config.scheme)](train, config.topology.num_benign, config.scheme, seed)
     split = split_auxiliary(train, plan, config.aux_fraction, seed)
     clients = {k: split[k] for k in sorted(graph.benign)}
@@ -186,17 +186,19 @@ def check_neighborhoods(config: RunConfig, seed: int, graph: TopologyGraph) -> N
                                   f"but {spec} needs {spec.rule} (at least {spec.fewest})")
 
 
-def check_topologies(config: RunConfig) -> None:
-    """check_neighborhoods on the graph of every seed, without building its data."""
-    specs = (config.aggregator, config.attack and config.attack.kind)
-    if not any(hasattr(spec, "rule") for spec in specs):
-        return
-    for seed in config.seeds:
-        try:
-            graph = generate(TopologyConfig(seed=seed, **asdict(config.topology)))
-        except TopologyError as exc:
-            raise ConfigError(f"seed {seed}: {exc}") from exc
-        check_neighborhoods(config, seed, graph)
+def setup_seed(config: RunConfig, seed: int) -> NetworkState:
+    """build_network and its round plan for one seed, checked by check_neighborhoods.
+
+    Everything a seed needs before its round 1; dflsim validate, sweep and run
+    all set a seed up here. Any failure raises ConfigError naming the seed.
+    """
+    try:
+        state = build_network(config, seed)
+        state.plan()
+    except Exception as exc:
+        raise ConfigError(f"seed {seed}: {exc}") from exc
+    check_neighborhoods(config, seed, state.graph)
+    return state
 
 
 def _local_half_steps(state: NetworkState, t: int) -> np.ndarray:
@@ -474,12 +476,7 @@ def _run_seed(config: RunConfig, seed: int) -> tuple:
 
     Returns (topology document, metrics.csv rows, {round: weight rows}).
     """
-    try:
-        state = build_network(config, seed)
-        state.plan()
-    except Exception as exc:
-        raise SimulationError(f"setup failed for seed {seed}: {exc}") from exc
-    check_neighborhoods(config, seed, state.graph)
+    state = setup_seed(config, seed)
     eval_rounds = set(_eval_rounds(config))
     rows, weight_rows = [], {}
     for t in range(0, config.rounds + 1):
@@ -582,11 +579,11 @@ def run_experiment(config: RunConfig, parallel: int = 1, outdir: str | None = No
     record per evaluated round goes to this module's logger at INFO. Writes
     config.json, topology.json, metrics.csv, summary.json, and (when
     export_weights is set) weights_round_<t>.csv under the run directory, and
-    returns the summary. Before its first round, each seed's graph is checked
-    against the aggregator's and the attack's rules (check_neighborhoods).
-    If a seed fails, or is rejected by that check, the seeds before it in
-    config order are written, summary.json records the failed seed, and the
-    SimulationError or ConfigError is raised again.
+    returns the summary. Each seed is set up by setup_seed, which raises
+    ConfigError if the seed cannot be built or fails the aggregator's or the
+    attack's rules. If a seed fails, in its set-up or in a round, the seeds
+    before it in config order are written, summary.json records the failed
+    seed, and the ConfigError or SimulationError is raised again.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {parallel}")

@@ -39,11 +39,6 @@ class TopologyShape:
 
 
 @dataclass(frozen=True)
-class TopologyConfig(TopologyShape):
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class TopologyGraph:
     """Undirected graph over disjoint benign/malicious node sets.
 
@@ -93,14 +88,6 @@ class TopologyGraph:
             "malicious": sorted(self.malicious),
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TopologyGraph":
-        n = int(doc["n"])
-        adj = np.zeros((n, n), dtype=bool)
-        for i, j in doc["edges"]:
-            adj[i, j] = adj[j, i] = True
-        return cls(n, adj, frozenset(doc["benign"]), frozenset(doc["malicious"]))
-
 
 def neighbors(g: TopologyGraph, k: int) -> set:
     """Open neighborhood of node k (never contains k itself)."""
@@ -125,21 +112,22 @@ def is_benign_connected(g: TopologyGraph) -> bool:
     return len(seen) == len(benign)
 
 
-def generate(config: TopologyConfig) -> TopologyGraph:
-    """Sample an Erdos-Renyi graph whose benign-induced subgraph is connected."""
-    n = config.num_benign + config.num_malicious
-    benign = frozenset(range(config.num_benign))
-    malicious = frozenset(range(config.num_benign, n))
-    gen = rng.stream(config.seed, purpose="topology")
-    for _ in range(config.max_retries):
+def generate(shape: TopologyShape, seed: int) -> TopologyGraph:
+    """Sample an Erdos-Renyi graph of the given shape, from seed's topology
+    stream, whose benign-induced subgraph is connected."""
+    n = shape.num_benign + shape.num_malicious
+    benign = frozenset(range(shape.num_benign))
+    malicious = frozenset(range(shape.num_benign, n))
+    gen = rng.stream(seed, purpose="topology")
+    for _ in range(shape.max_retries):
         draws = gen.random((n, n))
-        upper = np.triu(draws < config.edge_prob, k=1)
+        upper = np.triu(draws < shape.edge_prob, k=1)
         adj = upper | upper.T
         g = TopologyGraph(n, adj, benign, malicious)
         if is_benign_connected(g):
             return g
     raise TopologyError(
         f"failed to generate a graph with a connected benign subgraph after "
-        f"{config.max_retries} attempts (num_benign={config.num_benign}, "
-        f"edge_prob={config.edge_prob})"
+        f"{shape.max_retries} attempts (num_benign={shape.num_benign}, "
+        f"edge_prob={shape.edge_prob})"
     )

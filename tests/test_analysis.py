@@ -6,13 +6,10 @@ import pytest
 from dflsim import rng
 from dflsim.analysis import (
     BoundParams,
-    Ordering,
     accuracy_variance,
-    fairness_compare,
     mean_accuracy,
     quadratic_bound_rows,
     quadratic_testbed,
-    robustness_compare,
     summarize,
     theorem1_bound,
     theorem2_bound,
@@ -93,13 +90,6 @@ class TestSummarize:
 
 
 class TestComparisons:
-    def test_fairness_basic(self):
-        assert fairness_compare([90.0, 90.0], [80.0, 100.0]) is Ordering.FIRST
-        assert fairness_compare([80.0, 100.0], [90.0, 90.0]) is Ordering.SECOND
-
-    def test_fairness_identical_incomparable(self):
-        assert fairness_compare([88.0, 92.0], [88.0, 92.0]) is Ordering.INCOMPARABLE
-
     def test_fairness_table_shaped_fixture(self):
         # reweighting vs plain averaging under 4-class label skew:
         # Var 4.125 (Acc 95.414) vs Var 107.049 (Acc 85.449)
@@ -107,21 +97,6 @@ class TestComparisons:
         averaged = [85.449 - math.sqrt(107.049), 85.449 + math.sqrt(107.049)]
         assert accuracy_variance(reweighted) == pytest.approx(4.125)
         assert accuracy_variance(averaged) == pytest.approx(107.049)
-        assert fairness_compare(reweighted, averaged) is Ordering.FIRST
-
-    def test_robustness_basic(self):
-        # benign means under sign flipping: 92.512 vs 18.718
-        assert robustness_compare([92.512], [18.718]) is Ordering.FIRST
-        assert robustness_compare([18.718], [92.512]) is Ordering.SECOND
-
-    def test_robustness_equal_incomparable(self):
-        assert robustness_compare([50.0, 60.0], [55.0, 55.0]) is Ordering.INCOMPARABLE
-
-    def test_robustness_shift_preserves_order(self):
-        a, b = [70.0, 80.0], [40.0, 45.0]
-        assert robustness_compare(a, b) is robustness_compare(
-            [x + 7 for x in a], [x + 7 for x in b]
-        )
 
 
 class TestBounds:

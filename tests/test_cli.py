@@ -52,6 +52,28 @@ def overflow_doc(name, seeds):
     )
 
 
+def ungenerable_doc(aggregator):
+    """No edge on 8 benign nodes: seed 10's graph cannot be generated in 5 attempts."""
+    return tiny_config_doc(
+        name="ungenerable",
+        topology={"num_benign": 8, "num_malicious": 0, "edge_prob": 0.0, "max_retries": 5},
+        aggregator={"baseline": aggregator},
+        seeds=[10],
+    )
+
+
+def uncoverable_doc(aggregator):
+    """Label skew with h=1 on 4 clients cannot cover 10 classes: seed 43 cannot be partitioned."""
+    return tiny_config_doc(
+        name="uncoverable",
+        dataset={"synthetic": {"num_classes": 10, "feature_dim": 6, "n_per_class": 10,
+                               "spread": 0.5, "seed": 5, "test_n_per_class": 5}},
+        scheme={"label_skew": {"h": 1}},
+        topology={"num_benign": 4, "num_malicious": 0, "edge_prob": 1.0},
+        aggregator={"baseline": aggregator},
+    )
+
+
 def write_config(tmp_path, doc, filename="config.json"):
     path = tmp_path / filename
     path.write_text(json.dumps(doc))
@@ -207,6 +229,65 @@ class TestValidate:
         assert cli_main([command, config, *flags]) == 1
         assert f"seeds must be distinct: seed {repeated} is repeated" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestSetup:
+    # validate, run and sweep set every seed up alike (sim.setup_seed), so a seed
+    # that cannot be built exits 1 from each, named, whatever the aggregator.
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    @pytest.mark.parametrize("aggregator", [{"kind": "dfedavg"}, {"kind": "krum", "f": 0}],
+                             ids=["dfedavg", "krum"])
+    @pytest.mark.parametrize("make_doc, seed, message", [
+        pytest.param(ungenerable_doc, 10, "failed to generate a graph with a connected benign "
+                                          "subgraph after 5 attempts", id="ungenerable"),
+        pytest.param(uncoverable_doc, 43, "4 clients x h=1 slots cannot cover all 10 classes",
+                     id="uncoverable"),
+    ])
+    def test_a_seed_that_cannot_be_set_up_exits_one(self, tmp_path, capsys, command, aggregator,
+                                                    make_doc, seed, message):
+        doc = make_doc(aggregator)
+        if command == "sweep":
+            doc = {"base": doc, "grid": {}}
+        out = tmp_path / "out"
+        out.mkdir()
+        args = [command, write_config(tmp_path, doc)]
+        if command != "validate":
+            args += ["--outdir", str(out), "--quiet"]
+        assert cli_main(args) == 1
+        assert f"config error: seed {seed}: {message}" in capsys.readouterr().err
+        if command == "run":
+            run_dir = out / doc["name"]
+            assert (run_dir / "metrics.csv").read_text().splitlines() == [
+                "round,seed,client,acc,loss,mean_acc,var"]
+            summary = json.loads((run_dir / "summary.json").read_text())
+            assert summary["status"] == "failed" and summary["failed_seed"] == seed
+        else:
+            assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_seed_that_cannot_be_set_up_keeps_the_seeds_before_it(self, tmp_path, capsys,
+                                                                     workers):
+        # With one attempt on 8 benign nodes at edge_prob 0.3, seed 40's graph is
+        # connected and seed 41's is not.
+        def doc(seeds):
+            return tiny_config_doc(
+                name="one-attempt",
+                topology={"num_benign": 8, "num_malicious": 0, "edge_prob": 0.3,
+                          "max_retries": 1},
+                seeds=seeds,
+            )
+
+        both = write_config(tmp_path, doc([40, 41]))
+        assert cli_main(["run", both, "--outdir", str(tmp_path / "both"), "--parallel", workers,
+                         "--quiet"]) == 1
+        assert "config error: seed 41: failed to generate a graph" in capsys.readouterr().err
+        run_dir = tmp_path / "both" / "one-attempt"
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["status"] == "failed" and summary["failed_seed"] == 41
+        alone = write_config(tmp_path, doc([40]), "alone.json")
+        assert cli_main(["run", alone, "--outdir", str(tmp_path / "alone"), "--quiet"]) == 0
+        assert ((run_dir / "metrics.csv").read_bytes()
+                == (tmp_path / "alone" / "one-attempt" / "metrics.csv").read_bytes())
 
 
 class TestUsage:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from dflsim.topology import (
-    TopologyConfig,
     TopologyError,
     TopologyGraph,
+    TopologyShape,
     generate,
     is_benign_connected,
     neighbors,
@@ -40,31 +40,29 @@ def reachability_oracle(g):
 
 class TestGenerate:
     def test_full_probability_gives_complete_graph(self):
-        g = generate(TopologyConfig(num_benign=4, num_malicious=2, edge_prob=1.0, seed=1))
+        g = generate(TopologyShape(num_benign=4, num_malicious=2, edge_prob=1.0), seed=1)
         expected = ~np.eye(6, dtype=bool)
         np.testing.assert_array_equal(g.adjacency, expected)
 
     def test_zero_probability_two_benign_fails(self):
-        config = TopologyConfig(num_benign=2, num_malicious=0, edge_prob=0.0, seed=1,
-                                max_retries=25)
+        shape = TopologyShape(num_benign=2, num_malicious=0, edge_prob=0.0, max_retries=25)
         with pytest.raises(TopologyError, match="connected"):
-            generate(config)
+            generate(shape, seed=1)
 
     def test_deterministic_replay(self):
-        config = TopologyConfig(num_benign=3, num_malicious=0, edge_prob=0.5, seed=99)
-        a, b = generate(config), generate(config)
+        shape = TopologyShape(num_benign=3, num_malicious=0, edge_prob=0.5)
+        a, b = generate(shape, seed=99), generate(shape, seed=99)
         np.testing.assert_array_equal(a.adjacency, b.adjacency)
         assert a.benign == b.benign and a.malicious == b.malicious
 
     def test_ids_assigned_benign_first(self):
-        g = generate(TopologyConfig(num_benign=5, num_malicious=3, edge_prob=0.9, seed=5))
+        g = generate(TopologyShape(num_benign=5, num_malicious=3, edge_prob=0.9), seed=5)
         assert g.benign == frozenset(range(5))
         assert g.malicious == frozenset(range(5, 8))
 
     def test_generated_graphs_satisfy_invariants(self):
         for seed in range(40):
-            g = generate(TopologyConfig(num_benign=6, num_malicious=2, edge_prob=0.4,
-                                        seed=seed))
+            g = generate(TopologyShape(num_benign=6, num_malicious=2, edge_prob=0.4), seed)
             assert not np.any(np.diag(g.adjacency))
             np.testing.assert_array_equal(g.adjacency, g.adjacency.T)
             assert is_benign_connected(g)
@@ -74,9 +72,8 @@ class TestGenerate:
         # connectivity-passing attempt of a manual replay of the same stream
         from dflsim import rng
 
-        config = TopologyConfig(num_benign=5, num_malicious=1, edge_prob=0.22,
-                                seed=12345, max_retries=500)
-        g = generate(config)
+        shape = TopologyShape(num_benign=5, num_malicious=1, edge_prob=0.22, max_retries=500)
+        g = generate(shape, seed=12345)
         gen = rng.stream(12345, purpose="topology")
         attempts = 0
         while True:
@@ -88,15 +85,14 @@ class TestGenerate:
             if is_benign_connected(candidate):
                 break
         np.testing.assert_array_equal(g.adjacency, candidate.adjacency)
-        assert attempts <= config.max_retries
+        assert attempts <= shape.max_retries
 
     def test_empirical_edge_density(self):
         # 10,000 seeded trials at rho=0.7, N=12: density within +/-0.02
         total_pairs = 12 * 11 // 2
         densities = []
         for seed in range(10_000):
-            g = generate(TopologyConfig(num_benign=10, num_malicious=2, edge_prob=0.7,
-                                        seed=seed))
+            g = generate(TopologyShape(num_benign=10, num_malicious=2, edge_prob=0.7), seed)
             densities.append(np.triu(g.adjacency, 1).sum() / total_pairs)
         assert abs(float(np.mean(densities)) - 0.7) <= 0.02
 
@@ -171,8 +167,9 @@ class TestGraphValidation:
             TopologyGraph(2, adj, frozenset([0]), frozenset([1]))
 
     def test_json_round_trip(self):
-        g = generate(TopologyConfig(num_benign=4, num_malicious=2, edge_prob=0.6, seed=8))
+        g = generate(TopologyShape(num_benign=4, num_malicious=2, edge_prob=0.6), seed=8)
         doc = g.to_json_dict()
-        back = TopologyGraph.from_json_dict(doc)
-        np.testing.assert_array_equal(g.adjacency, back.adjacency)
-        assert back.benign == g.benign and back.malicious == g.malicious
+        # Each edge once, as an ascending pair, in row-major order of the upper triangle.
+        assert doc["n"] == 6
+        assert doc["edges"] == [[int(i), int(j)] for i, j in zip(*np.nonzero(np.triu(g.adjacency)))]
+        assert doc["benign"] == [0, 1, 2, 3] and doc["malicious"] == [4, 5]
