@@ -123,6 +123,14 @@ def _cmd_bounds(args) -> int:
         for t, emp, bound, slack in rows:
             writer.writerow([t, repr(emp), repr(bound), repr(slack)])
     print(f"wrote {out_path}")
+    # The bound is diagnostic: rounds where it falls below the trajectory are reported, not fatal.
+    negative = [(slack, t) for t, _, _, slack in rows if slack < 0]
+    if negative:
+        worst, worst_t = min(negative)
+        print(f"negative slack in {len(negative)} of {len(rows)} rounds, "
+              f"t = {', '.join(str(t) for _, t in negative)}; worst {worst:.3f} at t = {worst_t}")
+    else:
+        print(f"negative slack in 0 of {len(rows)} rounds")
     return 0
 
 

@@ -309,8 +309,8 @@ def partition_dirichlet(data: Dataset, num_clients: int, alpha: float, seed: int
 def split_auxiliary(
     data: Dataset, plan: PartitionPlan, aux_fraction: float, seed: int
 ) -> tuple:
-    """Class-stratified aux/train holdout of each client's allocation: one
-    ClientState per client, whose sorted, disjoint index arrays cover it.
+    """Class-stratified aux/train holdout of each client's sorted allocation:
+    one ClientState per client, whose sorted, disjoint index arrays cover it.
 
     The aux side receives ceil(aux_fraction * n_k) examples (capped so train
     stays nonempty), apportioned across classes by largest remainder. A
@@ -334,8 +334,12 @@ def split_auxiliary(
         # floor(f * size) <= size - 1 for f < 1, so no count can exceed its class size.
         counts = _largest_remainder(aux_fraction * sizes, want)
         # One permutation per class, count 0 included, keeps the aux-split stream in step.
-        aux = np.sort(np.concatenate(
-            [gen.permutation(idx[labels == c])[:n] for c, n in zip(classes, counts)]
-        ))
-        clients.append(ClientState(_read_only(np.setdiff1d(idx, aux)), _read_only(aux)))
+        # It permutes the class's positions in idx; a permutation of any int64 array of
+        # that length makes the same draws.
+        picked = np.concatenate(
+            [gen.permutation(np.flatnonzero(labels == c))[:n] for c, n in zip(classes, counts)]
+        )
+        keep = np.ones(n_k, dtype=bool)
+        keep[picked] = False
+        clients.append(ClientState(_read_only(idx[keep]), _read_only(idx[np.sort(picked)])))
     return tuple(clients)

@@ -471,14 +471,25 @@ def resolve_outdir(config: RunConfig, override: str | None = None) -> Path:
     return Path(base) / config.name
 
 
+def _weight_arrays(last_weights: dict) -> tuple:
+    """(clients, members, weights) arrays of a round's weights, one entry per
+    (client, member), client ascending, then member ascending."""
+    entries = [(client, member, w)
+               for client, row in sorted(last_weights.items())
+               for member, w in sorted(row.items())]
+    clients, members, weights = zip(*entries)
+    return np.array(clients, np.int64), np.array(members, np.int64), np.array(weights, np.float64)
+
+
 def _run_seed(config: RunConfig, seed: int) -> tuple:
     """Run one seed from set-up to its last round, writing no file.
 
-    Returns (topology document, metrics.csv rows, {round: weight rows}).
+    Returns (topology document, metrics.csv rows as numbers, {round:
+    _weight_arrays of that round's weights}).
     """
     state = setup_seed(config, seed)
     eval_rounds = set(_eval_rounds(config))
-    rows, weight_rows = [], {}
+    rows, weights = [], {}
     for t in range(0, config.rounds + 1):
         if t > 0:
             try:
@@ -490,18 +501,14 @@ def _run_seed(config: RunConfig, seed: int) -> tuple:
         if t not in eval_rounds:
             continue
         accs, losses = evaluate_network(state, t)
-        mean, var = _fmt(mean_accuracy(accs)), _fmt(accuracy_variance([a * 100.0 for a in accs]))
+        mean, var = mean_accuracy(accs), accuracy_variance([a * 100.0 for a in accs])
         rows.extend(
-            [t, seed, node_id, _fmt(acc), _fmt(loss), mean, var]
+            [t, seed, node_id, acc, loss, mean, var]
             for node_id, acc, loss in zip(state.benign_ids(), accs, losses)
         )
         if config.export_weights and state.last_weights:
-            weight_rows[t] = [
-                [seed, client, member, _fmt(w)]
-                for client, row in sorted(state.last_weights.items())
-                for member, w in sorted(row.items())
-            ]
-    return state.graph.to_json_dict(), rows, weight_rows
+            weights[t] = _weight_arrays(state.last_weights)
+    return state.graph.to_json_dict(), rows, weights
 
 
 # Read by OpenBLAS and OpenMP when a process loads them, so a spawned worker
@@ -539,11 +546,11 @@ def _write_run(run_dir: Path, config: RunConfig, results: list, start: float,
     """Write the artifacts of the seeds whose _run_seed results are given, in
     config order, and return their summary."""
     topo_docs, metrics_rows, weight_files = {}, [], {}
-    for seed, (topo_doc, rows, weight_rows) in zip(config.seeds, results):
+    for seed, (topo_doc, rows, weights) in zip(config.seeds, results):
         topo_docs[str(seed)] = topo_doc
         metrics_rows.extend(rows)
-        for t, w_rows in weight_rows.items():
-            weight_files.setdefault(t, []).extend(w_rows)
+        for t, arrays in weights.items():
+            weight_files.setdefault(t, []).append((seed, *arrays))
     summary = RunSummary(
         config, *summarize(metrics_rows), time.perf_counter() - start, source_fingerprint()
     )
@@ -558,12 +565,15 @@ def _write_run(run_dir: Path, config: RunConfig, results: list, start: float,
     with open(run_dir / "metrics.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(METRICS_COLUMNS)
-        writer.writerows(metrics_rows)
-    for t, rows in sorted(weight_files.items()):
+        writer.writerows([t, seed, client, *map(_fmt, values)]
+                         for t, seed, client, *values in metrics_rows)
+    for t, seeds in sorted(weight_files.items()):
         with open(run_dir / f"weights_round_{t}.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["seed", "client", "member", "weight"])
-            writer.writerows(rows)
+            for seed, clients, members, weights in seeds:
+                writer.writerows([seed, client, member, _fmt(w)] for client, member, w in
+                                 zip(clients.tolist(), members.tolist(), weights.tolist()))
     with open(run_dir / "summary.json", "w") as f:
         json.dump({**summary.to_json_dict(), **outcome}, f, indent=2, sort_keys=True)
     return summary

@@ -507,6 +507,22 @@ class TestBounds:
         assert f"config error: {path}: expected" in capsys.readouterr().err
         assert not (tmp_path / "bounds.csv").exists()
 
+    def test_bounds_reports_negative_slack(self, tmp_path, capsys):
+        code = cli_main(["bounds", str(REPO_CONFIGS / "bounds.json"),
+                         "--outdir", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"wrote {tmp_path / 'bounds.csv'}",
+                       "negative slack in 4 of 200 rounds, t = 5, 6, 7, 8; worst -0.216 at t = 6"]
+        rows = [line.split(",") for line in (tmp_path / "bounds.csv").read_text().splitlines()[1:]]
+        assert [int(t) for t, *_, slack in rows if float(slack) < 0] == [5, 6, 7, 8]
+
+    def test_bounds_reports_no_negative_slack(self, tmp_path, capsys):
+        doc = tmp_path / "bounds.json"
+        doc.write_text(json.dumps({"noise_scale": 1.0}))
+        assert cli_main(["bounds", str(doc), "--outdir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "negative slack in 0 of 100 rounds"
+
     def test_bounds_defaults(self, tmp_path):
         empty = tmp_path / "bounds.json"
         empty.write_text("{}")

@@ -899,16 +899,34 @@ class TestRunExperiment:
             rounds=4,
             eval_every=2,
             export_weights=True,
+            topology={"num_benign": 5, "num_malicious": 0, "edge_prob": 0.6},
             aggregator={"dfed_reweighting": {"tpm": "accuracy",
                                              "crs": {"temp_softmax": {"temperature": 0.5}}}},
+            seeds=[44, 43],
         )
-        run_experiment(config, outdir=str(tmp_path))
+        run_experiment(config, parallel=1, outdir=str(tmp_path))
         run_dir = tmp_path / "weights"
         assert (run_dir / "weights_round_2.csv").exists()
         assert (run_dir / "weights_round_4.csv").exists()
         assert not (run_dir / "weights_round_3.csv").exists()
-        header = (run_dir / "weights_round_2.csv").read_text().splitlines()[0]
-        assert header == "seed,client,member,weight"
+        # Rows in file order: seeds in config order, then clients, then members ascending.
+        expected = {2: [], 4: []}
+        for seed in config.seeds:
+            state = build_network(config, seed)
+            for t in range(1, 5):
+                run_round(state, t)
+                if t in expected:
+                    expected[t].extend((seed, client, member, w)
+                                       for client, row in sorted(state.last_weights.items())
+                                       for member, w in sorted(row.items()))
+            # Neighborhoods of several sizes, so member order is not the same for every client.
+            assert len({len(row) for row in state.last_weights.values()}) > 1
+        for t, rows in expected.items():
+            header, *lines = (run_dir / f"weights_round_{t}.csv").read_text().splitlines()
+            assert header == "seed,client,member,weight"
+            written = [line.split(",") for line in lines]
+            assert [(int(s), int(c), int(m), float(w)) for s, c, m, w in written] == rows
+            assert [w for *_, w in written] == [repr(w) for *_, w in rows]
 
     def test_summary_json_matches_returned_summary(self, tmp_path):
         config = tiny_config(name="roundtrip", rounds=2)
