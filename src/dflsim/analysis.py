@@ -103,7 +103,12 @@ def _warn_non_contractive(etas, L: float) -> None:
 def theorem1_bound(p: BoundParams, t: int) -> float:
     """Dynamic-rate recursion: B <- (1 - 3*eta_j*L) * B + (eta_j * G)^2.
 
-    Returns the bound on the squared distance after rounds 0..t.
+    Returns the bound on the squared distance of the uniform-weight consensus
+    to the optimum w* after rounds 0..t, starting from B = D0. It assumes an
+    L-smooth objective and stochastic gradients of norm at most G; it
+    contracts only for eta_j < 1/(3L), and a larger rate warns but is still
+    computed. PAPER.md holds only the abstract of arXiv 2512.12022, so the
+    1 - 3*eta*L constant cannot be checked against the paper's proof here.
     """
     if t < 0:
         raise ValueError("round index must be nonnegative")
@@ -118,7 +123,15 @@ def theorem1_bound(p: BoundParams, t: int) -> float:
 
 
 def theorem2_bound(p: BoundParams, t: int) -> float:
-    """Fixed-rate closed form: (1-3*eta*L)^(t+1) * D0 + eta*G^2/(3L) * (1 - (1-3*eta*L)^(t+1))."""
+    """Fixed-rate closed form: (1-3*eta*L)^(t+1) * D0 + eta*G^2/(3L) * (1 - (1-3*eta*L)^(t+1)).
+
+    theorem1_bound's recursion solved for a constant eta, under the same
+    assumptions: it bounds the squared distance of the uniform-weight
+    consensus to w* for an L-smooth objective with gradient bound G, and
+    contracts only for eta < 1/(3L). The constant 1 - 3*eta*L is taken as
+    stated; PAPER.md holds only the abstract of arXiv 2512.12022, so it
+    cannot be checked against the paper's proof here.
+    """
     if t < 0:
         raise ValueError("round index must be nonnegative")
     etas = set(p.eta_schedule)
@@ -174,7 +187,18 @@ def quadratic_bound_rows(
     and use exact gradients plus seeded Gaussian noise. G is the largest
     stochastic-gradient norm observed along the trajectory. Returns rows
     (t, empirical_sq_dist, theorem_bound, slack) where the empirical column is
-    the post-aggregation squared distance after round t.
+    the post-aggregation squared distance of the uniform-weight consensus to
+    w* after round t, and the bound is theorem2_bound with constant eta,
+    smoothness L, D0 the clients' mean initial squared distance and G the
+    largest observed stochastic-gradient norm.
+
+    The bound contracts by 1 - 3*eta*L per round (eta < 1/(3L)), a constant
+    that cannot be checked here (see theorem2_bound). One noiseless step on
+    this testbed contracts the squared distance by exactly (1 - eta*L)^2,
+    which is larger than 1 - 3*eta*L: the empirical distance falls more
+    slowly than the bound's first term, so the slack can go negative in
+    early rounds, before the plateau term eta*G^2/(3L) takes over (t = 5 to
+    8 on configs/bounds.json).
     """
     if rounds < 1 or num_clients < 1:
         raise ValueError("rounds and num_clients must be positive")

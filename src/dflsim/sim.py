@@ -82,7 +82,9 @@ class NetworkState:
     """One seed's mutable world: graph, benign clients' data, and models (row i: node i).
 
     clients maps each benign node to its ClientState, whose index arrays are
-    rows of train_data; malicious nodes hold no data. round_plan is built
+    rows of train_data; malicious nodes hold no data. test_data is the
+    held-out test set under global evaluation and None under local
+    evaluation, which scores on the clients' aux sets. round_plan is built
     from the graph and the clients' data at the first round that needs it,
     and kept: neither may change once it is built.
     """
@@ -110,12 +112,19 @@ class NetworkState:
 
 
 def build_dataset(config: RunConfig) -> tuple:
-    """Materialize (train, test-or-None) from the config's dataset source."""
-    ds = config.dataset
+    """Materialize (train, test-or-None) from the config's dataset source.
+
+    The held-out test set is built (synthetic) or read (IDX) only when the
+    config's evaluation resolves to global, the only mode that scores on it;
+    under local evaluation test is None and no IDX test file is opened.
+    """
+    ds, wants_test = config.dataset, config.resolved_eval_mode() == "global"
     if isinstance(ds, SyntheticSpec):
         train = gen_synthetic_blobs(
             ds.num_classes, ds.feature_dim, ds.n_per_class, ds.spread, ds.seed
         )
+        if not wants_test:
+            return train, None
         # Held-out test blobs share the class means; seed+1 keeps draws disjoint.
         test = gen_synthetic_blobs(
             ds.num_classes, ds.feature_dim, ds.test_n_per_class, ds.spread, ds.seed + 1
@@ -124,7 +133,7 @@ def build_dataset(config: RunConfig) -> tuple:
     train = load_idx(ds.train_images, ds.train_labels)
     if ds.subsample_fraction is not None:
         train = _stratified_subsample(train, ds.subsample_fraction, ds.subsample_seed)
-    if ds.test_images is None:
+    if not wants_test:
         return train, None
     return train, load_idx(ds.test_images, ds.test_labels, num_classes=train.num_classes)
 

@@ -23,7 +23,7 @@ from dflsim.core_learning import (
     stacked_accuracy,
     stacked_mean_loss,
 )
-from dflsim.data import partition_iid, split_auxiliary
+from dflsim.data import gen_synthetic_blobs, partition_iid, split_auxiliary
 from dflsim.reweight import (
     LossClip,
     MetricVector,
@@ -48,6 +48,7 @@ from dflsim.sim import (
     evaluate_network,
     run_experiment,
     run_round,
+    setup_seed,
 )
 from dflsim.topology import TopologyGraph
 
@@ -763,6 +764,48 @@ class TestEvaluation:
         assert all(r.split(",")[0] == "0" for r in rows[1:])
         # zero-init model predicts class 0 everywhere
         assert summary.mean_acc == pytest.approx(1.0 / 3.0, abs=0.2)
+
+
+class TestHeldOutTestSet:
+    """Set-up builds or reads the held-out test set only under global evaluation."""
+
+    @pytest.mark.parametrize("attack", [None, {"kind": "gaussian"}], ids=["benign", "attacked"])
+    @pytest.mark.parametrize("eval_mode", ["local", "global", "auto"])
+    def test_synthetic_test_blobs_drawn_only_for_global_evaluation(self, eval_mode, attack,
+                                                                    monkeypatch):
+        import dflsim.sim as sim
+
+        config = tiny_config(topology={"num_benign": 3, "num_malicious": 1 if attack else 0,
+                                       "edge_prob": 1.0},
+                             attack=attack, eval_mode=eval_mode, seeds=[43, 44])
+        calls = []
+        monkeypatch.setattr(sim, "gen_synthetic_blobs",
+                            lambda *args: calls.append(args) or gen_synthetic_blobs(*args))
+        states = [build_network(config, seed) for seed in config.seeds]
+        monkeypatch.undo()
+        wants_test = eval_mode == "global" or (eval_mode == "auto" and attack is not None)
+        assert len(calls) == (2 if wants_test else 1) * len(config.seeds)
+        for state in states:
+            if wants_test:
+                assert isinstance(state.test_data, Dataset) and len(state.test_data) == 3 * 20
+            else:
+                assert state.test_data is None
+
+    def test_idx_test_pair_opened_only_for_global_evaluation(self, tmp_path):
+        from test_data import write_idx_pair
+
+        images = np.random.default_rng(0).integers(0, 256, size=(60, 2, 3))
+        train_images, train_labels = write_idx_pair(tmp_path, images, [i % 3 for i in range(60)])
+        missing = tmp_path / "missing-images.idx"
+        idx = {"train_images": train_images, "train_labels": train_labels,
+               "test_images": str(missing), "test_labels": str(tmp_path / "missing-labels.idx")}
+        config = tiny_config(name="idx-local", dataset={"idx": idx}, eval_mode="local", rounds=2,
+                             eval_every=1)
+        assert setup_seed(config, 43).test_data is None
+        run_experiment(config, outdir=str(tmp_path / "out"))
+        assert (tmp_path / "out" / "idx-local" / "metrics.csv").exists()
+        with pytest.raises(ConfigError, match=rf"seed 43: .*{re.escape(str(missing))}"):
+            setup_seed(replace(config, eval_mode="global"), 43)
 
 
 class TestRunExperiment:
