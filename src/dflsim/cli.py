@@ -17,7 +17,7 @@ from pathlib import Path
 from .analysis import quadratic_bound_rows, summarize
 from .config import (ConfigError, load_config, parse_bounds_config, parse_config, parse_sweep,
                      read_document)
-from .sim import METRICS_COLUMNS, SimulationError, run_experiment, setup_seed
+from .sim import METRICS_COLUMNS, SimulationError, output_base, run_experiment, setup_seed
 
 # The package logger: progress records from dflsim.sim reach the same level.
 log = logging.getLogger("dflsim")
@@ -114,7 +114,7 @@ def _cmd_bounds(args) -> int:
         noise_scale=bounds.noise_scale,
         seed=bounds.seed,
     )
-    outdir = Path(args.outdir or bounds.outdir or "runs")
+    outdir = output_base(args.outdir, bounds.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     out_path = outdir / "bounds.csv"
     with open(out_path, "w", newline="") as f:

@@ -203,15 +203,16 @@ def evaluate_mean_loss(model: ParamVector, data: Dataset) -> float:
     return batch_loss(model, data, Minibatch(np.arange(len(data))))
 
 
-# Stacked forms: k models held as the rows of one (k, C*d+C) matrix. Each
-# matches its per-model function above bit for bit.
+# Stacked forms: k models held as the rows of one (k, C*d+C) matrix, or
+# (g, k, C*d+C) for g groups. Each matches its per-model function above bit
+# for bit.
 
 
 def _stacked_logits(params: np.ndarray, features: np.ndarray, num_classes: int) -> np.ndarray:
     """(..., k, n, C) logits of stacked (..., k, C*d+C) models on features.
 
-    features is (n, d) for every model, or stacked like the models with one
-    axis to broadcast: (k, n, d) per model, or (g, 1, n, d) per group of k.
+    features are stacked like the models with one axis to broadcast: (k, n,
+    d) per model, or (g, 1, n, d) per group of k.
     One batched matmul with a transposed (d, C) weight block per model issues
     the same gemm as _logits does for each model, and the bias is added into
     its output. A single matmul against all k*C weight rows at once would not
@@ -228,22 +229,6 @@ def _stacked_logits(params: np.ndarray, features: np.ndarray, num_classes: int) 
     logits = features @ weights.swapaxes(-1, -2)
     logits += params[..., None, cd:]
     return logits
-
-
-def stacked_mean_loss(params: np.ndarray, data: Dataset) -> np.ndarray:
-    """evaluate_mean_loss of every row of a stacked parameter matrix."""
-    # evaluate_mean_loss multiplies a fresh C-ordered copy of the features.
-    features = np.ascontiguousarray(data.features)
-    params = np.asarray(params, dtype=np.float64)
-    return grouped_mean_loss(params[None], features[None, None], data.labels[None],
-                             data.num_classes)[0]
-
-
-def stacked_accuracy(params: np.ndarray, data: Dataset) -> np.ndarray:
-    """evaluate_accuracy of every row of a stacked parameter matrix."""
-    params = np.asarray(params, dtype=np.float64)
-    return grouped_accuracy(params[None], data.features[None, None], data.labels[None],
-                            data.num_classes)[0]
 
 
 def grouped_mean_loss(

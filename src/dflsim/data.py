@@ -69,8 +69,6 @@ class PartitionPlan:
     """
 
     client_indices: tuple
-    scheme: HeterogeneityScheme
-    seed: int
 
     def __post_init__(self):
         clients = tuple(_read_only(np.array(idx, dtype=np.int64)) for idx in self.client_indices)
@@ -221,7 +219,7 @@ def partition_iid(data: Dataset, num_clients: int, seed: int) -> PartitionPlan:
         per = len(idx) // num_clients
         for k in range(num_clients):
             dealt[k].append(perm[k * per:(k + 1) * per])
-    return PartitionPlan(tuple(np.sort(np.concatenate(d)) for d in dealt), IID(), seed)
+    return PartitionPlan(tuple(np.sort(np.concatenate(d)) for d in dealt))
 
 
 def partition_label_skew(data: Dataset, num_clients: int, h: int, seed: int) -> PartitionPlan:
@@ -270,7 +268,7 @@ def partition_label_skew(data: Dataset, num_clients: int, h: int, seed: int) -> 
         perm = gen.permutation(idx)
         for slot, k in enumerate(holders[c]):
             dealt[k].append(perm[slot * per:(slot + 1) * per])
-    return PartitionPlan(tuple(np.sort(np.concatenate(d)) for d in dealt), LabelSkew(h), seed)
+    return PartitionPlan(tuple(np.sort(np.concatenate(d)) for d in dealt))
 
 
 def partition_dirichlet(data: Dataset, num_clients: int, alpha: float, seed: int) -> PartitionPlan:
@@ -303,7 +301,7 @@ def partition_dirichlet(data: Dataset, num_clients: int, alpha: float, seed: int
         if len(assigned[donor]) < 2:
             raise PartitionError("not enough examples to populate every client")
         assigned[k], assigned[donor] = assigned[donor][-1:], assigned[donor][:-1]
-    return PartitionPlan(tuple(np.sort(a) for a in assigned), Dirichlet(alpha), seed)
+    return PartitionPlan(tuple(np.sort(a) for a in assigned))
 
 
 def split_auxiliary(

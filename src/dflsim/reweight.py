@@ -22,8 +22,6 @@ from .core_learning import (
     evaluate_mean_loss,
     grouped_accuracy,
     grouped_mean_loss,
-    stacked_accuracy,
-    stacked_mean_loss,
 )
 from .plan import RoundPlan
 
@@ -45,7 +43,7 @@ class TargetMetricKind(enum.Enum):
         return member
 
     def kernel(self, form: str):
-        """This module's <form>_<name>, for form "evaluate", "stacked" or "grouped"."""
+        """This module's <form>_<name>, for form "evaluate" or "grouped"."""
         # Looked up when called, so a replaced module attribute (a tracer's wrapper, say) runs.
         return globals()[f"{form}_{self._kernel_name}"]
 
@@ -176,25 +174,16 @@ def _scoring() -> tuple:
     return (compute_tpm, *(kind.kernel("evaluate") for kind in TargetMetricKind))
 
 
-# compute_tpm_batch computes what these module-level functions compute, so it
-# stands in for them only while they are this module's own. A caller that
-# replaces one (to instrument or to change scoring) gets it called per member.
+# reweight_round's grouped kernels compute what these module-level functions
+# compute, so they stand in for them only while they are this module's own. A
+# caller that replaces one (to instrument or to change scoring) gets it called
+# per member.
 _STOCK_SCORING = _scoring()
 
 
 def scoring_is_stock() -> bool:
     """Whether compute_tpm and the metrics it calls are still this module's own."""
     return _scoring() == _STOCK_SCORING
-
-
-def compute_tpm_batch(kind: TargetMetricKind, params: np.ndarray, aux: Dataset) -> np.ndarray:
-    """compute_tpm of every row of a stacked (k, C*d+C) parameter matrix.
-
-    All k models are scored in one batched matmul; each value is
-    bit-identical to compute_tpm on that row.
-    """
-    values = kind.kernel("stacked")(params, aux)
-    return np.where(np.isfinite(values), values, SENTINEL)
 
 
 def crs_temp_softmax(metrics: MetricVector, temperature: float) -> WeightVector:
@@ -272,19 +261,12 @@ def dfedreweighting_round_weights(
 ) -> WeightVector:
     """Score a closed neighborhood on aux and apply the reweighting strategy.
 
-    This is the composition each client runs every round: the rows of params
-    (the models of the nodes in ids, in that order) are scored together with
-    compute_tpm_batch and reweighted by the CRS. If compute_tpm or a metric it
-    calls has been replaced, each row is scored by a call to the module's
-    compute_tpm instead.
+    This is the composition each client runs every round: each row of params
+    (the models of the nodes in ids, in that order) is scored by a call to
+    the module's compute_tpm, and the scores are reweighted by the CRS.
     """
-    if scoring_is_stock():
-        values = compute_tpm_batch(kind, params, aux)
-    else:
-        values = np.array([
-            compute_tpm(kind, ParamVector(row, aux.num_classes, aux.feature_dim), aux)
-            for row in params
-        ])
+    values = [compute_tpm(kind, ParamVector(row, aux.num_classes, aux.feature_dim), aux)
+              for row in params]
     return apply_crs(crs, MetricVector(ids, values))
 
 
@@ -320,8 +302,8 @@ def reweight_round(
     and num_classes is C. Each aggregation group of the plan (equal
     closed-neighborhood and aux sizes) is gathered once into a (g, k,
     C*d+C) array, scored on the group's stacked aux sets with the gemm
-    compute_tpm_batch issues for each member, reweighted row by row and
-    mixed in member order.
+    compute_tpm runs for each member, reweighted row by row and mixed in
+    member order.
     Every result equals reweight_aggregate(params,
     dfedreweighting_round_weights(...)) on that client alone, bit for bit.
 

@@ -48,8 +48,6 @@ from .core_learning import (
     grouped_accuracy,
     grouped_mean_loss,
     sgd_step,
-    stacked_accuracy,
-    stacked_mean_loss,
     stacked_sgd_step,
 )
 from .data import (
@@ -403,20 +401,24 @@ def run_round(state: NetworkState, t: int) -> NetworkState:
     return state
 
 
-def evaluate_network(state: NetworkState, t: int) -> tuple:
+def evaluate_network(state: NetworkState) -> tuple:
     """(accuracies, losses): two lists over the benign clients in node id order,
     scored on the mode's evaluation set.
 
-    Global mode scores every benign model on the test set in one stacked
-    call per metric; local mode scores each aggregation group of the plan,
-    whose clients' aux sets have one size, against their stacked aux sets.
-    Every value equals evaluate_accuracy / evaluate_mean_loss of that model.
+    Global mode scores every benign model on the test set as one group;
+    local mode scores each aggregation group of the plan, whose clients' aux
+    sets have one size, against their stacked aux sets. Every value equals
+    evaluate_accuracy / evaluate_mean_loss of that model.
     """
     plan = state.plan()
     if state.config.resolved_eval_mode() == "global":
-        models = state.models[plan.benign]
-        return (stacked_accuracy(models, state.test_data).tolist(),
-                stacked_mean_loss(models, state.test_data).tolist())
+        models, test = state.models[plan.benign][None], state.test_data
+        accs = grouped_accuracy(models, test.features[None, None], test.labels[None],
+                                test.num_classes)
+        # evaluate_mean_loss multiplies a fresh C-ordered copy of the features.
+        losses = grouped_mean_loss(models, np.ascontiguousarray(test.features)[None, None],
+                                   test.labels[None], test.num_classes)
+        return accs[0].tolist(), losses[0].tolist()
     accs, losses = np.zeros(len(plan.benign)), np.zeros(len(plan.benign))
     for group in plan.groups:
         scored = (state.models[group.nodes][:, None], group.aux_features, group.aux_labels,
@@ -475,9 +477,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def output_base(override: str | None, configured: str | None) -> Path:
+    """The directory output goes under: override (--outdir), else the config's
+    outdir, else $DFLSIM_OUTDIR, else ./runs."""
+    return Path(override or configured or os.environ.get("DFLSIM_OUTDIR") or "runs")
+
+
 def resolve_outdir(config: RunConfig, override: str | None = None) -> Path:
-    base = override or config.outdir or os.environ.get("DFLSIM_OUTDIR") or "runs"
-    return Path(base) / config.name
+    return output_base(override, config.outdir) / config.name
 
 
 def _weight_arrays(last_weights: dict) -> tuple:
@@ -509,7 +516,7 @@ def _run_seed(config: RunConfig, seed: int) -> tuple:
                 raise SimulationError(f"round {t} failed for seed {seed}: {exc}") from exc
         if t not in eval_rounds:
             continue
-        accs, losses = evaluate_network(state, t)
+        accs, losses = evaluate_network(state)
         mean, var = mean_accuracy(accs), accuracy_variance([a * 100.0 for a in accs])
         rows.extend(
             [t, seed, node_id, acc, loss, mean, var]

@@ -489,6 +489,17 @@ class TestBounds:
         assert first[0] == "0"
         assert float(first[3]) == pytest.approx(float(first[2]) - float(first[1]))
 
+    def test_bounds_outdir_env_fallback(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DFLSIM_OUTDIR", str(tmp_path / "envout"))
+        monkeypatch.chdir(tmp_path)
+        config = str(REPO_CONFIGS / "bounds.json")
+        assert cli_main(["bounds", config]) == 0
+        assert (tmp_path / "envout" / "bounds.csv").exists()
+        assert not (tmp_path / "runs").exists()
+        assert cli_main(["bounds", config, "--outdir", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "bounds.csv").read_text() == \
+            (tmp_path / "envout" / "bounds.csv").read_text()
+
     def test_bounds_unknown_key(self, tmp_path):
         bad = tmp_path / "bounds.json"
         bad.write_text(json.dumps({"smoothness": 1.0, "wibble": 2}))

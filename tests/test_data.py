@@ -8,10 +8,7 @@ import pytest
 from dflsim import rng
 from dflsim.core_learning import Dataset, Minibatch, ParamVector, batch_gradient, evaluate_accuracy, sgd_step
 from dflsim.data import (
-    IID,
-    Dirichlet,
     FormatError,
-    LabelSkew,
     PartitionError,
     PartitionPlan,
     gen_synthetic_blobs,
@@ -241,7 +238,7 @@ class TestSplitAuxiliary:
             assert train | aux == set(plan.client_indices[k])
 
     def test_single_example_client_degenerates(self, caplog):
-        plan = PartitionPlan(((0,), (1, 2, 3, 4)), IID(), seed=0)
+        plan = PartitionPlan(((0,), (1, 2, 3, 4)))
         data = Dataset([[0.0], [1.0], [2.0], [3.0], [4.0]], [0, 0, 0, 0, 0], 1)
         with caplog.at_level("WARNING"):
             split = split_auxiliary(data, plan, 0.2, seed=16)
@@ -269,9 +266,9 @@ class TestPlanInvariantsAndDeterminism:
 
     def test_plan_checks_name_empty_client_and_lowest_shared_index(self):
         with pytest.raises(PartitionError, match="client 1 received no examples"):
-            PartitionPlan(((0, 1), ()), IID(), seed=0)
+            PartitionPlan(((0, 1), ()))
         with pytest.raises(PartitionError, match="index 2 assigned to multiple clients"):
-            PartitionPlan(((5, 3, 2), (3, 2)), IID(), seed=0)
+            PartitionPlan(((5, 3, 2), (3, 2)))
 
     def test_index_sets_are_read_only_int64_arrays(self):
         data = gen_synthetic_blobs(4, 3, 20, 1.0, seed=23)
@@ -289,7 +286,6 @@ class TestPlanInvariantsAndDeterminism:
             lambda s: partition_dirichlet(data, 3, 0.3, s),
         ):
             a, b = build(7), build(7)
-            assert (a.scheme, a.seed) == (b.scheme, b.seed)
             assert len(a.client_indices) == len(b.client_indices)
             assert all(np.array_equal(x, y) for x, y in zip(a.client_indices, b.client_indices))
 

@@ -17,7 +17,6 @@ from dflsim.reweight import (
     _group_weights,
     apply_crs,
     compute_tpm,
-    compute_tpm_batch,
     crs_acc_clip,
     crs_loss_clip,
     crs_temp_softmax,
@@ -57,15 +56,29 @@ class TestComputeTpm:
         assert value == math.inf and not math.isnan(value)
 
 
-class TestComputeTpmBatch:
-    """The stacked scorer must equal compute_tpm bit for bit, row by row."""
+def grouped_tpm(kind, params, aux):
+    """kind's grouped kernel on the rows of params as one group, non-finite
+    values mapped to the sentinel as reweight_round maps them.
+
+    The loss kernel gets a C-ordered copy of the features, as
+    evaluate_mean_loss multiplies one; the accuracy kernel gets the set's own.
+    """
+    loss = kind is TargetMetricKind.LOSS_ON_AUX
+    features = np.ascontiguousarray(aux.features) if loss else aux.features
+    values = kind.kernel("grouped")(params[None], features[None, None], aux.labels[None],
+                                    aux.num_classes)[0]
+    return np.where(np.isfinite(values), values, SENTINEL)
+
+
+class TestGroupedTpmOneGroup:
+    """The grouped kernels with g=1 must equal compute_tpm bit for bit, row by row."""
 
     @staticmethod
     def assert_rows_equal_oracle(params, aux):
         for kind in TargetMetricKind:
             oracle = [compute_tpm(kind, ParamVector(row, aux.num_classes, aux.feature_dim), aux)
                       for row in params]
-            np.testing.assert_array_equal(compute_tpm_batch(kind, params, aux), oracle)
+            np.testing.assert_array_equal(grouped_tpm(kind, params, aux), oracle)
 
     def test_random_members_match_compute_tpm(self):
         gen = rng.stream(35, purpose="test")
@@ -81,7 +94,7 @@ class TestComputeTpmBatch:
         params = rng.stream(36, purpose="test").standard_normal((4, 15))
         params[2, 0] = math.nan
         self.assert_rows_equal_oracle(params, aux)
-        losses = compute_tpm_batch(TargetMetricKind.LOSS_ON_AUX, params, aux)
+        losses = grouped_tpm(TargetMetricKind.LOSS_ON_AUX, params, aux)
         assert losses[2] == SENTINEL and np.isfinite(np.delete(losses, 2)).all()
 
     def test_argmax_ties_match_compute_tpm(self):
@@ -90,13 +103,13 @@ class TestComputeTpmBatch:
         tied[1, :8] = np.tile([1.0, -1.0, 0.5, 2.0], 2)  # classes 0 and 1 tie
         tied[2, 12:] = [0.0, 1.0, 1.0]  # classes 1 and 2 tie on the bias
         self.assert_rows_equal_oracle(tied, aux)
-        accs = compute_tpm_batch(TargetMetricKind.ACCURACY_ON_AUX, tied, aux)
+        accs = grouped_tpm(TargetMetricKind.ACCURACY_ON_AUX, tied, aux)
         assert accs[0] == float(np.mean(aux.labels == 0))
 
     def test_wrong_width_rejected(self):
         aux = gen_synthetic_blobs(3, 4, 5, 0.5, seed=38)
         with pytest.raises(ShapeError):
-            compute_tpm_batch(TargetMetricKind.LOSS_ON_AUX, np.zeros((2, 14)), aux)
+            grouped_tpm(TargetMetricKind.LOSS_ON_AUX, np.zeros((2, 14)), aux)
 
 
 class TestTempSoftmax:

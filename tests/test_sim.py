@@ -20,8 +20,6 @@ from dflsim.core_learning import (
     evaluate_accuracy,
     evaluate_mean_loss,
     sgd_step,
-    stacked_accuracy,
-    stacked_mean_loss,
 )
 from dflsim.data import gen_synthetic_blobs, partition_iid, split_auxiliary
 from dflsim.reweight import (
@@ -723,7 +721,7 @@ class TestEvaluation:
         state = build_network(config, seed=43)
         for t in (1, 2):
             run_round(state, t)
-        accuracies, losses = evaluate_network(state, 2)
+        accuracies, losses = evaluate_network(state)
         assert len(accuracies) == len(losses) == len(state.benign_ids())
         for k, acc, loss in zip(state.benign_ids(), accuracies, losses):
             model = ParamVector(state.models[k], 3, 6)
@@ -733,7 +731,7 @@ class TestEvaluation:
             assert loss == evaluate_mean_loss(model, eval_set)
 
     @pytest.mark.parametrize("eval_mode", ["local", "global"])
-    def test_evaluation_equals_per_client_stacked_calls(self, eval_mode):
+    def test_evaluation_equals_per_client_calls(self, eval_mode):
         config = tiny_config(
             dataset={"synthetic": {"num_classes": 4, "feature_dim": 8, "n_per_class": 200,
                                    "spread": 1.0, "seed": 5, "test_n_per_class": 10}},
@@ -745,16 +743,16 @@ class TestEvaluation:
         assert len({len(state.clients[k].aux) for k in state.benign_ids()}) > 1
         # Random models score differently, so a value in another client's row shows.
         state.models[:] = np.random.default_rng(3).standard_normal(state.models.shape)
-        accuracies, losses = evaluate_network(state, 0)
+        accuracies, losses = evaluate_network(state)
         shared = [group for group in state.plan().groups if len(group.nodes) > 1]
         assert shared and all(len({accuracies[p] for p in group.positions}) == len(group.nodes)
                               for group in shared)
         for k, acc, loss in zip(state.benign_ids(), accuracies, losses):
             eval_set = aux_set(state, k) if eval_mode == "local" else state.test_data
-            row = state.models[k:k + 1]
+            model = ParamVector(state.models[k], 4, 8)
             assert type(acc) is float and type(loss) is float
-            assert acc == float(stacked_accuracy(row, eval_set)[0])
-            assert loss == float(stacked_mean_loss(row, eval_set)[0])
+            assert acc == evaluate_accuracy(model, eval_set)
+            assert loss == evaluate_mean_loss(model, eval_set)
 
     def test_zero_rounds_reports_initial_metrics(self, tmp_path):
         config = tiny_config(rounds=0, name="t0")
