@@ -57,6 +57,8 @@ class RoundPlan:
     benign: list
     # node -> closed neighborhood ids, ascending, for every benign node
     neighborhoods: dict
+    # (benign, N) bool: row i marks the i-th benign client's closed neighborhood
+    closed: np.ndarray
     groups: tuple
     steps: tuple
     # The client at starts[j] of a step group holds the rows
@@ -76,8 +78,9 @@ def plan_rounds(state) -> RoundPlan:
     """The round plan of a sim.NetworkState, from its graph and its clients' data."""
     graph, clients, train = state.graph, state.clients, state.train_data
     benign = sorted(graph.benign)
-    closed = graph.adjacency | np.eye(graph.n, dtype=bool)
-    neighborhoods = {k: np.flatnonzero(closed[k]) for k in benign}
+    closed = (graph.adjacency | np.eye(graph.n, dtype=bool))[benign]
+    closed.setflags(write=False)
+    neighborhoods = {k: np.flatnonzero(row) for k, row in zip(benign, closed)}
     groups = []
     keys = [(len(neighborhoods[k]), len(clients[k].aux)) for k in benign]
     for positions in _positions_by(keys).values():
@@ -100,5 +103,5 @@ def plan_rounds(state) -> RoundPlan:
         steps.append(StepGroup(nodes, np.array(positions), [lengths[p] for p in positions],
                                starts[positions, None], size,
                                RoundStreams(state.seed, nodes, "minibatch")))
-    return RoundPlan(benign, neighborhoods, tuple(groups), tuple(steps),
+    return RoundPlan(benign, neighborhoods, closed, tuple(groups), tuple(steps),
                      np.concatenate([clients[k].train for k in benign]))

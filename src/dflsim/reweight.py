@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Union
 
@@ -238,18 +239,26 @@ def apply_crs(crs: CRSKind, metrics: MetricVector) -> WeightVector:
     return crs.weights(metrics)
 
 
+def mix(weights: np.ndarray, broadcast: np.ndarray) -> np.ndarray:
+    """Row i is sum_j weights[i, j] * broadcast[j], summed from +0.0 in ascending j.
+
+    A non-finite broadcast row adds nothing at weight zero and makes the row NaN at any
+    other weight. No BLAS matmul: its sums vary with its blocking and thread count."""
+    finite = np.isfinite(broadcast).all(axis=1)
+    clean = broadcast if finite.all() else np.where(finite[:, None], broadcast, 0.0)
+    rows = np.einsum("ij,jp->ip", weights, clean, optimize=False)
+    rows[(weights[:, ~finite] != 0).any(axis=1)] = np.nan
+    return rows
+
+
 def reweight_aggregate(params: np.ndarray, weights: WeightVector) -> np.ndarray:
     """Weighted sum of the rows of params; row i carries weights.weights[i].
 
-    Zero-weight rows are dropped before any arithmetic, so a zero-weight model
-    may be non-finite without contaminating the result. The surviving rows are
-    summed in row order, bit-identical to accumulating w * row one at a time.
-    """
+    The one-row mix: summed in row order; a zero-weight model may be non-finite."""
     w = weights.weights
     if len(params) != len(w):
         raise ValueError(f"{len(params)} parameter rows for {len(w)} weights")
-    nz = np.flatnonzero(w)
-    return np.add.reduce(w[nz, None] * params[nz], axis=0)
+    return mix(w[None], params)[0]
 
 
 def dfedreweighting_round_weights(
@@ -293,6 +302,25 @@ def _group_weights(crs: CRSKind, ids: np.ndarray, metrics: np.ndarray, nodes: li
     return weights
 
 
+class MixingWeights(Mapping):
+    """A round's read-only mixing matrix W (row i: the i-th benign client's weights over
+    all N nodes), read as {client: {member: weight}} over plan's closed neighborhoods."""
+
+    def __init__(self, matrix: np.ndarray, plan: RoundPlan):
+        matrix.setflags(write=False)
+        self.matrix, self._plan = matrix, plan
+
+    def __getitem__(self, client) -> dict:
+        members = self._plan.neighborhoods[client]
+        return dict(zip(members.tolist(), self.matrix[self._plan.benign.index(client), members].tolist()))
+
+    def __iter__(self):
+        return iter(self._plan.benign)
+
+    def __len__(self) -> int:
+        return len(self._plan.benign)
+
+
 def reweight_round(
     kind: TargetMetricKind, crs: CRSKind, broadcast: np.ndarray, plan: RoundPlan, num_classes: int
 ) -> tuple:
@@ -302,36 +330,27 @@ def reweight_round(
     and num_classes is C. Each aggregation group of the plan (equal
     closed-neighborhood and aux sizes) is gathered once into a (g, k,
     C*d+C) array, scored on the group's stacked aux sets with the gemm
-    compute_tpm runs for each member, reweighted row by row and mixed in
-    member order.
-    Every result equals reweight_aggregate(params,
+    compute_tpm runs for each member and reweighted row by row into its
+    rows of the mixing matrix W; then mix(W, broadcast) mixes every client
+    at once. Every result equals reweight_aggregate(params,
     dfedreweighting_round_weights(...)) on that client alone, bit for bit.
 
     Returns (rows, weights, failures): rows[i] is the new model of the i-th
-    benign client, weights maps each client to {member: weight}, and
-    failures maps each client whose aggregation failed to its exception;
-    those clients' rows and weights are meaningless.
+    benign client, weights is the MixingWeights of W, and failures maps each
+    client whose aggregation failed to its exception; those clients' rows and
+    weights are meaningless.
     """
-    rows = np.zeros((len(plan.benign), broadcast.shape[1]))
-    weights, failures = {}, {}
+    matrix, failures = np.zeros((len(plan.benign), len(broadcast))), {}
     for group in plan.groups:
         nodes, ids = group.nodes, group.members
-        params = broadcast[ids]
         try:
-            values = kind.kernel("grouped")(params, group.aux_features, group.aux_labels, num_classes)
+            values = kind.kernel("grouped")(broadcast[ids], group.aux_features, group.aux_labels,
+                                            num_classes)
         except Exception as exc:
             # Scoring fails for a whole group at once; alone, its first client would fail first.
             failures[nodes[0]] = exc
             continue
         finite = np.isfinite(values)
         metrics = values if finite.all() else np.where(finite, values, SENTINEL)
-        w = _group_weights(crs, ids, metrics, nodes, failures)
-        # Zero-weight rows become -0.0 (and stay -0.0 when weighted), which
-        # adds nothing to any sum: a non-finite model among them is dropped
-        # as reweight_aggregate drops it, and the others sum in member order.
-        params[w == 0] = -0.0
-        params *= w[..., None]
-        rows[group.positions] = np.add.reduce(params, axis=1)
-        for node, member_ids, row in zip(nodes, ids.tolist(), w.tolist()):
-            weights[node] = dict(zip(member_ids, row))
-    return rows, {node: weights[node] for node in plan.benign if node in weights}, failures
+        matrix[group.positions[:, None], ids] = _group_weights(crs, ids, metrics, nodes, failures)
+    return mix(matrix, broadcast), MixingWeights(matrix, plan), failures

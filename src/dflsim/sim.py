@@ -63,7 +63,8 @@ from .data import (
     split_auxiliary,
 )
 from .plan import RoundPlan, plan_rounds
-from .reweight import dfedreweighting_round_weights, reweight_aggregate, reweight_round, scoring_is_stock
+from .reweight import (MixingWeights, dfedreweighting_round_weights, reweight_aggregate,
+                       reweight_round, scoring_is_stock)
 from .topology import TopologyGraph, generate
 
 log = logging.getLogger(__name__)
@@ -94,7 +95,9 @@ class NetworkState:
     models: np.ndarray
     train_data: Dataset
     test_data: Dataset | None
-    last_weights: dict = field(default_factory=dict)
+    # The last round's MixingWeights, which holds its mixing matrix W; {} before
+    # round 1 and under a baseline.
+    last_weights: MixingWeights | dict = field(default_factory=dict)
     round_plan: RoundPlan | None = field(default=None, repr=False)
 
     def plan(self) -> RoundPlan:
@@ -329,22 +332,23 @@ def _aggregate_one(state: NetworkState, node_id: int, members: np.ndarray, broad
     params = broadcast[members]
     aux = state.train_data.subset(state.clients[node_id].aux)
     weights = dfedreweighting_round_weights(agg.tpm, agg.crs, members, params, aux)
-    return reweight_aggregate(params, weights), dict(zip(weights.ids, map(float, weights.weights)))
+    return reweight_aggregate(params, weights), weights.weights
 
 
 def _aggregate_each(state: NetworkState, broadcast: np.ndarray) -> tuple:
-    """_aggregate_one for each benign client in turn, up to the first that fails.
+    """_aggregate_one for each benign client in turn, up to the first that fails,
+    each filling its row of the mixing matrix W.
 
     Returns (rows, weights, failures) as reweight_round does.
     """
-    neighborhoods = state.plan().neighborhoods
-    rows, weights = np.zeros((len(neighborhoods), broadcast.shape[1])), {}
-    for i, (node_id, members) in enumerate(neighborhoods.items()):
+    plan = state.plan()
+    rows, matrix = np.zeros((len(plan.benign), broadcast.shape[1])), np.zeros(plan.closed.shape)
+    for i, (node_id, members) in enumerate(plan.neighborhoods.items()):
         try:
-            rows[i], weights[node_id] = _aggregate_one(state, node_id, members, broadcast)
+            rows[i], matrix[i, members] = _aggregate_one(state, node_id, members, broadcast)
         except Exception as exc:
-            return rows, weights, {node_id: exc}
-    return rows, weights, {}
+            return rows, MixingWeights(matrix, plan), {node_id: exc}
+    return rows, MixingWeights(matrix, plan), {}
 
 
 def _node_failure(state: NetworkState, t: int, node_id: int, exc: Exception) -> SimulationError:
@@ -359,12 +363,13 @@ def run_round(state: NetworkState, t: int) -> NetworkState:
     no attack is configured). Local SGD runs as one stacked step per step
     group of the network's plan, or client by client if batch_gradient or
     sgd_step has been replaced. Then every benign client aggregates its
-    closed neighborhood's rows into its row of state.models, one aggregation
-    group of the plan at a time: in reweight_round for DFedReweighting, or
-    through the configured baseline. DFedReweighting goes client by client
-    instead if reweight.compute_tpm or a metric it calls has been replaced.
+    closed neighborhood's rows into its row of state.models: reweight_round
+    mixes the round's DFedReweighting matrix W with broadcast (a client that
+    weighs a non-finite row gets a NaN row), or the baseline aggregates one
+    group of the plan at a time. DFedReweighting goes client by client, filling
+    the same W, if reweight.compute_tpm or a metric it calls has been replaced.
     The first client, in node id order, whose aggregation fails or is
-    non-finite is named in the SimulationError raised.
+    non-finite is named in the SimulationError raised, with its weights if any.
     """
     plan = state.plan()
     benign = plan.benign
@@ -392,9 +397,9 @@ def run_round(state: NetworkState, t: int) -> NetworkState:
         if node_id in failures:
             raise _node_failure(state, t, node_id, failures[node_id]) from failures[node_id]
         if not finite:
+            shown = f"; weights={weights[node_id]}" if weights else ""
             raise SimulationError(
-                f"non-finite aggregate for client {node_id} at round {t} "
-                f"(seed {state.seed}); weights={weights.get(node_id)}"
+                f"non-finite aggregate for client {node_id} at round {t} (seed {state.seed}){shown}"
             )
     state.models[benign] = rows
     state.last_weights = weights
@@ -487,23 +492,16 @@ def resolve_outdir(config: RunConfig, override: str | None = None) -> Path:
     return output_base(override, config.outdir) / config.name
 
 
-def _weight_arrays(last_weights: dict) -> tuple:
-    """(clients, members, weights) arrays of a round's weights, one entry per
-    (client, member), client ascending, then member ascending."""
-    entries = [(client, member, w)
-               for client, row in sorted(last_weights.items())
-               for member, w in sorted(row.items())]
-    clients, members, weights = zip(*entries)
-    return np.array(clients, np.int64), np.array(members, np.int64), np.array(weights, np.float64)
-
-
 def _run_seed(config: RunConfig, seed: int) -> tuple:
     """Run one seed from set-up to its last round, writing no file.
 
-    Returns (topology document, metrics.csv rows as numbers, {round:
-    _weight_arrays of that round's weights}).
+    Returns (topology document, metrics.csv rows as numbers, {round: (clients,
+    members, weights)}), one entry per closed-neighborhood (client, member) in
+    row-major order of W; every round shares the clients and members arrays.
     """
     state = setup_seed(config, seed)
+    plan = state.plan()
+    pairs = (np.repeat(plan.benign, plan.closed.sum(axis=1)), np.nonzero(plan.closed)[1])
     eval_rounds = set(_eval_rounds(config))
     rows, weights = [], {}
     for t in range(0, config.rounds + 1):
@@ -523,7 +521,7 @@ def _run_seed(config: RunConfig, seed: int) -> tuple:
             for node_id, acc, loss in zip(state.benign_ids(), accs, losses)
         )
         if config.export_weights and state.last_weights:
-            weights[t] = _weight_arrays(state.last_weights)
+            weights[t] = (*pairs, state.last_weights.matrix[plan.closed])
     return state.graph.to_json_dict(), rows, weights
 
 
@@ -584,12 +582,10 @@ def _write_run(run_dir: Path, config: RunConfig, results: list, start: float,
         writer.writerows([t, seed, client, *map(_fmt, values)]
                          for t, seed, client, *values in metrics_rows)
     for t, seeds in sorted(weight_files.items()):
-        with open(run_dir / f"weights_round_{t}.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["seed", "client", "member", "weight"])
-            for seed, clients, members, weights in seeds:
-                writer.writerows([seed, client, member, _fmt(w)] for client, member, w in
-                                 zip(clients.tolist(), members.tolist(), weights.tolist()))
+        # The bytes csv.writer would write: no field needs quoting.
+        lines = "".join(f"{seed},{client},{member},{w!r}\r\n" for seed, clients, members, weights in seeds
+                        for client, member, w in zip(clients.tolist(), members.tolist(), weights.tolist()))
+        (run_dir / f"weights_round_{t}.csv").write_text("seed,client,member,weight\r\n" + lines, newline="")
     with open(run_dir / "summary.json", "w") as f:
         json.dump({**summary.to_json_dict(), **outcome}, f, indent=2, sort_keys=True)
     return summary

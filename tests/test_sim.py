@@ -1,6 +1,9 @@
+import ast
+import csv
 import json
 import os
 import re
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -41,6 +44,7 @@ from dflsim.sim import (
     _local_half_steps,
     _run_seed,
     _seed_pool,
+    _write_run,
     build_network,
     check_neighborhoods,
     evaluate_network,
@@ -162,6 +166,31 @@ class TestRunRound:
         state = manual_state(config, complete_graph(2, [0, 1], []), clients, models)
         with pytest.raises(SimulationError, match="non-finite"):
             run_round(state, 1)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("aggregator", [
+        {"baseline": {"kind": "dfedavg"}},
+        {"dfed_reweighting": {"tpm": "loss", "crs": "loss_clip"}},
+    ])
+    def test_nonfinite_aggregate_shows_weights_only_where_the_aggregator_has_them(self, aggregator):
+        # Every bias is the largest float, so every logit rounds to it and every
+        # loss is equal: loss-clip weighs the eleven members alike, and the
+        # eleven weighted biases sum past the largest float.
+        config = tiny_config(topology={"num_benign": 11, "num_malicious": 0, "edge_prob": 1.0},
+                             aggregator=aggregator)
+        state = build_network(config, seed=43)
+        state.models[:, -3:] = np.finfo(float).max
+        with pytest.raises(SimulationError) as failure:
+            run_round(state, 1)
+        message = str(failure.value)
+        prefix = "non-finite aggregate for client 0 at round 1 (seed 43)"
+        if "baseline" in aggregator:
+            assert message == prefix
+        else:
+            assert message.startswith(prefix + "; weights={")
+            weights = ast.literal_eval(message[len(prefix + "; weights="):])
+            assert list(weights) == list(range(11))
+            assert len(set(weights.values())) == 1
 
 
 def broadcast_matrix(state, models):
@@ -394,6 +423,58 @@ class TestStackedRoundEngine:
             assert weights[k] == oracle_weights
             assert np.all(np.isfinite(rows[i]))
         assert all(weights[k][nan_node] == 0.0 for k in seen)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_grouped_round_mixes_each_row_in_ascending_member_order(self, uniform):
+        # Each row against acc + w * row from acc = +0.0, one member at a time
+        # in ascending id, non-finite rows zeroed: this pins the order in
+        # which the mixing einsum sums, which numpy does not document.
+        state = self.grouped_round_state({"tpm": "loss", "crs": "loss_clip"})
+        broadcast = self.round_broadcast(state, 1)
+        broadcast[:, 0] = -0.0
+        broadcast[::2, 1], broadcast[1::2, 1] = -0.0, 0.0
+        nan_node, inf_node = state.malicious_ids()
+        broadcast[nan_node, 2] = np.nan
+        broadcast[inf_node, 3:5] = [np.inf, -np.inf]
+        crs = _UniformCRS() if uniform else LossClip()
+        rows, weights, failures = reweight_round(
+            TargetMetricKind.LOSS_ON_AUX, crs, broadcast, state.plan(), state.train_data.num_classes)
+        assert failures == {}
+        finite = np.isfinite(broadcast).all(axis=1)
+        clean = np.where(finite[:, None], broadcast, 0.0)
+        zeros, poisoned = 0, 0
+        for i, k in enumerate(state.benign_ids()):
+            if any(weights[k].get(m, 0.0) != 0.0 for m in (nan_node, inf_node)):
+                assert not np.isfinite(rows[i]).all()
+                poisoned += 1
+                continue
+            acc = np.zeros(broadcast.shape[1])
+            for member, w in sorted(weights[k].items()):
+                acc = acc + w * clean[member]
+                zeros += w == 0.0 and finite[member]
+            assert rows[i].tobytes() == acc.tobytes()
+        # Loss-clip zero-weights finite and non-finite members; uniform weights poison rows.
+        assert poisoned > 0 if uniform else (zeros > 0 and poisoned == 0)
+
+    def test_round_weights_are_a_read_only_view_of_the_mixing_matrix(self):
+        state = self.grouped_round_state({"tpm": "accuracy", "crs": "acc_clip"})
+        run_round(state, 1)
+        plan, weights = state.plan(), state.last_weights
+        matrix = weights.matrix
+        assert matrix.shape == (len(plan.benign), state.graph.n)
+        assert not matrix[~plan.closed].any()
+        np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
+        assert list(weights) == plan.benign and len(weights) == len(plan.benign)
+        for i, k in enumerate(plan.benign):
+            members = plan.neighborhoods[k].tolist()
+            assert weights[k] == {m: matrix[i, m] for m in members}
+            assert list(weights[k]) == members
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            weights[plan.benign[0]] = {}
+        assert state.malicious_ids()[0] not in weights
 
     def test_grouped_round_failure_names_its_node(self):
         # Nodes 0 and 2 are isolated, so they share the one-member group; node
@@ -968,6 +1049,46 @@ class TestRunExperiment:
             written = [line.split(",") for line in lines]
             assert [(int(s), int(c), int(m), float(w)) for s, c, m, w in written] == rows
             assert [w for *_, w in written] == [repr(w) for *_, w in rows]
+
+    def test_per_member_path_exports_the_grouped_rounds_bytes(self, tmp_path, monkeypatch):
+        import dflsim.reweight as reweight
+
+        config = tiny_config(
+            name="export", rounds=3, eval_every=1, export_weights=True, seeds=[44, 43],
+            topology={"num_benign": 8, "num_malicious": 2, "edge_prob": 0.7},
+            aggregator={"dfed_reweighting": {"tpm": "loss", "crs": "loss_clip"}},
+            attack={"kind": "sign_flip", "factor": -10.0},
+        )
+        run_experiment(config, outdir=str(tmp_path / "grouped"))
+        stock = reweight.compute_tpm
+        monkeypatch.setattr(reweight, "compute_tpm", lambda *args: stock(*args))
+        assert not reweight.scoring_is_stock()
+        run_experiment(config, outdir=str(tmp_path / "each"))
+        grouped, each = tmp_path / "grouped" / "export", tmp_path / "each" / "export"
+        names = sorted(path.name for path in grouped.glob("*.csv"))
+        assert names == ["metrics.csv", *(f"weights_round_{t}.csv" for t in (1, 2, 3))]
+        assert sorted(path.name for path in each.glob("*.csv")) == names
+        for name in names:
+            assert (grouped / name).read_bytes() == (each / name).read_bytes(), name
+        assert b",0.0\r\n" in (grouped / "weights_round_3.csv").read_bytes()
+
+    def test_weights_file_holds_the_bytes_csv_writer_writes(self, tmp_path):
+        config = tiny_config(name="bytes", rounds=1, eval_every=1, seeds=[44, 43])
+        weights = [0.0, -0.0, 1.0, 1e-05, 5e-324, 0.1, 0.12345678901234568]
+        clients, members = np.array([0, 0, 0, 1, 1, 2, 2]), np.array([0, 1, 2, 0, 1, 1, 2])
+        results = [(*_run_seed(config, seed)[:2], {1: (clients, members, np.array(weights))})
+                   for seed in config.seeds]
+        _write_run(tmp_path, config, results, time.perf_counter())
+        with open(tmp_path / "expected.csv", "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["seed", "client", "member", "weight"])
+            for seed in config.seeds:
+                writer.writerows([seed, client, member, repr(w)] for client, member, w
+                                 in zip(clients.tolist(), members.tolist(), weights))
+        written = (tmp_path / "weights_round_1.csv").read_bytes()
+        assert written == (tmp_path / "expected.csv").read_bytes()
+        assert written.count(b"\r\n") == written.count(b"\n") == 1 + 2 * len(weights)
+        assert b"\r\n44,0,1,-0.0\r\n" in written and written.endswith(b"43,2,2,0.12345678901234568\r\n")
 
     def test_summary_json_matches_returned_summary(self, tmp_path):
         config = tiny_config(name="roundtrip", rounds=2)
