@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
 def _apply_overrides(config, args):
     if getattr(args, "rounds", None) is not None:
         config = replace(config, rounds=args.rounds)
-    if getattr(args, "seed_override", None):
+    if getattr(args, "seed_override", None) is not None:
         try:
             seeds = tuple(int(s) for s in args.seed_override.split(","))
         except ValueError:

@@ -50,12 +50,29 @@ class TargetMetricKind(enum.Enum):
 
 
 # A CRS is a frozen dataclass whose fields are its config keys. It declares
-# which metric values it favours ("high" or "low"), its per-vector form
-# weights(metrics), and its row form rows(values): for a (g, k) matrix of
-# finite metrics, one closed neighborhood per row, the weights and a per-row
-# flag that is False where the per-vector form would reject the row. Rows of
-# equal length reduce in the same order as a single vector, so each weight
-# row is bit-identical to the per-vector form on that row alone.
+# which metric values it favours ("high" or "low") and its row form
+# rows(values): for a (g, k) matrix of metrics, one closed neighborhood per
+# row and each entry finite or the +inf sentinel, the (g, k) weights and
+# {row: message} of the rows it rejects, each with the message a single
+# client's reweighting raises. A row's weights depend on that row alone, and
+# rows of equal length reduce in the same order as a single vector, so a row
+# gets the same bits in any group. _group_weights adds WeightVector's checks.
+
+
+def _rejected(values: np.ndarray, *checks) -> tuple:
+    """values with each row a check rejects zeroed, so that it computes without
+    floating-point warnings, and {row: message} of those rows. checks are (row
+    mask, message) pairs; a row takes the message of the first that rejects it."""
+    bad = checks[0][0]
+    for mask, _ in checks[1:]:
+        bad = bad | mask
+    if not bad.any():
+        return values, {}
+    rejected = {}
+    for mask, message in checks:
+        for i in np.flatnonzero(mask).tolist():
+            rejected.setdefault(i, message)
+    return np.where(bad[:, None], 0.0, values), rejected
 
 
 @dataclass(frozen=True)
@@ -69,27 +86,44 @@ class TempSoftmax:
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
 
-    def weights(self, metrics: MetricVector) -> WeightVector:
-        return crs_temp_softmax(metrics, self.temperature)
-
     def rows(self, values: np.ndarray) -> tuple:
+        values, rejected = _rejected(values, (np.isinf(values).any(axis=1),
+                                              "temp-softmax reweighting requires finite metrics"))
         z = values / self.temperature
         exp = np.exp(z - z.max(axis=1, keepdims=True))
-        return exp / exp.sum(axis=1, keepdims=True), True
+        return exp / exp.sum(axis=1, keepdims=True), rejected
 
 
 @dataclass(frozen=True)
 class LossClip:
-    """Zero-weight any metric above the neighborhood mean, then normalize."""
+    """Zero-weight any metric above the neighborhood mean, then normalize.
+
+    The mean excludes sentinel entries, which are always clipped. Survivors
+    keep their raw loss value, so among survivors a higher loss receives a
+    larger weight; all-zero survivors fall back to uniform weights.
+    """
 
     favours = "low"
 
-    def weights(self, metrics: MetricVector) -> WeightVector:
-        return crs_loss_clip(metrics)
-
     def rows(self, values: np.ndarray) -> tuple:
+        lowest = values.min(axis=1)
+        values, rejected = _rejected(
+            values, (lowest == SENTINEL, "loss-clip requires at least one finite metric"),
+            (lowest < 0, "loss metrics must be nonnegative"))
+        # Clamping to the data keeps equal metrics uniform when their float mean
+        # rounds past the common value.
         mu = np.maximum(values.mean(axis=1), values.min(axis=1))
-        return _clip_rows(values, values <= mu[:, None]), (values >= 0).all(axis=1)
+        survivors = values <= mu[:, None]
+        finite = np.isfinite(values)
+        if not finite.all():
+            # A sentinel row's mean sums its finite entries gathered, as a vector of
+            # their own: a zero in each sentinel's place would change numpy's
+            # pairwise grouping of the sum.
+            for i in np.flatnonzero(~finite.all(axis=1)).tolist():
+                kept = values[i, finite[i]]
+                mu[i] = max(kept.mean(), kept.min())
+            survivors = finite & (values <= mu[:, None])
+        return _clip_rows(values, survivors), rejected
 
 
 @dataclass(frozen=True)
@@ -98,15 +132,15 @@ class AccClip:
 
     favours = "high"
 
-    def weights(self, metrics: MetricVector) -> WeightVector:
-        return crs_acc_clip(metrics)
-
     def rows(self, values: np.ndarray) -> tuple:
+        values, rejected = _rejected(values, (((values < 0) | (values > 1)).any(axis=1),
+                                              "accuracy metrics must be finite and lie in [0, 1]"))
         mu = np.minimum(values.mean(axis=1), values.max(axis=1))
-        return _clip_rows(values, values >= mu[:, None]), ((values >= 0) & (values <= 1)).all(axis=1)
+        return _clip_rows(values, values >= mu[:, None]), rejected
 
 
 def _clip_rows(values: np.ndarray, survivors: np.ndarray) -> np.ndarray:
+    """The survivors' values normalized per row; all-zero survivors get uniform weights."""
     raw = np.where(survivors, values, 0.0)
     total = raw.sum(axis=1, keepdims=True)
     uniform = survivors / survivors.sum(axis=1, keepdims=True)
@@ -156,13 +190,21 @@ class WeightVector:
             raise ValueError("ids and weights must have equal length")
         if len(set(ids)) != len(ids):
             raise ValueError("node ids must be distinct")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and nonnegative")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {w.sum()}, expected 1")
+        error = _weight_error(w)
+        if error:
+            raise ValueError(error)
         w.setflags(write=False)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "weights", w)
+
+
+def _weight_error(w: np.ndarray):
+    """Why the weight vector w is not one, or None if it is."""
+    if np.any(w < 0) or not np.all(np.isfinite(w)):
+        return "weights must be finite and nonnegative"
+    if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
+        return f"weights sum to {w.sum()}, expected 1"
+    return None
 
 
 def compute_tpm(kind: TargetMetricKind, model: ParamVector, aux: Dataset) -> float:
@@ -187,56 +229,26 @@ def scoring_is_stock() -> bool:
     return _scoring() == _STOCK_SCORING
 
 
-def crs_temp_softmax(metrics: MetricVector, temperature: float) -> WeightVector:
-    """softmax(m_i / T) with max-subtraction."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    if np.any(np.isinf(metrics.values)):
-        raise ValueError("temp-softmax reweighting requires finite metrics")
-    z = metrics.values / temperature
-    exp = np.exp(z - z.max())
-    return WeightVector(metrics.ids, exp / exp.sum())
+def _group_weights(crs: CRSKind, metrics: np.ndarray) -> tuple:
+    """crs.rows(metrics), each row checked as WeightVector checks it: (weights, {row: message}).
 
-
-def _clip(ids: tuple, values: np.ndarray, survivors: np.ndarray) -> WeightVector:
-    """The survivors' values normalized; all-zero survivors get uniform weights."""
-    raw = np.where(survivors, values, 0.0)
-    total = float(raw.sum())
-    return WeightVector(ids, raw / total if total > 0 else survivors / survivors.sum())
-
-
-def crs_loss_clip(metrics: MetricVector) -> WeightVector:
-    """Clip losses above the mean to zero, then normalize the raw survivors.
-
-    The mean excludes sentinel entries, which are always clipped. Survivors
-    keep their raw loss value, so among survivors a higher loss receives a
-    larger weight; all-zero survivors fall back to uniform weights.
+    A row crs.rows rejects keeps its message; an accepted row whose weights
+    WeightVector would refuse takes WeightVector's message.
     """
-    values = metrics.values
-    finite = np.isfinite(values)
-    if not finite.any():
-        raise ValueError("loss-clip requires at least one finite metric")
-    if np.any(values[finite] < 0):
-        raise ValueError("loss metrics must be nonnegative")
-    # Clamping to the data keeps equal metrics uniform when their float mean
-    # rounds past the common value.
-    mu = max(float(values[finite].mean()), float(values[finite].min()))
-    survivors = finite & (values <= mu)
-    return _clip(metrics.ids, values, survivors)
-
-
-def crs_acc_clip(metrics: MetricVector) -> WeightVector:
-    """Clip accuracies below the mean to zero, then normalize the survivors."""
-    values = metrics.values
-    if np.any(~np.isfinite(values)) or np.any(values < 0) or np.any(values > 1):
-        raise ValueError("accuracy metrics must be finite and lie in [0, 1]")
-    mu = min(float(values.mean()), float(values.max()))
-    survivors = values >= mu
-    return _clip(metrics.ids, values, survivors)
+    weights, failed = crs.rows(metrics)
+    # A NaN or infinite weight also takes its row's sum away from 1.
+    ok = (weights >= 0).all(axis=1) & (np.abs(weights.sum(axis=1) - 1.0) <= WEIGHT_SUM_TOL)
+    for i in np.flatnonzero(~ok).tolist():
+        failed.setdefault(i, _weight_error(weights[i]))
+    return weights, failed
 
 
 def apply_crs(crs: CRSKind, metrics: MetricVector) -> WeightVector:
-    return crs.weights(metrics)
+    """crs on one closed neighborhood: _group_weights on its one row, raising its failure."""
+    weights, failed = _group_weights(crs, metrics.values[None])
+    if failed:
+        raise ValueError(failed[0])
+    return WeightVector(metrics.ids, weights[0])
 
 
 def mix(weights: np.ndarray, broadcast: np.ndarray) -> np.ndarray:
@@ -277,29 +289,6 @@ def dfedreweighting_round_weights(
     values = [compute_tpm(kind, ParamVector(row, aux.num_classes, aux.feature_dim), aux)
               for row in params]
     return apply_crs(crs, MetricVector(ids, values))
-
-
-def _group_weights(crs: CRSKind, ids: np.ndarray, metrics: np.ndarray, nodes: list, failures: dict):
-    """(g, k) weights of one group's metric rows; a row that fails records its node in failures.
-
-    Rows holding the +inf sentinel, and rows crs.rows or the weight
-    check rejects, go through apply_crs one by one, which computes them or
-    raises what it raises for a single client.
-    """
-    finite = np.isfinite(metrics).all(axis=1)
-    # Sentinel rows are reweighted as zeros here, and then again one by one.
-    rows = metrics if finite.all() else np.where(finite[:, None], metrics, 0.0)
-    weights, ok = crs.rows(rows)
-    # A NaN or infinite weight also takes its row's sum away from 1.
-    ok &= finite & (weights >= 0).all(axis=1) & (np.abs(weights.sum(axis=1) - 1.0) <= WEIGHT_SUM_TOL)
-    if ok.all():
-        return weights
-    for i in np.flatnonzero(~ok):
-        try:
-            weights[i] = apply_crs(crs, MetricVector(ids[i], metrics[i])).weights
-        except ValueError as exc:
-            failures[nodes[i]] = exc
-    return weights
 
 
 class MixingWeights(Mapping):
@@ -352,5 +341,7 @@ def reweight_round(
             continue
         finite = np.isfinite(values)
         metrics = values if finite.all() else np.where(finite, values, SENTINEL)
-        matrix[group.positions[:, None], ids] = _group_weights(crs, ids, metrics, nodes, failures)
+        weights, failed = _group_weights(crs, metrics)
+        matrix[group.positions[:, None], ids] = weights
+        failures.update({nodes[i]: ValueError(message) for i, message in failed.items()})
     return mix(matrix, broadcast), MixingWeights(matrix, plan), failures

@@ -1,0 +1,66 @@
+"""Per-vector reference forms of the reweighting strategies.
+
+The package computes each CRS only as rows of a group's metric matrix
+(TempSoftmax.rows, LossClip.rows, AccClip.rows). These compute one closed
+neighborhood at a time, each check and reduction on that vector alone, and
+the tests compare the package's rows and messages with them by exact
+equality.
+"""
+import numpy as np
+
+from dflsim.reweight import AccClip, LossClip, MetricVector, TempSoftmax, WeightVector
+
+
+def crs_temp_softmax(metrics: MetricVector, temperature: float) -> WeightVector:
+    """softmax(m_i / T) with max-subtraction."""
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
+    if np.any(np.isinf(metrics.values)):
+        raise ValueError("temp-softmax reweighting requires finite metrics")
+    z = metrics.values / temperature
+    exp = np.exp(z - z.max())
+    return WeightVector(metrics.ids, exp / exp.sum())
+
+
+def _clip(ids: tuple, values: np.ndarray, survivors: np.ndarray) -> WeightVector:
+    """The survivors' values normalized; all-zero survivors get uniform weights."""
+    raw = np.where(survivors, values, 0.0)
+    total = float(raw.sum())
+    return WeightVector(ids, raw / total if total > 0 else survivors / survivors.sum())
+
+
+def crs_loss_clip(metrics: MetricVector) -> WeightVector:
+    """Clip losses above the mean to zero, then normalize the raw survivors.
+
+    The mean excludes sentinel entries, which are always clipped. Survivors
+    keep their raw loss value, so among survivors a higher loss receives a
+    larger weight; all-zero survivors fall back to uniform weights.
+    """
+    values = metrics.values
+    finite = np.isfinite(values)
+    if not finite.any():
+        raise ValueError("loss-clip requires at least one finite metric")
+    if np.any(values[finite] < 0):
+        raise ValueError("loss metrics must be nonnegative")
+    # Clamping to the data keeps equal metrics uniform when their float mean
+    # rounds past the common value.
+    mu = max(float(values[finite].mean()), float(values[finite].min()))
+    survivors = finite & (values <= mu)
+    return _clip(metrics.ids, values, survivors)
+
+
+def crs_acc_clip(metrics: MetricVector) -> WeightVector:
+    """Clip accuracies below the mean to zero, then normalize the survivors."""
+    values = metrics.values
+    if np.any(~np.isfinite(values)) or np.any(values < 0) or np.any(values > 1):
+        raise ValueError("accuracy metrics must be finite and lie in [0, 1]")
+    mu = min(float(values.mean()), float(values.max()))
+    survivors = values >= mu
+    return _clip(metrics.ids, values, survivors)
+
+
+def crs_oracle(crs, metrics: MetricVector) -> WeightVector:
+    """The per-vector form of the CRS crs on one closed neighborhood."""
+    if isinstance(crs, TempSoftmax):
+        return crs_temp_softmax(metrics, crs.temperature)
+    return {LossClip: crs_loss_clip, AccClip: crs_acc_clip}[type(crs)](metrics)

@@ -25,7 +25,7 @@ from dflsim.cli import cli_main
 from dflsim.config import parse_config
 from dflsim.core_learning import Dataset, Minibatch, ParamVector, batch_gradient, batch_loss
 from dflsim.data import gen_synthetic_blobs, partition_dirichlet, partition_iid, partition_label_skew
-from dflsim.reweight import MetricVector, crs_acc_clip, crs_loss_clip, crs_temp_softmax
+from dflsim.reweight import AccClip, LossClip, MetricVector, TempSoftmax, apply_crs
 from dflsim.sim import run_experiment
 
 DESK_DATASET = {
@@ -249,16 +249,16 @@ def test_criterion_6_crs_property_suite():
         accs = gen.uniform(0, 1, size=n)
         temp = float(gen.uniform(0.02, 4.0))
 
-        soft = crs_temp_softmax(MetricVector(tuple(range(n)), accs), temp)
+        soft = apply_crs(TempSoftmax(temp), MetricVector(tuple(range(n)), accs))
         assert np.all(soft.weights >= 0) and abs(soft.weights.sum() - 1) <= 1e-9
-        shifted = crs_temp_softmax(MetricVector(tuple(range(n)), accs + 3.0), temp)
+        shifted = apply_crs(TempSoftmax(temp), MetricVector(tuple(range(n)), accs + 3.0))
         np.testing.assert_allclose(soft.weights, shifted.weights, atol=1e-12)
-        sharper = crs_temp_softmax(MetricVector(tuple(range(n)), accs), temp / 2)
+        sharper = apply_crs(TempSoftmax(temp / 2), MetricVector(tuple(range(n)), accs))
         assert sharper.weights.max() >= soft.weights.max() - 1e-12
 
         clip_cases = (
-            (losses, crs_loss_clip(MetricVector(tuple(range(n)), losses)), True),
-            (accs, crs_acc_clip(MetricVector(tuple(range(n)), accs)), False),
+            (losses, apply_crs(LossClip(), MetricVector(tuple(range(n)), losses)), True),
+            (accs, apply_crs(AccClip(), MetricVector(tuple(range(n)), accs)), False),
         )
         for values, out, keep_low in clip_cases:
             assert np.all(out.weights >= 0) and abs(out.weights.sum() - 1) <= 1e-9
@@ -269,9 +269,9 @@ def test_criterion_6_crs_property_suite():
             np.testing.assert_allclose(out.weights, expected, atol=1e-12)
             assert np.array_equal(out.weights == 0.0, ~survivors)
 
-    hand_loss = crs_loss_clip(MetricVector((0, 1, 2), np.array([1.0, 2.0, 9.0])))
+    hand_loss = apply_crs(LossClip(), MetricVector((0, 1, 2), np.array([1.0, 2.0, 9.0])))
     np.testing.assert_allclose(hand_loss.weights, [1 / 3, 2 / 3, 0.0], rtol=1e-15)
-    hand_acc = crs_acc_clip(MetricVector((0, 1, 2), np.array([0.9, 0.8, 0.1])))
+    hand_acc = apply_crs(AccClip(), MetricVector((0, 1, 2), np.array([0.9, 0.8, 0.1])))
     np.testing.assert_allclose(hand_acc.weights, [9 / 17, 8 / 17, 0.0], rtol=1e-15)
     report(6, True,
            "1000 random metric vectors per strategy: nonneg, sum-1, shift-invariant, "

@@ -230,6 +230,19 @@ class TestValidate:
         assert f"seeds must be distinct: seed {repeated} is repeated" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # An empty override names no seed; it must not fall back to the config's seeds.
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("override", ["", "7,x"])
+    def test_seed_override_must_be_integers(self, tmp_path, capsys, command, override):
+        doc = tiny_config_doc(name="badseeds")
+        if command == "sweep":
+            doc = {"base": doc, "grid": {"attack": [None]}}
+        out = tmp_path / "out"
+        assert cli_main([command, write_config(tmp_path, doc), "--seed-override", override,
+                         "--outdir", str(out), "--quiet"]) == 1
+        assert f"--seed-override expects integers, got {override!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSetup:
     # validate, run and sweep set every seed up alike (sim.setup_seed), so a seed

@@ -17,12 +17,10 @@ from dflsim.reweight import (
     _group_weights,
     apply_crs,
     compute_tpm,
-    crs_acc_clip,
-    crs_loss_clip,
-    crs_temp_softmax,
     dfedreweighting_round_weights,
     reweight_aggregate,
 )
+from oracles import crs_acc_clip, crs_oracle, crs_temp_softmax
 
 
 def mv(values, ids=None):
@@ -115,34 +113,34 @@ class TestGroupedTpmOneGroup:
 class TestTempSoftmax:
     def test_equal_metrics_uniform(self):
         for temp in (0.01, 0.1, 1.0, 10.0):
-            w = crs_temp_softmax(mv([0.4, 0.4, 0.4]), temp)
+            w = apply_crs(TempSoftmax(temp), mv([0.4, 0.4, 0.4]))
             np.testing.assert_allclose(w.weights, 1 / 3, atol=1e-12)
 
     def test_direct_value(self):
-        w = crs_temp_softmax(mv([1.0, 0.0]), 1.0)
+        w = apply_crs(TempSoftmax(1.0), mv([1.0, 0.0]))
         np.testing.assert_allclose(
             w.weights, [math.e / (math.e + 1), 1 / (math.e + 1)], rtol=1e-12
         )
 
     def test_sharp_temperature_dominance(self):
-        w = crs_temp_softmax(mv([0.9, 0.8]), 0.01)
+        w = apply_crs(TempSoftmax(0.01), mv([0.9, 0.8]))
         assert w.weights[0] >= 0.9999
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ValueError):
-            crs_temp_softmax(mv([1.0, 2.0]), 0.0)
+            apply_crs(TempSoftmax(0.0), mv([1.0, 2.0]))
 
     def test_sentinel_rejected(self):
         with pytest.raises(ValueError):
-            crs_temp_softmax(mv([1.0, math.inf]), 1.0)
+            apply_crs(TempSoftmax(1.0), mv([1.0, math.inf]))
 
     def test_shift_invariance(self):
         gen = rng.stream(31, purpose="test")
         for _ in range(100):
             values = gen.standard_normal(5)
             temp = float(gen.uniform(0.05, 5.0))
-            a = crs_temp_softmax(mv(values), temp).weights
-            b = crs_temp_softmax(mv(values + 13.7), temp).weights
+            a = apply_crs(TempSoftmax(temp), mv(values)).weights
+            b = apply_crs(TempSoftmax(temp), mv(values + 13.7)).weights
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_sharpness_monotone_in_temperature(self):
@@ -151,63 +149,63 @@ class TestTempSoftmax:
             values = gen.standard_normal(6)
             values[int(gen.integers(6))] += 1.0  # unique maximum
             temps = sorted(gen.uniform(0.02, 3.0, size=4))
-            maxima = [crs_temp_softmax(mv(values), t).weights.max() for t in temps]
+            maxima = [apply_crs(TempSoftmax(t), mv(values)).weights.max() for t in temps]
             for cooler, warmer in zip(maxima, maxima[1:]):
                 assert cooler >= warmer - 1e-12
 
 
 class TestLossClip:
     def test_hand_example(self):
-        w = crs_loss_clip(mv([1.0, 2.0, 9.0]))
+        w = apply_crs(LossClip(), mv([1.0, 2.0, 9.0]))
         np.testing.assert_allclose(w.weights, [1 / 3, 2 / 3, 0.0], rtol=1e-12)
 
     def test_boundary_kept(self):
         # The float mean of 21 copies of the second loss rounds below it.
         for values in ([5.0] * 3, [3.647482804919992] * 21):
-            w = crs_loss_clip(mv(values))
+            w = apply_crs(LossClip(), mv(values))
             np.testing.assert_allclose(w.weights, 1 / len(values), atol=1e-12)
 
     def test_sentinel_clipped_and_excluded_from_mean(self):
-        w = crs_loss_clip(mv([1.0, math.inf]))
+        w = apply_crs(LossClip(), mv([1.0, math.inf]))
         np.testing.assert_allclose(w.weights, [1.0, 0.0], atol=1e-15)
 
     def test_all_sentinel_rejected(self):
         with pytest.raises(ValueError):
-            crs_loss_clip(mv([math.inf, math.inf]))
+            apply_crs(LossClip(), mv([math.inf, math.inf]))
 
     def test_all_zero_survivors_uniform(self):
-        w = crs_loss_clip(mv([0.0, 0.0, 7.0]))
+        w = apply_crs(LossClip(), mv([0.0, 0.0, 7.0]))
         np.testing.assert_allclose(w.weights, [0.5, 0.5, 0.0], atol=1e-15)
 
     def test_negative_metric_rejected(self):
         with pytest.raises(ValueError):
-            crs_loss_clip(mv([-1.0, 2.0]))
+            apply_crs(LossClip(), mv([-1.0, 2.0]))
 
 
 class TestAccClip:
     def test_hand_example(self):
-        w = crs_acc_clip(mv([0.9, 0.8, 0.1]))
+        w = apply_crs(AccClip(), mv([0.9, 0.8, 0.1]))
         np.testing.assert_allclose(w.weights, [9 / 17, 8 / 17, 0.0], rtol=1e-12)
 
     def test_equal_metrics_uniform(self):
         # The float mean of 9 copies of 37/40 rounds above the value.
         for values in ([0.6] * 4, [37 / 40] * 9):
-            w = crs_acc_clip(mv(values))
+            w = apply_crs(AccClip(), mv(values))
             np.testing.assert_allclose(w.weights, 1 / len(values), atol=1e-12)
 
     def test_single_survivor(self):
-        w = crs_acc_clip(mv([0.0, 0.0, 1.0]))
+        w = apply_crs(AccClip(), mv([0.0, 0.0, 1.0]))
         np.testing.assert_allclose(w.weights, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_all_zero_uniform_fallback(self):
-        w = crs_acc_clip(mv([0.0, 0.0]))
+        w = apply_crs(AccClip(), mv([0.0, 0.0]))
         np.testing.assert_allclose(w.weights, [0.5, 0.5], atol=1e-15)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            crs_acc_clip(mv([0.5, 1.2]))
+            apply_crs(AccClip(), mv([0.5, 1.2]))
         with pytest.raises(ValueError):
-            crs_acc_clip(mv([0.5, math.inf]))
+            apply_crs(AccClip(), mv([0.5, math.inf]))
 
 
 def brute_force_clip(values, keep_low):
@@ -235,15 +233,15 @@ class TestCrsProperties:
             accs = gen.uniform(0.0, 1.0, size=n)
             temp = float(gen.uniform(0.02, 5.0))
 
-            assert_valid(crs_temp_softmax(mv(accs), temp))
+            assert_valid(apply_crs(TempSoftmax(temp), mv(accs)))
 
-            lw = crs_loss_clip(mv(losses))
+            lw = apply_crs(LossClip(), mv(losses))
             assert_valid(lw)
             expected, survivors = brute_force_clip(losses, keep_low=True)
             np.testing.assert_allclose(lw.weights, expected, atol=1e-12)
             assert np.array_equal(lw.weights == 0.0, ~survivors)
 
-            aw = crs_acc_clip(mv(accs))
+            aw = apply_crs(AccClip(), mv(accs))
             assert_valid(aw)
             expected, survivors = brute_force_clip(accs, keep_low=False)
             np.testing.assert_allclose(aw.weights, expected, atol=1e-12)
@@ -412,45 +410,63 @@ class TestRoundWeights:
         )
 
 
-# Per CRS: an all-finite row, a row holding the +inf sentinel, and a row a
-# check rejects. The temp-softmax row overflows m / T to inf and so gives NaN
+# Per CRS: an all-finite row, a row holding the +inf sentinel and a row a
+# check rejects; loss-clip also has groups at k = 9 and k = 16 with more
+# sentinel rows. The temp-softmax row overflows m / T to inf and so gives NaN
 # weights; the loss-clip row's sum overflows, which divides every weight to 0;
-# the acc-clip row lies outside [0, 1].
+# the acc-clip row lies outside [0, 1]. In each accepted k >= 9 row with a
+# sentinel, one finite loss lies on the mean of the finite losses gathered into
+# a vector of their own. A mean that sums a zero in each sentinel's place, or
+# that passes where=, groups numpy's pairwise sum differently, and in at least
+# one row of each of these groups it moves that loss across the clip.
 _GROUP_ROWS = [
     (TempSoftmax(0.1), [[0.2, 0.9, 0.5], [0.2, SENTINEL, 0.5], [1e308, 0.5, 0.2]]),
     (LossClip(), [[0.3, 1.2, 0.7], [0.3, SENTINEL, 0.7], [1e308, 1e308, 1e308]]),
     (AccClip(), [[0.2, 0.9, 0.5], [0.2, SENTINEL, 0.5], [1.5, 0.5, 0.2]]),
+    (LossClip(), [
+        [0.92, 2.13, 0.25, 1.4, 0.68, 0.34, 1.2, 2.6, 0.5],
+        [SENTINEL, 1.59, 2.33, 1.47, 2.86, 0.82, 1.0, 1.06, 1.59],
+        [SENTINEL] * 9,
+        [2.55, 1.78, 1.58, 2.19, SENTINEL, 1.0, 2.69, 0.75, 0.1],
+        [SENTINEL, 0.92, 2.13, 0.25, SENTINEL, 0.68, 0.34, 1.2, SENTINEL],
+    ]),
+    (LossClip(), [
+        [2.89, 2.31, 1.72, 0.63, 2.4, 1.23, 2.9, 1.81, 1.96, 1.5, 0.48, 1.44, 1.33, 2.8, 1.75, 0.9],
+        [2.89, 2.31, 1.72, 0.63, 2.4, 1.23, 2.9, 1.81, 1.96, 1.5, 0.48, 1.44, 1.33, 2.8, 1.75,
+         SENTINEL],
+        [SENTINEL, 0.7, 0.71, -0.76, 2.76, 1.88, 2.41, 0.2, SENTINEL, 1.67, 1.74, 1.68, 2.3, 2.85,
+         2.96, SENTINEL],
+        [SENTINEL, 2.13, 1.14, 1.4300000000000002, 0.57, 2.27, 1.61, 2.19, SENTINEL, 2.2, 0.13,
+         0.83, 2.35, 1.01, 0.73, SENTINEL],
+    ]),
 ]
 
 
 class TestGroupWeights:
     @staticmethod
-    def check_rows_against_apply_crs(crs, metrics):
-        ids = np.arange(metrics.size).reshape(metrics.shape)
-        nodes = [10 + i for i in range(len(metrics))]
+    def check_rows_against_oracle(crs, metrics):
         before = metrics.copy()
-        failures = {}
         # The rejected rows overflow on purpose, in both paths.
         with np.errstate(over="ignore", invalid="ignore"):
-            weights = _group_weights(crs, ids, metrics, nodes, failures)
+            weights, failed = _group_weights(crs, metrics)
             assert metrics.tobytes() == before.tobytes()
-            for i, node in enumerate(nodes):
+            for i, row in enumerate(metrics):
                 try:
-                    expected = apply_crs(crs, MetricVector(ids[i], metrics[i])).weights
+                    expected = crs_oracle(crs, MetricVector(range(len(row)), row)).weights
                 except ValueError as exc:
-                    assert str(failures[node]) == str(exc)
+                    assert failed[i] == str(exc)
                     continue
-                assert node not in failures
+                assert i not in failed
                 assert weights[i].tobytes() == expected.tobytes()
-        return failures
+        return failed
 
     @pytest.mark.parametrize("crs, rows", _GROUP_ROWS)
-    def test_all_finite_rows_equal_apply_crs(self, crs, rows):
+    def test_all_finite_rows_equal_the_oracle(self, crs, rows):
         finite = np.array([rows[0], rows[0][::-1], rows[0][1:] + rows[0][:1]])
-        assert self.check_rows_against_apply_crs(crs, finite) == {}
+        assert self.check_rows_against_oracle(crs, finite) == {}
 
     @pytest.mark.parametrize("crs, rows", _GROUP_ROWS)
-    def test_sentinel_and_rejected_rows_equal_apply_crs_or_its_failure(self, crs, rows):
-        failures = self.check_rows_against_apply_crs(crs, np.array(rows))
-        assert 12 in failures and 10 not in failures
-        assert (11 in failures) == (not isinstance(crs, LossClip))
+    def test_sentinel_and_rejected_rows_equal_the_oracle_or_its_failure(self, crs, rows):
+        failed = self.check_rows_against_oracle(crs, np.array(rows))
+        assert 2 in failed and 0 not in failed
+        assert (1 in failed) == (not isinstance(crs, LossClip))

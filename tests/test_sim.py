@@ -29,8 +29,6 @@ from dflsim.reweight import (
     LossClip,
     MetricVector,
     TargetMetricKind,
-    WeightVector,
-    apply_crs,
     compute_tpm,
     dfedreweighting_round_weights,
     reweight_aggregate,
@@ -53,6 +51,7 @@ from dflsim.sim import (
     setup_seed,
 )
 from dflsim.topology import TopologyGraph
+from oracles import crs_oracle
 
 
 def tiny_config(**overrides):
@@ -328,7 +327,7 @@ class TestStackedRoundEngine:
                 members = sorted({k, *np.flatnonzero(oracle.graph.adjacency[k]).tolist()})
                 metrics = MetricVector(members, [
                     compute_tpm(agg.tpm, incoming[i], aux_set(oracle, k)) for i in members])
-                weights = apply_crs(agg.crs, metrics)
+                weights = crs_oracle(agg.crs, metrics)
                 acc = None
                 weight_of = dict(zip(weights.ids, weights.weights))
                 for i in members:
@@ -669,11 +668,8 @@ class _UniformCRS:
 
     favours = "high"
 
-    def weights(self, metrics):
-        return WeightVector(metrics.ids, np.full(len(metrics), 1 / len(metrics)))
-
     def rows(self, values):
-        return np.full(values.shape, 1 / values.shape[1]), True
+        return np.full(values.shape, 1 / values.shape[1]), {}
 
 
 def test_a_crs_registered_by_name_alone_parses_and_runs(monkeypatch):
