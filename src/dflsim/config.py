@@ -76,6 +76,12 @@ class AttackSpec:
     kind: AttackKind
     knowledge: str = "omniscient"  # or "neighborhood"
 
+    def __post_init__(self):
+        if self.knowledge not in ("omniscient", "neighborhood"):
+            raise ValueError(
+                f"knowledge: expected 'omniscient' or 'neighborhood', got {self.knowledge!r}"
+            )
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -294,11 +300,11 @@ class _Attack(_Kinded):
             raise ConfigError(f"{path}: expected null or an object with a 'kind' key")
         body = dict(obj)
         knowledge = body.pop("knowledge", "omniscient")
-        if knowledge not in ("omniscient", "neighborhood"):
-            raise ConfigError(
-                f"{path}.knowledge: expected 'omniscient' or 'neighborhood', got {knowledge!r}"
-            )
-        return AttackSpec(super().decode(body, path), knowledge)
+        kind = super().decode(body, path)
+        try:
+            return AttackSpec(kind, knowledge)
+        except ValueError as exc:  # AttackSpec names the field: "knowledge: expected ..."
+            raise ConfigError(f"{path}.{exc}") from exc
 
     def encode(self, spec: AttackSpec):
         return {**super().encode(spec.kind), "knowledge": spec.knowledge}

@@ -140,16 +140,6 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def predict_probs(model: ParamVector, features: np.ndarray) -> np.ndarray:
-    """Class probabilities softmax(W x + b), max-subtracted for stability."""
-    x = np.asarray(features, dtype=np.float64).reshape(-1)
-    if x.shape[0] != model.feature_dim:
-        raise ShapeError(
-            f"feature vector has length {x.shape[0]}, model expects d={model.feature_dim}"
-        )
-    return _softmax_rows(_logits(model, x[None, :]))[0]
-
-
 def _batch_mean_loss(model: ParamVector, features: np.ndarray, labels: np.ndarray) -> float:
     probs = _softmax_rows(_logits(model, features))
     p_true = probs[np.arange(labels.shape[0]), labels]

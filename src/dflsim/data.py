@@ -7,6 +7,7 @@ the fairness metrics.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass
 from typing import Union
@@ -20,6 +21,7 @@ log = logging.getLogger(__name__)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+BLOB_ANCHOR_AXES = 8
 
 
 class FormatError(ValueError):
@@ -97,6 +99,23 @@ def _read_be_u32(buf: bytes, offset: int, path: str) -> int:
     return struct.unpack_from(">I", buf, offset)[0]
 
 
+def _parse_idx(buf: bytes, path: str, magic: int, what: str) -> np.ndarray:
+    """The uint8 payload of one IDX file's bytes, shaped by its header.
+
+    The header is a big-endian u32 magic word, whose low byte is the number
+    of dimensions, then one big-endian u32 size per dimension.
+    """
+    found = _read_be_u32(buf, 0, path)
+    if found != magic:
+        raise FormatError(f"{path}: unexpected magic 0x{found:08x} at byte 0, want 0x{magic:08x}")
+    shape = [_read_be_u32(buf, 4 * (1 + i), path) for i in range(magic & 0xFF)]
+    start = 4 * (1 + len(shape))
+    want = start + math.prod(shape)
+    if len(buf) < want:
+        raise FormatError(f"{path}: truncated {what} payload at byte {len(buf)}, want {want}")
+    return np.frombuffer(buf, dtype=np.uint8, count=want - start, offset=start).reshape(shape)
+
+
 def load_idx(images_path: str, labels_path: str, num_classes: int | None = None) -> Dataset:
     """Parse a big-endian IDX image/label file pair into a Dataset.
 
@@ -106,59 +125,23 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
         img_buf = f.read()
     with open(labels_path, "rb") as f:
         lab_buf = f.read()
-
-    magic = _read_be_u32(img_buf, 0, images_path)
-    if magic != IDX_IMAGES_MAGIC:
-        raise FormatError(
-            f"{images_path}: unexpected magic 0x{magic:08x} at byte 0, "
-            f"want 0x{IDX_IMAGES_MAGIC:08x}"
-        )
-    count = _read_be_u32(img_buf, 4, images_path)
-    rows = _read_be_u32(img_buf, 8, images_path)
-    cols = _read_be_u32(img_buf, 12, images_path)
-    expected = 16 + count * rows * cols
-    if len(img_buf) < expected:
-        raise FormatError(
-            f"{images_path}: truncated pixel payload at byte {len(img_buf)}, want {expected}"
-        )
-
-    lab_magic = _read_be_u32(lab_buf, 0, labels_path)
-    if lab_magic != IDX_LABELS_MAGIC:
-        raise FormatError(
-            f"{labels_path}: unexpected magic 0x{lab_magic:08x} at byte 0, "
-            f"want 0x{IDX_LABELS_MAGIC:08x}"
-        )
-    lab_count = _read_be_u32(lab_buf, 4, labels_path)
-    if len(lab_buf) < 8 + lab_count:
-        raise FormatError(
-            f"{labels_path}: truncated label payload at byte {len(lab_buf)}, "
-            f"want {8 + lab_count}"
-        )
-    if lab_count != count:
-        raise FormatError(
-            f"image/label count mismatch: {count} images vs {lab_count} labels"
-        )
-
-    pixels = np.frombuffer(img_buf, dtype=np.uint8, count=count * rows * cols, offset=16)
-    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
-    labels = np.frombuffer(lab_buf, dtype=np.uint8, count=count, offset=8).astype(np.int64)
+    images = _parse_idx(img_buf, images_path, IDX_IMAGES_MAGIC, "pixel")
+    labels = _parse_idx(lab_buf, labels_path, IDX_LABELS_MAGIC, "label").astype(np.int64)
+    count, rows, cols = images.shape
+    if len(labels) != count:
+        raise FormatError(f"image/label count mismatch: {count} images vs {len(labels)} labels")
+    features = images.reshape(count, rows * cols).astype(np.float64) / 255.0
     if num_classes is None:
         num_classes = int(labels.max()) + 1
     return Dataset(features, labels, num_classes)
 
 
-def gen_synthetic_blobs(
-    num_classes: int,
-    feature_dim: int,
-    n_per_class: int,
-    spread: float,
-    seed: int,
-    anchor_axes: int = 8,
-) -> Dataset:
+def gen_synthetic_blobs(num_classes: int, feature_dim: int, n_per_class: int, spread: float,
+                        seed: int) -> Dataset:
     """Isotropic Gaussian blobs around fixed per-class means.
 
     Class c's mean sits on axis c mod A at magnitude (1 + c//A) * 4*spread,
-    where A = min(feature_dim, anchor_axes). Every pair of means is separated
+    where A = min(feature_dim, BLOB_ANCHOR_AXES). Every pair of means is separated
     by at least 4*spread; classes beyond the A-th share an axis with an
     earlier class and differ only in magnitude, which keeps many-class
     instances from being trivially separable per axis. A unit magnitude step
@@ -172,10 +155,8 @@ def gen_synthetic_blobs(
         raise ValueError("n_per_class must be positive")
     if spread < 0:
         raise ValueError("spread must be nonnegative")
-    if anchor_axes < 1:
-        raise ValueError("anchor_axes must be positive")
     step = 4.0 * spread if spread > 0 else 1.0
-    axes = min(feature_dim, anchor_axes)
+    axes = min(feature_dim, BLOB_ANCHOR_AXES)
     gen = rng.stream(seed, purpose="synthetic-blobs")
     features = np.empty((num_classes * n_per_class, feature_dim))
     labels = np.empty(num_classes * n_per_class, dtype=np.int64)
@@ -204,6 +185,14 @@ def _largest_remainder(targets: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
+def _deal(dealt: list, clients, perm: np.ndarray, counts) -> None:
+    """Hand perm out in consecutive runs: the next counts[i] entries go to dealt[clients[i]]."""
+    start = 0
+    for k, n in zip(clients, counts):
+        dealt[k].append(perm[start:start + n])
+        start += n
+
+
 def partition_iid(data: Dataset, num_clients: int, seed: int) -> PartitionPlan:
     """Equal per-class shards for every client; per-class remainders are dropped."""
     if num_clients < 1:
@@ -215,10 +204,8 @@ def partition_iid(data: Dataset, num_clients: int, seed: int) -> PartitionPlan:
             raise PartitionError(
                 f"class {c} has {len(idx)} examples, fewer than {num_clients} clients"
             )
-        perm = gen.permutation(idx)
         per = len(idx) // num_clients
-        for k in range(num_clients):
-            dealt[k].append(perm[k * per:(k + 1) * per])
+        _deal(dealt, range(num_clients), gen.permutation(idx), [per] * num_clients)
     return PartitionPlan(tuple(np.sort(np.concatenate(d)) for d in dealt))
 
 
@@ -265,9 +252,7 @@ def partition_label_skew(data: Dataset, num_clients: int, h: int, seed: int) -> 
             raise PartitionError(
                 f"class {c} has {len(idx)} examples for {len(holders[c])} holders"
             )
-        perm = gen.permutation(idx)
-        for slot, k in enumerate(holders[c]):
-            dealt[k].append(perm[slot * per:(slot + 1) * per])
+        _deal(dealt, holders[c], gen.permutation(idx), [per] * len(holders[c]))
     return PartitionPlan(tuple(np.sort(np.concatenate(d)) for d in dealt))
 
 
@@ -289,9 +274,7 @@ def partition_dirichlet(data: Dataset, num_clients: int, alpha: float, seed: int
             continue
         props = gen.dirichlet(np.full(num_clients, alpha))
         counts = _largest_remainder(props * len(idx), len(idx))
-        perm = gen.permutation(idx)
-        for k, part in enumerate(np.split(perm, np.cumsum(counts)[:-1])):
-            dealt[k].append(part)
+        _deal(dealt, range(num_clients), gen.permutation(idx), counts.tolist())
 
     # Indices stay in dealing order until the top-up, which moves the donor's last-dealt one.
     assigned = [np.concatenate(d) for d in dealt]

@@ -172,9 +172,6 @@ class MetricVector:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "values", vals)
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
 
 @dataclass(frozen=True)
 class WeightVector:

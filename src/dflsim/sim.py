@@ -174,6 +174,14 @@ def build_network(config: RunConfig, seed: int) -> NetworkState:
     return NetworkState(config, seed, graph, clients, models, train, test)
 
 
+def _visible_benign(graph: TopologyGraph, knowledge: str, node: int) -> np.ndarray:
+    """The benign ids node sees, ascending: all, or its neighbors under "neighborhood" knowledge."""
+    benign = np.array(sorted(graph.benign))
+    if knowledge == "neighborhood":
+        return benign[graph.adjacency[node, benign]]
+    return benign
+
+
 def check_neighborhoods(config: RunConfig, seed: int, graph: TopologyGraph) -> None:
     """Raise ConfigError if the configured baseline cannot aggregate some
     benign client's closed neighborhood (the client and its neighbors) in
@@ -184,9 +192,7 @@ def check_neighborhoods(config: RunConfig, seed: int, graph: TopologyGraph) -> N
     checks = [(config.aggregator, benign, graph.adjacency.sum(axis=1) + 1,
                "node {} has a closed neighborhood of {} models")]
     if attack:
-        seen = np.full(graph.n, len(benign))
-        if attack.knowledge == "neighborhood":
-            seen = graph.adjacency[:, benign].sum(axis=1)
+        seen = {m: len(_visible_benign(graph, attack.knowledge, m)) for m in graph.malicious}
         checks.append((attack.kind, sorted(graph.malicious), seen,
                        "malicious node {} sees {} benign models"))
     for spec, nodes, counts, what in checks:
@@ -278,11 +284,8 @@ _ATTACKS = {
 def _attack_payload(state: NetworkState, node_id: int, broadcast: np.ndarray, t: int) -> np.ndarray:
     """Malicious node_id's payload, made from the benign rows of broadcast it may see."""
     attack = state.config.attack
-    visible = np.array(state.plan().benign)
-    if attack.knowledge == "neighborhood":
-        visible = visible[state.graph.adjacency[node_id, visible]]
     view = AdversaryView(
-        benign_models=broadcast[visible],
+        benign_models=broadcast[_visible_benign(state.graph, attack.knowledge, node_id)],
         own_model=state.models[node_id],
         num_nodes=state.graph.n,
         num_malicious=len(state.graph.malicious),

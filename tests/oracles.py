@@ -1,14 +1,26 @@
-"""Per-vector reference forms of the reweighting strategies.
+"""Reference forms that only the tests use.
 
 The package computes each CRS only as rows of a group's metric matrix
-(TempSoftmax.rows, LossClip.rows, AccClip.rows). These compute one closed
-neighborhood at a time, each check and reduction on that vector alone, and
-the tests compare the package's rows and messages with them by exact
-equality.
+(TempSoftmax.rows, LossClip.rows, AccClip.rows). The crs_* forms compute one
+closed neighborhood at a time, each check and reduction on that vector
+alone, and the tests compare the package's rows and messages with them by
+exact equality. predict_probs gives one model's class probabilities for one
+feature vector.
 """
 import numpy as np
 
+from dflsim.core_learning import ParamVector, ShapeError, _logits, _softmax_rows
 from dflsim.reweight import AccClip, LossClip, MetricVector, TempSoftmax, WeightVector
+
+
+def predict_probs(model: ParamVector, features: np.ndarray) -> np.ndarray:
+    """Class probabilities softmax(W x + b), max-subtracted for stability."""
+    x = np.asarray(features, dtype=np.float64).reshape(-1)
+    if x.shape[0] != model.feature_dim:
+        raise ShapeError(
+            f"feature vector has length {x.shape[0]}, model expects d={model.feature_dim}"
+        )
+    return _softmax_rows(_logits(model, x[None, :]))[0]
 
 
 def crs_temp_softmax(metrics: MetricVector, temperature: float) -> WeightVector:

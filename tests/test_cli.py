@@ -80,6 +80,19 @@ def write_config(tmp_path, doc, filename="config.json"):
     return str(path)
 
 
+# Config files a check rejects: (id, the file's text, the error printed after "config error: ",
+# in which {path} stands for the file's path).
+CLI_REJECTED = [
+    ("invalid_json", '{"name": "cli-tiny",', "config file {path} is not valid JSON: "),
+    ("attack_knowledge",
+     json.dumps(tiny_config_doc(attack={"kind": "sign_flip", "knowledge": "neigborhood"})),
+     "config.attack.knowledge: expected 'omniscient' or 'neighborhood', got 'neigborhood'\n"),
+    ("rounds", json.dumps(tiny_config_doc(rounds=-1)), "config: rounds must be nonnegative\n"),
+    ("missing_key", json.dumps({k: v for k, v in tiny_config_doc().items() if k != "aggregator"}),
+     "config: missing required key(s) ['aggregator']\n"),
+]
+
+
 class TestValidate:
     def test_shipped_configs_are_valid(self, capsys):
         for name in ("fairness_labelskew.json", "fairness_labelskew_dfedavg.json",
@@ -98,6 +111,25 @@ class TestValidate:
         code = cli_main(["validate", write_config(tmp_path, doc)])
         assert code == 1
         assert "learning_rte" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("text, message", [row[1:] for row in CLI_REJECTED],
+                             ids=[row[0] for row in CLI_REJECTED])
+    def test_rejected_config_exits_one_with_its_message(self, tmp_path, capsys, command, text,
+                                                         message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert cli_main([command, str(path), "--outdir", str(tmp_path / "out")]
+                        if command == "run" else [command, str(path)]) == 1
+        assert f"config error: {message.format(path=path)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_sweep_document_without_a_grid_exits_one(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, {"base": tiny_config_doc()}, "sweep.json")
+        assert cli_main([command, config]) == 1
+        assert ("config error: sweep config must have exactly the keys 'base' and 'grid'\n"
+                in capsys.readouterr().err)
 
     def test_missing_file(self, capsys):
         assert cli_main(["validate", "/nonexistent/config.json"]) == 1
@@ -391,6 +423,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert "round 1 failed for seed 40 at node 6: payload refused" in err
 
+    def test_a_failing_local_step_fails_its_round_and_exits_two(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("step refused")
+
+        monkeypatch.setattr(sim, "stacked_sgd_step", refuse)
+        config = write_config(tmp_path, tiny_config_doc(name="step-fails", seeds=[43, 44]))
+        code = cli_main(["run", config, "--outdir", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert ("runtime failure: round 1 failed for seed 43: step refused\n"
+                in capsys.readouterr().err)
+        summary = json.loads((tmp_path / "step-fails" / "summary.json").read_text())
+        assert summary["status"] == "failed" and summary["failed_seed"] == 43
+        assert summary["per_seed"] == {}
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_failing_seed_keeps_the_seeds_before_it(self, tmp_path, capsys):
         # Seed 10 finishes; seed 44 fails at round 2 (see overflow_doc).
@@ -485,6 +532,13 @@ class TestReport:
                            f"1,43,1,0.5,1.0,0.5,0.0\n{line}\n")
         assert cli_main(["report", str(tmp_path)]) == 1
         assert f"{metrics}, line 3: {error}" in capsys.readouterr().err
+
+    def test_report_rejects_a_wrong_header(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("round,seed,client,acc,loss,mean_acc\n1,43,1,0.5,1.0,0.5\n")
+        assert cli_main(["report", str(tmp_path)]) == 1
+        assert (f"config error: {metrics}: expected the columns "
+                "round,seed,client,acc,loss,mean_acc,var\n" in capsys.readouterr().err)
 
     def test_report_missing_dir(self, capsys):
         assert cli_main(["report", "/nonexistent/run"]) == 1

@@ -160,6 +160,64 @@ def test_mistyped_value_is_rejected_with_its_path(path, override):
         parse_config(minimal_doc(**override))
 
 
+def doc_without(key):
+    return {k: v for k, v in minimal_doc().items() if k != key}
+
+
+TEMP_SOFTMAX = {"dfed_reweighting": {"tpm": "accuracy", "crs": {"temp_softmax": {"temperature": 1}}}}
+
+# Well-typed documents that a check still rejects: (id, parser, document, the whole message).
+REJECTED = [
+    ("rounds", parse_config, minimal_doc(rounds=-1), "config: rounds must be nonnegative"),
+    ("learning_rate", parse_config, minimal_doc(learning_rate=0),
+     "config: learning_rate must be positive"),
+    ("batch_size", parse_config, minimal_doc(batch_size=0), "config: batch_size must be positive"),
+    ("local_steps", parse_config, minimal_doc(local_steps=0),
+     "config: local_steps must be positive"),
+    ("aux_fraction", parse_config, minimal_doc(aux_fraction=1),
+     "config: aux_fraction must lie strictly between 0 and 1"),
+    ("eval_every", parse_config, minimal_doc(eval_every=0), "config: eval_every must be positive"),
+    ("eval_mode", parse_config, minimal_doc(eval_mode="both"),
+     "config: eval_mode must be 'local', 'global', or 'auto'"),
+    ("missing_key", parse_config, doc_without("scheme"),
+     "config: missing required key(s) ['scheme']"),
+    ("attack_not_an_object", parse_config, minimal_doc(attack="sign_flip"),
+     "config.attack: expected null or an object with a 'kind' key"),
+    ("attack_knowledge", parse_config,
+     minimal_doc(attack={"kind": "sign_flip", "knowledge": "neigborhood"}),
+     "config.attack.knowledge: expected 'omniscient' or 'neighborhood', got 'neigborhood'"),
+    ("sweep_keys", parse_sweep, {"base": minimal_doc()},
+     "sweep config must have exactly the keys 'base' and 'grid'"),
+    ("sweep_temperature", parse_sweep, {"base": minimal_doc(), "grid": {"temperature": [0.5]}},
+     "temperature sweep requires a dfed_reweighting/temp_softmax aggregator"),
+    ("sweep_attack_knowledge", parse_sweep,
+     {"base": minimal_doc(aggregator=TEMP_SOFTMAX),
+      "grid": {"attack": [{"kind": "alie", "knowledge": "all"}]}},
+     "grid.attack[0].knowledge: expected 'omniscient' or 'neighborhood', got 'all'"),
+]
+
+
+@pytest.mark.parametrize("parse, doc, message", [row[1:] for row in REJECTED],
+                         ids=[row[0] for row in REJECTED])
+def test_rejected_document_names_its_check(parse, doc, message):
+    with pytest.raises(ConfigError) as excinfo:
+        parse(doc)
+    assert str(excinfo.value) == message
+
+
+def test_empty_seeds_are_rejected_when_replaced():
+    # The parser rejects an empty list before RunConfig sees it; replace() reaches the check.
+    with pytest.raises(ConfigError, match="^seeds must be nonempty$"):
+        replace(parse_config(minimal_doc()), seeds=())
+
+
+def test_attack_spec_rejects_unknown_knowledge():
+    assert AttackSpec(SignFlip(), "neighborhood").knowledge == "neighborhood"
+    with pytest.raises(ValueError, match=re.escape(
+            "knowledge: expected 'omniscient' or 'neighborhood', got 'neigborhood'")):
+        AttackSpec(SignFlip(), "neigborhood")
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_nan_and_infinity_literals_are_rejected(literal):
     synthetic = json.loads(f'{{"spread": {literal}}}')

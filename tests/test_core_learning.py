@@ -15,9 +15,9 @@ from dflsim.core_learning import (
     batch_loss,
     evaluate_accuracy,
     evaluate_mean_loss,
-    predict_probs,
     sgd_step,
 )
+from oracles import predict_probs
 
 
 def random_problem(gen, num_classes=None, feature_dim=None, n=None):

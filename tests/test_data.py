@@ -67,6 +67,42 @@ class TestLoadIdx:
             load_idx(img, lab)
 
 
+    @pytest.mark.parametrize("images_bytes, labels_bytes, message", [
+        (lambda b: b[:3], None, "{images}: truncated header at byte 0"),
+        (lambda b: b[:10], None, "{images}: truncated header at byte 8"),
+        (lambda b: b[:-1], None, "{images}: truncated pixel payload at byte 23, want 24"),
+        (lambda b: struct.pack(">I", 0x802) + b[4:], None,
+         "{images}: unexpected magic 0x00000802 at byte 0, want 0x00000803"),
+        (None, lambda b: b[:6], "{labels}: truncated header at byte 4"),
+        (None, lambda b: b[:-1], "{labels}: truncated label payload at byte 9, want 10"),
+        (None, lambda b: struct.pack(">I", 0x803) + b[4:],
+         "{labels}: unexpected magic 0x00000803 at byte 0, want 0x00000801"),
+        (None, lambda b: struct.pack(">II", 0x801, 3) + bytes(3),
+         "image/label count mismatch: 2 images vs 3 labels"),
+        # Both files are read before either is parsed, and the images are checked first.
+        (lambda b: b[:-1], lambda b: b[:-1], "{images}: truncated pixel payload at byte 23, want 24"),
+    ], ids=["magic-short", "header-short", "pixels-short", "image-magic", "label-header-short",
+            "labels-short", "label-magic", "count-mismatch", "images-first"])
+    def test_format_errors_name_file_and_byte(self, tmp_path, images_bytes, labels_bytes, message):
+        img, lab = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1])
+        for path, edit in ((img, images_bytes), (lab, labels_bytes)):
+            if edit is not None:
+                with open(path, "r+b") as f:
+                    data = edit(f.read())
+                    f.seek(0)
+                    f.truncate()
+                    f.write(data)
+        with pytest.raises(FormatError) as excinfo:
+            load_idx(img, lab)
+        assert str(excinfo.value) == message.format(images=img, labels=lab)
+
+    def test_empty_pair_reaches_the_dataset_check(self, tmp_path):
+        # The features take an explicit (0, rows*cols) shape, so Dataset, not a reshape, rejects it.
+        img, lab = write_idx_pair(tmp_path, np.zeros((0, 2, 3)), [])
+        with pytest.raises(ValueError, match="^dataset must be nonempty$"):
+            load_idx(img, lab, num_classes=2)
+
+
 class TestSyntheticBlobs:
     def test_zero_spread_collapses_to_means(self):
         data = gen_synthetic_blobs(4, 8, 5, 0.0, seed=3)

@@ -492,6 +492,27 @@ class TestStackedRoundEngine:
                            match="round 1 failed for seed 43 at node 2: loss-clip requires at least one"):
             run_round(state, 1)
 
+    def test_grouped_scoring_failure_names_its_groups_lowest_node(self, monkeypatch):
+        # Scoring fails for one group of several clients, not the first group; the
+        # error names the group's lowest node, whose aggregation alone would fail first.
+        import dflsim.reweight as reweight
+
+        state = self.grouped_round_state({"tpm": "loss", "crs": "loss_clip"})
+        groups = state.plan().groups
+        target = max((g for g in groups if len(g.nodes) > 1), key=lambda g: g.nodes[0])
+        assert target.nodes[0] > min(state.benign_ids())
+        original = reweight.grouped_mean_loss
+
+        def refuse_target(params, aux_features, *args):
+            if aux_features is target.aux_features:
+                raise ValueError("scoring refused")
+            return original(params, aux_features, *args)
+
+        monkeypatch.setattr(reweight, "grouped_mean_loss", refuse_target)
+        with pytest.raises(SimulationError, match=re.escape(
+                f"round 1 failed for seed 43 at node {target.nodes[0]}: scoring refused")):
+            run_round(state, 1)
+
     @pytest.mark.parametrize("aggregator, kernel", [
         ({"tpm": "loss", "crs": "loss_clip"}, "grouped_mean_loss"),
         ({"tpm": "accuracy", "crs": "acc_clip"}, "grouped_accuracy"),
@@ -748,6 +769,17 @@ class TestAttackDispatch:
         # mean over visible benign {1, 2} only, flipped by -1
         np.testing.assert_allclose(payload, -1.5, atol=1e-12)
 
+    def test_neighborhood_sign_flip_without_benign_neighbors_flips_its_own_row(self):
+        state = self.attack_state({"kind": "sign_flip", "factor": -10.0}, "neighborhood")
+        adj = state.graph.adjacency.copy()
+        adj[3, :] = adj[:, 3] = False
+        state.graph = TopologyGraph(4, adj, state.graph.benign, state.graph.malicious)
+        # In a run a malicious node's row stays zero; a nonzero row shows which one is flipped.
+        state.models[3] = np.arange(21.0)
+        halves = {k: np.full(21, k + 1.0) for k in state.benign_ids()}
+        payload = _attack_payload(state, 3, broadcast_matrix(state, halves), t=1)
+        np.testing.assert_array_equal(payload, -10.0 * np.arange(21.0))
+
     @pytest.mark.parametrize("knowledge, failure", [
         ("neighborhood", "seed 43: malicious node 4 sees 1 benign models, but ALIE(z=None) "
                          "needs the mean and std of its visible benign models (at least 2)"),
@@ -881,6 +913,35 @@ class TestHeldOutTestSet:
         assert (tmp_path / "out" / "idx-local" / "metrics.csv").exists()
         with pytest.raises(ConfigError, match=rf"seed 43: .*{re.escape(str(missing))}"):
             setup_seed(replace(config, eval_mode="global"), 43)
+
+
+class TestIdxSubsample:
+    def test_training_set_is_the_stratified_subsample_of_the_file(self, tmp_path):
+        from test_data import write_idx_pair
+
+        from dflsim.data import load_idx
+        from dflsim.sim import _stratified_subsample
+
+        images = np.random.default_rng(0).integers(0, 256, size=(60, 2, 3))
+        train_images, train_labels = write_idx_pair(tmp_path, images, [i % 3 for i in range(60)])
+        idx = {"train_images": train_images, "train_labels": train_labels,
+               "subsample_fraction": 0.25, "subsample_seed": 9}
+        config = tiny_config(name="idx-subsample", dataset={"idx": idx}, eval_mode="local",
+                             rounds=2, eval_every=1)
+        full, train = load_idx(train_images, train_labels), setup_seed(config, 43).train_data
+        # Each training example is one row of the file; the rows are distinct, in file
+        # order, and round(0.25 * 20) = 5 of each class.
+        matches = [np.flatnonzero((full.features == x).all(axis=1)) for x in train.features]
+        assert all(len(m) == 1 for m in matches)
+        rows = [int(m[0]) for m in matches]
+        assert rows == sorted(set(rows))
+        np.testing.assert_array_equal(train.labels, full.labels[rows])
+        np.testing.assert_array_equal(np.bincount(train.labels), [5, 5, 5])
+        expected = _stratified_subsample(full, 0.25, 9)
+        assert train.features.tobytes() == expected.features.tobytes()
+        run_experiment(config, outdir=str(tmp_path / "out"))
+        metrics = (tmp_path / "out" / "idx-subsample" / "metrics.csv").read_text().splitlines()
+        assert len(metrics) == 1 + 3 * 3  # rounds 0, 1 and 2 for each of the three clients
 
 
 class TestRunExperiment:
