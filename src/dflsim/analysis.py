@@ -100,37 +100,16 @@ def _warn_non_contractive(etas, L: float) -> None:
         )
 
 
-def theorem1_bound(p: BoundParams, t: int) -> float:
-    """Dynamic-rate recursion: B <- (1 - 3*eta_j*L) * B + (eta_j * G)^2.
-
-    Returns the bound on the squared distance of the uniform-weight consensus
-    to the optimum w* after rounds 0..t, starting from B = D0. It assumes an
-    L-smooth objective and stochastic gradients of norm at most G; it
-    contracts only for eta_j < 1/(3L), and a larger rate warns but is still
-    computed. PAPER.md holds only the abstract of arXiv 2512.12022, so the
-    1 - 3*eta*L constant cannot be checked against the paper's proof here.
-    """
-    if t < 0:
-        raise ValueError("round index must be nonnegative")
-    if len(p.eta_schedule) < t + 1:
-        raise ValueError(f"eta_schedule covers {len(p.eta_schedule)} rounds, need {t + 1}")
-    _warn_non_contractive(p.eta_schedule[: t + 1], p.smoothness)
-    bound = p.d0
-    for j in range(t + 1):
-        eta = p.eta_schedule[j]
-        bound = (1.0 - 3.0 * eta * p.smoothness) * bound + (eta * p.grad_bound) ** 2
-    return bound
-
-
 def theorem2_bound(p: BoundParams, t: int) -> float:
     """Fixed-rate closed form: (1-3*eta*L)^(t+1) * D0 + eta*G^2/(3L) * (1 - (1-3*eta*L)^(t+1)).
 
-    theorem1_bound's recursion solved for a constant eta, under the same
-    assumptions: it bounds the squared distance of the uniform-weight
-    consensus to w* for an L-smooth objective with gradient bound G, and
-    contracts only for eta < 1/(3L). The constant 1 - 3*eta*L is taken as
-    stated; PAPER.md holds only the abstract of arXiv 2512.12022, so it
-    cannot be checked against the paper's proof here.
+    The recursion B <- (1 - 3*eta*L) * B + (eta * G)^2 from B = D0, run over
+    rounds 0..t, solved for a constant eta: it bounds the squared distance of
+    the uniform-weight consensus to w* for an L-smooth objective with
+    stochastic gradients of norm at most G, and contracts only for
+    eta < 1/(3L). The constant 1 - 3*eta*L is taken as stated; PAPER.md
+    holds only the abstract of arXiv 2512.12022, so it cannot be checked
+    against the paper's proof here.
     """
     if t < 0:
         raise ValueError("round index must be nonnegative")

@@ -130,6 +130,8 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
     count, rows, cols = images.shape
     if len(labels) != count:
         raise FormatError(f"image/label count mismatch: {count} images vs {len(labels)} labels")
+    if count == 0:
+        raise FormatError(f"{images_path}: no examples")
     features = images.reshape(count, rows * cols).astype(np.float64) / 255.0
     if num_classes is None:
         num_classes = int(labels.max()) + 1

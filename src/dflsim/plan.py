@@ -22,9 +22,8 @@ class AggregationGroup:
     """Benign clients whose closed neighborhoods have k members and whose aux
     sets have one size; a round gathers and aggregates them as one (g, k, P) array."""
 
-    nodes: list
-    # (g,) their rows among the benign clients, in node id order
-    positions: np.ndarray
+    # (g,) their node ids, ascending; benign client k is row k of every per-client array
+    nodes: np.ndarray
     # (g, k) each client's closed neighborhood, ascending
     members: np.ndarray
     # (g,) the column of each client's own id in its members row
@@ -39,8 +38,8 @@ class AggregationGroup:
 class StepGroup:
     """Benign clients that draw minibatches of one size, stepped as one stacked batch."""
 
-    nodes: list
-    positions: np.ndarray
+    # (g,) their node ids, ascending
+    nodes: np.ndarray
     # their train-set sizes
     lengths: list
     # (g, 1) where each client's examples start in the plan's train_rows
@@ -54,10 +53,9 @@ class StepGroup:
 class RoundPlan:
     """The benign ids, closed neighborhoods, aggregation and step groups of one network."""
 
+    # 0..B-1: a graph numbers its benign nodes first
     benign: list
-    # node -> closed neighborhood ids, ascending, for every benign node
-    neighborhoods: dict
-    # (benign, N) bool: row i marks the i-th benign client's closed neighborhood
+    # (B, N) bool: row k marks benign client k's closed neighborhood
     closed: np.ndarray
     groups: tuple
     steps: tuple
@@ -66,42 +64,38 @@ class RoundPlan:
     train_rows: np.ndarray
 
 
-def _positions_by(keys: list) -> dict:
-    """key -> the positions holding it, keys in order of first appearance."""
+def _nodes_by(keys: list) -> dict:
+    """key -> the ascending node ids k with keys[k] == key, keys in order of first appearance."""
     out = {}
-    for position, key in enumerate(keys):
-        out.setdefault(key, []).append(position)
-    return out
+    for node, key in enumerate(keys):
+        out.setdefault(key, []).append(node)
+    return {key: np.array(nodes) for key, nodes in out.items()}
 
 
 def plan_rounds(state) -> RoundPlan:
     """The round plan of a sim.NetworkState, from its graph and its clients' data."""
     graph, clients, train = state.graph, state.clients, state.train_data
-    benign = sorted(graph.benign)
-    closed = (graph.adjacency | np.eye(graph.n, dtype=bool))[benign]
+    benign = list(range(len(graph.benign)))
+    closed = (graph.adjacency | np.eye(graph.n, dtype=bool))[:len(benign)]
     closed.setflags(write=False)
-    neighborhoods = {k: np.flatnonzero(row) for k, row in zip(benign, closed)}
+    counts = closed.sum(axis=1)
     groups = []
-    keys = [(len(neighborhoods[k]), len(clients[k].aux)) for k in benign]
-    for positions in _positions_by(keys).values():
-        nodes = [benign[p] for p in positions]
-        members = np.array([neighborhoods[k] for k in nodes])
-        own = np.argmax(members == np.array(nodes)[:, None], axis=1)
+    for nodes in _nodes_by([(counts[k], len(clients[k].aux)) for k in benign]).values():
+        # Every row of closed[nodes] holds k members, so its column ids split into rows of k.
+        members = np.nonzero(closed[nodes])[1].reshape(len(nodes), -1)
+        own = np.argmax(members == nodes[:, None], axis=1)
         aux_idx = np.stack([clients[k].aux for k in nodes])
         aux_features, aux_labels = train.features[aux_idx][:, None], train.labels[aux_idx]
         aux_features.setflags(write=False)
         aux_labels.setflags(write=False)
-        groups.append(AggregationGroup(nodes, np.array(positions), members, own,
-                                       aux_features, aux_labels))
+        groups.append(AggregationGroup(nodes, members, own, aux_features, aux_labels))
 
     lengths = [len(clients[k].train) for k in benign]
     starts = np.cumsum([0] + lengths[:-1])
     steps = []
     sizes = [min(state.config.batch_size, n) for n in lengths]
-    for size, positions in _positions_by(sizes).items():
-        nodes = [benign[p] for p in positions]
-        steps.append(StepGroup(nodes, np.array(positions), [lengths[p] for p in positions],
-                               starts[positions, None], size,
+    for size, nodes in _nodes_by(sizes).items():
+        steps.append(StepGroup(nodes, [lengths[k] for k in nodes], starts[nodes, None], size,
                                RoundStreams(state.seed, nodes, "minibatch")))
-    return RoundPlan(benign, neighborhoods, closed, tuple(groups), tuple(steps),
+    return RoundPlan(benign, closed, tuple(groups), tuple(steps),
                      np.concatenate([clients[k].train for k in benign]))

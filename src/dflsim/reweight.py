@@ -289,22 +289,28 @@ def dfedreweighting_round_weights(
 
 
 class MixingWeights(Mapping):
-    """A round's read-only mixing matrix W (row i: the i-th benign client's weights over
+    """A round's read-only mixing matrix W (row k: benign client k's weights over
     all N nodes), read as {client: {member: weight}} over plan's closed neighborhoods."""
 
     def __init__(self, matrix: np.ndarray, plan: RoundPlan):
         matrix.setflags(write=False)
-        self.matrix, self._plan = matrix, plan
+        self.matrix, self._closed = matrix, plan.closed
 
     def __getitem__(self, client) -> dict:
-        members = self._plan.neighborhoods[client]
-        return dict(zip(members.tolist(), self.matrix[self._plan.benign.index(client), members].tolist()))
+        # W has a row for each benign client only: a negative id would wrap to another
+        # row. A key equal to a client id (True, 1.0, np.int64(1)) reads that client's row.
+        try:
+            row = range(len(self.matrix)).index(client)
+        except ValueError:
+            raise KeyError(client) from None
+        members = np.flatnonzero(self._closed[row])
+        return dict(zip(members.tolist(), self.matrix[row, members].tolist()))
 
     def __iter__(self):
-        return iter(self._plan.benign)
+        return iter(range(len(self.matrix)))
 
     def __len__(self) -> int:
-        return len(self._plan.benign)
+        return len(self.matrix)
 
 
 def reweight_round(
@@ -321,8 +327,8 @@ def reweight_round(
     at once. Every result equals reweight_aggregate(params,
     dfedreweighting_round_weights(...)) on that client alone, bit for bit.
 
-    Returns (rows, weights, failures): rows[i] is the new model of the i-th
-    benign client, weights is the MixingWeights of W, and failures maps each
+    Returns (rows, weights, failures): rows[k] is the new model of benign
+    client k, weights is the MixingWeights of W, and failures maps each
     client whose aggregation failed to its exception; those clients' rows and
     weights are meaningless.
     """
@@ -339,6 +345,6 @@ def reweight_round(
         finite = np.isfinite(values)
         metrics = values if finite.all() else np.where(finite, values, SENTINEL)
         weights, failed = _group_weights(crs, metrics)
-        matrix[group.positions[:, None], ids] = weights
+        matrix[nodes[:, None], ids] = weights
         failures.update({nodes[i]: ValueError(message) for i, message in failed.items()})
     return mix(matrix, broadcast), MixingWeights(matrix, plan), failures

@@ -106,10 +106,10 @@ class NetworkState:
         return self.round_plan
 
     def benign_ids(self) -> list:
-        return sorted(self.graph.benign)
+        return list(range(len(self.graph.benign)))
 
     def malicious_ids(self) -> list:
-        return sorted(self.graph.malicious)
+        return list(range(len(self.graph.benign), self.graph.n))
 
 
 def build_dataset(config: RunConfig) -> tuple:
@@ -169,14 +169,14 @@ def build_network(config: RunConfig, seed: int) -> NetworkState:
     graph = generate(config.topology, seed)
     plan = _PARTITIONS[type(config.scheme)](train, config.topology.num_benign, config.scheme, seed)
     split = split_auxiliary(train, plan, config.aux_fraction, seed)
-    clients = {k: split[k] for k in sorted(graph.benign)}
+    clients = dict(enumerate(split))
     models = np.zeros((graph.n, train.num_classes * train.feature_dim + train.num_classes))
     return NetworkState(config, seed, graph, clients, models, train, test)
 
 
 def _visible_benign(graph: TopologyGraph, knowledge: str, node: int) -> np.ndarray:
     """The benign ids node sees, ascending: all, or its neighbors under "neighborhood" knowledge."""
-    benign = np.array(sorted(graph.benign))
+    benign = np.arange(len(graph.benign))
     if knowledge == "neighborhood":
         return benign[graph.adjacency[node, benign]]
     return benign
@@ -188,13 +188,13 @@ def check_neighborhoods(config: RunConfig, seed: int, graph: TopologyGraph) -> N
     graph, or the configured attack cannot be made from the benign models
     some malicious node sees. A kind that cannot work on every graph declares
     the fewest models it needs and its rule; the lowest node that fails is named."""
-    benign, attack = sorted(graph.benign), config.attack
-    checks = [(config.aggregator, benign, graph.adjacency.sum(axis=1) + 1,
+    b, attack = len(graph.benign), config.attack
+    checks = [(config.aggregator, range(b), graph.adjacency.sum(axis=1) + 1,
                "node {} has a closed neighborhood of {} models")]
     if attack:
-        seen = {m: len(_visible_benign(graph, attack.knowledge, m)) for m in graph.malicious}
-        checks.append((attack.kind, sorted(graph.malicious), seen,
-                       "malicious node {} sees {} benign models"))
+        malicious = range(b, graph.n)
+        seen = {m: len(_visible_benign(graph, attack.knowledge, m)) for m in malicious}
+        checks.append((attack.kind, malicious, seen, "malicious node {} sees {} benign models"))
     for spec, nodes, counts, what in checks:
         for node in nodes:
             if hasattr(spec, "rule") and counts[node] < spec.fewest:
@@ -218,7 +218,7 @@ def setup_seed(config: RunConfig, seed: int) -> NetworkState:
 
 
 def _local_half_steps(state: NetworkState, t: int) -> np.ndarray:
-    """Local SGD of the benign clients; row i is the i-th benign client's model.
+    """Local SGD of the benign clients; row k is benign client k's model.
 
     Each client draws its minibatches from its own (seed, node, round,
     "minibatch") stream, exactly as it would alone: its step group's
@@ -231,14 +231,14 @@ def _local_half_steps(state: NetworkState, t: int) -> np.ndarray:
     params = state.models[plan.benign]
     for step in plan.steps:
         gens = step.streams.generators(t)
-        models = params[step.positions]
+        models = params[step.nodes]
         for _ in range(config.local_steps):
             rows = plan.train_rows[step.starts + np.array([
                 gen.choice(n, size=step.size, replace=False) for gen, n in zip(gens, step.lengths)
             ])]
             models = stacked_sgd_step(models, data.features[rows], data.labels[rows],
                                       data.num_classes, config.learning_rate)
-        params[step.positions] = models
+        params[step.nodes] = models
     return params
 
 
@@ -321,7 +321,7 @@ def _baseline_round(state: NetworkState, broadcast: np.ndarray) -> tuple:
     rows, failures = np.zeros((len(plan.benign), broadcast.shape[1])), {}
     for group in plan.groups:
         try:
-            rows[group.positions] = _BASELINES[type(agg)](agg, broadcast[group.members], group.own)
+            rows[group.nodes] = _BASELINES[type(agg)](agg, broadcast[group.members], group.own)
         except Exception as exc:
             failures[group.nodes[0]] = exc
     return rows, {}, failures
@@ -346,11 +346,12 @@ def _aggregate_each(state: NetworkState, broadcast: np.ndarray) -> tuple:
     """
     plan = state.plan()
     rows, matrix = np.zeros((len(plan.benign), broadcast.shape[1])), np.zeros(plan.closed.shape)
-    for i, (node_id, members) in enumerate(plan.neighborhoods.items()):
+    for k in plan.benign:
+        members = np.flatnonzero(plan.closed[k])
         try:
-            rows[i], matrix[i, members] = _aggregate_one(state, node_id, members, broadcast)
+            rows[k], matrix[k, members] = _aggregate_one(state, k, members, broadcast)
         except Exception as exc:
-            return rows, MixingWeights(matrix, plan), {node_id: exc}
+            return rows, MixingWeights(matrix, plan), {k: exc}
     return rows, MixingWeights(matrix, plan), {}
 
 
@@ -413,26 +414,25 @@ def evaluate_network(state: NetworkState) -> tuple:
     """(accuracies, losses): two lists over the benign clients in node id order,
     scored on the mode's evaluation set.
 
-    Global mode scores every benign model on the test set as one group;
-    local mode scores each aggregation group of the plan, whose clients' aux
-    sets have one size, against their stacked aux sets. Every value equals
+    One loop scores (nodes, features, labels) blocks: in global mode one block
+    of every benign model, stacked (B, 1, P), against the test set; in local
+    mode one block per aggregation group of the plan, whose clients' aux sets
+    have one size, against their stacked aux sets. Every value equals
     evaluate_accuracy / evaluate_mean_loss of that model.
     """
-    plan = state.plan()
+    plan, num_classes = state.plan(), state.train_data.num_classes
     if state.config.resolved_eval_mode() == "global":
-        models, test = state.models[plan.benign][None], state.test_data
-        accs = grouped_accuracy(models, test.features[None, None], test.labels[None],
-                                test.num_classes)
-        # evaluate_mean_loss multiplies a fresh C-ordered copy of the features.
-        losses = grouped_mean_loss(models, np.ascontiguousarray(test.features)[None, None],
-                                   test.labels[None], test.num_classes)
-        return accs[0].tolist(), losses[0].tolist()
+        test = state.test_data
+        blocks = [(np.asarray(plan.benign), test.features[None, None], test.labels[None])]
+    else:
+        blocks = [(group.nodes, group.aux_features, group.aux_labels) for group in plan.groups]
     accs, losses = np.zeros(len(plan.benign)), np.zeros(len(plan.benign))
-    for group in plan.groups:
-        scored = (state.models[group.nodes][:, None], group.aux_features, group.aux_labels,
-                  state.train_data.num_classes)
-        accs[group.positions] = grouped_accuracy(*scored)[:, 0]
-        losses[group.positions] = grouped_mean_loss(*scored)[:, 0]
+    for nodes, features, labels in blocks:
+        models = state.models[nodes][:, None]
+        accs[nodes] = grouped_accuracy(models, features, labels, num_classes)[:, 0]
+        # evaluate_mean_loss multiplies a fresh C-ordered copy of the features.
+        losses[nodes] = grouped_mean_loss(models, np.ascontiguousarray(features), labels,
+                                          num_classes)[:, 0]
     return accs.tolist(), losses.tolist()
 
 
@@ -504,7 +504,7 @@ def _run_seed(config: RunConfig, seed: int) -> tuple:
     """
     state = setup_seed(config, seed)
     plan = state.plan()
-    pairs = (np.repeat(plan.benign, plan.closed.sum(axis=1)), np.nonzero(plan.closed)[1])
+    pairs = np.nonzero(plan.closed)
     eval_rounds = set(_eval_rounds(config))
     rows, weights = [], {}
     for t in range(0, config.rounds + 1):

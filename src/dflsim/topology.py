@@ -2,7 +2,8 @@
 
 Generation is rejection sampling: graphs are redrawn until the subgraph induced
 by the benign nodes is connected, which preserves the conditional Erdos-Renyi
-edge distribution. Node ids 0..num_benign-1 are benign, the rest malicious.
+edge distribution. Node ids 0..num_benign-1 are benign, the rest malicious;
+TopologyGraph rejects any other numbering.
 """
 from __future__ import annotations
 
@@ -42,10 +43,12 @@ class TopologyShape:
 class TopologyGraph:
     """Undirected graph over disjoint benign/malicious node sets.
 
-    Structural invariants (symmetry, empty diagonal, the benign/malicious
-    partition, and |benign| >= 2) are enforced here; benign-subgraph
-    connectivity is enforced by generate() and queryable via
-    is_benign_connected().
+    Benign nodes take the lowest ids, 0..num_benign-1, and malicious nodes
+    the rest, so a benign client's node id is also its row among the benign
+    clients. Structural invariants (symmetry, empty diagonal, the
+    benign/malicious partition, benign ids first, and |benign| >= 2) are
+    enforced here; benign-subgraph connectivity is enforced by generate() and
+    queryable via is_benign_connected().
     """
 
     n: int
@@ -69,6 +72,8 @@ class TopologyGraph:
             raise ValueError("benign and malicious sets must cover all node ids")
         if len(benign) < 2:
             raise ValueError("at least 2 benign nodes are required")
+        if benign != set(range(len(benign))):
+            raise ValueError("benign nodes must be 0..num_benign-1, the lowest ids")
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "benign", benign)
@@ -97,19 +102,18 @@ def neighbors(g: TopologyGraph, k: int) -> set:
 
 
 def is_benign_connected(g: TopologyGraph) -> bool:
-    """BFS reachability over benign-benign edges only."""
-    benign = sorted(g.benign)
-    start = benign[0]
-    seen = {start}
-    queue = deque([start])
+    """BFS reachability over benign-benign edges only: the block adjacency[:B, :B]."""
+    b = len(g.benign)
+    adjacency = g.adjacency[:b, :b]
+    seen = {0}
+    queue = deque([0])
     while queue:
         u = queue.popleft()
-        for v in np.flatnonzero(g.adjacency[u]):
-            v = int(v)
-            if v in g.benign and v not in seen:
+        for v in np.flatnonzero(adjacency[u]).tolist():
+            if v not in seen:
                 seen.add(v)
                 queue.append(v)
-    return len(seen) == len(benign)
+    return len(seen) == b
 
 
 def generate(shape: TopologyShape, seed: int) -> TopologyGraph:

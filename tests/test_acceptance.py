@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dflsim import rng
-from dflsim.analysis import BoundParams, theorem1_bound, theorem2_bound
+from dflsim.analysis import BoundParams, theorem2_bound
 from dflsim.baselines import (
     dfedavg,
     flame_weighted,
@@ -27,6 +27,7 @@ from dflsim.core_learning import Dataset, Minibatch, ParamVector, batch_gradient
 from dflsim.data import gen_synthetic_blobs, partition_dirichlet, partition_iid, partition_label_skew
 from dflsim.reweight import AccClip, LossClip, MetricVector, TempSoftmax, apply_crs
 from dflsim.sim import run_experiment
+from oracles import theorem1_bound
 
 DESK_DATASET = {
     "synthetic": {

@@ -11,9 +11,9 @@ from dflsim.analysis import (
     quadratic_bound_rows,
     quadratic_testbed,
     summarize,
-    theorem1_bound,
     theorem2_bound,
 )
+from oracles import theorem1_bound
 
 
 class TestMetrics:

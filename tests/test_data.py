@@ -96,11 +96,13 @@ class TestLoadIdx:
             load_idx(img, lab)
         assert str(excinfo.value) == message.format(images=img, labels=lab)
 
-    def test_empty_pair_reaches_the_dataset_check(self, tmp_path):
-        # The features take an explicit (0, rows*cols) shape, so Dataset, not a reshape, rejects it.
+    def test_empty_pair_names_its_image_file(self, tmp_path):
+        # Without num_classes the class count would be taken from the max of no labels.
         img, lab = write_idx_pair(tmp_path, np.zeros((0, 2, 3)), [])
-        with pytest.raises(ValueError, match="^dataset must be nonempty$"):
-            load_idx(img, lab, num_classes=2)
+        for num_classes in (None, 2):
+            with pytest.raises(FormatError) as excinfo:
+                load_idx(img, lab, num_classes=num_classes)
+            assert str(excinfo.value) == f"{img}: no examples"
 
 
 class TestSyntheticBlobs:

@@ -261,7 +261,7 @@ class TestStackedRoundEngine:
         assert len({len(state.clients[k].aux) for k in plan.benign}) > 1
         assert sorted(k for group in plan.groups for k in group.nodes) == plan.benign
         for group in plan.groups:
-            assert group.nodes == sorted(group.nodes)
+            assert group.nodes.tolist() == sorted(group.nodes.tolist())
             n = len(state.clients[group.nodes[0]].aux)
             assert group.aux_features.shape == (len(group.nodes), 1, n, 8)
             assert group.aux_labels.shape == (len(group.nodes), n)
@@ -466,7 +466,7 @@ class TestStackedRoundEngine:
         np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
         assert list(weights) == plan.benign and len(weights) == len(plan.benign)
         for i, k in enumerate(plan.benign):
-            members = plan.neighborhoods[k].tolist()
+            members = np.flatnonzero(plan.closed[i]).tolist()
             assert weights[k] == {m: matrix[i, m] for m in members}
             assert list(weights[k]) == members
         with pytest.raises(ValueError):
@@ -474,6 +474,22 @@ class TestStackedRoundEngine:
         with pytest.raises(TypeError):
             weights[plan.benign[0]] = {}
         assert state.malicious_ids()[0] not in weights
+
+    def test_mixing_matrix_row_k_is_client_ks_weights(self):
+        state = self.grouped_round_state({"tpm": "loss", "crs": "loss_clip"})
+        broadcast = self.round_broadcast(state, 1)
+        run_round(state, 1)
+        weights, n = state.last_weights, state.graph.n
+        for k in state.benign_ids():
+            _, expected = self.per_client_oracle(state, broadcast, k)
+            row = np.zeros(n)
+            row[list(expected)] = list(expected.values())
+            assert weights.matrix[k].tolist() == row.tolist()
+        # W has rows for the benign clients only; -1 must not wrap to the last client's row.
+        for missing in (*state.malicious_ids(), -1, n):
+            with pytest.raises(KeyError):
+                weights[missing]
+            assert missing not in weights and weights.get(missing) is None
 
     def test_grouped_round_failure_names_its_node(self):
         # Nodes 0 and 2 are isolated, so they share the one-member group; node
@@ -706,10 +722,10 @@ def test_a_crs_registered_by_name_alone_parses_and_runs(monkeypatch):
         "dfed_reweighting": {"tpm": "accuracy", "crs": "uniform"}}
     state = build_network(config, seed=43)
     run_round(state, 1)
-    neighborhoods = state.plan().neighborhoods
-    assert len({len(members) for members in neighborhoods.values()}) > 1
+    closed = state.plan().closed
+    assert len(set(closed.sum(axis=1).tolist())) > 1
     for k in state.benign_ids():
-        members = neighborhoods[k].tolist()
+        members = np.flatnonzero(closed[k]).tolist()
         assert state.last_weights[k] == {m: 1 / len(members) for m in members}
     with pytest.raises(ConfigError, match="crs 'uniform' requires tpm 'accuracy', got 'loss'"):
         tiny_config(aggregator={"dfed_reweighting": {"tpm": "loss", "crs": "uniform"}})
@@ -854,7 +870,7 @@ class TestEvaluation:
         state.models[:] = np.random.default_rng(3).standard_normal(state.models.shape)
         accuracies, losses = evaluate_network(state)
         shared = [group for group in state.plan().groups if len(group.nodes) > 1]
-        assert shared and all(len({accuracies[p] for p in group.positions}) == len(group.nodes)
+        assert shared and all(len({accuracies[k] for k in group.nodes}) == len(group.nodes)
                               for group in shared)
         for k, acc, loss in zip(state.benign_ids(), accuracies, losses):
             eval_set = aux_set(state, k) if eval_mode == "local" else state.test_data

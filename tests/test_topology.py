@@ -166,6 +166,11 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             TopologyGraph(2, adj, frozenset([0]), frozenset([1]))
 
+    def test_rejects_benign_ids_after_a_malicious_id(self):
+        adj = np.zeros((3, 3), dtype=bool)
+        with pytest.raises(ValueError, match="^benign nodes must be 0..num_benign-1, the lowest ids$"):
+            TopologyGraph(3, adj, frozenset([1, 2]), frozenset([0]))
+
     def test_json_round_trip(self):
         g = generate(TopologyShape(num_benign=4, num_malicious=2, edge_prob=0.6), seed=8)
         doc = g.to_json_dict()
