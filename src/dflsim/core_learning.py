@@ -221,6 +221,72 @@ def _stacked_logits(params: np.ndarray, features: np.ndarray, num_classes: int) 
     return logits
 
 
+def pair_logits(params: np.ndarray, parts: list, members: np.ndarray, num_classes: int) -> np.ndarray:
+    """(pairs, n, C) logits: row p holds model params[members[p]] on pair p's dataset.
+
+    params holds every model, (N, C*d+C). parts lists (features, ids) in
+    order: features (g, 1, n, d) holds g datasets and ids (g, k) the models
+    each is paired with; members is the parts' ids, flattened and joined.
+    Each part runs one batched matmul into its rows of the result, with the
+    gemm _logits runs for each pair, and the bias is added to every row at
+    once. A gemm over more than one part's pairs would not be bit-identical.
+    """
+    n, d = parts[0][0].shape[-2:]
+    cd = num_classes * d
+    weights = params[:, :cd].reshape(len(params), num_classes, d)
+    logits = np.empty((len(members), n, num_classes))
+    start = 0
+    for features, ids in parts:
+        stop = start + ids.size
+        np.matmul(features, weights[ids].swapaxes(-1, -2),
+                  out=logits[start:stop].reshape(*ids.shape, n, num_classes))
+        start = stop
+    logits += params[members, None, cd:]
+    return logits
+
+
+# The pairs_ kernels turn (pairs, n, C) logits and the (pairs, n) labels of
+# each pair's examples, of any integer dtype, into (pairs,) metrics. They
+# reduce over the class and example axes only, so every value equals the
+# per-model function's bit for bit, whatever the other pairs.
+
+
+def pairs_mean_loss(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each pair's evaluate_mean_loss; overwrites logits."""
+    num_classes = logits.shape[-1]
+    # _softmax_rows, dividing out only the true-label probabilities. The max
+    # is exact in any order; on scoring-sized arrays one np.maximum pass per
+    # class, into one buffer, beats reducing each short row.
+    top = logits[..., 0].copy()
+    for c in range(1, num_classes):
+        np.maximum(top, logits[..., c], out=top)
+    logits -= top[..., None]
+    exp = np.exp(logits, out=logits)
+    # The true-label entry of every (pair, example) row, taken by flat index
+    # into a fresh C-ordered p_true: summing a strided gather row by row in a
+    # different order than the per-model mean would change the last bits.
+    rows = np.arange(labels.size).reshape(labels.shape)
+    p_true = np.take(exp, rows * num_classes + labels)
+    p_true /= exp.sum(axis=-1)
+    np.maximum(p_true, PROB_FLOOR, out=p_true)
+    np.log(p_true, out=p_true)
+    np.negative(p_true, out=p_true)
+    # np.mean's own steps: the pairwise sum along the row, then one division.
+    return np.add.reduce(p_true, axis=-1) / labels.shape[-1]
+
+
+def pairs_accuracy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each pair's evaluate_accuracy; leaves logits as they are."""
+    return np.mean(np.argmax(logits, axis=-1) == labels, axis=-1)
+
+
+def _grouped(kernel, params, features, labels, num_classes) -> np.ndarray:
+    logits = _stacked_logits(params, features, num_classes)
+    g, k, n, _ = logits.shape
+    labels = np.broadcast_to(labels[:, None], (g, k, n)).reshape(-1, n)
+    return kernel(logits.reshape(-1, n, num_classes), labels).reshape(g, k)
+
+
 def grouped_mean_loss(
     params: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int
 ) -> np.ndarray:
@@ -230,34 +296,14 @@ def grouped_mean_loss(
     models, and labels is (g, n); every value equals evaluate_mean_loss of
     that model on that dataset bit for bit.
     """
-    logits = _stacked_logits(params, features, num_classes)
-    # _softmax_rows, dividing out only the true-label probabilities. The max
-    # is exact in any order; on scoring-sized arrays one np.maximum pass per
-    # class, into one buffer, beats reducing each short row.
-    top = logits[..., 0].copy()
-    for c in range(1, num_classes):
-        np.maximum(top, logits[..., c], out=top)
-    logits -= top[..., None]
-    exp = np.exp(logits, out=logits)
-    # The true-label entry of every (model, example) row, taken by flat index
-    # into a fresh C-ordered p_true: summing a strided gather row by row in a
-    # different order than the per-model mean would change the last bits.
-    rows = np.arange(exp.size // num_classes).reshape(exp.shape[:-1])
-    p_true = np.take(exp, rows * num_classes + labels[:, None])
-    p_true /= exp.sum(axis=-1)
-    np.maximum(p_true, PROB_FLOOR, out=p_true)
-    np.log(p_true, out=p_true)
-    np.negative(p_true, out=p_true)
-    # np.mean's own steps: the pairwise sum along the row, then one division.
-    return np.add.reduce(p_true, axis=-1) / labels.shape[-1]
+    return _grouped(pairs_mean_loss, params, features, labels, num_classes)
 
 
 def grouped_accuracy(
     params: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int
 ) -> np.ndarray:
     """(g, k) accuracies: model j of group i, params[i, j], on dataset i (see grouped_mean_loss)."""
-    logits = _stacked_logits(params, features, num_classes)
-    return np.mean(np.argmax(logits, axis=-1) == labels[:, None], axis=-1)
+    return _grouped(pairs_accuracy, params, features, labels, num_classes)
 
 
 def stacked_sgd_step(

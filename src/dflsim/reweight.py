@@ -23,8 +23,11 @@ from .core_learning import (
     evaluate_mean_loss,
     grouped_accuracy,
     grouped_mean_loss,
+    pair_logits,
+    pairs_accuracy,
+    pairs_mean_loss,
 )
-from .plan import RoundPlan
+from .plan import RoundPlan, RowLayout
 
 #: Sentinel for a non-finite metric evaluation (e.g. a diverged model's loss).
 SENTINEL = math.inf
@@ -44,22 +47,24 @@ class TargetMetricKind(enum.Enum):
         return member
 
     def kernel(self, form: str):
-        """This module's <form>_<name>, for form "evaluate" or "grouped"."""
+        """This module's <form>_<name>, for form "evaluate", "grouped" or "pairs"."""
         # Looked up when called, so a replaced module attribute (a tracer's wrapper, say) runs.
         return globals()[f"{form}_{self._kernel_name}"]
 
 
 # A CRS is a frozen dataclass whose fields are its config keys. It declares
 # which metric values it favours ("high" or "low") and its row form
-# rows(values): for a (g, k) matrix of metrics, one closed neighborhood per
-# row and each entry finite or the +inf sentinel, the (g, k) weights and
-# {row: message} of the rows it rejects, each with the message a single
-# client's reweighting raises. A row's weights depend on that row alone, and
-# rows of equal length reduce in the same order as a single vector, so a row
-# gets the same bits in any group. _group_weights adds WeightVector's checks.
+# rows(values, layout): values is a round's flat metric vector, each entry
+# finite or the +inf sentinel, whose rows, one closed neighborhood each, the
+# plan.RowLayout layout marks. It returns the flat weights and {row: message}
+# of the rows it rejects, each with the message a single client's
+# reweighting raises. It computes elementwise over the whole vector and
+# reduces each row through the layout, so a row's weights depend on that row
+# alone and get the bits they get as a vector of its own. _group_weights adds
+# WeightVector's checks.
 
 
-def _rejected(values: np.ndarray, *checks) -> tuple:
+def _rejected(values: np.ndarray, layout: RowLayout, *checks) -> tuple:
     """values with each row a check rejects zeroed, so that it computes without
     floating-point warnings, and {row: message} of those rows. checks are (row
     mask, message) pairs; a row takes the message of the first that rejects it."""
@@ -72,7 +77,7 @@ def _rejected(values: np.ndarray, *checks) -> tuple:
     for mask, message in checks:
         for i in np.flatnonzero(mask).tolist():
             rejected.setdefault(i, message)
-    return np.where(bad[:, None], 0.0, values), rejected
+    return np.where(layout.spread(bad), 0.0, values), rejected
 
 
 @dataclass(frozen=True)
@@ -86,12 +91,12 @@ class TempSoftmax:
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
 
-    def rows(self, values: np.ndarray) -> tuple:
-        values, rejected = _rejected(values, (np.isinf(values).any(axis=1),
-                                              "temp-softmax reweighting requires finite metrics"))
+    def rows(self, values: np.ndarray, layout: RowLayout) -> tuple:
+        values, rejected = _rejected(values, layout, (layout.any(np.isinf(values)),
+                                                      "temp-softmax reweighting requires finite metrics"))
         z = values / self.temperature
-        exp = np.exp(z - z.max(axis=1, keepdims=True))
-        return exp / exp.sum(axis=1, keepdims=True), rejected
+        exp = np.exp(z - layout.spread(layout.max(z)))
+        return exp / layout.spread(layout.sum(exp)), rejected
 
 
 @dataclass(frozen=True)
@@ -105,25 +110,25 @@ class LossClip:
 
     favours = "low"
 
-    def rows(self, values: np.ndarray) -> tuple:
-        lowest = values.min(axis=1)
+    def rows(self, values: np.ndarray, layout: RowLayout) -> tuple:
+        lowest = layout.min(values)
         values, rejected = _rejected(
-            values, (lowest == SENTINEL, "loss-clip requires at least one finite metric"),
+            values, layout, (lowest == SENTINEL, "loss-clip requires at least one finite metric"),
             (lowest < 0, "loss metrics must be nonnegative"))
         # Clamping to the data keeps equal metrics uniform when their float mean
-        # rounds past the common value.
-        mu = np.maximum(values.mean(axis=1), values.min(axis=1))
-        survivors = values <= mu[:, None]
+        # rounds past the common value. A rejected row's lowest is not its
+        # zeroed entries' minimum, but its weights are never read.
+        mu = np.maximum(layout.mean(values), lowest)
         finite = np.isfinite(values)
         if not finite.all():
             # A sentinel row's mean sums its finite entries gathered, as a vector of
             # their own: a zero in each sentinel's place would change numpy's
             # pairwise grouping of the sum.
-            for i in np.flatnonzero(~finite.all(axis=1)).tolist():
-                kept = values[i, finite[i]]
+            for i in np.flatnonzero(~layout.all(finite)).tolist():
+                kept = layout.row(values, i)[layout.row(finite, i)]
                 mu[i] = max(kept.mean(), kept.min())
-            survivors = finite & (values <= mu[:, None])
-        return _clip_rows(values, survivors), rejected
+        survivors = finite & (values <= layout.spread(mu))
+        return _clip_rows(values, survivors, layout), rejected
 
 
 @dataclass(frozen=True)
@@ -132,18 +137,18 @@ class AccClip:
 
     favours = "high"
 
-    def rows(self, values: np.ndarray) -> tuple:
-        values, rejected = _rejected(values, (((values < 0) | (values > 1)).any(axis=1),
-                                              "accuracy metrics must be finite and lie in [0, 1]"))
-        mu = np.minimum(values.mean(axis=1), values.max(axis=1))
-        return _clip_rows(values, values >= mu[:, None]), rejected
+    def rows(self, values: np.ndarray, layout: RowLayout) -> tuple:
+        values, rejected = _rejected(values, layout, (layout.any((values < 0) | (values > 1)),
+                                                      "accuracy metrics must be finite and lie in [0, 1]"))
+        mu = np.minimum(layout.mean(values), layout.max(values))
+        return _clip_rows(values, values >= layout.spread(mu), layout), rejected
 
 
-def _clip_rows(values: np.ndarray, survivors: np.ndarray) -> np.ndarray:
+def _clip_rows(values: np.ndarray, survivors: np.ndarray, layout: RowLayout) -> np.ndarray:
     """The survivors' values normalized per row; all-zero survivors get uniform weights."""
     raw = np.where(survivors, values, 0.0)
-    total = raw.sum(axis=1, keepdims=True)
-    uniform = survivors / survivors.sum(axis=1, keepdims=True)
+    total = layout.spread(layout.sum(raw))
+    uniform = survivors / layout.spread(layout.count(survivors))
     return np.divide(raw, total, out=uniform, where=total > 0)
 
 
@@ -226,17 +231,24 @@ def scoring_is_stock() -> bool:
     return _scoring() == _STOCK_SCORING
 
 
-def _group_weights(crs: CRSKind, metrics: np.ndarray) -> tuple:
-    """crs.rows(metrics), each row checked as WeightVector checks it: (weights, {row: message}).
+def _group_weights(crs: CRSKind, metrics: np.ndarray, layout: RowLayout | None = None) -> tuple:
+    """crs.rows(metrics, layout), each row checked as WeightVector checks it:
+    (weights, {row: message}). With no layout, metrics is a (g, k) matrix of g
+    rows, and so are the weights.
 
     A row crs.rows rejects keeps its message; an accepted row whose weights
     WeightVector would refuse takes WeightVector's message.
     """
-    weights, failed = crs.rows(metrics)
+    if layout is None:
+        g, k = metrics.shape
+        layout = RowLayout(np.arange(0, g * k, k), np.full(g, k), ((0, g * k, g),))
+        weights, failed = _group_weights(crs, metrics.reshape(-1), layout)
+        return weights.reshape(g, k), failed
+    weights, failed = crs.rows(metrics, layout)
     # A NaN or infinite weight also takes its row's sum away from 1.
-    ok = (weights >= 0).all(axis=1) & (np.abs(weights.sum(axis=1) - 1.0) <= WEIGHT_SUM_TOL)
+    ok = layout.all(weights >= 0) & (np.abs(layout.sum(weights) - 1.0) <= WEIGHT_SUM_TOL)
     for i in np.flatnonzero(~ok).tolist():
-        failed.setdefault(i, _weight_error(weights[i]))
+        failed.setdefault(i, _weight_error(layout.row(weights, i)))
     return weights, failed
 
 
@@ -319,32 +331,38 @@ def reweight_round(
     """One DFedReweighting aggregation for every benign client of a round.
 
     plan is the network's RoundPlan, row i of broadcast is node i's model
-    and num_classes is C. Each aggregation group of the plan (equal
-    closed-neighborhood and aux sizes) is gathered once into a (g, k,
-    C*d+C) array, scored on the group's stacked aux sets with the gemm
-    compute_tpm runs for each member and reweighted row by row into its
-    rows of the mixing matrix W; then mix(W, broadcast) mixes every client
-    at once. Every result equals reweight_aggregate(params,
-    dfedreweighting_round_weights(...)) on that client alone, bit for bit.
+    and num_classes is C. Each scoring block of the plan (groups of one aux
+    size) runs each group's gemms into its rows of one (pairs, n, C) logits
+    array, with the gemm compute_tpm runs for each pair, and the TPM's
+    pairs_ kernel once, which gives the round's flat metric vector its
+    block's entries. The CRS then weighs that vector once, row by row through
+    the plan's row layout, the weights go into the mixing matrix W in one
+    scatter, and mix(W, broadcast) mixes every client at once. Every result
+    equals reweight_aggregate(params, dfedreweighting_round_weights(...)) on
+    that client alone, bit for bit.
 
     Returns (rows, weights, failures): rows[k] is the new model of benign
     client k, weights is the MixingWeights of W, and failures maps each
     client whose aggregation failed to its exception; those clients' rows and
     weights are meaningless.
     """
-    matrix, failures = np.zeros((len(plan.benign), len(broadcast))), {}
-    for group in plan.groups:
-        nodes, ids = group.nodes, group.members
+    values, failures = np.zeros(len(plan.pair_members)), {}
+    for block in plan.blocks:
+        parts = [(group.aux_features, group.members) for group in block.groups]
         try:
-            values = kind.kernel("grouped")(broadcast[ids], group.aux_features, group.aux_labels,
-                                            num_classes)
+            # No name holds a block's logits, so they are freed before the next block's.
+            values[block.pairs] = kind.kernel("pairs")(
+                pair_logits(broadcast, parts, plan.pair_members[block.pairs], num_classes),
+                block.labels)
         except Exception as exc:
-            # Scoring fails for a whole group at once; alone, its first client would fail first.
-            failures[nodes[0]] = exc
-            continue
-        finite = np.isfinite(values)
-        metrics = values if finite.all() else np.where(finite, values, SENTINEL)
-        weights, failed = _group_weights(crs, metrics)
-        matrix[nodes[:, None], ids] = weights
-        failures.update({nodes[i]: ValueError(message) for i, message in failed.items()})
-    return mix(matrix, broadcast), MixingWeights(matrix, plan), failures
+            # Scoring fails for a whole block at once; alone, its lowest client would fail first.
+            failures[min(int(group.nodes[0]) for group in block.groups)] = exc
+    finite = np.isfinite(values)
+    metrics = values if finite.all() else np.where(finite, values, SENTINEL)
+    weights, failed = _group_weights(crs, metrics, plan.layout)
+    matrix = np.zeros((len(plan.benign), len(broadcast)))
+    matrix[plan.pair_clients, plan.pair_members] = weights
+    clients = plan.pair_clients[plan.layout.starts]
+    failed = {int(clients[i]): ValueError(message) for i, message in failed.items()}
+    # A failed block's pairs keep the metric 0.0; its scoring failure outranks their CRS's.
+    return mix(matrix, broadcast), MixingWeights(matrix, plan), {**failed, **failures}

@@ -45,8 +45,9 @@ from .core_learning import (
     Minibatch,
     ParamVector,
     batch_gradient,
-    grouped_accuracy,
-    grouped_mean_loss,
+    pair_logits,
+    pairs_accuracy,
+    pairs_mean_loss,
     sgd_step,
     stacked_sgd_step,
 )
@@ -414,25 +415,27 @@ def evaluate_network(state: NetworkState) -> tuple:
     """(accuracies, losses): two lists over the benign clients in node id order,
     scored on the mode's evaluation set.
 
-    One loop scores (nodes, features, labels) blocks: in global mode one block
-    of every benign model, stacked (B, 1, P), against the test set; in local
-    mode one block per aggregation group of the plan, whose clients' aux sets
-    have one size, against their stacked aux sets. Every value equals
-    evaluate_accuracy / evaluate_mean_loss of that model.
+    One loop scores (ids, features, labels) blocks through the stages a
+    reweighting round scores with, pair_logits and then the pairs_ kernels: in
+    global mode one block of every benign model, ids (1, B), against the
+    shared test set; in local mode one block per aggregation group of the
+    plan, ids (g, 1), each model against its client's aux set. Each block's
+    logits are computed once: accuracy reads them, then the loss overwrites
+    them. Every value equals evaluate_accuracy / evaluate_mean_loss of that model.
     """
     plan, num_classes = state.plan(), state.train_data.num_classes
     if state.config.resolved_eval_mode() == "global":
-        test = state.test_data
-        blocks = [(np.asarray(plan.benign), test.features[None, None], test.labels[None])]
+        test, benign = state.test_data, np.asarray(plan.benign)
+        blocks = [(benign[None], test.features[None, None],
+                   np.broadcast_to(test.labels, (len(benign), len(test))))]
     else:
-        blocks = [(group.nodes, group.aux_features, group.aux_labels) for group in plan.groups]
+        blocks = [(group.nodes[:, None], group.aux_features, group.aux_labels) for group in plan.groups]
     accs, losses = np.zeros(len(plan.benign)), np.zeros(len(plan.benign))
-    for nodes, features, labels in blocks:
-        models = state.models[nodes][:, None]
-        accs[nodes] = grouped_accuracy(models, features, labels, num_classes)[:, 0]
-        # evaluate_mean_loss multiplies a fresh C-ordered copy of the features.
-        losses[nodes] = grouped_mean_loss(models, np.ascontiguousarray(features), labels,
-                                          num_classes)[:, 0]
+    for ids, features, labels in blocks:
+        nodes = ids.reshape(-1)
+        logits = pair_logits(state.models, [(features, ids)], nodes, num_classes)
+        accs[nodes] = pairs_accuracy(logits, labels)
+        losses[nodes] = pairs_mean_loss(logits, labels)
     return accs.tolist(), losses.tolist()
 
 
@@ -517,7 +520,10 @@ def _run_seed(config: RunConfig, seed: int) -> tuple:
                 raise SimulationError(f"round {t} failed for seed {seed}: {exc}") from exc
         if t not in eval_rounds:
             continue
-        accs, losses = evaluate_network(state)
+        try:
+            accs, losses = evaluate_network(state)
+        except Exception as exc:
+            raise SimulationError(f"evaluation at round {t} failed for seed {seed}: {exc}") from exc
         mean, var = mean_accuracy(accs), accuracy_variance([a * 100.0 for a in accs])
         rows.extend(
             [t, seed, node_id, acc, loss, mean, var]

@@ -438,6 +438,25 @@ class TestRun:
         assert summary["status"] == "failed" and summary["failed_seed"] == 43
         assert summary["per_seed"] == {}
 
+    def test_a_failing_evaluation_exits_two_naming_its_seed_and_round(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        original = sim.evaluate_network
+
+        def refuse_seed_44(state):
+            if state.seed == 44:
+                raise FloatingPointError("overflow encountered in exp")
+            return original(state)
+
+        monkeypatch.setattr(sim, "evaluate_network", refuse_seed_44)
+        config = write_config(tmp_path, tiny_config_doc(name="eval-fails", seeds=[43, 44]))
+        code = cli_main(["run", config, "--outdir", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert ("runtime failure: evaluation at round 0 failed for seed 44: overflow encountered in exp\n"
+                in capsys.readouterr().err)
+        summary = json.loads((tmp_path / "eval-fails" / "summary.json").read_text())
+        assert summary["status"] == "failed" and summary["failed_seed"] == 44
+        assert list(summary["per_seed"]) == ["43"]
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_failing_seed_keeps_the_seeds_before_it(self, tmp_path, capsys):
         # Seed 10 finishes; seed 44 fails at round 2 (see overflow_doc).

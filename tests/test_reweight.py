@@ -6,6 +6,7 @@ import pytest
 from dflsim import rng
 from dflsim.core_learning import Dataset, ParamVector, ShapeError
 from dflsim.data import gen_synthetic_blobs
+from dflsim.plan import RowLayout
 from dflsim.reweight import (
     SENTINEL,
     AccClip,
@@ -470,3 +471,51 @@ class TestGroupWeights:
         failed = self.check_rows_against_oracle(crs, np.array(rows))
         assert 2 in failed and 0 not in failed
         assert (1 in failed) == (not isinstance(crs, LossClip))
+
+
+class TestRaggedRoundWeights:
+    """The CRS on one round's flat metric vector, rows of many lengths laid out as a plan lays them."""
+
+    @staticmethod
+    def round_rows(crs):
+        """crs's _GROUP_ROWS blocks (k = 3, 9 and 16 for loss-clip) and random
+        rows of 9 to 31 metrics, accepted ones between sentinel and rejected
+        rows; consecutive rows of one length form runs of one to five rows."""
+        gen = rng.stream(45, purpose="test")
+        high = 1.0 if crs.favours == "high" else 3.0
+        rows = []
+        for k in (24, 9, 16, 31, 24):
+            row = gen.uniform(0.0, high, size=k)
+            sentinel, rejected = row.copy(), row.copy()
+            sentinel[int(gen.integers(k))] = SENTINEL
+            rejected[int(gen.integers(k))] = -0.5
+            rows.extend([row, sentinel, rejected, gen.uniform(0.0, high, size=k)])
+        for kind, block in _GROUP_ROWS:
+            if type(kind) is type(crs):
+                rows[3:3] = [np.array(row) for row in block]
+        return rows
+
+    @pytest.mark.parametrize("crs", [TempSoftmax(0.1), LossClip(), AccClip()],
+                             ids=["temp-softmax", "loss-clip", "acc-clip"])
+    def test_every_row_equals_the_per_row_oracle_or_its_failure(self, crs):
+        rows = self.round_rows(crs)
+        lengths = [len(row) for row in rows]
+        assert {3, 9, 16, 24, 31} <= set(lengths) and len(RowLayout.of(lengths).runs) < len(rows)
+        values = np.concatenate(rows)
+        before = values.copy()
+        layout = RowLayout.of(lengths)
+        # The rejected rows overflow on purpose, in both paths.
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights, failed = _group_weights(crs, values, layout)
+            assert values.tobytes() == before.tobytes() and weights.shape == values.shape
+            accepted = 0
+            for i, row in enumerate(rows):
+                try:
+                    expected = crs_oracle(crs, MetricVector(range(len(row)), row)).weights
+                except ValueError as exc:
+                    assert failed[i] == str(exc)
+                    continue
+                assert i not in failed
+                assert layout.row(weights, i).tobytes() == expected.tobytes(), i
+                accepted += 1
+        assert accepted >= 10 and len(failed) >= 5

@@ -405,6 +405,34 @@ class TestStackedRoundEngine:
             built.clear()
         assert list(state.last_weights) == state.benign_ids()
 
+    @pytest.mark.parametrize("aggregator", [
+        {"tpm": "loss", "crs": "loss_clip"},
+        {"tpm": "accuracy", "crs": {"temp_softmax": {"temperature": 0.1}}},
+        {"tpm": "accuracy", "crs": "acc_clip"},
+    ])
+    @pytest.mark.parametrize("cap", ["one group", "one aux size"])
+    def test_block_boundaries_do_not_change_a_round(self, aggregator, cap, monkeypatch):
+        import dflsim.plan
+
+        monkeypatch.setattr(dflsim.plan, "BLOCK_LOGITS", 1 if cap == "one group" else 2 ** 62)
+        state, oracle = self.grouped_round_state(aggregator), self.grouped_round_state(aggregator)
+        plan = state.plan()
+        groups, sizes = plan.groups, [group.aux_labels.shape[1] for group in plan.groups]
+        if cap == "one group":
+            assert [block.groups for block in plan.blocks] == [(group,) for group in groups]
+        else:
+            assert len(plan.blocks) == len(set(sizes)) < len(groups)
+            assert [len(block.groups) for block in plan.blocks] == [sizes.count(n)
+                                                                   for n in sorted(set(sizes))]
+        for t in (1, 2):
+            run_round(state, t)
+            broadcast = self.round_broadcast(oracle, t)
+            for k in oracle.benign_ids():
+                row, weights = self.per_client_oracle(oracle, broadcast, k)
+                assert state.models[k].tobytes() == row.tobytes()
+                assert state.last_weights[k] == weights
+                oracle.models[k] = row
+
     def test_grouped_round_gives_a_nan_member_zero_weight(self):
         state = self.grouped_round_state({"tpm": "loss", "crs": "loss_clip"})
         broadcast = self.round_broadcast(state, 1)
@@ -508,50 +536,52 @@ class TestStackedRoundEngine:
                            match="round 1 failed for seed 43 at node 2: loss-clip requires at least one"):
             run_round(state, 1)
 
-    def test_grouped_scoring_failure_names_its_groups_lowest_node(self, monkeypatch):
-        # Scoring fails for one group of several clients, not the first group; the
-        # error names the group's lowest node, whose aggregation alone would fail first.
+    def test_grouped_scoring_failure_names_its_blocks_lowest_node(self, monkeypatch):
+        # Scoring fails for one block of several groups, not the first block; the
+        # error names the block's lowest node, whose aggregation alone would fail first.
         import dflsim.reweight as reweight
 
         state = self.grouped_round_state({"tpm": "loss", "crs": "loss_clip"})
-        groups = state.plan().groups
-        target = max((g for g in groups if len(g.nodes) > 1), key=lambda g: g.nodes[0])
-        assert target.nodes[0] > min(state.benign_ids())
-        original = reweight.grouped_mean_loss
+        blocks = state.plan().blocks
+        lowest = [min(group.nodes[0] for group in block.groups) for block in blocks]
+        i = max((i for i, block in enumerate(blocks) if len(block.groups) > 1), key=lowest.__getitem__)
+        target, node = blocks[i], lowest[i]
+        assert node > min(lowest) and node != target.groups[0].nodes[0]
+        original = reweight.pairs_mean_loss
 
-        def refuse_target(params, aux_features, *args):
-            if aux_features is target.aux_features:
+        def refuse_target(logits, labels):
+            if labels is target.labels:
                 raise ValueError("scoring refused")
-            return original(params, aux_features, *args)
+            return original(logits, labels)
 
-        monkeypatch.setattr(reweight, "grouped_mean_loss", refuse_target)
+        monkeypatch.setattr(reweight, "pairs_mean_loss", refuse_target)
         with pytest.raises(SimulationError, match=re.escape(
-                f"round 1 failed for seed 43 at node {target.nodes[0]}: scoring refused")):
+                f"round 1 failed for seed 43 at node {node}: scoring refused")):
             run_round(state, 1)
 
     @pytest.mark.parametrize("aggregator, kernel", [
-        ({"tpm": "loss", "crs": "loss_clip"}, "grouped_mean_loss"),
-        ({"tpm": "accuracy", "crs": "acc_clip"}, "grouped_accuracy"),
+        ({"tpm": "loss", "crs": "loss_clip"}, "pairs_mean_loss"),
+        ({"tpm": "accuracy", "crs": "acc_clip"}, "pairs_accuracy"),
     ])
-    def test_grouped_kernel_is_looked_up_once_per_group_and_round(self, aggregator, kernel,
-                                                                  monkeypatch):
-        # A wrapper on the reweight module's attribute sees every group's
+    def test_tpm_kernel_is_looked_up_once_per_block_and_round(self, aggregator, kernel,
+                                                              monkeypatch):
+        # A wrapper on the reweight module's attribute sees every block's
         # scoring: the round looks the kernel up when it runs, not at import.
         import dflsim.reweight as reweight
 
         state = self.grouped_round_state(aggregator)
         original, shapes = getattr(reweight, kernel), []
 
-        def counted(params, *args):
-            shapes.append(params.shape)
-            return original(params, *args)
+        def counted(logits, *args):
+            shapes.append(logits.shape)
+            return original(logits, *args)
 
         monkeypatch.setattr(reweight, kernel, counted)
         for t in (1, 2):
             run_round(state, t)
-        groups = state.plan().groups
-        assert len(groups) > 1
-        assert shapes == [(*group.members.shape, state.models.shape[1]) for group in groups] * 2
+        blocks = state.plan().blocks
+        assert len(blocks) > 1
+        assert shapes == [(*block.labels.shape, 4) for block in blocks] * 2
 
     def test_replaced_local_step_functions_are_called_per_client(self, monkeypatch):
         import dflsim.sim as sim
@@ -705,8 +735,8 @@ class _UniformCRS:
 
     favours = "high"
 
-    def rows(self, values):
-        return np.full(values.shape, 1 / values.shape[1]), {}
+    def rows(self, values, layout):
+        return 1 / layout.spread(layout.lengths), {}
 
 
 def test_a_crs_registered_by_name_alone_parses_and_runs(monkeypatch):
@@ -961,6 +991,30 @@ class TestIdxSubsample:
 
 
 class TestRunExperiment:
+    def test_failing_evaluation_names_its_seed_and_round_and_keeps_earlier_seeds(
+            self, tmp_path, monkeypatch):
+        import dflsim.sim as sim
+
+        original, calls = sim.evaluate_network, []
+
+        def refuse_seed_44_round_1(state):
+            calls.append(state.seed)
+            if calls.count(44) == 2:
+                raise FloatingPointError("overflow encountered in exp")
+            return original(state)
+
+        monkeypatch.setattr(sim, "evaluate_network", refuse_seed_44_round_1)
+        config = tiny_config(name="eval-fails", rounds=2, eval_every=1, seeds=[43, 44])
+        with pytest.raises(SimulationError, match=re.escape(
+                "evaluation at round 1 failed for seed 44: overflow encountered in exp")):
+            run_experiment(config, outdir=str(tmp_path))
+        run_dir = tmp_path / "eval-fails"
+        rows = list(csv.reader((run_dir / "metrics.csv").read_text().splitlines()))[1:]
+        assert [(row[0], row[1]) for row in rows] == [(t, "43") for t in "012" for _ in range(3)]
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["status"] == "failed" and summary["failed_seed"] == 44
+        assert list(summary["per_seed"]) == ["43"]
+
     def test_artifacts_written(self, tmp_path):
         config = tiny_config(name="artifacts", rounds=2, eval_every=1)
         run_experiment(config, outdir=str(tmp_path))
