@@ -193,32 +193,8 @@ def evaluate_mean_loss(model: ParamVector, data: Dataset) -> float:
     return batch_loss(model, data, Minibatch(np.arange(len(data))))
 
 
-# Stacked forms: k models held as the rows of one (k, C*d+C) matrix, or
-# (g, k, C*d+C) for g groups. Each matches its per-model function above bit
-# for bit.
-
-
-def _stacked_logits(params: np.ndarray, features: np.ndarray, num_classes: int) -> np.ndarray:
-    """(..., k, n, C) logits of stacked (..., k, C*d+C) models on features.
-
-    features are stacked like the models with one axis to broadcast: (k, n,
-    d) per model, or (g, 1, n, d) per group of k.
-    One batched matmul with a transposed (d, C) weight block per model issues
-    the same gemm as _logits does for each model, and the bias is added into
-    its output. A single matmul against all k*C weight rows at once would not
-    be bit-identical.
-    """
-    params = np.asarray(params, dtype=np.float64)
-    d = features.shape[-1]
-    cd = num_classes * d
-    if params.ndim < 2 or params.shape[-1] != cd + num_classes:
-        raise ShapeError(
-            f"parameter matrix of shape {params.shape} does not hold C={num_classes}, d={d} models"
-        )
-    weights = params[..., :cd].reshape(*params.shape[:-1], num_classes, d)
-    logits = features @ weights.swapaxes(-1, -2)
-    logits += params[..., None, cd:]
-    return logits
+# Batched forms: every kernel the engine runs on many models at once. Each
+# matches its per-model function above bit for bit.
 
 
 def pair_logits(params: np.ndarray, parts: list, members: np.ndarray, num_classes: int) -> np.ndarray:
@@ -233,6 +209,10 @@ def pair_logits(params: np.ndarray, parts: list, members: np.ndarray, num_classe
     """
     n, d = parts[0][0].shape[-2:]
     cd = num_classes * d
+    if params.ndim != 2 or params.shape[1] != cd + num_classes:
+        raise ShapeError(
+            f"parameter matrix of shape {params.shape} does not hold C={num_classes}, d={d} models"
+        )
     weights = params[:, :cd].reshape(len(params), num_classes, d)
     logits = np.empty((len(members), n, num_classes))
     start = 0
@@ -280,45 +260,21 @@ def pairs_accuracy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.mean(np.argmax(logits, axis=-1) == labels, axis=-1)
 
 
-def _grouped(kernel, params, features, labels, num_classes) -> np.ndarray:
-    logits = _stacked_logits(params, features, num_classes)
-    g, k, n, _ = logits.shape
-    labels = np.broadcast_to(labels[:, None], (g, k, n)).reshape(-1, n)
-    return kernel(logits.reshape(-1, n, num_classes), labels).reshape(g, k)
-
-
-def grouped_mean_loss(
-    params: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """(g, k) mean losses: model j of group i, params[i, j], on dataset i.
-
-    features is (g, 1, n, d), each group's dataset broadcast over its k
-    models, and labels is (g, n); every value equals evaluate_mean_loss of
-    that model on that dataset bit for bit.
-    """
-    return _grouped(pairs_mean_loss, params, features, labels, num_classes)
-
-
-def grouped_accuracy(
-    params: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """(g, k) accuracies: model j of group i, params[i, j], on dataset i (see grouped_mean_loss)."""
-    return _grouped(pairs_accuracy, params, features, labels, num_classes)
-
-
 def stacked_sgd_step(
     params: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int, lr: float
 ) -> np.ndarray:
     """One SGD step of k models, each on its own minibatch.
 
     features is (k, B, d) and labels is (k, B): row i of the result equals
-    sgd_step(model_i, batch_gradient(model_i, ...), lr) on minibatch i.
+    sgd_step(model_i, batch_gradient(model_i, ...), lr) on minibatch i. The
+    logits come from pair_logits, each model paired with its own minibatch.
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     k, size, _ = features.shape
-    delta = _softmax_rows(_stacked_logits(params, features, num_classes))
-    delta[np.arange(k)[:, None], np.arange(size), labels] -= 1.0
+    ids = np.arange(k)
+    delta = _softmax_rows(pair_logits(params, [(features[:, None], ids[:, None])], ids, num_classes))
+    delta[ids[:, None], np.arange(size), labels] -= 1.0
     delta /= size
     grad_w = delta.transpose(0, 2, 1) @ features
     grad_b = delta.sum(axis=1)

@@ -6,9 +6,9 @@ once per seed. A client holds rows of the network's training set, so its
 minibatches are read from that set through the plan's train_rows, not from a
 copy. The aux sets are gathered once, stacked per aggregation group, so that
 scoring and local evaluation read each group's aux sets as one block every
-round. Every (client, member) pair a round scores is laid out once too: in
-flat arrays, cut into scoring blocks, and read by the reweighting strategy as
-the rows of one ragged vector.
+round. Every (client, member) pair a reweighting round scores is laid out
+once too: in flat arrays, cut into scoring blocks, and read by the
+reweighting strategy as the rows of one ragged vector.
 """
 from __future__ import annotations
 
@@ -139,13 +139,15 @@ class RoundPlan:
     # ordered by aux size, then closed-neighborhood size
     groups: tuple
     # every (client, member) pair of the groups, in group order and each
-    # group's (g, k) members row-major: the client and member ids
-    pair_clients: np.ndarray
-    pair_members: np.ndarray
+    # group's (g, k) members row-major: the client and member ids. Only a
+    # reweighting round scores pairs: under a baseline these two and layout
+    # are None, and blocks is empty.
+    pair_clients: np.ndarray | None
+    pair_members: np.ndarray | None
     # the groups, cut into runs of one aux size of at most BLOCK_LOGITS logits
     blocks: tuple
     # the pairs as the rows of a ragged vector, one client's closed neighborhood each
-    layout: RowLayout
+    layout: RowLayout | None
     steps: tuple
     # The client at starts[j] of a step group holds the rows
     # train_rows[starts[j]:starts[j] + lengths[j]] of the network's training set.
@@ -160,8 +162,9 @@ def _nodes_by(keys: list) -> dict:
     return {key: np.array(nodes) for key, nodes in out.items()}
 
 
-def plan_rounds(state) -> RoundPlan:
-    """The round plan of a sim.NetworkState, from its graph and its clients' data."""
+def plan_rounds(state, scores_pairs: bool) -> RoundPlan:
+    """The round plan of a sim.NetworkState, from its graph and its clients' data;
+    with its scoring pairs and blocks only if scores_pairs."""
     graph, clients, train = state.graph, state.clients, state.train_data
     benign = list(range(len(graph.benign)))
     closed = (graph.adjacency | np.eye(graph.n, dtype=bool))[:len(benign)]
@@ -177,9 +180,13 @@ def plan_rounds(state) -> RoundPlan:
         aux_features.setflags(write=False)
         aux_labels.setflags(write=False)
         groups.append(AggregationGroup(nodes, members, own, aux_features, aux_labels))
-    pair_clients = np.concatenate([np.repeat(group.nodes, group.members.shape[1]) for group in groups])
-    pair_members = np.concatenate([group.members.reshape(-1) for group in groups])
-    layout = RowLayout.of([k for group in groups for k in [group.members.shape[1]] * len(group.nodes)])
+    pair_clients = pair_members = layout = None
+    blocks = ()
+    if scores_pairs:
+        pair_clients = np.concatenate([np.repeat(group.nodes, group.members.shape[1]) for group in groups])
+        pair_members = np.concatenate([group.members.reshape(-1) for group in groups])
+        layout = RowLayout.of([k for group in groups for k in [group.members.shape[1]] * len(group.nodes)])
+        blocks = _blocks(groups, train.num_classes)
 
     lengths = [len(clients[k].train) for k in benign]
     starts = np.cumsum([0] + lengths[:-1])
@@ -188,9 +195,8 @@ def plan_rounds(state) -> RoundPlan:
     for size, nodes in _nodes_by(sizes).items():
         steps.append(StepGroup(nodes, [lengths[k] for k in nodes], starts[nodes, None], size,
                                RoundStreams(state.seed, nodes, "minibatch")))
-    return RoundPlan(benign, closed, tuple(groups), pair_clients, pair_members,
-                     _blocks(groups, train.num_classes), layout, tuple(steps),
-                     np.concatenate([clients[k].train for k in benign]))
+    return RoundPlan(benign, closed, tuple(groups), pair_clients, pair_members, blocks, layout,
+                     tuple(steps), np.concatenate([clients[k].train for k in benign]))
 
 
 def _blocks(groups: list, num_classes: int) -> tuple:

@@ -21,8 +21,6 @@ from .core_learning import (
     ParamVector,
     evaluate_accuracy,
     evaluate_mean_loss,
-    grouped_accuracy,
-    grouped_mean_loss,
     pair_logits,
     pairs_accuracy,
     pairs_mean_loss,
@@ -47,7 +45,7 @@ class TargetMetricKind(enum.Enum):
         return member
 
     def kernel(self, form: str):
-        """This module's <form>_<name>, for form "evaluate", "grouped" or "pairs"."""
+        """This module's <form>_<name>, for form "evaluate" or "pairs"."""
         # Looked up when called, so a replaced module attribute (a tracer's wrapper, say) runs.
         return globals()[f"{form}_{self._kernel_name}"]
 
@@ -219,10 +217,10 @@ def _scoring() -> tuple:
     return (compute_tpm, *(kind.kernel("evaluate") for kind in TargetMetricKind))
 
 
-# reweight_round's grouped kernels compute what these module-level functions
-# compute, so they stand in for them only while they are this module's own. A
-# caller that replaces one (to instrument or to change scoring) gets it called
-# per member.
+# reweight_round's pair_logits and pairs_ kernels compute what these
+# module-level functions compute, so they stand in for them only while they
+# are this module's own. A caller that replaces one (to instrument or to
+# change scoring) gets it called per member.
 _STOCK_SCORING = _scoring()
 
 
@@ -231,19 +229,13 @@ def scoring_is_stock() -> bool:
     return _scoring() == _STOCK_SCORING
 
 
-def _group_weights(crs: CRSKind, metrics: np.ndarray, layout: RowLayout | None = None) -> tuple:
+def _group_weights(crs: CRSKind, metrics: np.ndarray, layout: RowLayout) -> tuple:
     """crs.rows(metrics, layout), each row checked as WeightVector checks it:
-    (weights, {row: message}). With no layout, metrics is a (g, k) matrix of g
-    rows, and so are the weights.
+    (weights, {row: message}).
 
     A row crs.rows rejects keeps its message; an accepted row whose weights
     WeightVector would refuse takes WeightVector's message.
     """
-    if layout is None:
-        g, k = metrics.shape
-        layout = RowLayout(np.arange(0, g * k, k), np.full(g, k), ((0, g * k, g),))
-        weights, failed = _group_weights(crs, metrics.reshape(-1), layout)
-        return weights.reshape(g, k), failed
     weights, failed = crs.rows(metrics, layout)
     # A NaN or infinite weight also takes its row's sum away from 1.
     ok = layout.all(weights >= 0) & (np.abs(layout.sum(weights) - 1.0) <= WEIGHT_SUM_TOL)
@@ -254,10 +246,10 @@ def _group_weights(crs: CRSKind, metrics: np.ndarray, layout: RowLayout | None =
 
 def apply_crs(crs: CRSKind, metrics: MetricVector) -> WeightVector:
     """crs on one closed neighborhood: _group_weights on its one row, raising its failure."""
-    weights, failed = _group_weights(crs, metrics.values[None])
+    weights, failed = _group_weights(crs, metrics.values, RowLayout.of([len(metrics.values)]))
     if failed:
         raise ValueError(failed[0])
-    return WeightVector(metrics.ids, weights[0])
+    return WeightVector(metrics.ids, weights)
 
 
 def mix(weights: np.ndarray, broadcast: np.ndarray) -> np.ndarray:

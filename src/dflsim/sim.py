@@ -103,7 +103,7 @@ class NetworkState:
 
     def plan(self) -> RoundPlan:
         if self.round_plan is None:
-            self.round_plan = plan_rounds(self)
+            self.round_plan = plan_rounds(self, type(self.config.aggregator) is DFedReweightingSpec)
         return self.round_plan
 
     def benign_ids(self) -> list:

@@ -10,11 +10,11 @@ from dflsim.core_learning import (
     ParamVector,
     ShapeError,
     _logits,
-    _stacked_logits,
     batch_gradient,
     batch_loss,
     evaluate_accuracy,
     evaluate_mean_loss,
+    pair_logits,
     sgd_step,
 )
 from oracles import predict_probs
@@ -232,19 +232,25 @@ class TestEvaluate:
             float(np.mean(per_example)), abs=1e-10
         )
 
-    def test_stacked_logits_equal_logits_on_a_broadcast_feature_block(self):
+    def test_pair_logits_equal_logits_on_broadcast_feature_blocks(self):
+        # Two parts of different k in one call, as a plan's scoring blocks hold them.
         gen = rng.stream(22, purpose="test")
         C, d, g, k, n = 4, 7, 3, 5, 11
-        params = gen.standard_normal((g, k, C * d + C))
+        params = gen.standard_normal((g, k, C * d + C)).reshape(g * k, -1)
         before = params.copy()
         features = np.stack([gen.standard_normal((n, d)) for _ in range(g)])[:, None]
-        logits = _stacked_logits(params, features, C)
+        ids = np.arange(g * k).reshape(g, k)
+        other_features = np.stack([gen.standard_normal((n, d)) for _ in range(2)])[:, None]
+        other_ids = np.stack([np.sort(gen.choice(g * k, size=3, replace=False)) for _ in range(2)])
+        members = np.concatenate([ids.reshape(-1), other_ids.reshape(-1)])
+        logits = pair_logits(params, [(features, ids), (other_features, other_ids)], members, C)
         assert params.tobytes() == before.tobytes()
-        assert logits.shape == (g, k, n, C)
-        for i in range(g):
-            for j in range(k):
-                expected = _logits(ParamVector(params[i, j], C, d), features[i, 0])
-                assert logits[i, j].tobytes() == expected.tobytes()
+        assert logits.shape == (g * k + other_ids.size, n, C)
+        datasets = [features[i, 0] for i in range(g) for _ in range(k)]
+        datasets += [other_features[i, 0] for i, row in enumerate(other_ids) for _ in row]
+        for pair, (member, dataset) in enumerate(zip(members, datasets)):
+            expected = _logits(ParamVector(params[member], C, d), dataset)
+            assert logits[pair].tobytes() == expected.tobytes()
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

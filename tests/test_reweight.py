@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dflsim import rng
-from dflsim.core_learning import Dataset, ParamVector, ShapeError
+from dflsim.core_learning import Dataset, ParamVector, ShapeError, pair_logits
 from dflsim.data import gen_synthetic_blobs
 from dflsim.plan import RowLayout
 from dflsim.reweight import (
@@ -55,29 +55,31 @@ class TestComputeTpm:
         assert value == math.inf and not math.isnan(value)
 
 
-def grouped_tpm(kind, params, aux):
-    """kind's grouped kernel on the rows of params as one group, non-finite
-    values mapped to the sentinel as reweight_round maps them.
+def pairs_tpm(kind, params, aux):
+    """pair_logits and kind's pairs kernel on the rows of params, all paired
+    with aux in one part, non-finite values mapped to the sentinel as
+    reweight_round maps them.
 
     The loss kernel gets a C-ordered copy of the features, as
     evaluate_mean_loss multiplies one; the accuracy kernel gets the set's own.
     """
     loss = kind is TargetMetricKind.LOSS_ON_AUX
     features = np.ascontiguousarray(aux.features) if loss else aux.features
-    values = kind.kernel("grouped")(params[None], features[None, None], aux.labels[None],
-                                    aux.num_classes)[0]
+    ids = np.arange(len(params))
+    logits = pair_logits(params, [(features[None, None], ids[None])], ids, aux.num_classes)
+    values = kind.kernel("pairs")(logits, np.broadcast_to(aux.labels, (len(params), len(aux))))
     return np.where(np.isfinite(values), values, SENTINEL)
 
 
-class TestGroupedTpmOneGroup:
-    """The grouped kernels with g=1 must equal compute_tpm bit for bit, row by row."""
+class TestPairsTpmOnePart:
+    """pair_logits and the pairs kernels on one part must equal compute_tpm bit for bit, row by row."""
 
     @staticmethod
     def assert_rows_equal_oracle(params, aux):
         for kind in TargetMetricKind:
             oracle = [compute_tpm(kind, ParamVector(row, aux.num_classes, aux.feature_dim), aux)
                       for row in params]
-            np.testing.assert_array_equal(grouped_tpm(kind, params, aux), oracle)
+            np.testing.assert_array_equal(pairs_tpm(kind, params, aux), oracle)
 
     def test_random_members_match_compute_tpm(self):
         gen = rng.stream(35, purpose="test")
@@ -93,7 +95,7 @@ class TestGroupedTpmOneGroup:
         params = rng.stream(36, purpose="test").standard_normal((4, 15))
         params[2, 0] = math.nan
         self.assert_rows_equal_oracle(params, aux)
-        losses = grouped_tpm(TargetMetricKind.LOSS_ON_AUX, params, aux)
+        losses = pairs_tpm(TargetMetricKind.LOSS_ON_AUX, params, aux)
         assert losses[2] == SENTINEL and np.isfinite(np.delete(losses, 2)).all()
 
     def test_argmax_ties_match_compute_tpm(self):
@@ -102,13 +104,13 @@ class TestGroupedTpmOneGroup:
         tied[1, :8] = np.tile([1.0, -1.0, 0.5, 2.0], 2)  # classes 0 and 1 tie
         tied[2, 12:] = [0.0, 1.0, 1.0]  # classes 1 and 2 tie on the bias
         self.assert_rows_equal_oracle(tied, aux)
-        accs = grouped_tpm(TargetMetricKind.ACCURACY_ON_AUX, tied, aux)
+        accs = pairs_tpm(TargetMetricKind.ACCURACY_ON_AUX, tied, aux)
         assert accs[0] == float(np.mean(aux.labels == 0))
 
     def test_wrong_width_rejected(self):
         aux = gen_synthetic_blobs(3, 4, 5, 0.5, seed=38)
         with pytest.raises(ShapeError):
-            grouped_tpm(TargetMetricKind.LOSS_ON_AUX, np.zeros((2, 14)), aux)
+            pairs_tpm(TargetMetricKind.LOSS_ON_AUX, np.zeros((2, 14)), aux)
 
 
 class TestTempSoftmax:
@@ -449,7 +451,9 @@ class TestGroupWeights:
         before = metrics.copy()
         # The rejected rows overflow on purpose, in both paths.
         with np.errstate(over="ignore", invalid="ignore"):
-            weights, failed = _group_weights(crs, metrics)
+            layout = RowLayout.of([metrics.shape[1]] * len(metrics))
+            weights, failed = _group_weights(crs, metrics.reshape(-1), layout)
+            weights = weights.reshape(metrics.shape)
             assert metrics.tobytes() == before.tobytes()
             for i, row in enumerate(metrics):
                 try:

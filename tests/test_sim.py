@@ -284,6 +284,30 @@ class TestStackedRoundEngine:
         with pytest.raises(ShapeError, match="does not hold C=3, d=6 models"):
             _local_half_steps(state, 1)
 
+    @pytest.mark.parametrize("eval_mode", ["local", "global"])
+    @pytest.mark.parametrize("width", [18, 25])
+    def test_scoring_and_evaluation_check_the_parameter_width(self, width, eval_mode):
+        # Rows of C*d+C = 21 parameters hold C=3, d=6 models; rows of 18 or 25 do not.
+        config = tiny_config(aggregator={"dfed_reweighting": {"tpm": "loss", "crs": "loss_clip"}},
+                             eval_mode=eval_mode)
+        data = Dataset(np.zeros((4, 6)), [0, 1, 2, 0], 3)
+        clients = {k: (data, data) for k in (0, 1)}
+        state = manual_state(config, complete_graph(2, [0, 1], []), clients, np.zeros((2, width)),
+                             test=data)
+        agg = config.aggregator
+        _, _, failures = reweight_round(agg.tpm, agg.crs, state.models, state.plan(), 3)
+        assert list(failures) == [0] and isinstance(failures[0], ShapeError)
+        assert str(failures[0]) == f"parameter matrix of shape (2, {width}) does not hold C=3, d=6 models"
+        with pytest.raises(ShapeError, match="does not hold C=3, d=6 models"):
+            evaluate_network(state)
+
+    def test_a_baseline_plan_holds_no_scoring_pairs(self):
+        # Only a reweighting round scores (client, member) pairs; local
+        # evaluation and the baselines read the aggregation groups.
+        plan = build_network(tiny_config(), seed=43).plan()
+        assert plan.groups and plan.blocks == ()
+        assert plan.pair_clients is None and plan.pair_members is None and plan.layout is None
+
     def test_stacked_local_step_equals_per_client_step_in_every_stream_block(self):
         from dflsim.sim import _local_half_step
 
