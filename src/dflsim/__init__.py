@@ -1,8 +1,8 @@
 """Deterministic decentralized-federated-learning simulator.
 
 Objective-oriented reweighting aggregation plus robust baseline aggregators,
-Byzantine attacks, heterogeneous partitioners, fairness/robustness metrics,
-and convergence-bound evaluators.
+Byzantine attacks, heterogeneous partitioners and fairness/robustness
+metrics.
 
 The package root holds the run API: parse or load a config, run it, or drive
 one seed's network round by round. Every other name is imported from its own

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: run, sweep, bounds, validate, report. Exit codes: 0 success,
+Subcommands: run, sweep, validate, report. Exit codes: 0 success,
 1 config/usage error or a seed that fails before its round 1, 2 a failure
 during a round.
 """
@@ -14,10 +14,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import quadratic_bound_rows, summarize
-from .config import (ConfigError, load_config, parse_bounds_config, parse_config, parse_sweep,
-                     read_document)
-from .sim import METRICS_COLUMNS, SimulationError, output_base, run_experiment, setup_seed
+from .analysis import summarize
+from .config import ConfigError, load_config, parse_config, parse_sweep, read_document
+from .sim import METRICS_COLUMNS, SimulationError, run_experiment, setup_seed
 
 # The package logger: progress records from dflsim.sim reach the same level.
 log = logging.getLogger("dflsim")
@@ -53,10 +52,6 @@ def _build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep", help="grid over temperature/attack values")
     p_sweep.add_argument("config")
     add_common(p_sweep)
-
-    p_bounds = sub.add_parser("bounds", help="quadratic-testbed trajectory vs theorem bound")
-    p_bounds.add_argument("config")
-    p_bounds.add_argument("--outdir", help="output directory for bounds.csv")
 
     p_validate = sub.add_parser("validate", help="check a config and set up each of its seeds")
     p_validate.add_argument("config")
@@ -100,37 +95,6 @@ def _cmd_sweep(args) -> int:
         summary = run_experiment(config, parallel=args.parallel, outdir=args.outdir)
         log.info("sweep '%s': mean_acc=%.4f var=%.3f", config.name, summary.mean_acc,
                  summary.var_points)
-    return 0
-
-
-def _cmd_bounds(args) -> int:
-    bounds = parse_bounds_config(read_document(args.config))
-    rows = quadratic_bound_rows(
-        L=bounds.smoothness,
-        dim=bounds.dim,
-        eta=bounds.eta,
-        rounds=bounds.rounds,
-        num_clients=bounds.num_clients,
-        noise_scale=bounds.noise_scale,
-        seed=bounds.seed,
-    )
-    outdir = output_base(args.outdir, bounds.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out_path = outdir / "bounds.csv"
-    with open(out_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "empirical_sq_dist", "theorem_bound", "slack"])
-        for t, emp, bound, slack in rows:
-            writer.writerow([t, repr(emp), repr(bound), repr(slack)])
-    print(f"wrote {out_path}")
-    # The bound is diagnostic: rounds where it falls below the trajectory are reported, not fatal.
-    negative = [(slack, t) for t, _, _, slack in rows if slack < 0]
-    if negative:
-        worst, worst_t = min(negative)
-        print(f"negative slack in {len(negative)} of {len(rows)} rounds, "
-              f"t = {', '.join(str(t) for _, t in negative)}; worst {worst:.3f} at t = {worst_t}")
-    else:
-        print(f"negative slack in 0 of {len(rows)} rounds")
     return 0
 
 
@@ -184,7 +148,6 @@ def cli_main(argv=None) -> int:
     handlers = {
         "run": _cmd_run,
         "sweep": _cmd_sweep,
-        "bounds": _cmd_bounds,
         "validate": _cmd_validate,
         "report": _cmd_report,
     }

@@ -135,20 +135,6 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class BoundsConfig:
-    """A `dflsim bounds` document: the quadratic testbed and where to write."""
-
-    smoothness: float = 1.0
-    dim: int = 16
-    eta: float = 0.1
-    rounds: int = 100
-    num_clients: int = 4
-    noise_scale: float = 0.1
-    seed: int = 43
-    outdir: str | None = None
-
-
-@dataclass(frozen=True)
 class SweepGrid:
     """A `dflsim sweep` grid: each list given replaces that part of the base config."""
 
@@ -323,11 +309,6 @@ _FAMILIES = {
 def parse_config(doc: dict) -> RunConfig:
     """Validate a JSON document and build a RunConfig; raises ConfigError."""
     return _build(RunConfig, doc, "config")
-
-
-def parse_bounds_config(doc: dict) -> BoundsConfig:
-    """Validate a `dflsim bounds` document; raises ConfigError."""
-    return _build(BoundsConfig, doc, "bounds")
 
 
 def parse_sweep(doc) -> tuple[RunConfig, ...]:

@@ -488,14 +488,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def output_base(override: str | None, configured: str | None) -> Path:
-    """The directory output goes under: override (--outdir), else the config's
-    outdir, else $DFLSIM_OUTDIR, else ./runs."""
-    return Path(override or configured or os.environ.get("DFLSIM_OUTDIR") or "runs")
-
-
 def resolve_outdir(config: RunConfig, override: str | None = None) -> Path:
-    return output_base(override, config.outdir) / config.name
+    """The run's directory: config.name under override (--outdir), else the
+    config's outdir, else $DFLSIM_OUTDIR, else ./runs."""
+    base = override or config.outdir or os.environ.get("DFLSIM_OUTDIR") or "runs"
+    return Path(base) / config.name
 
 
 def _run_seed(config: RunConfig, seed: int) -> tuple:

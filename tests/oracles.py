@@ -5,12 +5,10 @@ The package computes each CRS only as rows of a group's metric matrix
 closed neighborhood at a time, each check and reduction on that vector
 alone, and the tests compare the package's rows and messages with them by
 exact equality. predict_probs gives one model's class probabilities for one
-feature vector. theorem1_bound runs the convergence bound's recursion round
-by round, and theorem2_bound's closed form is compared with it.
+feature vector.
 """
 import numpy as np
 
-from dflsim.analysis import BoundParams, _warn_non_contractive
 from dflsim.core_learning import ParamVector, ShapeError, _logits, _softmax_rows
 from dflsim.reweight import AccClip, LossClip, MetricVector, TempSoftmax, WeightVector
 
@@ -78,25 +76,3 @@ def crs_oracle(crs, metrics: MetricVector) -> WeightVector:
     if isinstance(crs, TempSoftmax):
         return crs_temp_softmax(metrics, crs.temperature)
     return {LossClip: crs_loss_clip, AccClip: crs_acc_clip}[type(crs)](metrics)
-
-
-def theorem1_bound(p: BoundParams, t: int) -> float:
-    """Dynamic-rate recursion: B <- (1 - 3*eta_j*L) * B + (eta_j * G)^2.
-
-    Returns the bound on the squared distance of the uniform-weight consensus
-    to the optimum w* after rounds 0..t, starting from B = D0. It assumes an
-    L-smooth objective and stochastic gradients of norm at most G; it
-    contracts only for eta_j < 1/(3L), and a larger rate warns but is still
-    computed. PAPER.md holds only the abstract of arXiv 2512.12022, so the
-    1 - 3*eta*L constant cannot be checked against the paper's proof here.
-    """
-    if t < 0:
-        raise ValueError("round index must be nonnegative")
-    if len(p.eta_schedule) < t + 1:
-        raise ValueError(f"eta_schedule covers {len(p.eta_schedule)} rounds, need {t + 1}")
-    _warn_non_contractive(p.eta_schedule[: t + 1], p.smoothness)
-    bound = p.d0
-    for j in range(t + 1):
-        eta = p.eta_schedule[j]
-        bound = (1.0 - 3.0 * eta * p.smoothness) * bound + (eta * p.grad_bound) ** 2
-    return bound

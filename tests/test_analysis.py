@@ -1,19 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
 from dflsim import rng
-from dflsim.analysis import (
-    BoundParams,
-    accuracy_variance,
-    mean_accuracy,
-    quadratic_bound_rows,
-    quadratic_testbed,
-    summarize,
-    theorem2_bound,
-)
-from oracles import theorem1_bound
+from dflsim.analysis import accuracy_variance, mean_accuracy, summarize
 
 
 class TestMetrics:
@@ -85,6 +75,21 @@ class TestSummarize:
                   for t, seed, k, acc, loss in self.ROWS]
         assert summarize(as_csv) == summarize(self.ROWS)
 
+    def test_final_round_is_the_largest_not_the_last_listed(self):
+        per_seed, _ = summarize(self.ROWS[2:4] + self.ROWS[:2])
+        assert per_seed["9"]["final_accuracies"] == {"0": 0.7, "2": 0.6}
+
+    def test_final_block_holds_only_the_clients_of_the_final_round(self):
+        per_seed, _ = summarize([(0, 5, 0, 0.1, 2.0), (0, 5, 1, 0.2, 2.0), (3, 5, 1, 0.9, 0.3)])
+        assert per_seed["5"]["final_accuracies"] == {"1": 0.9}
+        assert per_seed["5"]["var_points"] == 0.0
+
+    def test_cross_seed_variance_averages_the_seeds_not_the_pooled_clients(self):
+        # Each seed agrees within itself; pooling both would give a variance of 25 points.
+        rows = [(0, 1, 0, 0.8, 1.0), (0, 1, 1, 0.8, 1.0), (0, 2, 0, 0.9, 1.0), (0, 2, 1, 0.9, 1.0)]
+        _, cross_seed = summarize(rows)
+        assert cross_seed == {"mean_acc": pytest.approx(0.85), "var_points": 0.0}
+
     def test_no_rows_give_no_cross_seed_block(self):
         assert summarize([]) == ({}, None)
 
@@ -97,138 +102,3 @@ class TestComparisons:
         averaged = [85.449 - math.sqrt(107.049), 85.449 + math.sqrt(107.049)]
         assert accuracy_variance(reweighted) == pytest.approx(4.125)
         assert accuracy_variance(averaged) == pytest.approx(107.049)
-
-
-class TestBounds:
-    def test_single_contraction_step(self):
-        # 1 - 3*eta*L = 0.5 with G = 0 halves the initial distance
-        p = BoundParams(smoothness=1.0, grad_bound=0.0, eta_schedule=(0.5 / 3.0,), d0=4.0)
-        assert theorem1_bound(p, 0) == pytest.approx(2.0)
-
-    def test_zero_rate_keeps_d0(self):
-        p = BoundParams(1.0, 5.0, (0.0,) * 10, d0=3.5)
-        for t in range(10):
-            assert theorem1_bound(p, t) == pytest.approx(3.5)
-
-    def test_recursion_matches_closed_form(self):
-        eta, L, G, d0 = 0.07, 2.0, 1.3, 5.0
-        p = BoundParams(L, G, (eta,) * 101, d0)
-        for t in range(101):
-            assert theorem1_bound(p, t) == pytest.approx(
-                theorem2_bound(p, t), abs=1e-10
-            )
-
-    def test_plateau_limit(self):
-        p = BoundParams(1.0, 1.0, (0.1,) * 1, d0=9.0)
-        value = theorem2_bound(p, 10**6)
-        assert value == pytest.approx(0.1 / 3.0, abs=1e-12)
-
-    def test_zero_noise_geometric_decay(self):
-        eta, L, d0 = 0.05, 1.0, 4.0
-        p = BoundParams(L, 0.0, (eta,), d0)
-        for t in (0, 3, 10):
-            assert theorem2_bound(p, t) == pytest.approx(
-                (1 - 3 * eta * L) ** (t + 1) * d0
-            )
-
-    def test_t_zero_cross_check(self):
-        p = BoundParams(1.0, 0.0, (0.5 / 3.0,), d0=4.0)
-        assert theorem2_bound(p, 0) == pytest.approx(2.0)
-        assert theorem1_bound(p, 0) == pytest.approx(2.0)
-
-    def test_monotone_toward_plateau(self):
-        eta, L, G = 0.05, 1.0, 2.0
-        plateau = eta * G**2 / (3 * L)
-        above = BoundParams(L, G, (eta,), d0=10 * plateau)
-        below = BoundParams(L, G, (eta,), d0=0.1 * plateau)
-        hi = [theorem2_bound(above, t) for t in range(50)]
-        lo = [theorem2_bound(below, t) for t in range(50)]
-        assert all(a >= b - 1e-12 for a, b in zip(hi, hi[1:]))
-        assert all(a <= b + 1e-12 for a, b in zip(lo, lo[1:]))
-
-    def test_non_contractive_rate_warns_but_computes(self):
-        p = BoundParams(1.0, 1.0, (0.5,), d0=1.0)
-        with pytest.warns(UserWarning, match="non-contractive"):
-            value = theorem2_bound(p, 3)
-        assert math.isfinite(value)
-
-    def test_dynamic_schedule_required_length(self):
-        p = BoundParams(1.0, 1.0, (0.01, 0.02), d0=1.0)
-        with pytest.raises(ValueError):
-            theorem1_bound(p, 5)
-
-    def test_theorem2_requires_constant_rate(self):
-        p = BoundParams(1.0, 1.0, (0.01, 0.02), d0=1.0)
-        with pytest.raises(ValueError):
-            theorem2_bound(p, 1)
-
-
-class TestQuadraticTestbed:
-    def test_gradient_vanishes_at_optimum(self):
-        testbed = quadratic_testbed(3.0, 8, seed=1)
-        np.testing.assert_allclose(testbed.gradient(testbed.w_star), 0.0, atol=1e-12)
-
-    def test_one_exact_step_reaches_optimum(self):
-        L = 2.5
-        testbed = quadratic_testbed(L, 6, seed=2)
-        w = rng.stream(3, purpose="test").standard_normal(6)
-        w_next = w - (1.0 / L) * testbed.gradient(w)
-        np.testing.assert_allclose(w_next, testbed.w_star, atol=1e-12)
-
-    def test_finite_difference_gradient_check(self):
-        testbed = quadratic_testbed(1.7, 5, seed=4)
-        gen = rng.stream(5, purpose="test")
-        w = gen.standard_normal(5)
-        step = 1e-6
-        numeric = np.zeros(5)
-        for i in range(5):
-            up, down = w.copy(), w.copy()
-            up[i] += step
-            down[i] -= step
-            numeric[i] = (testbed.objective(up) - testbed.objective(down)) / (2 * step)
-        analytic = testbed.gradient(w)
-        assert np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric) <= 1e-6
-
-    def test_bound_rows_structure(self):
-        rows = quadratic_bound_rows(
-            L=1.0, dim=8, eta=0.1, rounds=50, num_clients=3, noise_scale=0.05, seed=6
-        )
-        assert len(rows) == 50
-        for t, empirical, bound, slack in rows:
-            assert math.isfinite(empirical) and math.isfinite(bound)
-            assert slack == pytest.approx(bound - empirical)
-        # trajectory should approach the optimum on this contractive problem
-        assert rows[-1][1] < rows[0][1]
-
-    def test_mean_trajectory_follows_the_exact_recursion(self):
-        """The empirical column, averaged over 300 seeds, tracks E D_t exactly.
-
-        K clients average independent N(0, sigma^2 I) gradient noise, so after
-        round t, E D_t = (1 - eta L)^{2(t+1)} D + (eta^2 sigma^2 d / K)
-        sum_{j <= t} (1 - eta L)^{2j}, where D is the squared distance of the
-        mean initial model to w*. The bound's 1 - 3 eta L in its place misses.
-        """
-        L, dim, eta, rounds, num_clients, sigma = 1.0, 16, 0.1, 60, 4, 0.1
-        t = np.arange(rounds)
-
-        def expectation(contraction, d):
-            noise = eta ** 2 * sigma ** 2 * dim / num_clients
-            return contraction ** (2 * (t + 1)) * d + noise * np.cumsum(contraction ** (2 * t))
-
-        empirical, exact, stated = [], [], []
-        for seed in range(300):
-            rows = quadratic_bound_rows(L, dim, eta, rounds, num_clients, sigma, seed)
-            empirical.append([row[1] for row in rows])
-            init = rng.stream(seed, purpose="quadratic-init")
-            w_bar = np.mean([init.standard_normal(dim) for _ in range(num_clients)], axis=0)
-            d = float(np.sum((w_bar - quadratic_testbed(L, dim, seed).w_star) ** 2))
-            exact.append(expectation(1.0 - eta * L, d))
-            stated.append(expectation(1.0 - 3.0 * eta * L, d))
-        empirical = np.mean(empirical, axis=0)
-
-        def worst_gap(expected):
-            expected = np.mean(expected, axis=0)
-            return float(np.max(np.abs(empirical - expected) / expected))
-
-        assert worst_gap(exact) <= 0.10
-        assert worst_gap(stated) > 0.10

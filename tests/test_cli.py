@@ -6,7 +6,6 @@ import pytest
 
 from dflsim import sim
 from dflsim.cli import cli_main
-from dflsim.config import BoundsConfig, parse_bounds_config
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -90,6 +89,13 @@ CLI_REJECTED = [
     ("rounds", json.dumps(tiny_config_doc(rounds=-1)), "config: rounds must be nonnegative\n"),
     ("missing_key", json.dumps({k: v for k, v in tiny_config_doc().items() if k != "aggregator"}),
      "config: missing required key(s) ['aggregator']\n"),
+    ("not_an_object", "[]", "config: expected an object\n"),
+    ("int_given_float", json.dumps(tiny_config_doc(rounds=10.7)),
+     "config.rounds: expected an integer, got 10.7\n"),
+    ("float_given_string", json.dumps(tiny_config_doc(learning_rate="0.1")),
+     "config.learning_rate: expected a finite number, got '0.1'\n"),
+    ("int_given_bool", json.dumps(tiny_config_doc(seeds=[True])),
+     "config.seeds[0]: expected an integer, got True\n"),
 ]
 
 
@@ -337,8 +343,10 @@ class TestSetup:
 
 class TestUsage:
     def test_unknown_subcommand_exits_one(self, capsys):
-        assert cli_main(["frobnicate"]) == 1
-        assert "usage" in capsys.readouterr().err.lower()
+        # A name that is no subcommand is a usage error, even with a readable config after it.
+        for argv in (["frobnicate"], ["bounds", str(REPO_CONFIGS / "robustness_signflip.json")]):
+            assert cli_main(argv) == 1
+            assert "usage" in capsys.readouterr().err.lower()
 
     def test_unknown_flag_exits_one(self, tmp_path, capsys):
         doc = tiny_config_doc()
@@ -561,73 +569,6 @@ class TestReport:
 
     def test_report_missing_dir(self, capsys):
         assert cli_main(["report", "/nonexistent/run"]) == 1
-
-
-class TestBounds:
-    def test_bounds_writes_csv(self, tmp_path, capsys):
-        code = cli_main(["bounds", str(REPO_CONFIGS / "bounds.json"),
-                         "--outdir", str(tmp_path)])
-        assert code == 0
-        lines = (tmp_path / "bounds.csv").read_text().splitlines()
-        assert lines[0] == "t,empirical_sq_dist,theorem_bound,slack"
-        assert len(lines) == 201  # header + one row per round
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[3]) == pytest.approx(float(first[2]) - float(first[1]))
-
-    def test_bounds_outdir_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DFLSIM_OUTDIR", str(tmp_path / "envout"))
-        monkeypatch.chdir(tmp_path)
-        config = str(REPO_CONFIGS / "bounds.json")
-        assert cli_main(["bounds", config]) == 0
-        assert (tmp_path / "envout" / "bounds.csv").exists()
-        assert not (tmp_path / "runs").exists()
-        assert cli_main(["bounds", config, "--outdir", str(tmp_path / "flag")]) == 0
-        assert (tmp_path / "flag" / "bounds.csv").read_text() == \
-            (tmp_path / "envout" / "bounds.csv").read_text()
-
-    def test_bounds_unknown_key(self, tmp_path):
-        bad = tmp_path / "bounds.json"
-        bad.write_text(json.dumps({"smoothness": 1.0, "wibble": 2}))
-        assert cli_main(["bounds", str(bad), "--outdir", str(tmp_path)]) == 1
-
-    @pytest.mark.parametrize("doc, path", [
-        ({"rounds": 10.7}, "bounds.rounds"),
-        ({"eta": "0.1"}, "bounds.eta"),
-        ({"seed": True}, "bounds.seed"),
-        ([], "bounds"),
-    ])
-    def test_bounds_mistyped_value(self, tmp_path, capsys, doc, path):
-        bad = tmp_path / "bounds.json"
-        bad.write_text(json.dumps(doc))
-        assert cli_main(["bounds", str(bad), "--outdir", str(tmp_path)]) == 1
-        assert f"config error: {path}: expected" in capsys.readouterr().err
-        assert not (tmp_path / "bounds.csv").exists()
-
-    def test_bounds_reports_negative_slack(self, tmp_path, capsys):
-        code = cli_main(["bounds", str(REPO_CONFIGS / "bounds.json"),
-                         "--outdir", str(tmp_path)])
-        assert code == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out == [f"wrote {tmp_path / 'bounds.csv'}",
-                       "negative slack in 4 of 200 rounds, t = 5, 6, 7, 8; worst -0.216 at t = 6"]
-        rows = [line.split(",") for line in (tmp_path / "bounds.csv").read_text().splitlines()[1:]]
-        assert [int(t) for t, *_, slack in rows if float(slack) < 0] == [5, 6, 7, 8]
-
-    def test_bounds_reports_no_negative_slack(self, tmp_path, capsys):
-        doc = tmp_path / "bounds.json"
-        doc.write_text(json.dumps({"noise_scale": 1.0}))
-        assert cli_main(["bounds", str(doc), "--outdir", str(tmp_path)]) == 0
-        assert capsys.readouterr().out.splitlines()[1] == "negative slack in 0 of 100 rounds"
-
-    def test_bounds_defaults(self, tmp_path):
-        empty = tmp_path / "bounds.json"
-        empty.write_text("{}")
-        assert cli_main(["bounds", str(empty), "--outdir", str(tmp_path)]) == 0
-        assert len((tmp_path / "bounds.csv").read_text().splitlines()) == 1 + 100  # rounds=100
-        assert parse_bounds_config({}) == BoundsConfig(
-            smoothness=1.0, dim=16, eta=0.1, rounds=100, num_clients=4, noise_scale=0.1,
-            seed=43, outdir=None)
 
 
 class TestSweep:

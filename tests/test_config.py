@@ -151,6 +151,19 @@ MISTYPED = [
     ("config.name", {"name": 5}),
     ("config.seeds[0]", {"seeds": [1.5]}),
     ("config.seeds", {"seeds": []}),
+    ("config.batch_size", {"batch_size": True}),
+    ("config.local_steps", {"local_steps": 1.0}),
+    ("config.eval_every", {"eval_every": "5"}),
+    ("config.aux_fraction", {"aux_fraction": "0.5"}),
+    ("config.eval_mode", {"eval_mode": 3}),
+    ("config.outdir", {"outdir": 5}),
+    ("config.topology.num_malicious", {"topology": {"num_malicious": True}}),
+    ("config.scheme.label_skew.h", {"scheme": {"label_skew": {"h": 2.5}}}),
+    ("config.scheme.dirichlet.alpha", {"scheme": {"dirichlet": {"alpha": "1"}}}),
+    ("config.dataset.synthetic.num_classes", {"dataset": {"synthetic": {"num_classes": 3.0}}}),
+    ("config.dataset.synthetic.seed", {"dataset": {"synthetic": {"seed": False}}}),
+    ("config.attack.factor", {"attack": {"kind": "sign_flip", "factor": "big"}}),
+    ("config.attack.z", {"attack": {"kind": "alie", "z": "1"}}),
 ]
 
 
@@ -158,6 +171,13 @@ MISTYPED = [
 def test_mistyped_value_is_rejected_with_its_path(path, override):
     with pytest.raises(ConfigError, match=re.escape(f"{path}: expected")):
         parse_config(minimal_doc(**override))
+
+
+@pytest.mark.parametrize("doc", [[], [minimal_doc()], "config", 3, None],
+                         ids=["empty_list", "list", "string", "number", "null"])
+def test_document_that_is_not_an_object_is_rejected(doc):
+    with pytest.raises(ConfigError, match="^config: expected an object$"):
+        parse_config(doc)
 
 
 def doc_without(key):
