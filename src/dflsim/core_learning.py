@@ -268,14 +268,20 @@ def stacked_sgd_step(
     features is (k, B, d) and labels is (k, B): row i of the result equals
     sgd_step(model_i, batch_gradient(model_i, ...), lr) on minibatch i. The
     logits come from pair_logits, each model paired with its own minibatch.
+    The gradients of all k models are written into one (k, C*d+C) buffer,
+    which then becomes the result.
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    k, size, _ = features.shape
+    k, size, d = features.shape
+    cd = num_classes * d
     ids = np.arange(k)
     delta = _softmax_rows(pair_logits(params, [(features[:, None], ids[:, None])], ids, num_classes))
-    delta[ids[:, None], np.arange(size), labels] -= 1.0
+    # The true-label entry of every (model, example) row, by flat index.
+    delta.reshape(-1)[np.arange(k * size) * num_classes + labels.reshape(-1)] -= 1.0
     delta /= size
-    grad_w = delta.transpose(0, 2, 1) @ features
-    grad_b = delta.sum(axis=1)
-    return params - lr * np.concatenate([grad_w.reshape(k, -1), grad_b], axis=1)
+    grad = np.empty((k, cd + num_classes))
+    np.matmul(delta.transpose(0, 2, 1), features, out=grad[:, :cd].reshape(k, num_classes, d))
+    np.sum(delta, axis=1, out=grad[:, cd:])
+    grad *= lr
+    return np.subtract(params, grad, out=grad)

@@ -161,13 +161,16 @@ def gen_synthetic_blobs(num_classes: int, feature_dim: int, n_per_class: int, sp
     axes = min(feature_dim, BLOB_ANCHOR_AXES)
     gen = rng.stream(seed, purpose="synthetic-blobs")
     features = np.empty((num_classes * n_per_class, feature_dim))
-    labels = np.empty(num_classes * n_per_class, dtype=np.int64)
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
     for c in range(num_classes):
         mean = np.zeros(feature_dim)
         mean[c % axes] = (1 + c // axes) * step
-        block = slice(c * n_per_class, (c + 1) * n_per_class)
-        features[block] = mean + spread * gen.standard_normal((n_per_class, feature_dim))
-        labels[block] = c
+        # The draws of mean + spread * standard_normal(shape), rounded the same
+        # way (the add still turns a -0.0 product into +0.0), made in place.
+        block = features[c * n_per_class:(c + 1) * n_per_class]
+        gen.standard_normal(out=block)
+        block *= spread
+        np.add(mean, block, out=block)
     return Dataset(features, labels, num_classes)
 
 

@@ -5,11 +5,14 @@ The package computes each CRS only as rows of a group's metric matrix
 closed neighborhood at a time, each check and reduction on that vector
 alone, and the tests compare the package's rows and messages with them by
 exact equality. predict_probs gives one model's class probabilities for one
-feature vector.
+feature vector. synthetic_blobs builds gen_synthetic_blobs's dataset one class
+block at a time, as a fresh array per class that is then copied into place.
 """
 import numpy as np
 
-from dflsim.core_learning import ParamVector, ShapeError, _logits, _softmax_rows
+from dflsim import rng
+from dflsim.core_learning import Dataset, ParamVector, ShapeError, _logits, _softmax_rows
+from dflsim.data import BLOB_ANCHOR_AXES
 from dflsim.reweight import AccClip, LossClip, MetricVector, TempSoftmax, WeightVector
 
 
@@ -76,3 +79,21 @@ def crs_oracle(crs, metrics: MetricVector) -> WeightVector:
     if isinstance(crs, TempSoftmax):
         return crs_temp_softmax(metrics, crs.temperature)
     return {LossClip: crs_loss_clip, AccClip: crs_acc_clip}[type(crs)](metrics)
+
+
+def synthetic_blobs(num_classes: int, feature_dim: int, n_per_class: int, spread: float,
+                    seed: int) -> Dataset:
+    """gen_synthetic_blobs for valid arguments, each class computed as
+    mean + spread * standard_normal and then copied into its rows."""
+    step = 4.0 * spread if spread > 0 else 1.0
+    axes = min(feature_dim, BLOB_ANCHOR_AXES)
+    gen = rng.stream(seed, purpose="synthetic-blobs")
+    features = np.empty((num_classes * n_per_class, feature_dim))
+    labels = np.empty(num_classes * n_per_class, dtype=np.int64)
+    for c in range(num_classes):
+        mean = np.zeros(feature_dim)
+        mean[c % axes] = (1 + c // axes) * step
+        block = slice(c * n_per_class, (c + 1) * n_per_class)
+        features[block] = mean + spread * gen.standard_normal((n_per_class, feature_dim))
+        labels[block] = c
+    return Dataset(features, labels, num_classes)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from dflsim.data import (
     split_auxiliary,
 )
 from dflsim.sim import _stratified_subsample
+from oracles import synthetic_blobs
 
 
 def write_idx_pair(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,
@@ -117,6 +119,31 @@ class TestSyntheticBlobs:
         for _ in range(200):
             model = sgd_step(model, batch_gradient(model, data, batch), 0.5)
         assert evaluate_accuracy(model, data) == 1.0
+
+    @pytest.mark.parametrize("args", [
+        (4, 8, 5, 0.0, 3),  # zero spread: every -0.0 product becomes +0.0 in the add
+        (12, 10, 20, 1.3, 4),  # more classes than BLOB_ANCHOR_AXES: classes share axes
+        (5, 3, 17, 1.0, 2),
+        (3, 4, 1, 0.7, 11),
+        # The bench's training sets (desk and N=50) and their shared test set.
+        (10, 64, 200, 3.5, 7),
+        (10, 64, 1000, 3.5, 7),
+        (10, 64, 100, 3.5, 8),
+    ])
+    def test_equals_reference_synthesizer(self, args):
+        data, ref = gen_synthetic_blobs(*args), synthetic_blobs(*args)
+        assert data.features.tobytes() == ref.features.tobytes()
+        assert data.labels.tobytes() == ref.labels.tobytes()
+
+    def test_peak_memory_is_the_result_and_little_more(self):
+        tracemalloc.start()
+        try:
+            data = gen_synthetic_blobs(10, 64, 1000, 3.5, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A class-sized temporary per class would add about 1 MiB here.
+        assert peak <= data.features.nbytes + data.labels.nbytes + 128 * 1024
 
     def test_replay_is_identical(self):
         a = gen_synthetic_blobs(3, 4, 10, 0.7, seed=11)

@@ -221,12 +221,16 @@ class TestStackedRoundEngine:
         config = tiny_config(batch_size=8, local_steps=2, learning_rate=0.3)
         gen = np.random.default_rng(4)
         clients, models = {}, []
-        # Train sizes below, at and above batch_size give three stacked groups.
-        for k, n in enumerate([3, 8, 8, 20, 5, 13]):
-            data = Dataset(gen.standard_normal((n, 6)), gen.integers(0, 3, n), 3)
+        # Train sizes below, at and above batch_size give three stacked groups. A
+        # one-row client gives a one-row minibatch group, and the last client's
+        # labels are all one class.
+        for k, n in enumerate([3, 8, 8, 20, 5, 13, 1, 11]):
+            features = gen.standard_normal((n, 6))
+            labels = np.full(n, 2) if k == 7 else gen.integers(0, 3, n)
+            data = Dataset(features, labels, 3)
             models.append(gen.standard_normal(21))
             clients[k] = (data, data)
-        state = manual_state(config, graph_without_edges(6), clients, np.array(models))
+        state = manual_state(config, graph_without_edges(8), clients, np.array(models))
         for t in (1, 2):
             stacked = _local_half_steps(state, t)
             for k in state.benign_ids():
