@@ -6,29 +6,46 @@ client's raw data) and the malicious node's dedicated random stream.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Union
+from typing import Literal, Union, get_args
 
 import numpy as np
 
 
+#: What a malicious node sees: every benign model, or its benign neighbors' only.
+Knowledge = Literal["omniscient", "neighborhood"]
+
+
 @dataclass(frozen=True)
-class Gaussian:
+class _AttackBase:
+    """The field every attack kind takes, beside its own: its threat model's knowledge."""
+
+    knowledge: Knowledge = field(default="omniscient", kw_only=True)
+
+    def __post_init__(self):
+        if self.knowledge not in get_args(Knowledge):
+            raise ValueError(f"knowledge: expected 'omniscient' or 'neighborhood', "
+                             f"got {self.knowledge!r}")
+
+
+@dataclass(frozen=True)
+class Gaussian(_AttackBase):
     sigma: float = 30.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
 
 @dataclass(frozen=True)
-class SignFlip:
+class SignFlip(_AttackBase):
     factor: float = -10.0
 
 
 @dataclass(frozen=True)
-class ALIE:
+class ALIE(_AttackBase):
     #: None selects the standard quantile-based z for the network size.
     z: float | None = None
     # As an infeasible baseline does, ALIE declares the fewest benign models

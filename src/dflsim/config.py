@@ -12,7 +12,7 @@ import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from functools import cache
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from .attacks import ALIE, AttackKind, Gaussian, SignFlip
 from .baselines import BaselineKind, DFedAvg, Flame, Krum, Median, MultiKrum, TrimmedMean
@@ -72,18 +72,6 @@ AggregatorSpec = Union[DFedReweightingSpec, BaselineKind]
 
 
 @dataclass(frozen=True)
-class AttackSpec:
-    kind: AttackKind
-    knowledge: str = "omniscient"  # or "neighborhood"
-
-    def __post_init__(self):
-        if self.knowledge not in ("omniscient", "neighborhood"):
-            raise ValueError(
-                f"knowledge: expected 'omniscient' or 'neighborhood', got {self.knowledge!r}"
-            )
-
-
-@dataclass(frozen=True)
 class RunConfig:
     name: str
     dataset: DatasetSource
@@ -94,7 +82,7 @@ class RunConfig:
     learning_rate: float = 0.01
     batch_size: int = 32
     local_steps: int = 1
-    attack: AttackSpec | None = None
+    attack: AttackKind | None = None
     aux_fraction: float = 0.2
     seeds: tuple[int, ...] = (43, 44, 45, 46)
     eval_every: int = 10
@@ -103,6 +91,11 @@ class RunConfig:
     outdir: str | None = None
 
     def __post_init__(self):
+        # The name is the run's subdirectory of outdir, so it must stay inside it: an
+        # empty name or an absolute one has an empty first component.
+        if {"", ".", ".."} & set(self.name.split("/")):
+            raise ConfigError(f"name must be a relative path whose components are not empty, "
+                              f"'.' or '..', got {self.name!r}")
         if self.rounds < 0:
             raise ConfigError("rounds must be nonnegative")
         if self.learning_rate <= 0:
@@ -122,9 +115,11 @@ class RunConfig:
             raise ConfigError("eval_every must be positive")
         if self.eval_mode not in ("local", "global", "auto"):
             raise ConfigError("eval_mode must be 'local', 'global', or 'auto'")
-        if (self.resolved_eval_mode() == "global" and isinstance(self.dataset, IdxSpec)
-                and self.dataset.test_images is None):
-            raise ConfigError("global evaluation requires a test dataset (idx test paths)")
+        if self.resolved_eval_mode() == "global":
+            if isinstance(self.dataset, IdxSpec) and self.dataset.test_images is None:
+                raise ConfigError("global evaluation requires a test dataset (idx test paths)")
+            if isinstance(self.dataset, SyntheticSpec) and self.dataset.test_n_per_class < 1:
+                raise ConfigError("global evaluation requires a positive test_n_per_class")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
     def resolved_eval_mode(self) -> str:
@@ -139,7 +134,7 @@ class SweepGrid:
     """A `dflsim sweep` grid: each list given replaces that part of the base config."""
 
     temperature: tuple[float, ...] | None = None
-    attack: tuple[AttackSpec | None, ...] | None = None
+    attack: tuple[AttackKind | None, ...] | None = None
 
 
 DATASETS = {"synthetic": SyntheticSpec, "idx": IdxSpec}
@@ -165,8 +160,9 @@ def _fields(cls) -> tuple:
 
 
 def _non_null(t):
-    """X for an `X | None` annotation, else t itself."""
-    return next(a for a in get_args(t) if a is not type(None)) if type(None) in get_args(t) else t
+    """X for an `X | None` annotation (X may itself be a union), else t itself."""
+    args = get_args(t)
+    return Union[tuple(a for a in args if a is not type(None))] if type(None) in args else t
 
 
 def _bare(entry) -> bool:
@@ -212,6 +208,8 @@ def _decode(t, obj, path: str):
         if not (isinstance(obj, (list, tuple)) and obj):
             raise ConfigError(f"{path}: expected a nonempty list, got {obj!r}")
         return tuple(_decode(get_args(t)[0], x, f"{path}[{i}]") for i, x in enumerate(obj))
+    elif get_origin(t) is Literal:
+        ok, want = obj in get_args(t), " or ".join(map(repr, get_args(t)))
     elif isinstance(t, type) and issubclass(t, Enum):
         values = [m.value for m in t]
         ok, want = obj in values, " or ".join(map(repr, values))
@@ -278,31 +276,13 @@ class _Kinded:
         return {"kind": name, **_encode(type(value), value)}
 
 
-class _Attack(_Kinded):
-    """An attack is kinded, with AttackSpec's `knowledge` beside the attack's own fields."""
-
-    def decode(self, obj, path: str) -> AttackSpec:
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{path}: expected null or an object with a 'kind' key")
-        body = dict(obj)
-        knowledge = body.pop("knowledge", "omniscient")
-        kind = super().decode(body, path)
-        try:
-            return AttackSpec(kind, knowledge)
-        except ValueError as exc:  # AttackSpec names the field: "knowledge: expected ..."
-            raise ConfigError(f"{path}.{exc}") from exc
-
-    def encode(self, spec: AttackSpec):
-        return {**super().encode(spec.kind), "knowledge": spec.knowledge}
-
-
 _FAMILIES = {
     DatasetSource: _Named(DATASETS),
     HeterogeneityScheme: _Named(SCHEMES),
     CRSKind: _Named(CRSS),
     BaselineKind: _Kinded(BASELINES),
     AggregatorSpec: _Named({"dfed_reweighting": DFedReweightingSpec, "baseline": BaselineKind}),
-    AttackSpec: _Attack(ATTACKS),
+    AttackKind: _Kinded(ATTACKS),
 }
 
 
@@ -327,7 +307,7 @@ def parse_sweep(doc) -> tuple[RunConfig, ...]:
             axes.append([(f"T{t!r}", "aggregator", replace(agg, crs=TempSoftmax(t)))
                          for t in grid.temperature])
         if grid.attack is not None:
-            axes.append([("noattack" if a is None else f"attack-{_encode(AttackSpec, a)['kind']}",
+            axes.append([("noattack" if a is None else f"attack-{_encode(AttackKind, a)['kind']}",
                           "attack", a) for a in grid.attack])
         for point in itertools.product(*axes):
             name = "-".join([base.name] + [suffix for suffix, _, _ in point])

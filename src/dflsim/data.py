@@ -119,7 +119,8 @@ def _parse_idx(buf: bytes, path: str, magic: int, what: str) -> np.ndarray:
 def load_idx(images_path: str, labels_path: str, num_classes: int | None = None) -> Dataset:
     """Parse a big-endian IDX image/label file pair into a Dataset.
 
-    Pixels are scaled into [0, 1]. Image and label counts must match.
+    Pixels are scaled into [0, 1]. Image and label counts must match, and
+    given num_classes, every label must lie below it.
     """
     with open(images_path, "rb") as f:
         img_buf = f.read()
@@ -135,6 +136,10 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
     features = images.reshape(count, rows * cols).astype(np.float64) / 255.0
     if num_classes is None:
         num_classes = int(labels.max()) + 1
+    elif labels.max() >= num_classes:
+        i = int(np.argmax(labels >= num_classes))  # the payload follows an 8-byte header
+        raise FormatError(f"{labels_path}: label {labels[i]} at byte {8 + i}, "
+                          f"want one of the {num_classes} classes [0, {num_classes})")
     return Dataset(features, labels, num_classes)
 
 

@@ -195,7 +195,7 @@ def check_neighborhoods(config: RunConfig, seed: int, graph: TopologyGraph) -> N
     if attack:
         malicious = range(b, graph.n)
         seen = {m: len(_visible_benign(graph, attack.knowledge, m)) for m in malicious}
-        checks.append((attack.kind, malicious, seen, "malicious node {} sees {} benign models"))
+        checks.append((attack, malicious, seen, "malicious node {} sees {} benign models"))
     for spec, nodes, counts, what in checks:
         for node in nodes:
             if hasattr(spec, "rule") and counts[node] < spec.fewest:
@@ -291,7 +291,7 @@ def _attack_payload(state: NetworkState, node_id: int, broadcast: np.ndarray, t:
         num_nodes=state.graph.n,
         num_malicious=len(state.graph.malicious),
     )
-    return _ATTACKS[type(attack.kind)](attack.kind, view, (state.seed, node_id, t))
+    return _ATTACKS[type(attack)](attack, view, (state.seed, node_id, t))
 
 
 # Rows take (baseline spec, the (g, k, C*d+C) rows of a group's closed

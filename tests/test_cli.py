@@ -226,8 +226,9 @@ class TestValidate:
         if command == "run":
             args += ["--outdir", str(tmp_path / "out"), "--quiet"]
         assert cli_main(args) == 1
-        assert ("seed 44: malicious node 9 sees 0 benign models, but ALIE(z=None) needs the mean "
-                "and std of its visible benign models (at least 2)") in capsys.readouterr().err
+        assert ("seed 44: malicious node 9 sees 0 benign models, but ALIE(knowledge='neighborhood', "
+                "z=None) needs the mean and std of its visible benign models (at least 2)"
+                ) in capsys.readouterr().err
         if command == "run":
             # Seed 44 is rejected before its round 1; seed 45 ran as it runs alone.
             run_dir = tmp_path / "out" / "alie-sparse"

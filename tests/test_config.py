@@ -1,12 +1,12 @@
 import json
 import re
 from dataclasses import MISSING, fields, replace
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
-from dflsim.attacks import ALIE, Gaussian, SignFlip
+from dflsim.attacks import ALIE, Gaussian, Knowledge, SignFlip
 from dflsim.baselines import Flame, Krum, MultiKrum, TrimmedMean
 from dflsim.config import (
     ATTACKS,
@@ -14,12 +14,12 @@ from dflsim.config import (
     CRSS,
     DATASETS,
     SCHEMES,
-    AttackSpec,
     ConfigError,
     DFedReweightingSpec,
     SweepGrid,
     _build,
     _encode,
+    _non_null,
     config_to_json_dict,
     parse_config,
     parse_sweep,
@@ -64,10 +64,10 @@ class TestDefaults:
         assert SignFlip().factor == -10.0
         assert ALIE().z is None
         gaussian = parse_config(minimal_doc(attack={"kind": "gaussian"}))
-        assert gaussian.attack.kind == Gaussian(30.0)
+        assert gaussian.attack == Gaussian(30.0)
         assert gaussian.attack.knowledge == "omniscient"
         flip = parse_config(minimal_doc(attack={"kind": "sign_flip"}))
-        assert flip.attack.kind == SignFlip(-10.0)
+        assert flip.attack == SignFlip(-10.0)
 
     def test_baseline_defaults(self):
         assert Krum().f == 2
@@ -199,10 +199,26 @@ REJECTED = [
     ("eval_every", parse_config, minimal_doc(eval_every=0), "config: eval_every must be positive"),
     ("eval_mode", parse_config, minimal_doc(eval_mode="both"),
      "config: eval_mode must be 'local', 'global', or 'auto'"),
+    ("name_empty", parse_config, minimal_doc(name=""),
+     "config: name must be a relative path whose components are not empty, '.' or '..', "
+     "got ''"),
+    ("name_parent", parse_config, minimal_doc(name="../escape"),
+     "config: name must be a relative path whose components are not empty, '.' or '..', "
+     "got '../escape'"),
+    ("name_absolute", parse_config, minimal_doc(name="/tmp/abs-escape"),
+     "config: name must be a relative path whose components are not empty, '.' or '..', "
+     "got '/tmp/abs-escape'"),
+    ("name_dot", parse_config, minimal_doc(name="a/./b"),
+     "config: name must be a relative path whose components are not empty, '.' or '..', "
+     "got 'a/./b'"),
+    ("test_n_per_class", parse_config,
+     minimal_doc(dataset={"synthetic": {"test_n_per_class": 0}}, eval_mode="global"),
+     "config: global evaluation requires a positive test_n_per_class"),
     ("missing_key", parse_config, doc_without("scheme"),
      "config: missing required key(s) ['scheme']"),
     ("attack_not_an_object", parse_config, minimal_doc(attack="sign_flip"),
-     "config.attack: expected null or an object with a 'kind' key"),
+     "config.attack: expected an object whose 'kind' is one of ['alie', 'gaussian', "
+     "'sign_flip'], got 'sign_flip'"),
     ("attack_knowledge", parse_config,
      minimal_doc(attack={"kind": "sign_flip", "knowledge": "neigborhood"}),
      "config.attack.knowledge: expected 'omniscient' or 'neighborhood', got 'neigborhood'"),
@@ -231,11 +247,13 @@ def test_empty_seeds_are_rejected_when_replaced():
         replace(parse_config(minimal_doc()), seeds=())
 
 
-def test_attack_spec_rejects_unknown_knowledge():
-    assert AttackSpec(SignFlip(), "neighborhood").knowledge == "neighborhood"
+@pytest.mark.parametrize("kind", ATTACKS.values(), ids=ATTACKS.keys())
+def test_every_attack_kind_rejects_unknown_knowledge(kind):
+    assert kind().knowledge == "omniscient"
+    assert kind(knowledge="neighborhood").knowledge == "neighborhood"
     with pytest.raises(ValueError, match=re.escape(
             "knowledge: expected 'omniscient' or 'neighborhood', got 'neigborhood'")):
-        AttackSpec(SignFlip(), "neigborhood")
+        kind(knowledge="neigborhood")
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
@@ -275,16 +293,23 @@ class TestParseTimeChecks:
         idx.update(test_images="t10k-images", test_labels="t10k-labels")
         parse_config(minimal_doc(dataset={"idx": idx}, **override))
 
+    def test_local_eval_takes_any_test_n_per_class(self):
+        # Local evaluation never builds the synthetic test set.
+        synthetic = {"synthetic": {"test_n_per_class": 0}}
+        assert parse_config(minimal_doc(dataset=synthetic)).resolved_eval_mode() == "local"
 
-_SAMPLE = {int: 3, float: 0.5, str: "x", bool: False}
+    def test_nested_relative_name_is_allowed(self):
+        assert parse_config(minimal_doc(name="a/b")).name == "a/b"
+
+
+_SAMPLE = {int: 3, float: 0.5, str: "x", bool: False, Knowledge: "neighborhood"}
 
 
 def sample_spec(cls, fill):
     """A cls whose required (fill="required") or all (fill="all") fields take sample values."""
     hints = get_type_hints(cls)
     return cls(**{
-        f.name: _SAMPLE[next((a for a in get_args(hints[f.name]) if a is not type(None)),
-                             hints[f.name])]
+        f.name: _SAMPLE[_non_null(hints[f.name])]
         for f in fields(cls) if fill == "all" or f.default is MISSING
     })
 
@@ -297,8 +322,7 @@ FAMILIES = {
         TargetMetricKind.LOSS_ON_AUX if isinstance(spec, LossClip) else
         TargetMetricKind.ACCURACY_ON_AUX, spec))),
     "baseline": (BASELINES, lambda config, spec: replace(config, aggregator=spec)),
-    "attack": (ATTACKS, lambda config, spec: replace(
-        config, attack=AttackSpec(spec, "neighborhood"))),
+    "attack": (ATTACKS, lambda config, spec: replace(config, attack=spec)),
 }
 
 
@@ -344,7 +368,7 @@ def test_sweep_runs_are_named_temperature_outer_attack_inner():
         "grid-T0.5-noattack", "grid-T0.5-attack-sign_flip",
         "grid-T2.0-noattack", "grid-T2.0-attack-sign_flip"]
     assert [run.aggregator.crs.temperature for run in runs] == [0.5, 0.5, 2.0, 2.0]
-    assert [run.attack for run in runs] == [None, AttackSpec(SignFlip())] * 2
+    assert [run.attack for run in runs] == [None, SignFlip()] * 2
     assert parse_sweep({"base": base, "grid": {}}) == (parse_config(base),)
 
 
@@ -356,7 +380,7 @@ def test_sweep_grid_must_be_an_object():
 def test_null_tuple_element_decodes_and_echoes():
     doc = {"attack": [None, {"kind": "sign_flip", "factor": -2.0, "knowledge": "neighborhood"}]}
     grid = _build(SweepGrid, doc, "grid")
-    assert grid == SweepGrid(attack=(None, AttackSpec(SignFlip(-2.0), "neighborhood")))
+    assert grid == SweepGrid(attack=(None, SignFlip(-2.0, knowledge="neighborhood")))
     assert _encode(SweepGrid, grid) == {"temperature": None, "attack": [
         None, {"kind": "sign_flip", "factor": -2.0, "knowledge": "neighborhood"}]}
 

@@ -98,6 +98,15 @@ class TestLoadIdx:
             load_idx(img, lab)
         assert str(excinfo.value) == message.format(images=img, labels=lab)
 
+    def test_label_outside_num_classes_names_its_file(self, tmp_path):
+        # A test set read against a 3-class training set: label 3, the third, is the first
+        # out of range, and a label file's payload starts after its 8-byte header.
+        img, lab = write_idx_pair(tmp_path, np.zeros((4, 2, 2)), [0, 2, 3, 4])
+        with pytest.raises(FormatError) as excinfo:
+            load_idx(img, lab, num_classes=3)
+        assert str(excinfo.value) == f"{lab}: label 3 at byte 10, want one of the 3 classes [0, 3)"
+        assert load_idx(img, lab, num_classes=5).num_classes == 5
+
     def test_empty_pair_names_its_image_file(self, tmp_path):
         # Without num_classes the class count would be taken from the max of no labels.
         img, lab = write_idx_pair(tmp_path, np.zeros((0, 2, 3)), [])

@@ -12,7 +12,7 @@ import pytest
 
 from dflsim import rng
 from dflsim.baselines import dfedavg, flame_weighted, krum, median_agg, multi_krum, trimmed_mean
-from dflsim.config import (ATTACKS, BASELINES, CRSS, SCHEMES, AttackSpec, ConfigError,
+from dflsim.config import (ATTACKS, BASELINES, CRSS, SCHEMES, ConfigError,
                            DFedReweightingSpec, config_to_json_dict, parse_config)
 from dflsim.core_learning import (
     Dataset,
@@ -731,7 +731,7 @@ _REQUIRED = {"dirichlet": {"alpha": 1.0}, "label_skew": {"h": 2}, "temp_softmax"
 _KINDS = {
     "scheme": (SCHEMES, lambda config, spec: replace(config, scheme=spec)),
     "baseline": (BASELINES, lambda config, spec: replace(config, aggregator=spec)),
-    "attack": (ATTACKS, lambda config, spec: replace(config, attack=AttackSpec(spec))),
+    "attack": (ATTACKS, lambda config, spec: replace(config, attack=spec)),
     "crs": (CRSS, lambda config, spec: replace(config, aggregator=DFedReweightingSpec(
         TargetMetricKind.LOSS_ON_AUX if isinstance(spec, LossClip) else
         TargetMetricKind.ACCURACY_ON_AUX, spec))),
@@ -855,7 +855,8 @@ class TestAttackDispatch:
         np.testing.assert_array_equal(payload, -10.0 * np.arange(21.0))
 
     @pytest.mark.parametrize("knowledge, failure", [
-        ("neighborhood", "seed 43: malicious node 4 sees 1 benign models, but ALIE(z=None) "
+        ("neighborhood", "seed 43: malicious node 4 sees 1 benign models, but "
+                         "ALIE(knowledge='neighborhood', z=None) "
                          "needs the mean and std of its visible benign models (at least 2)"),
         ("omniscient", None),
     ], ids=["neighborhood", "omniscient"])
