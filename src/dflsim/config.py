@@ -16,7 +16,8 @@ from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from .attacks import ALIE, AttackKind, Gaussian, SignFlip
 from .baselines import BaselineKind, DFedAvg, Flame, Krum, Median, MultiKrum, TrimmedMean
-from .data import IID, Dirichlet, HeterogeneityScheme, LabelSkew
+from .data import (IID, Dirichlet, HeterogeneityScheme, LabelSkew, check_blobs, check_iid,
+                   check_label_skew)
 from .reweight import AccClip, CRSKind, LossClip, TargetMetricKind, TempSoftmax
 from .topology import TopologyShape
 
@@ -33,6 +34,10 @@ class SyntheticSpec:
     spread: float = 1.0
     seed: int = 7
     test_n_per_class: int = 100
+
+    def __post_init__(self):
+        # At parse time, so that a failure names its JSON path rather than a seed.
+        check_blobs(self.num_classes, self.feature_dim, self.n_per_class, self.spread)
 
 
 @dataclass(frozen=True)
@@ -120,6 +125,16 @@ class RunConfig:
                 raise ConfigError("global evaluation requires a test dataset (idx test paths)")
             if isinstance(self.dataset, SyntheticSpec) and self.dataset.test_n_per_class < 1:
                 raise ConfigError("global evaluation requires a positive test_n_per_class")
+        # The partitioners' rules that a synthetic dataset's class sizes decide. The
+        # classes of an IDX file are known once it is read, so set-up checks those.
+        ds, scheme, b = self.dataset, self.scheme, self.topology.num_benign
+        try:
+            if isinstance(ds, SyntheticSpec) and isinstance(scheme, LabelSkew):
+                check_label_skew(ds.num_classes, b, scheme.h)
+            if isinstance(ds, SyntheticSpec) and isinstance(scheme, IID):
+                check_iid([ds.n_per_class] * ds.num_classes, b)
+        except ValueError as e:
+            raise ConfigError(f"scheme on dataset.synthetic with topology.num_benign={b}: {e}") from None
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
     def resolved_eval_mode(self) -> str:

@@ -143,6 +143,18 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
     return Dataset(features, labels, num_classes)
 
 
+def check_blobs(num_classes: int, feature_dim: int, n_per_class: int, spread: float) -> None:
+    """Raise ValueError unless gen_synthetic_blobs can make blobs of this shape."""
+    if num_classes < 2:
+        raise ValueError("need at least 2 classes")
+    if feature_dim < 1:
+        raise ValueError("feature_dim must be positive")
+    if n_per_class < 1:
+        raise ValueError("n_per_class must be positive")
+    if spread < 0:
+        raise ValueError("spread must be nonnegative")
+
+
 def gen_synthetic_blobs(num_classes: int, feature_dim: int, n_per_class: int, spread: float,
                         seed: int) -> Dataset:
     """Isotropic Gaussian blobs around fixed per-class means.
@@ -154,14 +166,7 @@ def gen_synthetic_blobs(num_classes: int, feature_dim: int, n_per_class: int, sp
     instances from being trivially separable per axis. A unit magnitude step
     keeps the means distinct in the zero-spread degenerate case.
     """
-    if num_classes < 2:
-        raise ValueError("need at least 2 classes")
-    if feature_dim < 1:
-        raise ValueError("feature_dim must be positive")
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be positive")
-    if spread < 0:
-        raise ValueError("spread must be nonnegative")
+    check_blobs(num_classes, feature_dim, n_per_class, spread)
     step = 4.0 * spread if spread > 0 else 1.0
     axes = min(feature_dim, BLOB_ANCHOR_AXES)
     gen = rng.stream(seed, purpose="synthetic-blobs")
@@ -203,17 +208,34 @@ def _deal(dealt: list, clients, perm: np.ndarray, counts) -> None:
         start += n
 
 
-def partition_iid(data: Dataset, num_clients: int, seed: int) -> PartitionPlan:
-    """Equal per-class shards for every client; per-class remainders are dropped."""
+def check_iid(class_sizes, num_clients: int) -> None:
+    """Raise unless every class has an example for each of num_clients IID clients."""
     if num_clients < 1:
         raise ValueError("num_clients must be positive")
+    for c, size in enumerate(class_sizes):
+        if size < num_clients:
+            raise PartitionError(f"class {c} has {size} examples, fewer than {num_clients} clients")
+
+
+def check_label_skew(num_classes: int, num_clients: int, h: int) -> None:
+    """Raise unless num_clients clients holding h classes each can cover num_classes."""
+    if h > num_classes:
+        raise ValueError(f"h={h} exceeds the number of classes {num_classes}")
+    if num_clients < 1:
+        raise ValueError("num_clients must be positive")
+    if num_clients * h < num_classes:
+        raise PartitionError(
+            f"{num_clients} clients x h={h} slots cannot cover all {num_classes} classes"
+        )
+
+
+def partition_iid(data: Dataset, num_clients: int, seed: int) -> PartitionPlan:
+    """Equal per-class shards for every client; per-class remainders are dropped."""
+    classes = _class_index_lists(data)
+    check_iid([len(idx) for idx in classes], num_clients)
     gen = rng.stream(seed, purpose="partition-iid")
     dealt = [[] for _ in range(num_clients)]
-    for c, idx in enumerate(_class_index_lists(data)):
-        if len(idx) < num_clients:
-            raise PartitionError(
-                f"class {c} has {len(idx)} examples, fewer than {num_clients} clients"
-            )
+    for idx in classes:
         per = len(idx) // num_clients
         _deal(dealt, range(num_clients), gen.permutation(idx), [per] * num_clients)
     return PartitionPlan(tuple(np.sort(np.concatenate(d)) for d in dealt))
@@ -227,15 +249,8 @@ def partition_label_skew(data: Dataset, num_clients: int, h: int, seed: int) -> 
     times; a class's examples are then split equally among its holders.
     """
     C = data.num_classes
-    if h > C:
-        raise ValueError(f"h={h} exceeds the number of classes {C}")
-    if num_clients < 1:
-        raise ValueError("num_clients must be positive")
+    check_label_skew(C, num_clients, h)
     total = num_clients * h
-    if total < C:
-        raise PartitionError(
-            f"{num_clients} clients x h={h} slots cannot cover all {C} classes"
-        )
     gen = rng.stream(seed, purpose="partition-label-skew")
     base, extra = divmod(total, C)
     class_order = gen.permutation(C)

@@ -129,11 +129,9 @@ class StepGroup:
 
 @dataclass(frozen=True)
 class RoundPlan:
-    """The benign ids, closed neighborhoods, aggregation groups, scoring blocks
-    and step groups of one network."""
+    """The closed neighborhoods, aggregation groups, scoring blocks and step
+    groups of one network."""
 
-    # 0..B-1: a graph numbers its benign nodes first
-    benign: list
     # (B, N) bool: row k marks benign client k's closed neighborhood
     closed: np.ndarray
     # ordered by aux size, then closed-neighborhood size
@@ -166,12 +164,11 @@ def plan_rounds(state, scores_pairs: bool) -> RoundPlan:
     """The round plan of a sim.NetworkState, from its graph and its clients' data;
     with its scoring pairs and blocks only if scores_pairs."""
     graph, clients, train = state.graph, state.clients, state.train_data
-    benign = list(range(len(graph.benign)))
-    closed = (graph.adjacency | np.eye(graph.n, dtype=bool))[:len(benign)]
+    closed = (graph.adjacency | np.eye(graph.n, dtype=bool))[:graph.num_benign]
     closed.setflags(write=False)
-    counts = closed.sum(axis=1)
+    keys = [(len(client.aux), size) for client, size in zip(clients, closed.sum(axis=1))]
     groups = []
-    for _, nodes in sorted(_nodes_by([(len(clients[k].aux), counts[k]) for k in benign]).items()):
+    for _, nodes in sorted(_nodes_by(keys).items()):
         # Every row of closed[nodes] holds k members, so its column ids split into rows of k.
         members = np.nonzero(closed[nodes])[1].reshape(len(nodes), -1)
         own = np.argmax(members == nodes[:, None], axis=1)
@@ -188,15 +185,15 @@ def plan_rounds(state, scores_pairs: bool) -> RoundPlan:
         layout = RowLayout.of([k for group in groups for k in [group.members.shape[1]] * len(group.nodes)])
         blocks = _blocks(groups, train.num_classes)
 
-    lengths = [len(clients[k].train) for k in benign]
+    lengths = [len(client.train) for client in clients]
     starts = np.cumsum([0] + lengths[:-1])
     steps = []
     sizes = [min(state.config.batch_size, n) for n in lengths]
     for size, nodes in _nodes_by(sizes).items():
         steps.append(StepGroup(nodes, [lengths[k] for k in nodes], starts[nodes, None], size,
                                RoundStreams(state.seed, nodes, "minibatch")))
-    return RoundPlan(benign, closed, tuple(groups), pair_clients, pair_members, blocks, layout,
-                     tuple(steps), np.concatenate([clients[k].train for k in benign]))
+    return RoundPlan(closed, tuple(groups), pair_clients, pair_members, blocks, layout,
+                     tuple(steps), np.concatenate([client.train for client in clients]))
 
 
 def _blocks(groups: list, num_classes: int) -> tuple:

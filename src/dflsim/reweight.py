@@ -352,7 +352,7 @@ def reweight_round(
     finite = np.isfinite(values)
     metrics = values if finite.all() else np.where(finite, values, SENTINEL)
     weights, failed = _group_weights(crs, metrics, plan.layout)
-    matrix = np.zeros((len(plan.benign), len(broadcast)))
+    matrix = np.zeros(plan.closed.shape)
     matrix[plan.pair_clients, plan.pair_members] = weights
     clients = plan.pair_clients[plan.layout.starts]
     failed = {int(clients[i]): ValueError(message) for i, message in failed.items()}

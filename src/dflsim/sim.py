@@ -81,8 +81,8 @@ class SimulationError(RuntimeError):
 class NetworkState:
     """One seed's mutable world: graph, benign clients' data, and models (row i: node i).
 
-    clients maps each benign node to its ClientState, whose index arrays are
-    rows of train_data; malicious nodes hold no data. test_data is the
+    clients[k] is benign client k's ClientState, whose index arrays are rows
+    of train_data; malicious nodes hold no data. test_data is the
     held-out test set under global evaluation and None under local
     evaluation, which scores on the clients' aux sets. round_plan is built
     from the graph and the clients' data at the first round that needs it,
@@ -92,7 +92,7 @@ class NetworkState:
     config: RunConfig
     seed: int
     graph: TopologyGraph
-    clients: dict
+    clients: tuple
     models: np.ndarray
     train_data: Dataset
     test_data: Dataset | None
@@ -107,10 +107,10 @@ class NetworkState:
         return self.round_plan
 
     def benign_ids(self) -> list:
-        return list(range(len(self.graph.benign)))
+        return list(self.graph.benign)
 
     def malicious_ids(self) -> list:
-        return list(range(len(self.graph.benign), self.graph.n))
+        return list(self.graph.malicious)
 
 
 def build_dataset(config: RunConfig) -> tuple:
@@ -163,24 +163,22 @@ _PARTITIONS = {
 def build_network(config: RunConfig, seed: int) -> NetworkState:
     """Topology, partition, aux split, and zero-initialized models.
 
-    Each benign client holds the ClientState split_auxiliary made for it: rows
-    of the training set, not a copy of its examples.
+    Benign client k holds the k-th ClientState split_auxiliary made: rows of
+    the training set, not a copy of its examples.
     """
     train, test = build_dataset(config)
     graph = generate(config.topology, seed)
     plan = _PARTITIONS[type(config.scheme)](train, config.topology.num_benign, config.scheme, seed)
-    split = split_auxiliary(train, plan, config.aux_fraction, seed)
-    clients = dict(enumerate(split))
+    clients = split_auxiliary(train, plan, config.aux_fraction, seed)
     models = np.zeros((graph.n, train.num_classes * train.feature_dim + train.num_classes))
     return NetworkState(config, seed, graph, clients, models, train, test)
 
 
 def _visible_benign(graph: TopologyGraph, knowledge: str, node: int) -> np.ndarray:
     """The benign ids node sees, ascending: all, or its neighbors under "neighborhood" knowledge."""
-    benign = np.arange(len(graph.benign))
     if knowledge == "neighborhood":
-        return benign[graph.adjacency[node, benign]]
-    return benign
+        return np.flatnonzero(graph.adjacency[node, :graph.num_benign])
+    return np.arange(graph.num_benign)
 
 
 def check_neighborhoods(config: RunConfig, seed: int, graph: TopologyGraph) -> None:
@@ -189,13 +187,12 @@ def check_neighborhoods(config: RunConfig, seed: int, graph: TopologyGraph) -> N
     graph, or the configured attack cannot be made from the benign models
     some malicious node sees. A kind that cannot work on every graph declares
     the fewest models it needs and its rule; the lowest node that fails is named."""
-    b, attack = len(graph.benign), config.attack
-    checks = [(config.aggregator, range(b), graph.adjacency.sum(axis=1) + 1,
+    attack = config.attack
+    checks = [(config.aggregator, graph.benign, graph.adjacency.sum(axis=1) + 1,
                "node {} has a closed neighborhood of {} models")]
     if attack:
-        malicious = range(b, graph.n)
-        seen = {m: len(_visible_benign(graph, attack.knowledge, m)) for m in malicious}
-        checks.append((attack, malicious, seen, "malicious node {} sees {} benign models"))
+        seen = {m: len(_visible_benign(graph, attack.knowledge, m)) for m in graph.malicious}
+        checks.append((attack, graph.malicious, seen, "malicious node {} sees {} benign models"))
     for spec, nodes, counts, what in checks:
         for node in nodes:
             if hasattr(spec, "rule") and counts[node] < spec.fewest:
@@ -229,7 +226,7 @@ def _local_half_steps(state: NetworkState, t: int) -> np.ndarray:
     index, bit-identical to batch_gradient + sgd_step per client.
     """
     config, plan, data = state.config, state.plan(), state.train_data
-    params = state.models[plan.benign]
+    params = state.models[:state.graph.num_benign].copy()
     for step in plan.steps:
         gens = step.streams.generators(t)
         models = params[step.nodes]
@@ -319,7 +316,7 @@ def _baseline_round(state: NetworkState, broadcast: np.ndarray) -> tuple:
     empty, and a group that fails records its lowest node.
     """
     agg, plan = state.config.aggregator, state.plan()
-    rows, failures = np.zeros((len(plan.benign), broadcast.shape[1])), {}
+    rows, failures = np.zeros((state.graph.num_benign, broadcast.shape[1])), {}
     for group in plan.groups:
         try:
             rows[group.nodes] = _BASELINES[type(agg)](agg, broadcast[group.members], group.own)
@@ -346,8 +343,8 @@ def _aggregate_each(state: NetworkState, broadcast: np.ndarray) -> tuple:
     Returns (rows, weights, failures) as reweight_round does.
     """
     plan = state.plan()
-    rows, matrix = np.zeros((len(plan.benign), broadcast.shape[1])), np.zeros(plan.closed.shape)
-    for k in plan.benign:
+    rows, matrix = np.zeros((len(plan.closed), broadcast.shape[1])), np.zeros(plan.closed.shape)
+    for k in state.graph.benign:
         members = np.flatnonzero(plan.closed[k])
         try:
             rows[k], matrix[k, members] = _aggregate_one(state, k, members, broadcast)
@@ -376,13 +373,12 @@ def run_round(state: NetworkState, t: int) -> NetworkState:
     The first client, in node id order, whose aggregation fails or is
     non-finite is named in the SimulationError raised, with its weights if any.
     """
-    plan = state.plan()
-    benign = plan.benign
+    plan, b = state.plan(), state.graph.num_benign
     broadcast = state.models.copy()
     if (batch_gradient, sgd_step) == _STOCK_LOCAL_STEP:
-        broadcast[benign] = _local_half_steps(state, t)
+        broadcast[:b] = _local_half_steps(state, t)
     else:
-        broadcast[benign] = [_local_half_step(state, k, t).values for k in benign]
+        broadcast[:b] = [_local_half_step(state, k, t).values for k in range(b)]
     if state.config.attack:
         for m in state.malicious_ids():
             try:
@@ -398,7 +394,7 @@ def run_round(state: NetworkState, t: int) -> NetworkState:
                                                  state.train_data.num_classes)
     else:
         rows, weights, failures = _aggregate_each(state, broadcast)
-    for node_id, finite in zip(benign, np.isfinite(rows).all(axis=1)):
+    for node_id, finite in enumerate(np.isfinite(rows).all(axis=1)):
         if node_id in failures:
             raise _node_failure(state, t, node_id, failures[node_id]) from failures[node_id]
         if not finite:
@@ -406,7 +402,7 @@ def run_round(state: NetworkState, t: int) -> NetworkState:
             raise SimulationError(
                 f"non-finite aggregate for client {node_id} at round {t} (seed {state.seed}){shown}"
             )
-    state.models[benign] = rows
+    state.models[:b] = rows
     state.last_weights = weights
     return state
 
@@ -423,14 +419,14 @@ def evaluate_network(state: NetworkState) -> tuple:
     logits are computed once: accuracy reads them, then the loss overwrites
     them. Every value equals evaluate_accuracy / evaluate_mean_loss of that model.
     """
-    plan, num_classes = state.plan(), state.train_data.num_classes
+    plan, num_classes, b = state.plan(), state.train_data.num_classes, state.graph.num_benign
     if state.config.resolved_eval_mode() == "global":
-        test, benign = state.test_data, np.asarray(plan.benign)
+        test, benign = state.test_data, np.arange(b)
         blocks = [(benign[None], test.features[None, None],
                    np.broadcast_to(test.labels, (len(benign), len(test))))]
     else:
         blocks = [(group.nodes[:, None], group.aux_features, group.aux_labels) for group in plan.groups]
-    accs, losses = np.zeros(len(plan.benign)), np.zeros(len(plan.benign))
+    accs, losses = np.zeros(b), np.zeros(b)
     for ids, features, labels in blocks:
         nodes = ids.reshape(-1)
         logits = pair_logits(state.models, [(features, ids)], nodes, num_classes)

@@ -2,12 +2,11 @@
 
 Generation is rejection sampling: graphs are redrawn until the subgraph induced
 by the benign nodes is connected, which preserves the conditional Erdos-Renyi
-edge distribution. Node ids 0..num_benign-1 are benign, the rest malicious;
-TopologyGraph rejects any other numbering.
+edge distribution. A graph is its adjacency and its benign count: node ids
+0..num_benign-1 are benign, the rest malicious.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,56 +40,50 @@ class TopologyShape:
 
 @dataclass(frozen=True)
 class TopologyGraph:
-    """Undirected graph over disjoint benign/malicious node sets.
+    """Undirected graph over n nodes, of which the lowest num_benign are benign.
 
-    Benign nodes take the lowest ids, 0..num_benign-1, and malicious nodes
-    the rest, so a benign client's node id is also its row among the benign
-    clients. Structural invariants (symmetry, empty diagonal, the
-    benign/malicious partition, benign ids first, and |benign| >= 2) are
-    enforced here; benign-subgraph connectivity is enforced by generate() and
-    queryable via is_benign_connected().
+    Benign nodes are 0..num_benign-1 and malicious nodes the rest, so a
+    benign client's node id is also its row among the benign clients. The
+    adjacency must be square, symmetric and with an empty diagonal, and
+    2 <= num_benign <= n; benign-subgraph connectivity is enforced by
+    generate() and queryable via is_benign_connected().
     """
 
-    n: int
     adjacency: np.ndarray
-    benign: frozenset
-    malicious: frozenset
+    num_benign: int
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=bool).copy()
-        if adj.shape != (self.n, self.n):
-            raise ValueError(f"adjacency must be {self.n}x{self.n}")
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {adj.shape}")
         if np.any(np.diag(adj)):
             raise ValueError("self-loops are not allowed")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency must be symmetric")
-        benign = frozenset(int(i) for i in self.benign)
-        malicious = frozenset(int(i) for i in self.malicious)
-        if benign & malicious:
-            raise ValueError("benign and malicious sets must be disjoint")
-        if benign | malicious != set(range(self.n)):
-            raise ValueError("benign and malicious sets must cover all node ids")
-        if len(benign) < 2:
-            raise ValueError("at least 2 benign nodes are required")
-        if benign != set(range(len(benign))):
-            raise ValueError("benign nodes must be 0..num_benign-1, the lowest ids")
+        if not 2 <= self.num_benign <= len(adj):
+            raise ValueError(f"need 2 to {len(adj)} benign nodes, got {self.num_benign}")
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "benign", benign)
-        object.__setattr__(self, "malicious", malicious)
+
+    @property
+    def n(self) -> int:
+        return len(self.adjacency)
+
+    @property
+    def benign(self) -> range:
+        return range(self.num_benign)
+
+    @property
+    def malicious(self) -> range:
+        return range(self.num_benign, self.n)
 
     def to_json_dict(self) -> dict:
-        edges = [
-            [int(i), int(j)]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.adjacency[i, j]
-        ]
+        # Each edge once, as an ascending pair, in row-major order of the upper triangle.
         return {
             "n": self.n,
-            "edges": edges,
-            "benign": sorted(self.benign),
-            "malicious": sorted(self.malicious),
+            "edges": np.argwhere(np.triu(self.adjacency)).tolist(),
+            "benign": list(self.benign),
+            "malicious": list(self.malicious),
         }
 
 
@@ -102,32 +95,28 @@ def neighbors(g: TopologyGraph, k: int) -> set:
 
 
 def is_benign_connected(g: TopologyGraph) -> bool:
-    """BFS reachability over benign-benign edges only: the block adjacency[:B, :B]."""
-    b = len(g.benign)
-    adjacency = g.adjacency[:b, :b]
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in np.flatnonzero(adjacency[u]).tolist():
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == b
+    """Whether node 0 reaches every benign node over benign-benign edges only:
+    the block adjacency[:B, :B], grown one hop at a time until it stops growing."""
+    adjacency = g.adjacency[:g.num_benign, :g.num_benign]
+    reached = np.arange(g.num_benign) == 0
+    while not reached.all():
+        grown = reached | adjacency[reached].any(axis=0)
+        if (grown == reached).all():
+            return False
+        reached = grown
+    return True
 
 
 def generate(shape: TopologyShape, seed: int) -> TopologyGraph:
     """Sample an Erdos-Renyi graph of the given shape, from seed's topology
     stream, whose benign-induced subgraph is connected."""
     n = shape.num_benign + shape.num_malicious
-    benign = frozenset(range(shape.num_benign))
-    malicious = frozenset(range(shape.num_benign, n))
     gen = rng.stream(seed, purpose="topology")
     for _ in range(shape.max_retries):
         draws = gen.random((n, n))
         upper = np.triu(draws < shape.edge_prob, k=1)
         adj = upper | upper.T
-        g = TopologyGraph(n, adj, benign, malicious)
+        g = TopologyGraph(adj, shape.num_benign)
         if is_benign_connected(g):
             return g
     raise TopologyError(

@@ -1,0 +1,63 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
+_SPEC = importlib.util.spec_from_file_location("ab", _PATH)
+ab = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab)
+
+
+def test_wins_count_each_pair_in_the_metrics_direction_and_skip_missing_runs():
+    base, other = [1.0, 1.0, 1.0, 1.0, None], [0.9, 1.1, 1.0, 0.8, 0.5]
+    lower = ab.compare(base, other, "lower", 0.5)
+    assert (lower["pairs"], lower["wins"], lower["losses"], lower["ties"]) == (4, 2, 1, 1)
+    higher = ab.compare(base, other, "higher", 0.5)
+    assert (higher["wins"], higher["losses"]) == (1, 2)
+
+
+@pytest.mark.parametrize("base, other, verdict", [
+    ([1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.3, 1.3], "worse"),
+    ([1.0, 1.0, 1.0, 1.0], [1.2, 1.2, 1.2, 1.2], "within_bound"),
+    # The base's own runs spread wider than the bound, so no median change can be read.
+    ([0.5, 1.0, 1.0, 1.5], [1.1, 1.1, 1.1, 1.1], "unresolved"),
+    # ... unless every run of the other side is better than every base run.
+    ([0.8, 1.0, 1.0, 1.2], [0.5, 0.5, 0.5, 0.5], "within_bound"),
+])
+def test_verdict_under_the_bound(base, other, verdict):
+    assert ab.compare(base, other, "lower", 0.25)["verdict"] == verdict
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_wider_than_the_base_iqr():
+    base = [1.0 + 0.01 * i for i in range(10)]
+    assert ab.compare(base, [b - 0.2 for b in base], "lower", 0.25)["gain"]
+    assert not ab.compare(base, [b - 0.02 for b in base], "lower", 0.25)["gain"]
+    eight_of_ten = [b - 0.2 for b in base[:8]] + [b + 0.2 for b in base[8:]]
+    assert not ab.compare(base, eight_of_ten, "lower", 0.25)["gain"]
+
+
+def test_a_gain_must_also_clear_the_control():
+    base = [1.0 + 0.01 * i for i in range(10)]
+    faster = [b - 0.2 for b in base]
+    # The control, a second copy of the base, reads as fast as the head: the gap
+    # comes from the copy or the run order, not from the head's code.
+    judged = ab.judge({"base": base, "head": faster, "control": faster}, "lower", 0.25)
+    assert judged["head_vs_base"]["gain"] and judged["control_vs_base"]["gain"]
+    assert not judged["gain"]
+    judged = ab.judge({"base": base, "head": faster, "control": base[::-1]}, "lower", 0.25)
+    assert judged["gain"]
+
+
+def test_a_gain_reads_in_the_metrics_direction():
+    base = [1.0 + 0.01 * i for i in range(10)]
+    higher = [b + 0.2 for b in base]
+    assert not ab.compare(base, higher, "lower", 0.25)["gain"]
+    assert ab.compare(base, higher, "higher", 0.25)["gain"]
+
+
+def test_every_side_runs_first_second_and_last_equally_often_over_six_pairs():
+    for side in ab.SIDES:
+        slots = sorted(order.index(side) for order in ab.ORDERS)
+        assert slots == [0, 0, 1, 1, 2, 2]
+    assert len(set(ab.ORDERS)) == 6

@@ -2,10 +2,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dflsim import sim
 from dflsim.cli import cli_main
+from test_data import write_idx_pair
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -51,7 +53,7 @@ def overflow_doc(name, seeds):
     )
 
 
-def ungenerable_doc(aggregator):
+def ungenerable_doc(aggregator, tmp_path):
     """No edge on 8 benign nodes: seed 10's graph cannot be generated in 5 attempts."""
     return tiny_config_doc(
         name="ungenerable",
@@ -61,12 +63,14 @@ def ungenerable_doc(aggregator):
     )
 
 
-def uncoverable_doc(aggregator):
-    """Label skew with h=1 on 4 clients cannot cover 10 classes: seed 43 cannot be partitioned."""
+def uncoverable_doc(aggregator, tmp_path):
+    """Label skew with h=1 on 4 clients cannot cover the 10 classes of an IDX
+    file: seed 43 cannot be partitioned. A file's classes are known only once
+    it is read, so this is a set-up failure; on synthetic data it is a parse-time one."""
+    images, labels = write_idx_pair(tmp_path, np.zeros((20, 2, 3)), [i % 10 for i in range(20)])
     return tiny_config_doc(
         name="uncoverable",
-        dataset={"synthetic": {"num_classes": 10, "feature_dim": 6, "n_per_class": 10,
-                               "spread": 0.5, "seed": 5, "test_n_per_class": 5}},
+        dataset={"idx": {"train_images": images, "train_labels": labels}},
         scheme={"label_skew": {"h": 1}},
         topology={"num_benign": 4, "num_malicious": 0, "edge_prob": 1.0},
         aggregator={"baseline": aggregator},
@@ -96,6 +100,15 @@ CLI_REJECTED = [
      "config.learning_rate: expected a finite number, got '0.1'\n"),
     ("int_given_bool", json.dumps(tiny_config_doc(seeds=[True])),
      "config.seeds[0]: expected an integer, got True\n"),
+    ("synthetic_classes",
+     json.dumps(tiny_config_doc(dataset={"synthetic": {"num_classes": 1, "n_per_class": 30}})),
+     "config.dataset.synthetic: need at least 2 classes\n"),
+    ("uncoverable_synthetic",
+     json.dumps(tiny_config_doc(dataset={"synthetic": {"num_classes": 10, "n_per_class": 10}},
+                                scheme={"label_skew": {"h": 1}},
+                                topology={"num_benign": 4, "num_malicious": 0, "edge_prob": 1.0})),
+     "config: scheme on dataset.synthetic with topology.num_benign=4: 4 clients x h=1 slots cannot "
+     "cover all 10 classes\n"),
 ]
 
 
@@ -297,7 +310,7 @@ class TestSetup:
     ])
     def test_a_seed_that_cannot_be_set_up_exits_one(self, tmp_path, capsys, command, aggregator,
                                                     make_doc, seed, message):
-        doc = make_doc(aggregator)
+        doc = make_doc(aggregator, tmp_path)
         if command == "sweep":
             doc = {"base": doc, "grid": {}}
         out = tmp_path / "out"

@@ -27,6 +27,7 @@ from dflsim.config import (
 from dflsim.data import Dirichlet, LabelSkew
 from dflsim.reweight import LossClip, TargetMetricKind
 from dflsim.sim import _stratified_subsample
+from dflsim.topology import TopologyShape
 
 
 def minimal_doc(**overrides):
@@ -214,6 +215,26 @@ REJECTED = [
     ("test_n_per_class", parse_config,
      minimal_doc(dataset={"synthetic": {"test_n_per_class": 0}}, eval_mode="global"),
      "config: global evaluation requires a positive test_n_per_class"),
+    ("synthetic_num_classes", parse_config, minimal_doc(dataset={"synthetic": {"num_classes": 1}}),
+     "config.dataset.synthetic: need at least 2 classes"),
+    ("synthetic_feature_dim", parse_config, minimal_doc(dataset={"synthetic": {"feature_dim": 0}}),
+     "config.dataset.synthetic: feature_dim must be positive"),
+    ("synthetic_n_per_class", parse_config, minimal_doc(dataset={"synthetic": {"n_per_class": 0}}),
+     "config.dataset.synthetic: n_per_class must be positive"),
+    ("synthetic_spread", parse_config, minimal_doc(dataset={"synthetic": {"spread": -1}}),
+     "config.dataset.synthetic: spread must be nonnegative"),
+    ("label_skew_h", parse_config,
+     minimal_doc(dataset={"synthetic": {"num_classes": 3}}, scheme={"label_skew": {"h": 4}}),
+     "config: scheme on dataset.synthetic with topology.num_benign=10: h=4 exceeds the number of "
+     "classes 3"),
+    ("label_skew_slots", parse_config,
+     minimal_doc(scheme={"label_skew": {"h": 2}}, topology={"num_benign": 4}),
+     "config: scheme on dataset.synthetic with topology.num_benign=4: 4 clients x h=2 slots cannot "
+     "cover all 10 classes"),
+    ("iid_n_per_class", parse_config,
+     minimal_doc(dataset={"synthetic": {"n_per_class": 9}}),
+     "config: scheme on dataset.synthetic with topology.num_benign=10: class 0 has 9 examples, "
+     "fewer than 10 clients"),
     ("missing_key", parse_config, doc_without("scheme"),
      "config: missing required key(s) ['scheme']"),
     ("attack_not_an_object", parse_config, minimal_doc(attack="sign_flip"),
@@ -301,6 +322,21 @@ class TestParseTimeChecks:
     def test_nested_relative_name_is_allowed(self):
         assert parse_config(minimal_doc(name="a/b")).name == "a/b"
 
+    @pytest.mark.parametrize("overrides", [
+        {"dataset": {"synthetic": {"n_per_class": 10}}},
+        {"scheme": {"label_skew": {"h": 10}}},
+        {"scheme": {"label_skew": {"h": 5}}, "topology": {"num_benign": 2}},
+        {"dataset": {"synthetic": {"n_per_class": 1}}, "scheme": {"dirichlet": {"alpha": 1}}},
+    ], ids=["iid", "label_skew_h", "label_skew_slots", "dirichlet"])
+    def test_partition_rules_accept_their_boundaries(self, overrides):
+        parse_config(minimal_doc(**overrides))
+
+    def test_idx_data_leaves_partition_rules_to_set_up(self):
+        # The classes of an IDX file are known only once it is read.
+        idx = {"train_images": "train-images", "train_labels": "train-labels"}
+        parse_config(minimal_doc(dataset={"idx": idx}, scheme={"label_skew": {"h": 50}},
+                                 eval_mode="local"))
+
 
 _SAMPLE = {int: 3, float: 0.5, str: "x", bool: False, Knowledge: "neighborhood"}
 
@@ -316,7 +352,9 @@ def sample_spec(cls, fill):
 
 # family -> (registry table, how a spec of that family goes into a RunConfig)
 FAMILIES = {
-    "dataset": (DATASETS, lambda config, spec: replace(config, dataset=spec)),
+    # Three benign clients, so that IID finds an example of each class for each.
+    "dataset": (DATASETS, lambda config, spec: replace(
+        config, dataset=spec, topology=TopologyShape(num_benign=3))),
     "scheme": (SCHEMES, lambda config, spec: replace(config, scheme=spec)),
     "crs": (CRSS, lambda config, spec: replace(config, aggregator=DFedReweightingSpec(
         TargetMetricKind.LOSS_ON_AUX if isinstance(spec, LossClip) else

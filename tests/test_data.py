@@ -322,6 +322,16 @@ class TestSplitAuxiliary:
 
 
 class TestPlanInvariantsAndDeterminism:
+    @pytest.mark.parametrize("partition", [
+        lambda data, n: partition_iid(data, n, 1),
+        lambda data, n: partition_label_skew(data, n, 1, 1),
+        lambda data, n: partition_dirichlet(data, n, 0.5, 1),
+    ], ids=["iid", "label_skew", "dirichlet"])
+    @pytest.mark.parametrize("num_clients", [0, -1])
+    def test_every_scheme_rejects_fewer_than_one_client(self, partition, num_clients):
+        with pytest.raises(ValueError):
+            partition(gen_synthetic_blobs(3, 2, 4, 1.0, seed=20), num_clients)
+
     def test_all_schemes_produce_valid_plans(self):
         data = gen_synthetic_blobs(5, 3, 40, 1.0, seed=20)
         for seed in range(10):

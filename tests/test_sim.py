@@ -72,18 +72,16 @@ def tiny_config(**overrides):
 
 
 def graph_without_edges(num_benign):
-    adj = np.zeros((num_benign, num_benign), dtype=bool)
-    return TopologyGraph(num_benign, adj, frozenset(range(num_benign)), frozenset())
+    return TopologyGraph(np.zeros((num_benign, num_benign), dtype=bool), num_benign)
 
 
-def complete_graph(n, benign, malicious):
-    adj = ~np.eye(n, dtype=bool)
-    return TopologyGraph(n, adj, frozenset(benign), frozenset(malicious))
+def complete_graph(n, num_benign):
+    return TopologyGraph(~np.eye(n, dtype=bool), num_benign)
 
 
 def manual_state(config, graph, client_data, models, test=None):
-    """A hand-built NetworkState. client_data maps each client to its (train,
-    aux) Datasets; each distinct Dataset is pooled once, in order of first
+    """A hand-built NetworkState. client_data maps clients 0..B-1 to their
+    (train, aux) Datasets; each distinct Dataset is pooled once, in order of first
     appearance, into the network's training set, and each ClientState holds
     the read-only rows of its two Datasets there."""
     pool, rows = [], {}
@@ -95,7 +93,8 @@ def manual_state(config, graph, client_data, models, test=None):
             pool.append(data)
     train = Dataset(np.concatenate([data.features for data in pool]),
                     np.concatenate([data.labels for data in pool]), pool[0].num_classes)
-    clients = {k: ClientState(rows[id(t)], rows[id(a)]) for k, (t, a) in client_data.items()}
+    assert list(client_data) == list(range(len(client_data)))
+    clients = tuple(ClientState(rows[id(t)], rows[id(a)]) for t, a in client_data.values())
     return NetworkState(config, seed=config.seeds[0], graph=graph, clients=clients,
                         models=models, train_data=train, test_data=test)
 
@@ -113,7 +112,7 @@ class TestRunRound:
         clients = {
             k: (data, data) for k in (0, 1)
         }
-        state = manual_state(config, complete_graph(2, [0, 1], []), clients, np.zeros((2, 21)))
+        state = manual_state(config, complete_graph(2, 2), clients, np.zeros((2, 21)))
         for t in range(1, 6):
             run_round(state, t)
             np.testing.assert_array_equal(
@@ -162,7 +161,7 @@ class TestRunRound:
             0: (data, data),
             1: (data, data),
         }
-        state = manual_state(config, complete_graph(2, [0, 1], []), clients, models)
+        state = manual_state(config, complete_graph(2, 2), clients, models)
         with pytest.raises(SimulationError, match="non-finite"):
             run_round(state, 1)
 
@@ -262,8 +261,8 @@ class TestStackedRoundEngine:
     def test_plan_stacks_each_groups_aux_sets_once_read_only(self):
         state = self.grouped_round_state({"tpm": "loss", "crs": "loss_clip"})
         plan = state.plan()
-        assert len({len(state.clients[k].aux) for k in plan.benign}) > 1
-        assert sorted(k for group in plan.groups for k in group.nodes) == plan.benign
+        assert len({len(client.aux) for client in state.clients}) > 1
+        assert sorted(k for group in plan.groups for k in group.nodes) == state.benign_ids()
         for group in plan.groups:
             assert group.nodes.tolist() == sorted(group.nodes.tolist())
             n = len(state.clients[group.nodes[0]].aux)
@@ -296,7 +295,7 @@ class TestStackedRoundEngine:
                              eval_mode=eval_mode)
         data = Dataset(np.zeros((4, 6)), [0, 1, 2, 0], 3)
         clients = {k: (data, data) for k in (0, 1)}
-        state = manual_state(config, complete_graph(2, [0, 1], []), clients, np.zeros((2, width)),
+        state = manual_state(config, complete_graph(2, 2), clients, np.zeros((2, width)),
                              test=data)
         agg = config.aggregator
         _, _, failures = reweight_round(agg.tpm, agg.crs, state.models, state.plan(), 3)
@@ -517,18 +516,19 @@ class TestStackedRoundEngine:
         run_round(state, 1)
         plan, weights = state.plan(), state.last_weights
         matrix = weights.matrix
-        assert matrix.shape == (len(plan.benign), state.graph.n)
+        benign = state.benign_ids()
+        assert matrix.shape == (len(benign), state.graph.n)
         assert not matrix[~plan.closed].any()
         np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
-        assert list(weights) == plan.benign and len(weights) == len(plan.benign)
-        for i, k in enumerate(plan.benign):
+        assert list(weights) == benign and len(weights) == len(benign)
+        for i, k in enumerate(benign):
             members = np.flatnonzero(plan.closed[i]).tolist()
             assert weights[k] == {m: matrix[i, m] for m in members}
             assert list(weights[k]) == members
         with pytest.raises(ValueError):
             matrix[0, 0] = 1.0
         with pytest.raises(TypeError):
-            weights[plan.benign[0]] = {}
+            weights[benign[0]] = {}
         assert state.malicious_ids()[0] not in weights
 
     def test_mixing_matrix_row_k_is_client_ks_weights(self):
@@ -555,7 +555,7 @@ class TestStackedRoundEngine:
         data = Dataset(gen.standard_normal((10, 6)), gen.integers(0, 3, 10), 3)
         adjacency = np.zeros((4, 4), dtype=bool)
         adjacency[1, 3] = adjacency[3, 1] = True
-        graph = TopologyGraph(4, adjacency, frozenset(range(4)), frozenset())
+        graph = TopologyGraph(adjacency, 4)
         models = np.zeros((4, 3 * 6 + 3))
         models[2] = np.nan
         clients = {k: (data, data) for k in range(4)}
@@ -825,8 +825,8 @@ class TestAttackDispatch:
 
     def test_malicious_clients_hold_no_data(self):
         state = self.attack_state({"kind": "gaussian"})
-        for m in state.malicious_ids():
-            assert m not in state.clients
+        assert state.malicious_ids()
+        assert len(state.clients) == state.graph.num_benign
 
     def test_neighborhood_knowledge_restricts_view(self):
         config = tiny_config(
@@ -837,7 +837,7 @@ class TestAttackDispatch:
         # disconnect malicious node 3 from benign 0
         adj = state.graph.adjacency.copy()
         adj[3, 0] = adj[0, 3] = False
-        state.graph = TopologyGraph(4, adj, state.graph.benign, state.graph.malicious)
+        state.graph = TopologyGraph(adj, state.graph.num_benign)
         halves = {k: np.full(21, float(k)) for k in state.benign_ids()}
         payload = _attack_payload(state, 3, broadcast_matrix(state, halves), t=1)
         # mean over visible benign {1, 2} only, flipped by -1
@@ -847,7 +847,7 @@ class TestAttackDispatch:
         state = self.attack_state({"kind": "sign_flip", "factor": -10.0}, "neighborhood")
         adj = state.graph.adjacency.copy()
         adj[3, :] = adj[:, 3] = False
-        state.graph = TopologyGraph(4, adj, state.graph.benign, state.graph.malicious)
+        state.graph = TopologyGraph(adj, state.graph.num_benign)
         # In a run a malicious node's row stays zero; a nonzero row shows which one is flipped.
         state.models[3] = np.arange(21.0)
         halves = {k: np.full(21, k + 1.0) for k in state.benign_ids()}
@@ -867,7 +867,7 @@ class TestAttackDispatch:
         adj = np.zeros((5, 5), dtype=bool)
         for i, j in [(0, 1), (1, 2), (2, 3), (2, 4)]:
             adj[i, j] = adj[j, i] = True
-        graph = TopologyGraph(5, adj, frozenset(range(4)), frozenset({4}))
+        graph = TopologyGraph(adj, 4)
         if failure is None:
             check_neighborhoods(config, 43, graph)
             return

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -13,11 +14,11 @@ from dflsim.topology import (
 )
 
 
-def graph_from_edges(n, edges, benign, malicious):
+def graph_from_edges(n, edges, num_benign):
     adj = np.zeros((n, n), dtype=bool)
     for i, j in edges:
         adj[i, j] = adj[j, i] = True
-    return TopologyGraph(n, adj, frozenset(benign), frozenset(malicious))
+    return TopologyGraph(adj, num_benign)
 
 
 def reachability_oracle(g):
@@ -57,8 +58,9 @@ class TestGenerate:
 
     def test_ids_assigned_benign_first(self):
         g = generate(TopologyShape(num_benign=5, num_malicious=3, edge_prob=0.9), seed=5)
-        assert g.benign == frozenset(range(5))
-        assert g.malicious == frozenset(range(5, 8))
+        assert g.num_benign == 5 and g.n == 8
+        assert g.benign == range(5)
+        assert g.malicious == range(5, 8)
 
     def test_generated_graphs_satisfy_invariants(self):
         for seed in range(40):
@@ -80,8 +82,7 @@ class TestGenerate:
             attempts += 1
             draws = gen.random((6, 6))
             upper = np.triu(draws < 0.22, k=1)
-            candidate = TopologyGraph(6, upper | upper.T,
-                                      frozenset(range(5)), frozenset([5]))
+            candidate = TopologyGraph(upper | upper.T, 5)
             if is_benign_connected(candidate):
                 break
         np.testing.assert_array_equal(g.adjacency, candidate.adjacency)
@@ -99,11 +100,11 @@ class TestGenerate:
 
 class TestNeighbors:
     def test_complete_graph(self):
-        g = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)], [0, 1, 2], [])
+        g = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)], 3)
         assert neighbors(g, 0) == {1, 2}
 
     def test_edgeless_graph(self):
-        g = graph_from_edges(3, [], [0, 1], [2])
+        g = graph_from_edges(3, [], 2)
         assert neighbors(g, 0) == set()
 
     def test_symmetry(self):
@@ -112,24 +113,24 @@ class TestNeighbors:
             n = int(gen.integers(2, 9))
             edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if gen.random() < 0.5]
-            g = graph_from_edges(n, edges, range(n), [])
+            g = graph_from_edges(n, edges, n)
             for i, j in itertools.combinations(range(n), 2):
                 assert (i in neighbors(g, j)) == (j in neighbors(g, i))
 
     def test_out_of_range(self):
-        g = graph_from_edges(2, [(0, 1)], [0, 1], [])
+        g = graph_from_edges(2, [(0, 1)], 2)
         with pytest.raises(ValueError):
             neighbors(g, 2)
 
 
 class TestBenignConnectivity:
     def test_path_graph_connected(self):
-        g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)], [0, 1, 2, 3], [])
+        g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)], 4)
         assert is_benign_connected(g)
 
     def test_malicious_bridge_not_counted(self):
         # benign 0,1 joined only through malicious node 2
-        g = graph_from_edges(3, [(0, 2), (1, 2)], [0, 1], [2])
+        g = graph_from_edges(3, [(0, 2), (1, 2)], 2)
         assert not is_benign_connected(g)
 
     def test_matches_closure_oracle(self):
@@ -139,7 +140,7 @@ class TestBenignConnectivity:
             num_benign = int(gen.integers(2, n + 1))
             edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if gen.random() < 0.35]
-            g = graph_from_edges(n, edges, range(num_benign), range(num_benign, n))
+            g = graph_from_edges(n, edges, num_benign)
             assert is_benign_connected(g) == reachability_oracle(g)
 
 
@@ -147,29 +148,33 @@ class TestGraphValidation:
     def test_rejects_self_loop(self):
         adj = np.zeros((2, 2), dtype=bool)
         adj[0, 0] = True
-        with pytest.raises(ValueError):
-            TopologyGraph(2, adj, frozenset([0, 1]), frozenset())
+        with pytest.raises(ValueError, match="^self-loops are not allowed$"):
+            TopologyGraph(adj, 2)
 
     def test_rejects_asymmetry(self):
         adj = np.zeros((2, 2), dtype=bool)
         adj[0, 1] = True
-        with pytest.raises(ValueError):
-            TopologyGraph(2, adj, frozenset([0, 1]), frozenset())
-
-    def test_rejects_overlapping_sets(self):
-        adj = np.zeros((2, 2), dtype=bool)
-        with pytest.raises(ValueError):
-            TopologyGraph(2, adj, frozenset([0, 1]), frozenset([1]))
+        with pytest.raises(ValueError, match="^adjacency must be symmetric$"):
+            TopologyGraph(adj, 2)
 
     def test_rejects_single_benign(self):
         adj = np.zeros((2, 2), dtype=bool)
-        with pytest.raises(ValueError):
-            TopologyGraph(2, adj, frozenset([0]), frozenset([1]))
+        with pytest.raises(ValueError, match="^need 2 to 2 benign nodes, got 1$"):
+            TopologyGraph(adj, 1)
 
-    def test_rejects_benign_ids_after_a_malicious_id(self):
-        adj = np.zeros((3, 3), dtype=bool)
-        with pytest.raises(ValueError, match="^benign nodes must be 0..num_benign-1, the lowest ids$"):
-            TopologyGraph(3, adj, frozenset([1, 2]), frozenset([0]))
+    def test_rejects_more_benign_nodes_than_nodes(self):
+        adj = np.zeros((2, 2), dtype=bool)
+        with pytest.raises(ValueError, match="^need 2 to 2 benign nodes, got 3$"):
+            TopologyGraph(adj, 3)
+
+    def test_rejects_non_square_adjacency(self):
+        with pytest.raises(ValueError, match=re.escape("adjacency must be square, got shape (2, 3)")):
+            TopologyGraph(np.zeros((2, 3), dtype=bool), 2)
+
+    def test_node_ids_follow_from_the_benign_count(self):
+        g = graph_from_edges(5, [(0, 3)], 3)
+        assert (g.n, list(g.benign), list(g.malicious)) == (5, [0, 1, 2], [3, 4])
+        assert 3 in g.malicious and 3 not in g.benign
 
     def test_json_round_trip(self):
         g = generate(TopologyShape(num_benign=4, num_malicious=2, edge_prob=0.6), seed=8)
