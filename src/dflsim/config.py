@@ -16,8 +16,8 @@ from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from .attacks import ALIE, AttackKind, Gaussian, SignFlip
 from .baselines import BaselineKind, DFedAvg, Flame, Krum, Median, MultiKrum, TrimmedMean
-from .data import (IID, Dirichlet, HeterogeneityScheme, LabelSkew, check_blobs, check_iid,
-                   check_label_skew)
+from .data import (IID, Dirichlet, HeterogeneityScheme, LabelSkew, check_blobs, check_dirichlet,
+                   check_iid, check_label_skew)
 from .reweight import AccClip, CRSKind, LossClip, TargetMetricKind, TempSoftmax
 from .topology import TopologyShape
 
@@ -130,9 +130,11 @@ class RunConfig:
         ds, scheme, b = self.dataset, self.scheme, self.topology.num_benign
         try:
             if isinstance(ds, SyntheticSpec) and isinstance(scheme, LabelSkew):
-                check_label_skew(ds.num_classes, b, scheme.h)
+                check_label_skew(ds.num_classes, b, scheme.h, ds.n_per_class)
             if isinstance(ds, SyntheticSpec) and isinstance(scheme, IID):
                 check_iid([ds.n_per_class] * ds.num_classes, b)
+            if isinstance(ds, SyntheticSpec) and isinstance(scheme, Dirichlet):
+                check_dirichlet(ds.num_classes * ds.n_per_class, b)
         except ValueError as e:
             raise ConfigError(f"scheme on dataset.synthetic with topology.num_benign={b}: {e}") from None
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))

@@ -10,9 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .plan import BLOCK_LOGITS
+
 # Probabilities are clamped here before any log, so a confident misprediction
 # yields a large finite loss instead of inf/NaN.
 PROB_FLOOR = 1e-12
+
+# The most member weights one matmul of pair_logits gathers, in float64s: a
+# quarter of a scoring block's logits budget (256 KiB), so a group's weight
+# copy stays below its logits (the largest N=50 bench group holds 2.1 MiB).
+GATHER = BLOCK_LOGITS // 4
 
 
 class ShapeError(ValueError):
@@ -203,9 +210,11 @@ def pair_logits(params: np.ndarray, parts: list, members: np.ndarray, num_classe
     params holds every model, (N, C*d+C). parts lists (features, ids) in
     order: features (g, 1, n, d) holds g datasets and ids (g, k) the models
     each is paired with; members is the parts' ids, flattened and joined.
-    Each part runs one batched matmul into its rows of the result, with the
-    gemm _logits runs for each pair, and the bias is added to every row at
-    once. A gemm over more than one part's pairs would not be bit-identical.
+    Each part's pairs run the gemm _logits runs for each pair, into their rows
+    of the result, in matmuls over sub-rectangles of ids: whole rows while
+    their weights fit GATHER, else runs of one row's members. The bias is
+    added to every row at once. A gemm over more than one part's pairs would
+    not be bit-identical.
     """
     n, d = parts[0][0].shape[-2:]
     cd = num_classes * d
@@ -217,9 +226,13 @@ def pair_logits(params: np.ndarray, parts: list, members: np.ndarray, num_classe
     logits = np.empty((len(members), n, num_classes))
     start = 0
     for features, ids in parts:
-        stop = start + ids.size
-        np.matmul(features, weights[ids].swapaxes(-1, -2),
-                  out=logits[start:stop].reshape(*ids.shape, n, num_classes))
+        (g, k), stop = ids.shape, start + ids.size
+        out = logits[start:stop].reshape(g, k, n, num_classes)
+        rows, cols = max(1, GATHER // (k * cd)), min(k, max(1, GATHER // cd))
+        for r in range(0, g, rows):
+            for c in range(0, k, cols):
+                np.matmul(features[r:r + rows], weights[ids[r:r + rows, c:c + cols]].swapaxes(-1, -2),
+                          out=out[r:r + rows, c:c + cols])
         start = stop
     logits += params[members, None, cd:]
     return logits

@@ -217,8 +217,9 @@ def check_iid(class_sizes, num_clients: int) -> None:
             raise PartitionError(f"class {c} has {size} examples, fewer than {num_clients} clients")
 
 
-def check_label_skew(num_classes: int, num_clients: int, h: int) -> None:
-    """Raise unless num_clients clients holding h classes each can cover num_classes."""
+def check_label_skew(num_classes: int, num_clients: int, h: int, class_size: int | None = None) -> None:
+    """Raise unless num_clients clients holding h classes each can cover num_classes
+    and, when every class has class_size examples, each of a class's holders gets one."""
     if h > num_classes:
         raise ValueError(f"h={h} exceeds the number of classes {num_classes}")
     if num_clients < 1:
@@ -227,6 +228,18 @@ def check_label_skew(num_classes: int, num_clients: int, h: int) -> None:
         raise PartitionError(
             f"{num_clients} clients x h={h} slots cannot cover all {num_classes} classes"
         )
+    # partition_label_skew deals a class to at most ceil(num_clients*h / C) clients.
+    if class_size is not None and class_size * num_classes < num_clients * h:
+        raise PartitionError(f"each class has {class_size} examples, fewer than the "
+                             f"{-(-num_clients * h // num_classes)} clients one class is dealt to")
+
+
+def check_dirichlet(num_examples: int, num_clients: int) -> None:
+    """Raise unless num_examples examples can give each of num_clients clients one."""
+    if num_clients < 1:
+        raise ValueError("num_clients must be positive")
+    if num_examples < num_clients:
+        raise PartitionError(f"{num_examples} examples cannot give each of {num_clients} clients one")
 
 
 def partition_iid(data: Dataset, num_clients: int, seed: int) -> PartitionPlan:
@@ -290,8 +303,7 @@ def partition_dirichlet(data: Dataset, num_clients: int, alpha: float, seed: int
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if num_clients < 1:
-        raise ValueError("num_clients must be positive")
+    check_dirichlet(len(data), num_clients)
     gen = rng.stream(seed, purpose="partition-dirichlet")
     dealt = [[] for _ in range(num_clients)]
     for c, idx in enumerate(_class_index_lists(data)):
@@ -302,12 +314,11 @@ def partition_dirichlet(data: Dataset, num_clients: int, alpha: float, seed: int
         _deal(dealt, range(num_clients), gen.permutation(idx), counts.tolist())
 
     # Indices stay in dealing order until the top-up, which moves the donor's last-dealt one.
+    # With at least one example per client, the largest holder always has two to give.
     assigned = [np.concatenate(d) for d in dealt]
     empties = [k for k in range(num_clients) if len(assigned[k]) == 0]
     for k in empties:
         donor = max(range(num_clients), key=lambda j: (len(assigned[j]), -j))
-        if len(assigned[donor]) < 2:
-            raise PartitionError("not enough examples to populate every client")
         assigned[k], assigned[donor] = assigned[donor][-1:], assigned[donor][:-1]
     return PartitionPlan(tuple(np.sort(a) for a in assigned))
 

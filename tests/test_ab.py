@@ -49,6 +49,30 @@ def test_a_gain_must_also_clear_the_control():
     assert judged["gain"]
 
 
+def test_worse_must_also_hold_against_the_control():
+    base = [1.0 + 0.01 * i for i in range(10)]
+    slower = [b + 0.5 for b in base]
+    # The control reads as slow as the head: the gap comes from the copy or the
+    # run order, not from the head's code.
+    judged = ab.judge({"base": base, "head": slower, "control": slower}, "lower", 0.25)
+    assert judged["head_vs_base"]["verdict"] == "worse"
+    assert not judged["worse"]
+    judged = ab.judge({"base": base, "head": slower, "control": base[::-1]}, "lower", 0.25)
+    assert judged["worse"] and not judged["gain"]
+
+
+def test_the_seed_reaches_every_bench_run(monkeypatch, tmp_path):
+    commands = []
+
+    class Done:
+        returncode, stdout, stderr = 0, '{"correct": true, "metrics": {}}', ""
+
+    monkeypatch.setattr(ab.subprocess, "run", lambda command, **_: commands.append(command) or Done)
+    ab.run_bench(tmp_path, "desk-dfedavg-labelskew", 0.0, 23)
+    ab.run_bench(tmp_path, "desk-dfedavg-labelskew", 0.0, None)
+    assert commands[0][-2:] == ["--seed", "23"] and "--seed" not in commands[1]
+
+
 def test_a_gain_reads_in_the_metrics_direction():
     base = [1.0 + 0.01 * i for i in range(10)]
     higher = [b + 0.2 for b in base]

@@ -109,6 +109,20 @@ CLI_REJECTED = [
                                 topology={"num_benign": 4, "num_malicious": 0, "edge_prob": 1.0})),
      "config: scheme on dataset.synthetic with topology.num_benign=4: 4 clients x h=1 slots cannot "
      "cover all 10 classes\n"),
+    # Label skew deals each of 3 classes to up to ceil(4 x 2 / 3) = 3 clients, more than its 2
+    # examples; under Dirichlet, 3 examples cannot give each of 4 clients one.
+    ("label_skew_holders",
+     json.dumps(tiny_config_doc(dataset={"synthetic": {"num_classes": 3, "n_per_class": 2}},
+                                scheme={"label_skew": {"h": 2}},
+                                topology={"num_benign": 4, "num_malicious": 0, "edge_prob": 1.0})),
+     "config: scheme on dataset.synthetic with topology.num_benign=4: each class has 2 examples, "
+     "fewer than the 3 clients one class is dealt to\n"),
+    ("dirichlet_examples",
+     json.dumps(tiny_config_doc(dataset={"synthetic": {"num_classes": 3, "n_per_class": 1}},
+                                scheme={"dirichlet": {"alpha": 0.5}},
+                                topology={"num_benign": 4, "num_malicious": 0, "edge_prob": 1.0})),
+     "config: scheme on dataset.synthetic with topology.num_benign=4: 3 examples cannot give each "
+     "of 4 clients one\n"),
 ]
 
 

@@ -231,6 +231,16 @@ REJECTED = [
      minimal_doc(scheme={"label_skew": {"h": 2}}, topology={"num_benign": 4}),
      "config: scheme on dataset.synthetic with topology.num_benign=4: 4 clients x h=2 slots cannot "
      "cover all 10 classes"),
+    ("label_skew_holders", parse_config,
+     minimal_doc(dataset={"synthetic": {"num_classes": 3, "n_per_class": 2}},
+                 scheme={"label_skew": {"h": 2}}, topology={"num_benign": 4}),
+     "config: scheme on dataset.synthetic with topology.num_benign=4: each class has 2 examples, "
+     "fewer than the 3 clients one class is dealt to"),
+    ("dirichlet_examples", parse_config,
+     minimal_doc(dataset={"synthetic": {"num_classes": 3, "n_per_class": 1}},
+                 scheme={"dirichlet": {"alpha": 1}}, topology={"num_benign": 4}),
+     "config: scheme on dataset.synthetic with topology.num_benign=4: 3 examples cannot give each "
+     "of 4 clients one"),
     ("iid_n_per_class", parse_config,
      minimal_doc(dataset={"synthetic": {"n_per_class": 9}}),
      "config: scheme on dataset.synthetic with topology.num_benign=10: class 0 has 9 examples, "
@@ -326,8 +336,10 @@ class TestParseTimeChecks:
         {"dataset": {"synthetic": {"n_per_class": 10}}},
         {"scheme": {"label_skew": {"h": 10}}},
         {"scheme": {"label_skew": {"h": 5}}, "topology": {"num_benign": 2}},
+        {"dataset": {"synthetic": {"num_classes": 3, "n_per_class": 3}},
+         "scheme": {"label_skew": {"h": 2}}, "topology": {"num_benign": 4}},
         {"dataset": {"synthetic": {"n_per_class": 1}}, "scheme": {"dirichlet": {"alpha": 1}}},
-    ], ids=["iid", "label_skew_h", "label_skew_slots", "dirichlet"])
+    ], ids=["iid", "label_skew_h", "label_skew_slots", "label_skew_holders", "dirichlet"])
     def test_partition_rules_accept_their_boundaries(self, overrides):
         parse_config(minimal_doc(**overrides))
 

@@ -5,6 +5,7 @@ import pytest
 
 from dflsim import rng
 from dflsim.core_learning import (
+    GATHER,
     Dataset,
     Minibatch,
     ParamVector,
@@ -248,6 +249,24 @@ class TestEvaluate:
         assert logits.shape == (g * k + other_ids.size, n, C)
         datasets = [features[i, 0] for i in range(g) for _ in range(k)]
         datasets += [other_features[i, 0] for i, row in enumerate(other_ids) for _ in row]
+        for pair, (member, dataset) in enumerate(zip(members, datasets)):
+            expected = _logits(ParamVector(params[member], C, d), dataset)
+            assert logits[pair].tobytes() == expected.tobytes()
+
+    def test_pair_logits_split_at_the_gather_budget_equal_logits(self):
+        # d=1000, C=4: the k=3 part runs two whole rows per matmul and then one;
+        # a k=10 row alone holds more than GATHER, so it runs 8 members, then 2.
+        gen = rng.stream(23, purpose="test")
+        C, d, n = 4, 1000, 6
+        assert GATHER // (3 * C * d) == 2 and GATHER // (C * d) == 8
+        params = gen.standard_normal((12, C * d + C))
+        shapes = [(5, 3), (2, 10)]
+        parts = [(gen.standard_normal((g, 1, n, d)),
+                  np.stack([np.sort(gen.choice(12, size=k, replace=False)) for _ in range(g)]))
+                 for g, k in shapes]
+        members = np.concatenate([ids.reshape(-1) for _, ids in parts])
+        logits = pair_logits(params, parts, members, C)
+        datasets = [features[i, 0] for features, ids in parts for i, row in enumerate(ids) for _ in row]
         for pair, (member, dataset) in enumerate(zip(members, datasets)):
             expected = _logits(ParamVector(params[member], C, d), dataset)
             assert logits[pair].tobytes() == expected.tobytes()

@@ -266,6 +266,15 @@ class TestPartitionDirichlet:
             total += histogram(data, idx)
         np.testing.assert_array_equal(total, np.full(6, 73))
 
+    def test_every_client_is_populated_exactly_when_each_can_get_an_example(self):
+        # Small alpha leaves clients empty, so the top-up runs down to one example each.
+        data = gen_synthetic_blobs(2, 3, 3, 1.0, seed=16)
+        for seed in range(30):
+            plan = partition_dirichlet(data, 6, alpha=0.05, seed=seed)
+            assert sorted(len(idx) for idx in plan.client_indices) == [1] * 6
+        with pytest.raises(PartitionError, match="^6 examples cannot give each of 7 clients one$"):
+            partition_dirichlet(data, 7, alpha=0.05, seed=0)
+
     def test_largest_remainder_within_one_of_target(self):
         data = gen_synthetic_blobs(3, 2, 101, 1.0, seed=16)
         num_clients, alpha, seed = 4, 0.7, 9

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import time
+import tracemalloc
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from dflsim.baselines import dfedavg, flame_weighted, krum, median_agg, multi_kr
 from dflsim.config import (ATTACKS, BASELINES, CRSS, SCHEMES, ConfigError,
                            DFedReweightingSpec, config_to_json_dict, parse_config)
 from dflsim.core_learning import (
+    GATHER,
     Dataset,
     Minibatch,
     ParamVector,
@@ -459,6 +461,67 @@ class TestStackedRoundEngine:
                 assert state.models[k].tobytes() == row.tobytes()
                 assert state.last_weights[k] == weights
                 oracle.models[k] = row
+
+    @staticmethod
+    def wide_round_state(aggregator):
+        """One aggregation group of 10 clients, each scoring 12 members whose
+        weights, 12 x C*d = 49,152 float64s, alone hold more than GATHER."""
+        config = tiny_config(
+            dataset={"synthetic": {"num_classes": 4, "feature_dim": 1024, "n_per_class": 30,
+                                   "spread": 1.0, "seed": 5, "test_n_per_class": 10}},
+            topology={"num_benign": 10, "num_malicious": 2, "edge_prob": 1.0},
+            aggregator={"dfed_reweighting": aggregator},
+            attack={"kind": "sign_flip", "factor": -10.0},
+        )
+        state = build_network(config, seed=43)
+        (group,) = state.plan().groups
+        assert group.members.shape == (10, 12) and 12 * 4 * 1024 > GATHER
+        return state
+
+    @pytest.mark.parametrize("aggregator", [
+        {"tpm": "loss", "crs": "loss_clip"},
+        {"tpm": "accuracy", "crs": {"temp_softmax": {"temperature": 0.1}}},
+    ])
+    def test_rounds_split_at_the_gather_budget_equal_per_client_oracles(self, aggregator):
+        state, oracle = self.wide_round_state(aggregator), self.wide_round_state(aggregator)
+        for t in (1, 2):
+            run_round(state, t)
+            broadcast = self.round_broadcast(oracle, t)
+            for k in oracle.benign_ids():
+                row, weights = self.per_client_oracle(oracle, broadcast, k)
+                assert state.models[k].tobytes() == row.tobytes()
+                assert state.last_weights[k] == weights
+                oracle.models[k] = row
+
+    def test_a_rounds_memory_does_not_grow_with_its_groups_weights(self):
+        state = self.wide_round_state({"tpm": "loss", "crs": "loss_clip"})
+        plan, agg = state.plan(), state.config.aggregator
+        broadcast = self.round_broadcast(state, 1)
+        (block,) = plan.blocks
+        logits = block.labels.size * 4
+        # Copying the group's member weights at once would take 120 pairs x C*d float64s.
+        assert 120 * 4 * 1024 > 4 * (GATHER + logits)
+        tracemalloc.start()
+        try:
+            rows, _, failures = reweight_round(agg.tpm, agg.crs, broadcast, plan, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not failures
+        # One matmul's weights and the block's logits, in float64s, besides the
+        # (B, P) rows the round returns, mix's (N, P) finiteness mask and 64 KiB
+        # for the round's per-pair and per-client arrays.
+        assert peak <= 8 * (GATHER + logits + rows.size) + broadcast.size + 2 ** 16
+
+    def test_global_evaluation_beyond_the_gather_budget_equals_per_vector_functions(self):
+        state = self.wide_round_state({"tpm": "loss", "crs": "loss_clip"})
+        assert state.config.resolved_eval_mode() == "global" and 10 * 4 * 1024 > GATHER
+        state.models[:] = np.random.default_rng(3).standard_normal(state.models.shape)
+        accuracies, losses = evaluate_network(state)
+        for k in state.benign_ids():
+            model = ParamVector(state.models[k], 4, 1024)
+            assert accuracies[k] == evaluate_accuracy(model, state.test_data)
+            assert losses[k] == evaluate_mean_loss(model, state.test_data)
 
     def test_grouped_round_gives_a_nan_member_zero_weight(self):
         state = self.grouped_round_state({"tpm": "loss", "crs": "loss_clip"})

@@ -2,14 +2,15 @@
 """Interleaved A/B pairs of the benchmark between two source trees, with an A/A control.
 
     python3 tools/ab.py --base <rev> [--head <rev> | --head WORKTREE] [--workload NAME ...]
-                        [--pairs 10] [--seconds 20] --out BENCH_<n>.json
+                        [--pairs 10] [--seconds 20] [--seed N] --out BENCH_<n>.json
 
 Each side is a git rev of this repository, or WORKTREE: the checkout's tracked
 files as they stand, new files once ``git add`` has staged them. Each is copied
 into a fresh temporary directory with ``git archive``, and a second copy of the
 base is the A/A control. For every workload, each pair runs
 the base, the head and the control once each, every run a fresh process of its
-own tree's ``bench/run.py`` at its default workload seed and one ``--seconds``.
+own tree's ``bench/run.py`` at one ``--seconds`` and one workload seed: ``--seed``,
+or else the bench's default.
 Pair i runs the sides in the (i mod 6)-th of their six orders, so each side runs
 first, second and last equally often over every six pairs. BLAS threading is
 whatever the environment sets, the same for every run, and is recorded.
@@ -18,12 +19,13 @@ The JSON written to --out holds every run's metrics, exit status and stderr note
 (the bench's "differs from pinned" digest notes among them) and, per end-to-end
 metric of BENCHMARK.json, each side's per-pair values, median and quartiles, the
 head's and the control's wins against the base, the head's against the control,
-the verdict under the metric's bound, and whether the head shows a gain. The
-control runs the base's code, so a gain must hold against it too: a gap that
-the two copies of the base also show comes from the order or the copy, not the
-code. Provenance: the revs and commits, each tree's ``sim.source_fingerprint()``,
-numpy, SIMD dispatch and BLAS as ``numeric_environment()`` reads them, the CPU
-count and the load average.
+the verdict under the metric's bound, and whether the head shows a gain or
+reads worse. The control runs the base's code, so a gain, and a regression,
+must hold against it too: a gap that the two copies of the base also show
+comes from the order or the copy, not the code. Provenance: the revs and
+commits, each tree's ``sim.source_fingerprint()``, numpy, SIMD dispatch and
+BLAS as ``numeric_environment()`` reads them, the CPU count and the load
+average.
 Exits 1 if any run failed or read ``correct: false``.
 """
 from __future__ import annotations
@@ -116,10 +118,10 @@ def numeric_environment() -> dict:
     }
 
 
-def run_bench(tree: Path, workload: str, seconds: float) -> dict:
+def run_bench(tree: Path, workload: str, seconds: float, seed: int | None) -> dict:
     """One fresh-process run of tree's bench/run.py: its exit code, verdict, metrics and notes."""
     command = [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
-               "--seconds", str(seconds)]
+               "--seconds", str(seconds), *([] if seed is None else ["--seed", str(seed)])]
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     try:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -171,7 +173,8 @@ def compare(base: list, other: list, better: str, bound: float) -> dict:
 
 def judge(values: dict, better: str, bound: float) -> dict:
     """The head and the control against the base, the head against the control,
-    and whether the head shows a gain: against the base and the control both."""
+    and whether the head shows a gain, or reads worse beyond the bound: against
+    the base and the control both."""
     head_vs_base = compare(values["base"], values["head"], better, bound)
     head_vs_control = compare(values["control"], values["head"], better, bound)
     return {
@@ -179,6 +182,7 @@ def judge(values: dict, better: str, bound: float) -> dict:
         "control_vs_base": compare(values["base"], values["control"], better, bound),
         "head_vs_control": head_vs_control,
         "gain": bool(head_vs_base.get("gain") and head_vs_control.get("gain")),
+        "worse": head_vs_base.get("verdict") == head_vs_control.get("verdict") == "worse",
     }
 
 
@@ -186,7 +190,7 @@ def measure_workload(trees: dict, workload: str, args, metrics: list) -> dict:
     runs = []
     for i in range(args.pairs):
         for side in ORDERS[i % len(ORDERS)]:
-            run = run_bench(trees[side], workload, args.seconds)
+            run = run_bench(trees[side], workload, args.seconds, args.seed)
             runs.append({"pair": i, "side": side, **run})
             shown = " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items())
             print(f"{workload} pair {i} {side}: exit {run['exit']} correct {run['correct']} {shown}",
@@ -217,6 +221,7 @@ def main(argv=None) -> int:
                         help="workload to measure, repeatable; default every workload")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
+    parser.add_argument("--seed", type=int, help="workload seed; default bench/run.py's own")
     parser.add_argument("--out", required=True, help="the JSON file to write")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -234,7 +239,7 @@ def main(argv=None) -> int:
         "command": ["python3", "tools/ab.py", *(argv if argv is not None else sys.argv[1:])],
         "sides": sides,
         "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                     "workload_seed": "bench/run.py's default",
+                     "workload_seed": "bench/run.py's default" if args.seed is None else args.seed,
                      "orders": [list(order) for order in ORDERS]},
         "provenance": {
             "started": started, "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -253,7 +258,7 @@ def main(argv=None) -> int:
                       f"[IQR {head['base']['iqr']:.3g}] head {head['other']['median']:.6g} "
                       f"wins {head['wins']}/{head['pairs']} {head['verdict']}; control wins "
                       f"{control.get('wins')}/{control['pairs']} {control.get('verdict')}; "
-                      f"gain {metric['gain']}")
+                      f"gain {metric['gain']} worse {metric['worse']}")
     return 1 if any(sum(r["failed"].values()) for r in results.values()) else 0
 
 
