@@ -204,17 +204,16 @@ def evaluate_mean_loss(model: ParamVector, data: Dataset) -> float:
 # matches its per-model function above bit for bit.
 
 
-def pair_logits(params: np.ndarray, parts: list, members: np.ndarray, num_classes: int) -> np.ndarray:
-    """(pairs, n, C) logits: row p holds model params[members[p]] on pair p's dataset.
+def pair_logits(params: np.ndarray, parts: list, num_classes: int) -> np.ndarray:
+    """(pairs, n, C) logits of every part's pairs, in part order, each part's row-major.
 
-    params holds every model, (N, C*d+C). parts lists (features, ids) in
-    order: features (g, 1, n, d) holds g datasets and ids (g, k) the models
-    each is paired with; members is the parts' ids, flattened and joined.
-    Each part's pairs run the gemm _logits runs for each pair, into their rows
-    of the result, in matmuls over sub-rectangles of ids: whole rows while
-    their weights fit GATHER, else runs of one row's members. The bias is
-    added to every row at once. A gemm over more than one part's pairs would
-    not be bit-identical.
+    params holds every model, (N, C*d+C). parts lists (features, ids):
+    features (g, 1, n, d) holds g datasets and ids (g, k) the models each is
+    paired with, so pair (i, j) is model params[ids[i, j]] on dataset i. Each
+    part's pairs run the gemm _logits runs for each pair, into their rows of
+    the result, in matmuls over sub-rectangles of ids: whole rows while their
+    weights fit GATHER, else runs of one row's members. Then the part's biases
+    are added. A gemm over more than one part's pairs would not be bit-identical.
     """
     n, d = parts[0][0].shape[-2:]
     cd = num_classes * d
@@ -223,7 +222,7 @@ def pair_logits(params: np.ndarray, parts: list, members: np.ndarray, num_classe
             f"parameter matrix of shape {params.shape} does not hold C={num_classes}, d={d} models"
         )
     weights = params[:, :cd].reshape(len(params), num_classes, d)
-    logits = np.empty((len(members), n, num_classes))
+    logits = np.empty((sum(ids.size for _, ids in parts), n, num_classes))
     start = 0
     for features, ids in parts:
         (g, k), stop = ids.shape, start + ids.size
@@ -233,8 +232,8 @@ def pair_logits(params: np.ndarray, parts: list, members: np.ndarray, num_classe
             for c in range(0, k, cols):
                 np.matmul(features[r:r + rows], weights[ids[r:r + rows, c:c + cols]].swapaxes(-1, -2),
                           out=out[r:r + rows, c:c + cols])
+        out += params[ids, None, cd:]
         start = stop
-    logits += params[members, None, cd:]
     return logits
 
 
@@ -288,8 +287,7 @@ def stacked_sgd_step(
         raise ValueError("learning rate must be positive")
     k, size, d = features.shape
     cd = num_classes * d
-    ids = np.arange(k)
-    delta = _softmax_rows(pair_logits(params, [(features[:, None], ids[:, None])], ids, num_classes))
+    delta = _softmax_rows(pair_logits(params, [(features[:, None], np.arange(k)[:, None])], num_classes))
     # The true-label entry of every (model, example) row, by flat index.
     delta.reshape(-1)[np.arange(k * size) * num_classes + labels.reshape(-1)] -= 1.0
     delta /= size

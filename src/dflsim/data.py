@@ -263,34 +263,21 @@ def partition_label_skew(data: Dataset, num_clients: int, h: int, seed: int) -> 
     """
     C = data.num_classes
     check_label_skew(C, num_clients, h)
-    total = num_clients * h
     gen = rng.stream(seed, purpose="partition-label-skew")
-    base, extra = divmod(total, C)
+    base, extra = divmod(num_clients * h, C)
     class_order = gen.permutation(C)
-    copies = {int(c): base + (1 if pos < extra else 0) for pos, c in enumerate(class_order)}
-    # Contiguous blocks of identical classes dealt round-robin: a block never
-    # exceeds num_clients copies, so no client sees the same class twice.
-    slots = [int(c) for c in class_order for _ in range(copies[int(c)])]
-    holders = [[] for _ in range(C)]
-    client_classes = [set() for _ in range(num_clients)]
-    for pos, c in enumerate(slots):
-        k = pos % num_clients
-        holders[c].append(k)
-        client_classes[k].add(c)
-    for k, classes in enumerate(client_classes):
-        if len(classes) != h:
-            raise PartitionError(f"client {k} was assigned {len(classes)} classes, want {h}")
-
+    # Slot p holds class slots[p] and goes to client p mod num_clients. Each class
+    # fills one contiguous block of at most num_clients slots (h <= C), so no
+    # client holds a class twice, and every client gets exactly h slots.
+    slots = np.repeat(class_order, base + (np.arange(C) < extra))
+    clients = np.arange(len(slots)) % num_clients
     dealt = [[] for _ in range(num_clients)]
     for c, idx in enumerate(_class_index_lists(data)):
-        if not holders[c]:
-            continue
-        per = len(idx) // len(holders[c])
+        holders = clients[slots == c]
+        per = len(idx) // len(holders)
         if per < 1:
-            raise PartitionError(
-                f"class {c} has {len(idx)} examples for {len(holders[c])} holders"
-            )
-        _deal(dealt, holders[c], gen.permutation(idx), [per] * len(holders[c]))
+            raise PartitionError(f"class {c} has {len(idx)} examples for {len(holders)} holders")
+        _deal(dealt, holders, gen.permutation(idx), [per] * len(holders))
     return PartitionPlan(tuple(np.sort(np.concatenate(d)) for d in dealt))
 
 

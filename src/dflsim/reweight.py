@@ -343,9 +343,8 @@ def reweight_round(
         parts = [(group.aux_features, group.members) for group in block.groups]
         try:
             # No name holds a block's logits, so they are freed before the next block's.
-            values[block.pairs] = kind.kernel("pairs")(
-                pair_logits(broadcast, parts, plan.pair_members[block.pairs], num_classes),
-                block.labels)
+            values[block.pairs] = kind.kernel("pairs")(pair_logits(broadcast, parts, num_classes),
+                                                       block.labels)
         except Exception as exc:
             # Scoring fails for a whole block at once; alone, its lowest client would fail first.
             failures[min(int(group.nodes[0]) for group in block.groups)] = exc

@@ -429,7 +429,7 @@ def evaluate_network(state: NetworkState) -> tuple:
     accs, losses = np.zeros(b), np.zeros(b)
     for ids, features, labels in blocks:
         nodes = ids.reshape(-1)
-        logits = pair_logits(state.models, [(features, ids)], nodes, num_classes)
+        logits = pair_logits(state.models, [(features, ids)], num_classes)
         accs[nodes] = pairs_accuracy(logits, labels)
         losses[nodes] = pairs_mean_loss(logits, labels)
     return accs.tolist(), losses.tolist()

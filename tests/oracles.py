@@ -7,12 +7,14 @@ alone, and the tests compare the package's rows and messages with them by
 exact equality. predict_probs gives one model's class probabilities for one
 feature vector. synthetic_blobs builds gen_synthetic_blobs's dataset one class
 block at a time, as a fresh array per class that is then copied into place.
+label_skew_partition deals partition_label_skew's slots one at a time, into
+per-class holder lists and per-client class sets that it checks as it goes.
 """
 import numpy as np
 
 from dflsim import rng
 from dflsim.core_learning import Dataset, ParamVector, ShapeError, _logits, _softmax_rows
-from dflsim.data import BLOB_ANCHOR_AXES
+from dflsim.data import BLOB_ANCHOR_AXES, PartitionError, PartitionPlan, check_label_skew
 from dflsim.reweight import AccClip, LossClip, MetricVector, TempSoftmax, WeightVector
 
 
@@ -97,3 +99,36 @@ def synthetic_blobs(num_classes: int, feature_dim: int, n_per_class: int, spread
         features[block] = mean + spread * gen.standard_normal((n_per_class, feature_dim))
         labels[block] = c
     return Dataset(features, labels, num_classes)
+
+
+def label_skew_partition(data: Dataset, num_clients: int, h: int, seed: int) -> PartitionPlan:
+    """partition_label_skew, each class's copies laid out by a dict and each
+    slot dealt to its client by a loop."""
+    C = data.num_classes
+    check_label_skew(C, num_clients, h)
+    gen = rng.stream(seed, purpose="partition-label-skew")
+    base, extra = divmod(num_clients * h, C)
+    class_order = gen.permutation(C)
+    copies = {int(c): base + (1 if pos < extra else 0) for pos, c in enumerate(class_order)}
+    slots = [int(c) for c in class_order for _ in range(copies[int(c)])]
+    holders = [[] for _ in range(C)]
+    client_classes = [set() for _ in range(num_clients)]
+    for pos, c in enumerate(slots):
+        k = pos % num_clients
+        holders[c].append(k)
+        client_classes[k].add(c)
+    for k, classes in enumerate(client_classes):
+        if len(classes) != h:
+            raise PartitionError(f"client {k} was assigned {len(classes)} classes, want {h}")
+    dealt = [[] for _ in range(num_clients)]
+    for c in range(C):
+        idx = np.flatnonzero(data.labels == c)
+        if not holders[c]:
+            continue
+        per = len(idx) // len(holders[c])
+        if per < 1:
+            raise PartitionError(f"class {c} has {len(idx)} examples for {len(holders[c])} holders")
+        perm = gen.permutation(idx)
+        for i, k in enumerate(holders[c]):
+            dealt[k].append(perm[i * per:(i + 1) * per])
+    return PartitionPlan(tuple(np.sort(np.concatenate(d)) for d in dealt))

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,61 @@ def test_every_side_runs_first_second_and_last_equally_often_over_six_pairs():
         slots = sorted(order.index(side) for order in ab.ORDERS)
         assert slots == [0, 0, 1, 1, 2, 2]
     assert len(set(ab.ORDERS)) == 6
+
+
+def test_the_benchmark_digest_covers_bench_and_benchmark_json_only(tmp_path):
+    def tree(name, bench_text="print()", benchmark_text="{}"):
+        (tmp_path / name / "bench" / "reference").mkdir(parents=True)
+        (tmp_path / name / "bench" / "reference" / "run.py").write_text(bench_text)
+        (tmp_path / name / "BENCHMARK.json").write_text(benchmark_text)
+        (tmp_path / name / "README.md").write_text(name)
+        return tmp_path / name
+
+    digest = ab.benchmark_digest(tree("a"))
+    assert ab.benchmark_digest(tree("b")) == digest
+    assert ab.benchmark_digest(tree("c", bench_text="print(1)")) != digest
+    assert ab.benchmark_digest(tree("d", benchmark_text="[]")) != digest
+    moved = tree("e")
+    (moved / "bench" / "reference" / "run.py").rename(moved / "bench" / "run.py")
+    assert ab.benchmark_digest(moved) != digest
+
+
+def test_no_gain_reads_when_the_head_runs_other_benchmark_code(monkeypatch, tmp_path, capsys):
+    # The head reads faster in every pair, by far more than the base's spread, but
+    # it runs its own bench/: its numbers cannot be set against the base's.
+    def export(rev, dest):
+        (dest / "bench").mkdir(parents=True)
+        (dest / "bench" / "run.py").write_text(f"# {rev}")
+        (dest / "BENCHMARK.json").write_text("{}")
+        return rev
+
+    def run_bench(tree, workload, seconds, seed):
+        value = 0.5 if tree.name == "head" else 1.0
+        return {"exit": 0, "correct": True, "notes": [],
+                "metrics": {"run_s": value, "setup_s": value, "peak_rss_mb": value,
+                            "mean_acc": 0.5, "acc_var_points": value}}
+
+    monkeypatch.setattr(ab, "export", export)
+    monkeypatch.setattr(ab, "fingerprint", lambda tree: "f")
+    monkeypatch.setattr(ab, "run_bench", run_bench)
+    out = tmp_path / "ab.json"
+    args = ["--base", "base-rev", "--head", "head-rev", "--pairs", "10", "--seconds", "0",
+            "--workload", "desk-dfedavg-labelskew", "--out", str(out)]
+    assert ab.main(args) == 0
+    doc = json.loads(out.read_text())
+    sides = doc["sides"]
+    assert sides["base"]["benchmark_sha256"] == sides["control"]["benchmark_sha256"]
+    assert sides["base"]["benchmark_sha256"] != sides["head"]["benchmark_sha256"]
+    assert doc["same_benchmark"] is False
+    run_s = doc["workloads"]["desk-dfedavg-labelskew"]["metrics"]["run_s"]
+    assert run_s["head_vs_base"]["gain"] and run_s["head_vs_control"]["gain"]
+    assert not any(m["gain"] for m in doc["workloads"]["desk-dfedavg-labelskew"]["metrics"].values())
+    assert "a gain must be measured by identical benchmark code" in capsys.readouterr().out
+
+    # The same runs on one benchmark read the gain.
+    monkeypatch.setattr(ab, "export", lambda rev, dest: export("same", dest))
+    assert ab.main(args) == 0
+    doc = json.loads(out.read_text())
+    assert doc["same_benchmark"] is True
+    assert doc["workloads"]["desk-dfedavg-labelskew"]["metrics"]["run_s"]["gain"]
+    assert "identical benchmark code" not in capsys.readouterr().out

@@ -1,11 +1,14 @@
 import json
 import re
-from dataclasses import MISSING, fields, replace
-from typing import get_type_hints
+import warnings
+from dataclasses import MISSING, fields, is_dataclass, replace
+from enum import Enum
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 
+from dflsim import rng
 from dflsim.attacks import ALIE, Gaussian, Knowledge, SignFlip
 from dflsim.baselines import Flame, Krum, MultiKrum, TrimmedMean
 from dflsim.config import (
@@ -16,9 +19,13 @@ from dflsim.config import (
     SCHEMES,
     ConfigError,
     DFedReweightingSpec,
+    RunConfig,
     SweepGrid,
+    SyntheticSpec,
     _build,
     _encode,
+    _FAMILIES,
+    _Kinded,
     _non_null,
     config_to_json_dict,
     parse_config,
@@ -26,8 +33,9 @@ from dflsim.config import (
 )
 from dflsim.data import Dirichlet, LabelSkew
 from dflsim.reweight import LossClip, TargetMetricKind
-from dflsim.sim import _stratified_subsample
+from dflsim.sim import SimulationError, _run_seed, _stratified_subsample
 from dflsim.topology import TopologyShape
+from test_data import write_idx_pair
 
 
 def minimal_doc(**overrides):
@@ -353,13 +361,17 @@ class TestParseTimeChecks:
 _SAMPLE = {int: 3, float: 0.5, str: "x", bool: False, Knowledge: "neighborhood"}
 
 
+def field_walk(cls, fill):
+    """(name, type) of cls's required (fill="required") or all (fill="all") fields;
+    an `X | None` field is typed X."""
+    hints = get_type_hints(cls)
+    return [(f.name, _non_null(hints[f.name])) for f in fields(cls)
+            if fill == "all" or f.default is MISSING]
+
+
 def sample_spec(cls, fill):
     """A cls whose required (fill="required") or all (fill="all") fields take sample values."""
-    hints = get_type_hints(cls)
-    return cls(**{
-        f.name: _SAMPLE[_non_null(hints[f.name])]
-        for f in fields(cls) if fill == "all" or f.default is MISSING
-    })
+    return cls(**{name: _SAMPLE[t] for name, t in field_walk(cls, fill)})
 
 
 # family -> (registry table, how a spec of that family goes into a RunConfig)
@@ -433,6 +445,113 @@ def test_null_tuple_element_decodes_and_echoes():
     assert grid == SweepGrid(attack=(None, SignFlip(-2.0, knowledge="neighborhood")))
     assert _encode(SweepGrid, grid) == {"temperature": None, "attack": [
         None, {"kind": "sign_flip", "factor": -2.0, "knowledge": "neighborhood"}]}
+
+
+# The fuzzer's values: per field name, else per type, each a pair (values the
+# field's own rule accepts, values it rejects). The domains are small, so that
+# a run takes milliseconds, and reach each rule's boundary.
+FUZZ_FIELDS = {
+    "name": (["fuzz", "fuzz/a"], ["", "../up"]),
+    "num_classes": ([2, 3, 4, 6], [1]), "feature_dim": ([1, 3, 8], [0]),
+    "n_per_class": ([1, 3, 10, 20], [0]), "spread": ([0.0, 1.0, 3.5], [-1.0]),
+    "test_n_per_class": ([1, 4], [0]),
+    # IDX files the test writes, with uneven classes, and one that is absent.
+    "train_images": (["train-images.idx", "absent.idx"], []), "train_labels": (["train-labels.idx"], []),
+    "test_images": (["test-images.idx"], []), "test_labels": (["test-labels.idx"], []),
+    "subsample_fraction": ([0.5, 1.0], [0.0, 1.5]),
+    "h": ([1, 2, 3, 5], [0]), "alpha": ([0.1, 1.0, 100.0], [0.0]),
+    "num_benign": ([2, 3, 5, 8], [1]), "num_malicious": ([0, 1, 3], [-1]),
+    "edge_prob": ([0.0, 0.3, 0.7, 1.0], [1.5]), "max_retries": ([1, 20], [0]),
+    "rounds": ([0, 1, 3], [-1]), "learning_rate": ([0.01, 0.5, 1e300], [0.0]),
+    "batch_size": ([1, 4, 50], [0]), "local_steps": ([1, 2], [0]),
+    "aux_fraction": ([0.2, 0.5], [0.0, 1.0]), "seeds": ([[43], [43, 44]], [[], [43, 43]]),
+    "eval_every": ([1, 2], [0]), "eval_mode": (["local", "global", "auto"], ["none"]),
+    "outdir": (["fuzz-out"], []),
+    "temperature": ([0.1, 10.0], [0.0]), "f": ([0, 1, 2, 4], [-1]), "m": ([1, 2, 4], [0]),
+    "beta": ([0.5, 1.0], [0.0]), "sigma": ([30.0, 1e300], [0.0]), "factor": ([-10.0, 0.0, 1.0], []),
+    "z": ([0.0, 1.0, 5.0], [-1.0]),
+}
+FUZZ_TYPES = {int: ([0, 1, 3], [-1]), float: ([0.5, 2.0], [-1.0]), bool: ([False, True], [])}
+# How often a field takes a value its rule rejects.
+FUZZ_REJECTED = 0.02
+# Fields always given: the defaults of most are the paper's scale, too slow to
+# run a few hundred times, and an IDX test set's two files go together.
+FUZZ_GIVEN = {"rounds", "num_classes", "feature_dim", "n_per_class", "test_n_per_class", "num_benign",
+              "test_images", "test_labels"}
+
+# The set-up messages of the rules parse_config checks on a synthetic dataset
+# (data.check_blobs, check_label_skew, check_iid, check_dirichlet, and the
+# label-skew holder count those decide).
+PARSE_TIME_MESSAGES = re.compile("|".join([
+    "need at least 2 classes", "feature_dim must be positive", "n_per_class must be positive",
+    "spread must be nonnegative", "exceeds the number of classes", "slots cannot cover all",
+    "clients one class is dealt to", r"examples for \d+ holders", r"fewer than \d+ clients",
+    "cannot give each of",
+]))
+
+
+def fuzz_json(gen, t, name=None):
+    """A random JSON value for a field of type t named name: from the field's
+    or type's domain, else a family member, a spec object walked field by
+    field, a Literal's value or an Enum's. An optional field not in FUZZ_GIVEN
+    is given in half the draws."""
+    def pick(values):
+        return values[gen.integers(len(values))]
+
+    if name in FUZZ_FIELDS or t in FUZZ_TYPES:
+        accepted, rejected = FUZZ_FIELDS.get(name) or FUZZ_TYPES[t]
+        return pick(rejected if rejected and gen.random() < FUZZ_REJECTED else accepted)
+    if t in _FAMILIES:
+        family = _FAMILIES[t]
+        kind = pick(sorted(family.table))
+        body = fuzz_json(gen, family.table[kind])
+        return {"kind": kind, **body} if isinstance(family, _Kinded) else {kind: body}
+    if is_dataclass(t):
+        required = {field for field, _ in field_walk(t, "required")}
+        return {field: fuzz_json(gen, ft, field) for field, ft in field_walk(t, "all")
+                if field in required or field in FUZZ_GIVEN or gen.random() < 0.5}
+    if get_origin(t) is Literal:
+        return pick(get_args(t))
+    return pick([member.value for member in t])
+
+
+def test_fuzzed_configs_are_rejected_at_parse_time_or_set_up_or_run(tmp_path, monkeypatch):
+    """Each config is rejected by parse_config, or rejected at set-up with a
+    ConfigError that names its seed, or runs its rounds, where a round that
+    fails raises a SimulationError naming its seed and round. No other
+    exception escapes, and no set-up rejection of a synthetic dataset is one
+    a parse-time rule covers."""
+    monkeypatch.chdir(tmp_path)
+    pixels = rng.stream(18, purpose="test").integers(0, 256, size=(40, 2, 2))
+    write_idx_pair(tmp_path, pixels[:32], np.repeat(np.arange(4), [12, 9, 3, 8]), prefix="train-")
+    write_idx_pair(tmp_path, pixels[32:], np.repeat(np.arange(4), 2), prefix="test-")
+    gen = rng.stream(17, purpose="test")
+    outcomes = {"parse": 0, "set-up": 0, "round": 0, "ran": 0}
+    for _ in range(400):
+        doc = fuzz_json(gen, RunConfig)
+        try:
+            config = parse_config(doc)
+        except ConfigError:
+            outcomes["parse"] += 1
+            continue
+        outcome = "ran"
+        for seed in config.seeds:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    _run_seed(config, seed)
+            except ConfigError as exc:
+                assert str(exc).startswith(f"seed {seed}: "), doc
+                assert not (isinstance(config.dataset, SyntheticSpec)
+                            and PARSE_TIME_MESSAGES.search(str(exc))), (doc, str(exc))
+                outcome = "set-up"
+            except SimulationError as exc:
+                assert f"seed {seed}" in str(exc) and "round" in str(exc), (doc, str(exc))
+                outcome = "round"
+            if outcome != "ran":
+                break
+        outcomes[outcome] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 class TestSubsample:

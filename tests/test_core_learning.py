@@ -243,12 +243,12 @@ class TestEvaluate:
         ids = np.arange(g * k).reshape(g, k)
         other_features = np.stack([gen.standard_normal((n, d)) for _ in range(2)])[:, None]
         other_ids = np.stack([np.sort(gen.choice(g * k, size=3, replace=False)) for _ in range(2)])
-        members = np.concatenate([ids.reshape(-1), other_ids.reshape(-1)])
-        logits = pair_logits(params, [(features, ids), (other_features, other_ids)], members, C)
+        logits = pair_logits(params, [(features, ids), (other_features, other_ids)], C)
         assert params.tobytes() == before.tobytes()
         assert logits.shape == (g * k + other_ids.size, n, C)
         datasets = [features[i, 0] for i in range(g) for _ in range(k)]
         datasets += [other_features[i, 0] for i, row in enumerate(other_ids) for _ in row]
+        members = np.concatenate([ids.reshape(-1), other_ids.reshape(-1)])
         for pair, (member, dataset) in enumerate(zip(members, datasets)):
             expected = _logits(ParamVector(params[member], C, d), dataset)
             assert logits[pair].tobytes() == expected.tobytes()
@@ -264,8 +264,8 @@ class TestEvaluate:
         parts = [(gen.standard_normal((g, 1, n, d)),
                   np.stack([np.sort(gen.choice(12, size=k, replace=False)) for _ in range(g)]))
                  for g, k in shapes]
+        logits = pair_logits(params, parts, C)
         members = np.concatenate([ids.reshape(-1) for _, ids in parts])
-        logits = pair_logits(params, parts, members, C)
         datasets = [features[i, 0] for features, ids in parts for i, row in enumerate(ids) for _ in row]
         for pair, (member, dataset) in enumerate(zip(members, datasets)):
             expected = _logits(ParamVector(params[member], C, d), dataset)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 
@@ -20,7 +21,7 @@ from dflsim.data import (
     split_auxiliary,
 )
 from dflsim.sim import _stratified_subsample
-from oracles import synthetic_blobs
+from oracles import label_skew_partition, synthetic_blobs
 
 
 def write_idx_pair(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,
@@ -237,6 +238,33 @@ class TestPartitionLabelSkew:
         data = gen_synthetic_blobs(3, 3, 10, 1.0, seed=12)
         with pytest.raises(ValueError):
             partition_label_skew(data, 2, 4, seed=0)
+
+    @pytest.mark.parametrize("C", range(2, 11))
+    def test_slots_deal_the_clients_the_loop_oracle_deals(self, C):
+        # 50 examples a class: a class has at most 50 holders (n <= 50, h <= C).
+        data = Dataset(np.zeros((50 * C, 1)), np.repeat(np.arange(C), 50), C)
+        for n in range(2, 51):
+            for h in range(-(-C // n), C + 1):
+                for seed in (0, 1, 2):
+                    plan = partition_label_skew(data, n, h, seed)
+                    oracle = label_skew_partition(data, n, h, seed)
+                    assert all(np.array_equal(a, b) for a, b in
+                               zip(plan.client_indices, oracle.client_indices, strict=True))
+
+    def test_a_class_too_small_for_its_holders_is_named_as_the_oracle_names_it(self):
+        # Uneven classes, as an IDX file may hold: class 2 has 2 examples for its 3 holders.
+        sizes = [9, 7, 2, 8]
+        data = Dataset(np.zeros((sum(sizes), 1)), np.repeat(np.arange(4), sizes), 4)
+        message = re.escape("class 2 has 2 examples for 3 holders")
+        with pytest.raises(PartitionError, match=message):
+            label_skew_partition(data, 6, 2, seed=3)
+        with pytest.raises(PartitionError, match=message):
+            partition_label_skew(data, 6, 2, seed=3)
+        uneven = Dataset(np.zeros((sum(sizes) + 9, 1)), np.repeat(np.arange(4), [9, 7, 11, 8]), 4)
+        for seed in range(5):
+            assert all(np.array_equal(a, b) for a, b in zip(
+                partition_label_skew(uneven, 6, 2, seed).client_indices,
+                label_skew_partition(uneven, 6, 2, seed).client_indices, strict=True))
 
 
 class TestPartitionDirichlet:

@@ -65,8 +65,7 @@ def pairs_tpm(kind, params, aux):
     """
     loss = kind is TargetMetricKind.LOSS_ON_AUX
     features = np.ascontiguousarray(aux.features) if loss else aux.features
-    ids = np.arange(len(params))
-    logits = pair_logits(params, [(features[None, None], ids[None])], ids, aux.num_classes)
+    logits = pair_logits(params, [(features[None, None], np.arange(len(params))[None])], aux.num_classes)
     values = kind.kernel("pairs")(logits, np.broadcast_to(aux.labels, (len(params), len(aux))))
     return np.where(np.isfinite(values), values, SENTINEL)
 

@@ -22,9 +22,12 @@ head's and the control's wins against the base, the head's against the control,
 the verdict under the metric's bound, and whether the head shows a gain or
 reads worse. The control runs the base's code, so a gain, and a regression,
 must hold against it too: a gap that the two copies of the base also show
-comes from the order or the copy, not the code. Provenance: the revs and
-commits, each tree's ``sim.source_fingerprint()``, numpy, SIMD dispatch and
-BLAS as ``numeric_environment()`` reads them, the CPU count and the load
+comes from the order or the copy, not the code. A gain must also be measured
+by identical benchmark code: each side records the sha256 of its ``bench/``
+tree and ``BENCHMARK.json``, and when the base's and the head's differ,
+``same_benchmark`` is false and no metric reads a gain. Provenance: the revs
+and commits, each tree's ``sim.source_fingerprint()``, numpy, SIMD dispatch
+and BLAS as ``numeric_environment()`` reads them, the CPU count and the load
 average.
 Exits 1 if any run failed or read ``correct: false``.
 """
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import hashlib
 import itertools
 import json
 import os
@@ -77,6 +81,17 @@ def fingerprint(tree: Path) -> str:
             "from dflsim import sim; print(sim.source_fingerprint())")
     return subprocess.run([sys.executable, "-c", code], cwd=tree, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def benchmark_digest(tree: Path) -> str:
+    """sha256 over tree's BENCHMARK.json and every file under its bench/: each
+    file's path relative to tree and the sha256 of its bytes, in path order."""
+    files = [tree / "BENCHMARK.json", *(tree / "bench").rglob("*")]
+    digest = hashlib.sha256()
+    for path in sorted(p for p in files if p.is_file()):
+        digest.update(f"{path.relative_to(tree).as_posix()}\0".encode())
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
 
 
 def numeric_environment() -> dict:
@@ -171,22 +186,23 @@ def compare(base: list, other: list, better: str, bound: float) -> dict:
     }
 
 
-def judge(values: dict, better: str, bound: float) -> dict:
+def judge(values: dict, better: str, bound: float, same_benchmark: bool = True) -> dict:
     """The head and the control against the base, the head against the control,
     and whether the head shows a gain, or reads worse beyond the bound: against
-    the base and the control both."""
+    the base and the control both. No gain holds unless the base and the head
+    ran the same benchmark code (same_benchmark)."""
     head_vs_base = compare(values["base"], values["head"], better, bound)
     head_vs_control = compare(values["control"], values["head"], better, bound)
     return {
         "head_vs_base": head_vs_base,
         "control_vs_base": compare(values["base"], values["control"], better, bound),
         "head_vs_control": head_vs_control,
-        "gain": bool(head_vs_base.get("gain") and head_vs_control.get("gain")),
+        "gain": bool(same_benchmark and head_vs_base.get("gain") and head_vs_control.get("gain")),
         "worse": head_vs_base.get("verdict") == head_vs_control.get("verdict") == "worse",
     }
 
 
-def measure_workload(trees: dict, workload: str, args, metrics: list) -> dict:
+def measure_workload(trees: dict, workload: str, args, metrics: list, same_benchmark: bool) -> dict:
     runs = []
     for i in range(args.pairs):
         for side in ORDERS[i % len(ORDERS)]:
@@ -204,7 +220,7 @@ def measure_workload(trees: dict, workload: str, args, metrics: list) -> dict:
                 values[run["side"]][run["pair"]] = run["metrics"].get(metric["name"])
         table[metric["name"]] = {
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"], **values,
-            **judge(values, metric["better"], metric["bound"]),
+            **judge(values, metric["better"], metric["bound"], same_benchmark),
         }
     failed = {side: sum(not r["correct"] for r in runs if r["side"] == side) for side in SIDES}
     digest_notes = sorted({note for r in runs for note in r["notes"] if "pinned" in note})
@@ -232,12 +248,15 @@ def main(argv=None) -> int:
         for side, rev in zip(SIDES, (args.base, args.head, args.base)):
             trees[side] = Path(tmp) / side
             commit = export(rev, trees[side])
-            sides[side] = {"rev": rev, "commit": commit, "source_fingerprint": fingerprint(trees[side])}
-        results = {w: measure_workload(trees, w, args, benchmark["end_to_end"])
+            sides[side] = {"rev": rev, "commit": commit, "source_fingerprint": fingerprint(trees[side]),
+                           "benchmark_sha256": benchmark_digest(trees[side])}
+        same_benchmark = sides["base"]["benchmark_sha256"] == sides["head"]["benchmark_sha256"]
+        results = {w: measure_workload(trees, w, args, benchmark["end_to_end"], same_benchmark)
                    for w in args.workload or workloads}
     doc = {
         "command": ["python3", "tools/ab.py", *(argv if argv is not None else sys.argv[1:])],
         "sides": sides,
+        "same_benchmark": same_benchmark,
         "settings": {"pairs": args.pairs, "seconds": args.seconds,
                      "workload_seed": "bench/run.py's default" if args.seed is None else args.seed,
                      "orders": [list(order) for order in ORDERS]},
@@ -250,6 +269,9 @@ def main(argv=None) -> int:
         "workloads": results,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    # Why no metric reads a gain when the sides' benchmarks differ.
+    unmeasured = "" if same_benchmark else (" (base and head run different bench/ or BENCHMARK.json;"
+                                            " a gain must be measured by identical benchmark code)")
     for workload, result in results.items():
         for name, metric in result["metrics"].items():
             head, control = metric["head_vs_base"], metric["control_vs_base"]
@@ -258,7 +280,7 @@ def main(argv=None) -> int:
                       f"[IQR {head['base']['iqr']:.3g}] head {head['other']['median']:.6g} "
                       f"wins {head['wins']}/{head['pairs']} {head['verdict']}; control wins "
                       f"{control.get('wins')}/{control['pairs']} {control.get('verdict')}; "
-                      f"gain {metric['gain']} worse {metric['worse']}")
+                      f"gain {metric['gain']}{unmeasured} worse {metric['worse']}")
     return 1 if any(sum(r["failed"].values()) for r in results.values()) else 0
 
 
