@@ -114,94 +114,14 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx], self.num_classes)
 
 
-@dataclass(frozen=True)
-class Minibatch:
-    """Indices into a Dataset; size B with 1 <= B <= len(dataset)."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64).reshape(-1)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
-
-    def validate_for(self, data: Dataset) -> None:
-        if len(self) == 0:
-            raise ValueError("minibatch must be nonempty")
-        if len(self) > len(data):
-            raise ValueError("minibatch larger than dataset")
-        if self.indices.min() < 0 or self.indices.max() >= len(data):
-            raise ValueError("minibatch index out of range")
-
-
-def _logits(model: ParamVector, features_matrix: np.ndarray) -> np.ndarray:
-    return features_matrix @ model.weights.T + model.bias
-
-
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _batch_mean_loss(model: ParamVector, features: np.ndarray, labels: np.ndarray) -> float:
-    probs = _softmax_rows(_logits(model, features))
-    p_true = probs[np.arange(labels.shape[0]), labels]
-    return float(np.mean(-np.log(np.maximum(p_true, PROB_FLOOR))))
-
-
-def batch_loss(model: ParamVector, data: Dataset, batch: Minibatch) -> float:
-    """Mean cross-entropy -log p(label) over the minibatch."""
-    batch.validate_for(data)
-    if data.num_classes != model.num_classes or data.feature_dim != model.feature_dim:
-        raise ShapeError("model and dataset dimensions disagree")
-    return _batch_mean_loss(model, data.features[batch.indices], data.labels[batch.indices])
-
-
-def batch_gradient(model: ParamVector, data: Dataset, batch: Minibatch) -> ParamVector:
-    """Analytic gradient of batch_loss w.r.t. all C*d + C parameters."""
-    batch.validate_for(data)
-    if data.num_classes != model.num_classes or data.feature_dim != model.feature_dim:
-        raise ShapeError("model and dataset dimensions disagree")
-    X = data.features[batch.indices]
-    y = data.labels[batch.indices]
-    probs = _softmax_rows(_logits(model, X))
-    delta = probs
-    delta[np.arange(y.shape[0]), y] -= 1.0
-    delta /= y.shape[0]
-    grad_w = delta.T @ X
-    grad_b = delta.sum(axis=0)
-    return ParamVector(
-        np.concatenate([grad_w.reshape(-1), grad_b]), model.num_classes, model.feature_dim
-    )
-
-
-def sgd_step(model: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
-    """One gradient step model - lr * grad; the input model is unchanged."""
-    _require_same_shape(model, grad)
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
-    return model.replace_values(model.values - lr * grad.values)
-
-
-def evaluate_accuracy(model: ParamVector, data: Dataset) -> float:
-    """Fraction of argmax-correct examples; argmax ties go to the lowest class."""
-    if data.num_classes != model.num_classes or data.feature_dim != model.feature_dim:
-        raise ShapeError("model and dataset dimensions disagree")
-    preds = np.argmax(_logits(model, data.features), axis=1)
-    return float(np.mean(preds == data.labels))
-
-
-def evaluate_mean_loss(model: ParamVector, data: Dataset) -> float:
-    """batch_loss with the whole dataset as one batch."""
-    return batch_loss(model, data, Minibatch(np.arange(len(data))))
-
-
-# Batched forms: every kernel the engine runs on many models at once. Each
-# matches its per-model function above bit for bit.
+# The engine's kernels, each run on many models at once. The per-member entry
+# points at the end of this module call them on one (model, dataset) pair.
 
 
 def pair_logits(params: np.ndarray, parts: list, num_classes: int) -> np.ndarray:
@@ -210,10 +130,11 @@ def pair_logits(params: np.ndarray, parts: list, num_classes: int) -> np.ndarray
     params holds every model, (N, C*d+C). parts lists (features, ids):
     features (g, 1, n, d) holds g datasets and ids (g, k) the models each is
     paired with, so pair (i, j) is model params[ids[i, j]] on dataset i. Each
-    part's pairs run the gemm _logits runs for each pair, into their rows of
-    the result, in matmuls over sub-rectangles of ids: whole rows while their
-    weights fit GATHER, else runs of one row's members. Then the part's biases
-    are added. A gemm over more than one part's pairs would not be bit-identical.
+    part's pairs run the gemm features @ weights.T of one pair alone, into
+    their rows of the result, in matmuls over sub-rectangles of ids: whole
+    rows while their weights fit GATHER, else runs of one row's members. Then
+    the part's biases are added. A gemm over more than one part's pairs would
+    not be bit-identical.
     """
     n, d = parts[0][0].shape[-2:]
     cd = num_classes * d
@@ -239,12 +160,12 @@ def pair_logits(params: np.ndarray, parts: list, num_classes: int) -> np.ndarray
 
 # The pairs_ kernels turn (pairs, n, C) logits and the (pairs, n) labels of
 # each pair's examples, of any integer dtype, into (pairs,) metrics. They
-# reduce over the class and example axes only, so every value equals the
-# per-model function's bit for bit, whatever the other pairs.
+# reduce over the class and example axes only, so every value equals its
+# per-vector form's in tests/oracles.py bit for bit, whatever the other pairs.
 
 
 def pairs_mean_loss(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each pair's evaluate_mean_loss; overwrites logits."""
+    """Each pair's mean cross-entropy -log p(label); overwrites logits."""
     num_classes = logits.shape[-1]
     # _softmax_rows, dividing out only the true-label probabilities. The max
     # is exact in any order; on scoring-sized arrays one np.maximum pass per
@@ -256,7 +177,7 @@ def pairs_mean_loss(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     exp = np.exp(logits, out=logits)
     # The true-label entry of every (pair, example) row, taken by flat index
     # into a fresh C-ordered p_true: summing a strided gather row by row in a
-    # different order than the per-model mean would change the last bits.
+    # different order than one pair's mean alone would change the last bits.
     rows = np.arange(labels.size).reshape(labels.shape)
     p_true = np.take(exp, rows * num_classes + labels)
     p_true /= exp.sum(axis=-1)
@@ -268,23 +189,19 @@ def pairs_mean_loss(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def pairs_accuracy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each pair's evaluate_accuracy; leaves logits as they are."""
+    """Each pair's fraction of argmax-correct examples, ties to the lowest class;
+    leaves logits as they are."""
     return np.mean(np.argmax(logits, axis=-1) == labels, axis=-1)
 
 
-def stacked_sgd_step(
-    params: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int, lr: float
-) -> np.ndarray:
-    """One SGD step of k models, each on its own minibatch.
+def stacked_gradient(params: np.ndarray, features: np.ndarray, labels: np.ndarray,
+                     num_classes: int) -> np.ndarray:
+    """The analytic mean cross-entropy gradients of k models, each on its own minibatch.
 
-    features is (k, B, d) and labels is (k, B): row i of the result equals
-    sgd_step(model_i, batch_gradient(model_i, ...), lr) on minibatch i. The
-    logits come from pair_logits, each model paired with its own minibatch.
-    The gradients of all k models are written into one (k, C*d+C) buffer,
-    which then becomes the result.
+    features is (k, B, d) and labels is (k, B). The logits come from
+    pair_logits, each model paired with its own minibatch. The gradients of
+    all k models are written into one fresh (k, C*d+C) buffer.
     """
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
     k, size, d = features.shape
     cd = num_classes * d
     delta = _softmax_rows(pair_logits(params, [(features[:, None], np.arange(k)[:, None])], num_classes))
@@ -294,5 +211,71 @@ def stacked_sgd_step(
     grad = np.empty((k, cd + num_classes))
     np.matmul(delta.transpose(0, 2, 1), features, out=grad[:, :cd].reshape(k, num_classes, d))
     np.sum(delta, axis=1, out=grad[:, cd:])
+    return grad
+
+
+def stacked_sgd_step(
+    params: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int, lr: float
+) -> np.ndarray:
+    """One SGD step of k models, each on its own minibatch: stacked_gradient,
+    scaled by lr and subtracted from the models in its own buffer."""
+    if lr <= 0:
+        raise ValueError("learning rate must be positive")
+    grad = stacked_gradient(params, features, labels, num_classes)
     grad *= lr
     return np.subtract(params, grad, out=grad)
+
+
+# The per-member entry points. Each runs the kernels above on one pair, so it
+# equals what the engine computes for that pair bit for bit; their per-vector
+# reference forms live in tests/oracles.py.
+
+
+def _check_pair(model: ParamVector, data: Dataset) -> None:
+    if data.num_classes != model.num_classes or data.feature_dim != model.feature_dim:
+        raise ShapeError("model and dataset dimensions disagree")
+
+
+def batch_gradient(model: ParamVector, data: Dataset, rows) -> ParamVector:
+    """Analytic gradient of the mean cross-entropy over the examples rows of data,
+    w.r.t. all C*d + C parameters: stacked_gradient on one model."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if len(rows) == 0:
+        raise ValueError("minibatch must be nonempty")
+    if len(rows) > len(data):
+        raise ValueError("minibatch larger than dataset")
+    if rows.min() < 0 or rows.max() >= len(data):
+        raise ValueError("minibatch index out of range")
+    _check_pair(model, data)
+    grad = stacked_gradient(model.values[None], data.features[rows][None], data.labels[rows][None],
+                            model.num_classes)
+    return model.replace_values(grad[0])
+
+
+def sgd_step(model: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
+    """One gradient step model - lr * grad; the input model is unchanged."""
+    _require_same_shape(model, grad)
+    if lr <= 0:
+        raise ValueError("learning rate must be positive")
+    return model.replace_values(model.values - lr * grad.values)
+
+
+def _pair_metric(kernel, model: ParamVector, features: np.ndarray, labels: np.ndarray) -> float:
+    """The pairs_ kernel on the logits of model on features, scored as one pair."""
+    logits = pair_logits(model.values[None], [(features[None, None], np.zeros((1, 1), np.intp))],
+                         model.num_classes)
+    return float(kernel(logits, labels[None])[0])
+
+
+def evaluate_accuracy(model: ParamVector, data: Dataset) -> float:
+    """Fraction of argmax-correct examples; argmax ties go to the lowest class."""
+    _check_pair(model, data)
+    return _pair_metric(pairs_accuracy, model, data.features, data.labels)
+
+
+def evaluate_mean_loss(model: ParamVector, data: Dataset) -> float:
+    """Mean cross-entropy -log p(label) over all of data, its features gathered
+    into a C-ordered copy as a minibatch's are: the gemm's last bits depend on
+    the operand's memory order."""
+    _check_pair(model, data)
+    return _pair_metric(pairs_mean_loss, model, np.ascontiguousarray(data.features), data.labels)

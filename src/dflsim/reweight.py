@@ -58,8 +58,8 @@ class TargetMetricKind(enum.Enum):
 # of the rows it rejects, each with the message a single client's
 # reweighting raises. It computes elementwise over the whole vector and
 # reduces each row through the layout, so a row's weights depend on that row
-# alone and get the bits they get as a vector of its own. _group_weights adds
-# WeightVector's checks.
+# alone and get the bits they get as a vector of its own. _group_weights checks
+# that each row's weights are nonnegative and sum to one.
 
 
 def _rejected(values: np.ndarray, layout: RowLayout, *checks) -> tuple:
@@ -153,51 +153,6 @@ def _clip_rows(values: np.ndarray, survivors: np.ndarray, layout: RowLayout) -> 
 CRSKind = Union[TempSoftmax, LossClip, AccClip]
 
 
-@dataclass(frozen=True)
-class MetricVector:
-    """Per-node metric values over a client's closed neighborhood."""
-
-    ids: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        ids = tuple(int(i) for i in self.ids)
-        vals = np.asarray(self.values, dtype=np.float64).reshape(-1).copy()
-        if len(ids) != vals.shape[0]:
-            raise ValueError("ids and values must have equal length")
-        if len(ids) == 0:
-            raise ValueError("metric vector must be nonempty")
-        if len(set(ids)) != len(ids):
-            raise ValueError("node ids must be distinct")
-        if np.any(np.isnan(vals)) or np.any(vals == -math.inf):
-            raise ValueError("metric values must be finite or the +inf sentinel")
-        vals.setflags(write=False)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Nonnegative aggregation weights summing to one over the same id set."""
-
-    ids: tuple
-    weights: np.ndarray
-
-    def __post_init__(self):
-        ids = tuple(int(i) for i in self.ids)
-        w = np.asarray(self.weights, dtype=np.float64).reshape(-1).copy()
-        if len(ids) != w.shape[0]:
-            raise ValueError("ids and weights must have equal length")
-        if len(set(ids)) != len(ids):
-            raise ValueError("node ids must be distinct")
-        error = _weight_error(w)
-        if error:
-            raise ValueError(error)
-        w.setflags(write=False)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "weights", w)
-
-
 def _weight_error(w: np.ndarray):
     """Why the weight vector w is not one, or None if it is."""
     if np.any(w < 0) or not np.all(np.isfinite(w)):
@@ -230,11 +185,11 @@ def scoring_is_stock() -> bool:
 
 
 def _group_weights(crs: CRSKind, metrics: np.ndarray, layout: RowLayout) -> tuple:
-    """crs.rows(metrics, layout), each row checked as WeightVector checks it:
-    (weights, {row: message}).
+    """crs.rows(metrics, layout), each row checked to be finite, nonnegative
+    weights summing to one: (weights, {row: message}).
 
     A row crs.rows rejects keeps its message; an accepted row whose weights
-    WeightVector would refuse takes WeightVector's message.
+    fail the check takes _weight_error's message.
     """
     weights, failed = crs.rows(metrics, layout)
     # A NaN or infinite weight also takes its row's sum away from 1.
@@ -244,12 +199,18 @@ def _group_weights(crs: CRSKind, metrics: np.ndarray, layout: RowLayout) -> tupl
     return weights, failed
 
 
-def apply_crs(crs: CRSKind, metrics: MetricVector) -> WeightVector:
-    """crs on one closed neighborhood: _group_weights on its one row, raising its failure."""
-    weights, failed = _group_weights(crs, metrics.values, RowLayout.of([len(metrics.values)]))
+def apply_crs(crs: CRSKind, values) -> np.ndarray:
+    """crs on one closed neighborhood's metrics, each finite or the +inf
+    sentinel: _group_weights on its one row, raising its failure."""
+    values = np.asarray(values, dtype=np.float64)
+    if len(values) == 0:
+        raise ValueError("metric vector must be nonempty")
+    if np.any(np.isnan(values)) or np.any(values == -math.inf):
+        raise ValueError("metric values must be finite or the +inf sentinel")
+    weights, failed = _group_weights(crs, values, RowLayout.of([len(values)]))
     if failed:
         raise ValueError(failed[0])
-    return WeightVector(metrics.ids, weights)
+    return weights
 
 
 def mix(weights: np.ndarray, broadcast: np.ndarray) -> np.ndarray:
@@ -264,32 +225,26 @@ def mix(weights: np.ndarray, broadcast: np.ndarray) -> np.ndarray:
     return rows
 
 
-def reweight_aggregate(params: np.ndarray, weights: WeightVector) -> np.ndarray:
-    """Weighted sum of the rows of params; row i carries weights.weights[i].
+def reweight_aggregate(params: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted sum of the rows of params; row i carries weights[i].
 
     The one-row mix: summed in row order; a zero-weight model may be non-finite."""
-    w = weights.weights
-    if len(params) != len(w):
-        raise ValueError(f"{len(params)} parameter rows for {len(w)} weights")
-    return mix(w[None], params)[0]
+    if len(params) != len(weights):
+        raise ValueError(f"{len(params)} parameter rows for {len(weights)} weights")
+    return mix(weights[None], params)[0]
 
 
 def dfedreweighting_round_weights(
-    kind: TargetMetricKind,
-    crs: CRSKind,
-    ids,
-    params: np.ndarray,
-    aux: Dataset,
-) -> WeightVector:
+    kind: TargetMetricKind, crs: CRSKind, params: np.ndarray, aux: Dataset
+) -> np.ndarray:
     """Score a closed neighborhood on aux and apply the reweighting strategy.
 
     This is the composition each client runs every round: each row of params
-    (the models of the nodes in ids, in that order) is scored by a call to
-    the module's compute_tpm, and the scores are reweighted by the CRS.
+    (its members' models, in node id order) is scored by a call to the
+    module's compute_tpm, and apply_crs turns the scores into one weight per row.
     """
-    values = [compute_tpm(kind, ParamVector(row, aux.num_classes, aux.feature_dim), aux)
-              for row in params]
-    return apply_crs(crs, MetricVector(ids, values))
+    return apply_crs(crs, [compute_tpm(kind, ParamVector(row, aux.num_classes, aux.feature_dim), aux)
+                           for row in params])
 
 
 class MixingWeights(Mapping):

@@ -42,7 +42,6 @@ from .baselines import (
 from .config import ConfigError, DFedReweightingSpec, RunConfig, SyntheticSpec, config_to_json_dict
 from .core_learning import (
     Dataset,
-    Minibatch,
     ParamVector,
     batch_gradient,
     pair_logits,
@@ -254,8 +253,7 @@ def _local_half_step(state: NetworkState, node_id: int, t: int) -> ParamVector:
     n = len(rows)
     batch_size = min(state.config.batch_size, n)
     for _ in range(state.config.local_steps):
-        batch = Minibatch(rows[gen.choice(n, size=batch_size, replace=False)])
-        grad = batch_gradient(model, data, batch)
+        grad = batch_gradient(model, data, rows[gen.choice(n, size=batch_size, replace=False)])
         model = sgd_step(model, grad, state.config.learning_rate)
     return model
 
@@ -332,8 +330,8 @@ def _aggregate_one(state: NetworkState, node_id: int, members: np.ndarray, broad
     agg = state.config.aggregator
     params = broadcast[members]
     aux = state.train_data.subset(state.clients[node_id].aux)
-    weights = dfedreweighting_round_weights(agg.tpm, agg.crs, members, params, aux)
-    return reweight_aggregate(params, weights), weights.weights
+    weights = dfedreweighting_round_weights(agg.tpm, agg.crs, params, aux)
+    return reweight_aggregate(params, weights), weights
 
 
 def _aggregate_each(state: NetworkState, broadcast: np.ndarray) -> tuple:

@@ -1,21 +1,39 @@
 """Reference forms that only the tests use.
 
-The package computes each CRS only as rows of a group's metric matrix
-(TempSoftmax.rows, LossClip.rows, AccClip.rows). The crs_* forms compute one
-closed neighborhood at a time, each check and reduction on that vector
-alone, and the tests compare the package's rows and messages with them by
-exact equality. predict_probs gives one model's class probabilities for one
-feature vector. synthetic_blobs builds gen_synthetic_blobs's dataset one class
-block at a time, as a fresh array per class that is then copied into place.
+The package computes each model kernel only in the engine's batched form
+(pair_logits, the pairs_ kernels, stacked_gradient); its per-member entry
+points call that form on one pair. The per-vector forms here compute one
+model on one dataset with 2-D arrays: logits, batch_loss, batch_gradient,
+evaluate_accuracy, evaluate_mean_loss and compute_tpm, and predict_probs for
+one feature vector. The package computes each CRS only as rows of a group's
+metric matrix (TempSoftmax.rows, LossClip.rows, AccClip.rows). The crs_* forms
+compute one closed neighborhood at a time, a MetricVector in and a
+WeightVector out, each check and reduction on that vector alone. The tests
+compare the package's values and messages with these by exact equality.
+synthetic_blobs builds gen_synthetic_blobs's dataset one class block at a
+time, as a fresh array per class that is then copied into place.
 label_skew_partition deals partition_label_skew's slots one at a time, into
 per-class holder lists and per-client class sets that it checks as it goes.
 """
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from dflsim import rng
-from dflsim.core_learning import Dataset, ParamVector, ShapeError, _logits, _softmax_rows
+from dflsim.core_learning import PROB_FLOOR, Dataset, ParamVector, ShapeError
 from dflsim.data import BLOB_ANCHOR_AXES, PartitionError, PartitionPlan, check_label_skew
-from dflsim.reweight import AccClip, LossClip, MetricVector, TempSoftmax, WeightVector
+from dflsim.reweight import SENTINEL, WEIGHT_SUM_TOL, AccClip, LossClip, TargetMetricKind, TempSoftmax
+
+
+def logits(model: ParamVector, features_matrix: np.ndarray) -> np.ndarray:
+    return features_matrix @ model.weights.T + model.bias
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def predict_probs(model: ParamVector, features: np.ndarray) -> np.ndarray:
@@ -25,7 +43,108 @@ def predict_probs(model: ParamVector, features: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"feature vector has length {x.shape[0]}, model expects d={model.feature_dim}"
         )
-    return _softmax_rows(_logits(model, x[None, :]))[0]
+    return softmax_rows(logits(model, x[None, :]))[0]
+
+
+def _check_pair(model: ParamVector, data: Dataset) -> None:
+    if data.num_classes != model.num_classes or data.feature_dim != model.feature_dim:
+        raise ShapeError("model and dataset dimensions disagree")
+
+
+def batch_mean_loss(model: ParamVector, features: np.ndarray, labels: np.ndarray) -> float:
+    probs = softmax_rows(logits(model, features))
+    p_true = probs[np.arange(labels.shape[0]), labels]
+    return float(np.mean(-np.log(np.maximum(p_true, PROB_FLOOR))))
+
+
+def batch_loss(model: ParamVector, data: Dataset, rows) -> float:
+    """Mean cross-entropy -log p(label) over the examples rows of data."""
+    _check_pair(model, data)
+    rows = np.asarray(rows, dtype=np.int64)
+    return batch_mean_loss(model, data.features[rows], data.labels[rows])
+
+
+def batch_gradient(model: ParamVector, data: Dataset, rows) -> ParamVector:
+    """Analytic gradient of batch_loss w.r.t. all C*d + C parameters."""
+    _check_pair(model, data)
+    rows = np.asarray(rows, dtype=np.int64)
+    X = data.features[rows]
+    y = data.labels[rows]
+    probs = softmax_rows(logits(model, X))
+    delta = probs
+    delta[np.arange(y.shape[0]), y] -= 1.0
+    delta /= y.shape[0]
+    grad_w = delta.T @ X
+    grad_b = delta.sum(axis=0)
+    return ParamVector(
+        np.concatenate([grad_w.reshape(-1), grad_b]), model.num_classes, model.feature_dim
+    )
+
+
+def evaluate_accuracy(model: ParamVector, data: Dataset) -> float:
+    """Fraction of argmax-correct examples; argmax ties go to the lowest class."""
+    _check_pair(model, data)
+    preds = np.argmax(logits(model, data.features), axis=1)
+    return float(np.mean(preds == data.labels))
+
+
+def evaluate_mean_loss(model: ParamVector, data: Dataset) -> float:
+    """batch_loss with the whole dataset as one batch."""
+    return batch_loss(model, data, np.arange(len(data)))
+
+
+def compute_tpm(kind: TargetMetricKind, model: ParamVector, aux: Dataset) -> float:
+    """The TPM kind of model on aux; non-finite values become the +inf sentinel."""
+    metric = {TargetMetricKind.ACCURACY_ON_AUX: evaluate_accuracy,
+              TargetMetricKind.LOSS_ON_AUX: evaluate_mean_loss}[kind]
+    value = metric(model, aux)
+    return value if math.isfinite(value) else SENTINEL
+
+
+@dataclass(frozen=True)
+class MetricVector:
+    """Per-node metric values over a client's closed neighborhood."""
+
+    ids: tuple
+    values: np.ndarray
+
+    def __post_init__(self):
+        ids = tuple(int(i) for i in self.ids)
+        vals = np.asarray(self.values, dtype=np.float64).reshape(-1).copy()
+        if len(ids) != vals.shape[0]:
+            raise ValueError("ids and values must have equal length")
+        if len(ids) == 0:
+            raise ValueError("metric vector must be nonempty")
+        if len(set(ids)) != len(ids):
+            raise ValueError("node ids must be distinct")
+        if np.any(np.isnan(vals)) or np.any(vals == -math.inf):
+            raise ValueError("metric values must be finite or the +inf sentinel")
+        vals.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "values", vals)
+
+
+@dataclass(frozen=True)
+class WeightVector:
+    """Nonnegative aggregation weights summing to one over the same id set."""
+
+    ids: tuple
+    weights: np.ndarray
+
+    def __post_init__(self):
+        ids = tuple(int(i) for i in self.ids)
+        w = np.asarray(self.weights, dtype=np.float64).reshape(-1).copy()
+        if len(ids) != w.shape[0]:
+            raise ValueError("ids and weights must have equal length")
+        if len(set(ids)) != len(ids):
+            raise ValueError("node ids must be distinct")
+        if np.any(w < 0) or not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite and nonnegative")
+        if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(f"weights sum to {w.sum()}, expected 1")
+        w.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "weights", w)
 
 
 def crs_temp_softmax(metrics: MetricVector, temperature: float) -> WeightVector:

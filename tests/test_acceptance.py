@@ -22,10 +22,11 @@ from dflsim.baselines import (
 )
 from dflsim.cli import cli_main
 from dflsim.config import parse_config
-from dflsim.core_learning import Dataset, Minibatch, ParamVector, batch_gradient, batch_loss
+from dflsim.core_learning import Dataset, ParamVector, batch_gradient
 from dflsim.data import gen_synthetic_blobs, partition_dirichlet, partition_iid, partition_label_skew
-from dflsim.reweight import AccClip, LossClip, MetricVector, TempSoftmax, apply_crs
+from dflsim.reweight import AccClip, LossClip, TempSoftmax, apply_crs
 from dflsim.sim import run_experiment, run_round, setup_seed
+from oracles import batch_loss
 
 DESK_DATASET = {
     "synthetic": {
@@ -225,7 +226,7 @@ def test_criterion_5_gradient_correctness():
         n = int(gen.integers(2, 20))
         model = ParamVector(gen.standard_normal(C * d + C), C, d)
         data = Dataset(gen.standard_normal((n, d)), gen.integers(0, C, size=n), C)
-        batch = Minibatch(gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False))
+        batch = gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False)
         analytic = batch_gradient(model, data, batch).values
         step = 1e-5
         numeric = np.zeros_like(analytic)
@@ -253,30 +254,30 @@ def test_criterion_6_crs_property_suite():
         accs = gen.uniform(0, 1, size=n)
         temp = float(gen.uniform(0.02, 4.0))
 
-        soft = apply_crs(TempSoftmax(temp), MetricVector(tuple(range(n)), accs))
-        assert np.all(soft.weights >= 0) and abs(soft.weights.sum() - 1) <= 1e-9
-        shifted = apply_crs(TempSoftmax(temp), MetricVector(tuple(range(n)), accs + 3.0))
-        np.testing.assert_allclose(soft.weights, shifted.weights, atol=1e-12)
-        sharper = apply_crs(TempSoftmax(temp / 2), MetricVector(tuple(range(n)), accs))
-        assert sharper.weights.max() >= soft.weights.max() - 1e-12
+        soft = apply_crs(TempSoftmax(temp), accs)
+        assert np.all(soft >= 0) and abs(soft.sum() - 1) <= 1e-9
+        shifted = apply_crs(TempSoftmax(temp), accs + 3.0)
+        np.testing.assert_allclose(soft, shifted, atol=1e-12)
+        sharper = apply_crs(TempSoftmax(temp / 2), accs)
+        assert sharper.max() >= soft.max() - 1e-12
 
         clip_cases = (
-            (losses, apply_crs(LossClip(), MetricVector(tuple(range(n)), losses)), True),
-            (accs, apply_crs(AccClip(), MetricVector(tuple(range(n)), accs)), False),
+            (losses, apply_crs(LossClip(), losses), True),
+            (accs, apply_crs(AccClip(), accs), False),
         )
         for values, out, keep_low in clip_cases:
-            assert np.all(out.weights >= 0) and abs(out.weights.sum() - 1) <= 1e-9
+            assert np.all(out >= 0) and abs(out.sum() - 1) <= 1e-9
             mu = values.mean()
             survivors = values <= mu if keep_low else values >= mu
             raw = np.where(survivors, values, 0.0)
             expected = raw / raw.sum() if raw.sum() > 0 else survivors / survivors.sum()
-            np.testing.assert_allclose(out.weights, expected, atol=1e-12)
-            assert np.array_equal(out.weights == 0.0, ~survivors)
+            np.testing.assert_allclose(out, expected, atol=1e-12)
+            assert np.array_equal(out == 0.0, ~survivors)
 
-    hand_loss = apply_crs(LossClip(), MetricVector((0, 1, 2), np.array([1.0, 2.0, 9.0])))
-    np.testing.assert_allclose(hand_loss.weights, [1 / 3, 2 / 3, 0.0], rtol=1e-15)
-    hand_acc = apply_crs(AccClip(), MetricVector((0, 1, 2), np.array([0.9, 0.8, 0.1])))
-    np.testing.assert_allclose(hand_acc.weights, [9 / 17, 8 / 17, 0.0], rtol=1e-15)
+    hand_loss = apply_crs(LossClip(), np.array([1.0, 2.0, 9.0]))
+    np.testing.assert_allclose(hand_loss, [1 / 3, 2 / 3, 0.0], rtol=1e-15)
+    hand_acc = apply_crs(AccClip(), np.array([0.9, 0.8, 0.1]))
+    np.testing.assert_allclose(hand_acc, [9 / 17, 8 / 17, 0.0], rtol=1e-15)
     report(6, True,
            "1000 random metric vectors per strategy: nonneg, sum-1, shift-invariant, "
            "sharpness-monotone, clips match brute force; hand examples exact")

@@ -3,22 +3,26 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from dflsim import rng
 from dflsim.core_learning import (
     GATHER,
     Dataset,
-    Minibatch,
     ParamVector,
     ShapeError,
-    _logits,
     batch_gradient,
-    batch_loss,
     evaluate_accuracy,
     evaluate_mean_loss,
     pair_logits,
+    pairs_accuracy,
+    pairs_mean_loss,
     sgd_step,
+    stacked_gradient,
+    stacked_sgd_step,
 )
-from oracles import predict_probs
+from dflsim.data import gen_synthetic_blobs
+from dflsim.reweight import SENTINEL, TargetMetricKind, compute_tpm
+from oracles import batch_loss, predict_probs
 
 
 def random_problem(gen, num_classes=None, feature_dim=None, n=None):
@@ -78,35 +82,32 @@ class TestPredictProbs:
             predict_probs(ParamVector(np.zeros(2 * 3 + 2), 2, 3), [1.0, 2.0])
 
 
-class TestBatchLoss:
+class TestMeanLoss:
+    """Each batch spans its whole dataset, so evaluate_mean_loss computes it."""
+
     def test_zero_model_ln_c(self):
         gen = rng.stream(12, purpose="test")
         data = Dataset(gen.standard_normal((8, 5)), gen.integers(0, 10, size=8), 10)
         model = ParamVector(np.zeros(10 * 5 + 10), 10, 5)
-        loss = batch_loss(model, data, Minibatch(np.arange(8)))
+        loss = evaluate_mean_loss(model, data)
         assert loss == pytest.approx(math.log(10), rel=1e-12)
 
     def test_separating_model_small_loss(self):
         data = Dataset([[1.0], [-1.0]], [0, 1], 2)
         model = ParamVector([20.0, -20.0, 0.0, 0.0], 2, 1)
-        assert batch_loss(model, data, Minibatch([0, 1])) < 1e-3
+        assert evaluate_mean_loss(model, data) < 1e-3
 
     def test_single_example_value(self):
         data = Dataset([[1.0]], [0], 2)
         model = ParamVector([1.0, 0.0, 0.0, 0.0], 2, 1)
         expected = -math.log(math.e / (math.e + 1))
-        assert batch_loss(model, data, Minibatch([0])) == pytest.approx(expected, rel=1e-9)
+        assert evaluate_mean_loss(model, data) == pytest.approx(expected, rel=1e-9)
         assert expected == pytest.approx(0.31326, abs=1e-5)
-
-    def test_empty_batch_rejected(self):
-        data = Dataset([[1.0]], [0], 2)
-        with pytest.raises(ValueError):
-            batch_loss(ParamVector(np.zeros(2 * 1 + 2), 2, 1), data, Minibatch([]))
 
     def test_confident_misprediction_is_finite(self):
         data = Dataset([[1.0]], [1], 2)
         model = ParamVector([1e4, -1e4, 0.0, 0.0], 2, 1)
-        loss = batch_loss(model, data, Minibatch([0]))
+        loss = evaluate_mean_loss(model, data)
         assert math.isfinite(loss)
         assert loss <= -math.log(1e-12) + 1e-9
 
@@ -117,7 +118,7 @@ class TestBatchGradient:
         for _ in range(50):
             model, data = random_problem(gen)
             size = int(gen.integers(1, len(data) + 1))
-            batch = Minibatch(gen.choice(len(data), size=size, replace=False))
+            batch = gen.choice(len(data), size=size, replace=False)
             analytic = batch_gradient(model, data, batch).values
             numeric = finite_difference_gradient(model, data, batch)
             denom = max(np.linalg.norm(numeric), 1e-8)
@@ -127,13 +128,13 @@ class TestBatchGradient:
         data = Dataset(np.zeros((4, 3)), [0, 1, 0, 1], 2)
         gen = rng.stream(14, purpose="test")
         model = ParamVector(gen.standard_normal(8), 2, 3)
-        grad = batch_gradient(model, data, Minibatch(np.arange(4)))
+        grad = batch_gradient(model, data, np.arange(4))
         np.testing.assert_allclose(grad.weights, 0.0, atol=1e-15)
 
     def test_uniform_model_bias_gradient(self):
         C, d = 5, 3
         data = Dataset([[0.3, -0.2, 1.0]], [2], C)
-        grad = batch_gradient(ParamVector(np.zeros(C * d + C), C, d), data, Minibatch([0]))
+        grad = batch_gradient(ParamVector(np.zeros(C * d + C), C, d), data, [0])
         expected = np.full(C, 1.0 / C)
         expected[2] -= 1.0
         np.testing.assert_allclose(grad.bias, expected, atol=1e-12)
@@ -213,7 +214,7 @@ class TestEvaluate:
     def test_mean_loss_equals_full_batch(self):
         gen = rng.stream(18, purpose="test")
         model, data = random_problem(gen)
-        full = batch_loss(model, data, Minibatch(np.arange(len(data))))
+        full = batch_loss(model, data, np.arange(len(data)))
         assert evaluate_mean_loss(model, data) == full
 
     def test_mean_loss_zero_model(self):
@@ -227,7 +228,7 @@ class TestEvaluate:
         gen = rng.stream(20, purpose="test")
         model, data = random_problem(gen)
         per_example = [
-            batch_loss(model, data, Minibatch([i])) for i in range(len(data))
+            batch_loss(model, data, [i]) for i in range(len(data))
         ]
         assert evaluate_mean_loss(model, data) == pytest.approx(
             float(np.mean(per_example)), abs=1e-10
@@ -250,7 +251,7 @@ class TestEvaluate:
         datasets += [other_features[i, 0] for i, row in enumerate(other_ids) for _ in row]
         members = np.concatenate([ids.reshape(-1), other_ids.reshape(-1)])
         for pair, (member, dataset) in enumerate(zip(members, datasets)):
-            expected = _logits(ParamVector(params[member], C, d), dataset)
+            expected = oracles.logits(ParamVector(params[member], C, d), dataset)
             assert logits[pair].tobytes() == expected.tobytes()
 
     def test_pair_logits_split_at_the_gather_budget_equal_logits(self):
@@ -268,7 +269,7 @@ class TestEvaluate:
         members = np.concatenate([ids.reshape(-1) for _, ids in parts])
         datasets = [features[i, 0] for features, ids in parts for i, row in enumerate(ids) for _ in row]
         for pair, (member, dataset) in enumerate(zip(members, datasets)):
-            expected = _logits(ParamVector(params[member], C, d), dataset)
+            expected = oracles.logits(ParamVector(params[member], C, d), dataset)
             assert logits[pair].tobytes() == expected.tobytes()
 
     def test_empty_dataset_rejected(self):
@@ -281,8 +282,112 @@ class TestLocalDescent:
         gen = rng.stream(21, purpose="test")
         for _ in range(10):
             model, data = random_problem(gen)
-            batch = Minibatch(np.arange(len(data)))
+            batch = np.arange(len(data))
             before = batch_loss(model, data, batch)
             stepped = sgd_step(model, batch_gradient(model, data, batch), 1e-3)
             after = batch_loss(stepped, data, batch)
             assert after <= before + 1e-6
+
+
+class TestBatchGradientChecks:
+    """The minibatch checks batch_gradient makes, each with its message."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ([], "minibatch must be nonempty"),
+        ([0, 1, 2, 0], "minibatch larger than dataset"),
+        ([0, 3], "minibatch index out of range"),
+        ([-1], "minibatch index out of range"),
+    ])
+    def test_rejected_rows(self, rows, message):
+        data = Dataset([[1.0], [2.0], [3.0]], [0, 1, 0], 2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            batch_gradient(ParamVector(np.zeros(2 * 1 + 2), 2, 1), data, rows)
+
+    def test_dimension_mismatch(self):
+        data = Dataset([[1.0, 2.0]], [0], 2)
+        with pytest.raises(ShapeError, match="^model and dataset dimensions disagree$"):
+            batch_gradient(ParamVector(np.zeros(2 * 1 + 2), 2, 1), data, [0])
+
+
+def _one_pair_logits(model, features):
+    return pair_logits(model.values[None], [(features[None, None], np.zeros((1, 1), np.intp))],
+                       model.num_classes)
+
+
+def _pairs_tpm(kind, model, data):
+    """kind's pairs kernel on the one pair, non-finite values mapped to the
+    sentinel as reweight_round maps them. The loss kernel gets a C-ordered
+    copy of the features, as evaluate_mean_loss gathers one."""
+    loss = kind is TargetMetricKind.LOSS_ON_AUX
+    features = np.ascontiguousarray(data.features) if loss else data.features
+    value = kind.kernel("pairs")(_one_pair_logits(model, features), data.labels[None])[0]
+    return value if np.isfinite(value) else SENTINEL
+
+
+_LR = 0.05
+
+
+def _bytes(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def _gathered(data, rows):
+    """The (1, B, d) features and (1, B) labels of one minibatch."""
+    return data.features[rows][None], data.labels[rows][None]
+
+
+# Entry point: (its call, the batched kernel on the same pair, its oracle), each
+# called as (model, data, minibatch rows).
+_ENTRY_POINTS = {
+    "evaluate_accuracy": (
+        lambda m, d, rows: evaluate_accuracy(m, d),
+        lambda m, d, rows: pairs_accuracy(_one_pair_logits(m, d.features), d.labels[None])[0],
+        lambda m, d, rows: oracles.evaluate_accuracy(m, d)),
+    "evaluate_mean_loss": (
+        lambda m, d, rows: evaluate_mean_loss(m, d),
+        lambda m, d, rows: pairs_mean_loss(_one_pair_logits(m, np.ascontiguousarray(d.features)),
+                                           d.labels[None])[0],
+        lambda m, d, rows: oracles.evaluate_mean_loss(m, d)),
+    **{f"compute_tpm-{kind.value}": (
+        lambda m, d, rows, kind=kind: compute_tpm(kind, m, d),
+        lambda m, d, rows, kind=kind: _pairs_tpm(kind, m, d),
+        lambda m, d, rows, kind=kind: oracles.compute_tpm(kind, m, d)) for kind in TargetMetricKind},
+    "batch_gradient": (
+        lambda m, d, rows: batch_gradient(m, d, rows).values,
+        lambda m, d, rows: stacked_gradient(m.values[None], *_gathered(d, rows), m.num_classes)[0],
+        lambda m, d, rows: oracles.batch_gradient(m, d, rows).values),
+    "batch_gradient+sgd_step": (
+        lambda m, d, rows: sgd_step(m, batch_gradient(m, d, rows), _LR).values,
+        lambda m, d, rows: stacked_sgd_step(m.values[None], *_gathered(d, rows), m.num_classes, _LR)[0],
+        lambda m, d, rows: m.values - _LR * oracles.batch_gradient(m, d, rows).values),
+}
+
+
+def _pair_case(case):
+    """(model, data, rows) of one case: a random model on C- or Fortran-ordered
+    data, a model holding a NaN (the sentinel case) or the zero model (every
+    class ties). On OpenBLAS's SkylakeX kernel, this model's mean loss on the
+    two memory orders of these features differs in its last bits."""
+    gen = rng.stream(24, purpose="test")
+    data = gen_synthetic_blobs(10, 64, 4, 3.5, seed=24)
+    model = ParamVector(gen.normal(0, 0.05, 10 * 64 + 10), 10, 64)
+    rows = gen.choice(len(data), size=17, replace=False)
+    if case == "fortran":
+        data = Dataset(np.asfortranarray(data.features), data.labels, data.num_classes)
+    elif case == "nan-model":
+        model = model.replace_values(np.where(np.arange(model.values.size) == 3, np.nan, model.values))
+    elif case == "zero-model":
+        model = model.replace_values(np.zeros_like(model.values))
+    return model, data, rows
+
+
+@pytest.mark.parametrize("case", ["c-ordered", "fortran", "nan-model", "zero-model"])
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_per_member_entry_point_and_batched_kernel_equal_the_oracle(entry, case):
+    model, data, rows = _pair_case(case)
+    call, batched, oracle = _ENTRY_POINTS[entry]
+    # The NaN model's softmax computes NaN throughout, in all three forms.
+    with np.errstate(invalid="ignore"):
+        expected = _bytes(oracle(model, data, rows))
+        assert _bytes(call(model, data, rows)) == expected
+        assert _bytes(batched(model, data, rows)) == expected

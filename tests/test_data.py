@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dflsim import rng
-from dflsim.core_learning import Dataset, Minibatch, ParamVector, batch_gradient, evaluate_accuracy, sgd_step
+from dflsim.core_learning import Dataset, ParamVector, batch_gradient, evaluate_accuracy, sgd_step
 from dflsim.data import (
     FormatError,
     PartitionError,
@@ -125,7 +125,7 @@ class TestSyntheticBlobs:
             assert np.all(block == block[0])
         # degenerate clusters are perfectly learnable by a linear model
         model = ParamVector(np.zeros(4 * 8 + 4), 4, 8)
-        batch = Minibatch(np.arange(len(data)))
+        batch = np.arange(len(data))
         for _ in range(200):
             model = sgd_step(model, batch_gradient(model, data, batch), 0.5)
         assert evaluate_accuracy(model, data) == 1.0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,28 +12,25 @@ from dflsim.reweight import (
     SENTINEL,
     AccClip,
     LossClip,
-    MetricVector,
     TargetMetricKind,
     TempSoftmax,
-    WeightVector,
     _group_weights,
     apply_crs,
     compute_tpm,
     dfedreweighting_round_weights,
     reweight_aggregate,
 )
-from oracles import crs_acc_clip, crs_oracle, crs_temp_softmax
+import oracles
+from oracles import MetricVector, crs_acc_clip, crs_oracle, crs_temp_softmax
 
 
-def mv(values, ids=None):
-    values = np.asarray(values, dtype=float)
-    ids = tuple(range(len(values))) if ids is None else tuple(ids)
-    return MetricVector(ids, values)
+def mv(values):
+    return np.asarray(values, dtype=float)
 
 
-def assert_valid(weights: WeightVector):
-    assert np.all(weights.weights >= 0)
-    assert abs(float(weights.weights.sum()) - 1.0) <= 1e-9
+def assert_valid(weights: np.ndarray):
+    assert np.all(weights >= 0)
+    assert abs(float(weights.sum()) - 1.0) <= 1e-9
 
 
 class TestComputeTpm:
@@ -71,12 +69,13 @@ def pairs_tpm(kind, params, aux):
 
 
 class TestPairsTpmOnePart:
-    """pair_logits and the pairs kernels on one part must equal compute_tpm bit for bit, row by row."""
+    """pair_logits and the pairs kernels on one part must equal the per-vector compute_tpm
+    bit for bit, row by row."""
 
     @staticmethod
     def assert_rows_equal_oracle(params, aux):
         for kind in TargetMetricKind:
-            oracle = [compute_tpm(kind, ParamVector(row, aux.num_classes, aux.feature_dim), aux)
+            oracle = [oracles.compute_tpm(kind, ParamVector(row, aux.num_classes, aux.feature_dim), aux)
                       for row in params]
             np.testing.assert_array_equal(pairs_tpm(kind, params, aux), oracle)
 
@@ -116,17 +115,17 @@ class TestTempSoftmax:
     def test_equal_metrics_uniform(self):
         for temp in (0.01, 0.1, 1.0, 10.0):
             w = apply_crs(TempSoftmax(temp), mv([0.4, 0.4, 0.4]))
-            np.testing.assert_allclose(w.weights, 1 / 3, atol=1e-12)
+            np.testing.assert_allclose(w, 1 / 3, atol=1e-12)
 
     def test_direct_value(self):
         w = apply_crs(TempSoftmax(1.0), mv([1.0, 0.0]))
         np.testing.assert_allclose(
-            w.weights, [math.e / (math.e + 1), 1 / (math.e + 1)], rtol=1e-12
+            w, [math.e / (math.e + 1), 1 / (math.e + 1)], rtol=1e-12
         )
 
     def test_sharp_temperature_dominance(self):
         w = apply_crs(TempSoftmax(0.01), mv([0.9, 0.8]))
-        assert w.weights[0] >= 0.9999
+        assert w[0] >= 0.9999
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ValueError):
@@ -141,8 +140,8 @@ class TestTempSoftmax:
         for _ in range(100):
             values = gen.standard_normal(5)
             temp = float(gen.uniform(0.05, 5.0))
-            a = apply_crs(TempSoftmax(temp), mv(values)).weights
-            b = apply_crs(TempSoftmax(temp), mv(values + 13.7)).weights
+            a = apply_crs(TempSoftmax(temp), mv(values))
+            b = apply_crs(TempSoftmax(temp), mv(values + 13.7))
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_sharpness_monotone_in_temperature(self):
@@ -151,7 +150,7 @@ class TestTempSoftmax:
             values = gen.standard_normal(6)
             values[int(gen.integers(6))] += 1.0  # unique maximum
             temps = sorted(gen.uniform(0.02, 3.0, size=4))
-            maxima = [apply_crs(TempSoftmax(t), mv(values)).weights.max() for t in temps]
+            maxima = [apply_crs(TempSoftmax(t), mv(values)).max() for t in temps]
             for cooler, warmer in zip(maxima, maxima[1:]):
                 assert cooler >= warmer - 1e-12
 
@@ -159,17 +158,17 @@ class TestTempSoftmax:
 class TestLossClip:
     def test_hand_example(self):
         w = apply_crs(LossClip(), mv([1.0, 2.0, 9.0]))
-        np.testing.assert_allclose(w.weights, [1 / 3, 2 / 3, 0.0], rtol=1e-12)
+        np.testing.assert_allclose(w, [1 / 3, 2 / 3, 0.0], rtol=1e-12)
 
     def test_boundary_kept(self):
         # The float mean of 21 copies of the second loss rounds below it.
         for values in ([5.0] * 3, [3.647482804919992] * 21):
             w = apply_crs(LossClip(), mv(values))
-            np.testing.assert_allclose(w.weights, 1 / len(values), atol=1e-12)
+            np.testing.assert_allclose(w, 1 / len(values), atol=1e-12)
 
     def test_sentinel_clipped_and_excluded_from_mean(self):
         w = apply_crs(LossClip(), mv([1.0, math.inf]))
-        np.testing.assert_allclose(w.weights, [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-15)
 
     def test_all_sentinel_rejected(self):
         with pytest.raises(ValueError):
@@ -177,7 +176,7 @@ class TestLossClip:
 
     def test_all_zero_survivors_uniform(self):
         w = apply_crs(LossClip(), mv([0.0, 0.0, 7.0]))
-        np.testing.assert_allclose(w.weights, [0.5, 0.5, 0.0], atol=1e-15)
+        np.testing.assert_allclose(w, [0.5, 0.5, 0.0], atol=1e-15)
 
     def test_negative_metric_rejected(self):
         with pytest.raises(ValueError):
@@ -187,21 +186,21 @@ class TestLossClip:
 class TestAccClip:
     def test_hand_example(self):
         w = apply_crs(AccClip(), mv([0.9, 0.8, 0.1]))
-        np.testing.assert_allclose(w.weights, [9 / 17, 8 / 17, 0.0], rtol=1e-12)
+        np.testing.assert_allclose(w, [9 / 17, 8 / 17, 0.0], rtol=1e-12)
 
     def test_equal_metrics_uniform(self):
         # The float mean of 9 copies of 37/40 rounds above the value.
         for values in ([0.6] * 4, [37 / 40] * 9):
             w = apply_crs(AccClip(), mv(values))
-            np.testing.assert_allclose(w.weights, 1 / len(values), atol=1e-12)
+            np.testing.assert_allclose(w, 1 / len(values), atol=1e-12)
 
     def test_single_survivor(self):
         w = apply_crs(AccClip(), mv([0.0, 0.0, 1.0]))
-        np.testing.assert_allclose(w.weights, [0.0, 0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(w, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_all_zero_uniform_fallback(self):
         w = apply_crs(AccClip(), mv([0.0, 0.0]))
-        np.testing.assert_allclose(w.weights, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-15)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -240,27 +239,27 @@ class TestCrsProperties:
             lw = apply_crs(LossClip(), mv(losses))
             assert_valid(lw)
             expected, survivors = brute_force_clip(losses, keep_low=True)
-            np.testing.assert_allclose(lw.weights, expected, atol=1e-12)
-            assert np.array_equal(lw.weights == 0.0, ~survivors)
+            np.testing.assert_allclose(lw, expected, atol=1e-12)
+            assert np.array_equal(lw == 0.0, ~survivors)
 
             aw = apply_crs(AccClip(), mv(accs))
             assert_valid(aw)
             expected, survivors = brute_force_clip(accs, keep_low=False)
-            np.testing.assert_allclose(aw.weights, expected, atol=1e-12)
-            assert np.array_equal(aw.weights == 0.0, ~survivors)
+            np.testing.assert_allclose(aw, expected, atol=1e-12)
+            assert np.array_equal(aw == 0.0, ~survivors)
 
 
 class TestReweightAggregate:
     def test_single_model_identity(self):
         model = ParamVector([1.0, 2.0, 3.0, 4.0], 1, 3)
-        out = reweight_aggregate(np.array([model.values]), WeightVector((5,), [1.0]))
+        out = reweight_aggregate(np.array([model.values]), np.array([1.0]))
         np.testing.assert_array_equal(out, model.values)
 
     def test_midpoint(self):
         a = ParamVector([0.0, 0.0], 1, 1)
         b = ParamVector([2.0, 4.0], 1, 1)
         out = reweight_aggregate(
-            np.array([a.values, b.values]), WeightVector((0, 1), [0.5, 0.5])
+            np.array([a.values, b.values]), np.array([0.5, 0.5])
         )
         np.testing.assert_allclose(out, [1.0, 2.0], atol=1e-15)
 
@@ -268,7 +267,7 @@ class TestReweightAggregate:
         good = ParamVector([1.0, 1.0], 1, 1)
         bad = ParamVector([math.nan, math.nan], 1, 1)
         out = reweight_aggregate(
-            np.array([good.values, bad.values]), WeightVector((0, 1), [1.0, 0.0])
+            np.array([good.values, bad.values]), np.array([1.0, 0.0])
         )
         assert np.all(np.isfinite(out))
         np.testing.assert_array_equal(out, good.values)
@@ -280,9 +279,9 @@ class TestReweightAggregate:
             models[1] = (1, ParamVector(np.full(650, math.nan), 10, 64))
             raw = gen.uniform(0.0, 1.0, size=k) * (gen.uniform(size=k) < 0.7)
             raw[1], raw[0] = 0.0, 1.0
-            weights = WeightVector(tuple(range(k)), raw / raw.sum())
+            weights = raw / raw.sum()
             acc = None
-            weight_of = dict(zip(weights.ids, weights.weights))
+            weight_of = dict(enumerate(weights))
             for node_id, model in models:
                 w = weight_of[node_id]
                 if w != 0.0:
@@ -293,18 +292,18 @@ class TestReweightAggregate:
     def test_row_count_mismatch_rejected(self):
         params = np.zeros((2, 2))
         with pytest.raises(ValueError, match="2 parameter rows for 1 weights"):
-            reweight_aggregate(params, WeightVector((1,), [1.0]))
+            reweight_aggregate(params, np.array([1.0]))
         with pytest.raises(ValueError, match="1 parameter rows for 2 weights"):
-            reweight_aggregate(params[:1], WeightVector((0, 1), [0.5, 0.5]))
+            reweight_aggregate(params[:1], np.array([0.5, 0.5]))
 
     def test_permutation_invariance_and_linearity(self):
         gen = rng.stream(34, purpose="test")
         models = np.array([gen.standard_normal(6) for _ in range(4)])
         raw = gen.uniform(0.1, 1.0, size=4)
-        weights = WeightVector(tuple(range(4)), raw / raw.sum())
+        weights = raw / raw.sum()
         out = reweight_aggregate(models, weights)
         perm = [2, 0, 3, 1]
-        shuffled = WeightVector(tuple(perm), weights.weights[perm])
+        shuffled = weights[perm]
         np.testing.assert_allclose(
             out, reweight_aggregate(models[perm], shuffled), atol=1e-12
         )
@@ -324,35 +323,34 @@ class TestRoundWeights:
             (TargetMetricKind.LOSS_ON_AUX, LossClip()),
             (TargetMetricKind.ACCURACY_ON_AUX, AccClip()),
         ]:
-            w = dfedreweighting_round_weights(tpm, crs, (0, 1, 2), params, data)
-            np.testing.assert_allclose(w.weights, 1 / 3, atol=1e-12)
+            w = dfedreweighting_round_weights(tpm, crs, params, data)
+            np.testing.assert_allclose(w, 1 / 3, atol=1e-12)
 
     def test_noise_model_zeroed_by_loss_clip(self):
         data = gen_synthetic_blobs(4, 6, 25, 0.5, seed=41)
         trained = ParamVector(np.zeros(4 * 6 + 4), 4, 6)
-        from dflsim.core_learning import Minibatch, batch_gradient, sgd_step
+        from dflsim.core_learning import batch_gradient, sgd_step
 
-        batch = Minibatch(np.arange(len(data)))
+        batch = np.arange(len(data))
         for _ in range(100):
             trained = sgd_step(trained, batch_gradient(trained, data, batch), 0.1)
         noise = ParamVector(rng.stream(42, purpose="noise").normal(0, 30, 28), 4, 6)
         w = dfedreweighting_round_weights(
             TargetMetricKind.LOSS_ON_AUX,
             LossClip(),
-            (0, 1, 2),
             np.array([trained.values, trained.values, noise.values]),
             data,
         )
-        weight_of = dict(zip(w.ids, w.weights))
+        weight_of = dict(enumerate(w))
         assert weight_of[2] == 0.0
         assert weight_of[0] > 0 and weight_of[1] > 0
 
     def test_fixture_zeros_exactly_above_mean_losses(self):
         # closed neighborhood of models with controlled loss ordering
         data = gen_synthetic_blobs(3, 4, 20, 0.5, seed=43)
-        from dflsim.core_learning import Minibatch, batch_gradient, evaluate_mean_loss, sgd_step
+        from dflsim.core_learning import batch_gradient, evaluate_mean_loss, sgd_step
 
-        batch = Minibatch(np.arange(len(data)))
+        batch = np.arange(len(data))
         models, model = [], ParamVector(np.zeros(3 * 4 + 3), 3, 4)
         for steps in range(5):
             models.append(model)
@@ -360,13 +358,13 @@ class TestRoundWeights:
                 model = sgd_step(model, batch_gradient(model, data, batch), 0.1)
         pairs = list(enumerate(models))
         w = dfedreweighting_round_weights(
-            TargetMetricKind.LOSS_ON_AUX, LossClip(), range(5),
+            TargetMetricKind.LOSS_ON_AUX, LossClip(),
             np.array([m.values for m in models]), data
         )
         assert_valid(w)
         losses = {i: evaluate_mean_loss(m, data) for i, m in pairs}
         mu = np.mean(list(losses.values()))
-        weight_of = dict(zip(w.ids, w.weights))
+        weight_of = dict(enumerate(w))
         for i, loss in losses.items():
             if loss > mu:
                 assert weight_of[i] == 0.0
@@ -381,7 +379,7 @@ class TestRoundWeights:
         pairs = [(i, ParamVector(gen.standard_normal(15), 3, 4)) for i in range(5)]
         params = np.array([m.values for _, m in pairs])
         batched = dfedreweighting_round_weights(
-            TargetMetricKind.LOSS_ON_AUX, LossClip(), range(5), params, data)
+            TargetMetricKind.LOSS_ON_AUX, LossClip(), params, data)
         scored = []
 
         def counting_tpm(kind, model, aux):
@@ -390,25 +388,25 @@ class TestRoundWeights:
 
         monkeypatch.setattr(reweight, "compute_tpm", counting_tpm)
         per_member = dfedreweighting_round_weights(
-            TargetMetricKind.LOSS_ON_AUX, LossClip(), range(5), params, data)
+            TargetMetricKind.LOSS_ON_AUX, LossClip(), params, data)
         assert [m.values.tobytes() for m in scored] == [m.values.tobytes() for _, m in pairs]
-        np.testing.assert_array_equal(per_member.weights, batched.weights)
+        np.testing.assert_array_equal(per_member, batched)
 
         # A replaced metric changes the scores: all-equal losses give uniform weights.
         monkeypatch.undo()
         monkeypatch.setattr(reweight, "evaluate_mean_loss", lambda model, aux: 2.0)
         w = dfedreweighting_round_weights(
-            TargetMetricKind.LOSS_ON_AUX, LossClip(), range(5), params, data)
-        np.testing.assert_array_equal(w.weights, np.full(5, 0.2))
+            TargetMetricKind.LOSS_ON_AUX, LossClip(), params, data)
+        np.testing.assert_array_equal(w, np.full(5, 0.2))
 
     def test_apply_crs_dispatch(self):
-        metrics = mv([0.2, 0.8])
+        metrics = MetricVector((0, 1), [0.2, 0.8])
         np.testing.assert_allclose(
-            apply_crs(TempSoftmax(0.5), metrics).weights,
+            apply_crs(TempSoftmax(0.5), metrics.values),
             crs_temp_softmax(metrics, 0.5).weights,
         )
         np.testing.assert_allclose(
-            apply_crs(AccClip(), metrics).weights, crs_acc_clip(metrics).weights
+            apply_crs(AccClip(), metrics.values), crs_acc_clip(metrics).weights
         )
 
 
@@ -522,3 +520,18 @@ class TestRaggedRoundWeights:
                 assert layout.row(weights, i).tobytes() == expected.tobytes(), i
                 accepted += 1
         assert accepted >= 10 and len(failed) >= 5
+
+
+class TestApplyCrsChecks:
+    """The metric checks apply_crs makes before any CRS runs, each with its message."""
+
+    @pytest.mark.parametrize("crs", [TempSoftmax(0.1), LossClip(), AccClip()],
+                             ids=["temp-softmax", "loss-clip", "acc-clip"])
+    @pytest.mark.parametrize("values, message", [
+        ([], "metric vector must be nonempty"),
+        ([0.5, math.nan], "metric values must be finite or the +inf sentinel"),
+        ([0.5, -math.inf], "metric values must be finite or the +inf sentinel"),
+    ], ids=["empty", "nan", "minus-inf"])
+    def test_rejected_metrics(self, crs, values, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_crs(crs, values)

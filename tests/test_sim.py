@@ -18,21 +18,16 @@ from dflsim.config import (ATTACKS, BASELINES, CRSS, SCHEMES, ConfigError,
 from dflsim.core_learning import (
     GATHER,
     Dataset,
-    Minibatch,
     ParamVector,
     ShapeError,
     batch_gradient,
-    evaluate_accuracy,
-    evaluate_mean_loss,
     sgd_step,
 )
 from dflsim.data import gen_synthetic_blobs, partition_iid, split_auxiliary
 from dflsim.reweight import (
     LossClip,
-    MetricVector,
     TargetMetricKind,
-    compute_tpm,
-    dfedreweighting_round_weights,
+    apply_crs,
     reweight_aggregate,
     reweight_round,
 )
@@ -53,7 +48,8 @@ from dflsim.sim import (
     setup_seed,
 )
 from dflsim.topology import TopologyGraph
-from oracles import crs_oracle
+import oracles
+from oracles import MetricVector, compute_tpm, crs_oracle, evaluate_accuracy, evaluate_mean_loss
 
 
 def tiny_config(**overrides):
@@ -139,8 +135,8 @@ class TestRunRound:
 
             manual = template
             stream = rng.stream(config.seeds[0], 0, 1, "minibatch")
-            batch = Minibatch(stream.choice(40, size=32, replace=False))
-            manual = sgd_step(manual, batch_gradient(manual, data, batch),
+            batch = stream.choice(40, size=32, replace=False)
+            manual = sgd_step(manual, oracles.batch_gradient(manual, data, batch),
                               config.learning_rate)
             np.testing.assert_array_equal(state.models[0], manual.values)
 
@@ -202,15 +198,15 @@ def broadcast_matrix(state, models):
 
 
 def loop_half_step(state, node_id, t):
-    """Reference local SGD: per-client batch_gradient + sgd_step on the client's
-    stream, over a copy of the client's train set."""
+    """Reference local SGD: the per-vector batch_gradient and sgd_step on the
+    client's stream, over a copy of the client's train set."""
     train = state.train_data.subset(state.clients[node_id].train)
     gen = rng.stream(state.seed, node_id, t, "minibatch")
     n = len(train)
     model = ParamVector(state.models[node_id], train.num_classes, train.feature_dim)
     for _ in range(state.config.local_steps):
-        batch = Minibatch(gen.choice(n, size=min(state.config.batch_size, n), replace=False))
-        model = sgd_step(model, batch_gradient(model, train, batch),
+        batch = gen.choice(n, size=min(state.config.batch_size, n), replace=False)
+        model = sgd_step(model, oracles.batch_gradient(model, train, batch),
                          state.config.learning_rate)
     return model
 
@@ -393,12 +389,16 @@ class TestStackedRoundEngine:
 
     @staticmethod
     def per_client_oracle(state, broadcast, k):
-        """(row, weights) of client k alone through the per-vector functions."""
+        """(row, weights) of client k alone: its members scored by the per-vector
+        compute_tpm, weighed by the per-vector CRS and mixed by reweight_aggregate."""
         agg = state.config.aggregator
         members = np.flatnonzero(state.graph.adjacency[k] | (np.arange(state.graph.n) == k))
-        weights = dfedreweighting_round_weights(
-            agg.tpm, agg.crs, members, broadcast[members], aux_set(state, k))
-        return reweight_aggregate(broadcast[members], weights), dict(zip(weights.ids, weights.weights.tolist()))
+        aux = aux_set(state, k)
+        weights = crs_oracle(agg.crs, MetricVector(members, [
+            compute_tpm(agg.tpm, ParamVector(broadcast[i], aux.num_classes, aux.feature_dim), aux)
+            for i in members]))
+        return (reweight_aggregate(broadcast[members], weights.weights),
+                dict(zip(weights.ids, weights.weights.tolist())))
 
     @pytest.mark.parametrize("aggregator", [
         {"tpm": "loss", "crs": "loss_clip"},
@@ -421,7 +421,7 @@ class TestStackedRoundEngine:
 
         built = []
         monkeypatch.setattr(sim, "_aggregate_one", per_client)
-        monkeypatch.setattr(reweight, "MetricVector", lambda *args: built.append(args) or MetricVector(*args))
+        monkeypatch.setattr(reweight, "apply_crs", lambda *args: built.append(args) or apply_crs(*args))
         for t in (1, 2, 3):
             run_round(state, t)
             assert built == []
