@@ -1,12 +1,18 @@
 """Reference aggregators: averaging, coordinate median, Krum, Multi-Krum,
 trimmed mean, and the distance-weighted FLAME variant.
 
-Each aggregator takes the closed neighborhood (the aggregating client's own
+Each reads a closed neighborhood (the aggregating client's own
 post-local-step model included) as a (k, C*d+C) matrix whose rows are in
-ascending node id order, and returns one row. Score and sort ties go to the
-first row, i.e. the lowest node id. Averaging, median and trimmed mean also
-take a (..., k, C*d+C) stack of neighborhoods of k members each and reduce
-every one over axis -2, bit-identical to one call per neighborhood.
+ascending node id order; score and sort ties go to the first row, i.e. the
+lowest node id. Averaging, median and trimmed mean return one row, and
+reduce a (..., k, C*d+C) stack over axis -2, bit-identical to one call per
+neighborhood. Krum, Multi-Krum and FLAME weigh members instead: weights(params,
+own) maps a (g, k, C*d+C) stack and the (g,) columns of the clients' own rows
+to (g, k) nonnegative weights, which a round mixes as it mixes DFedReweighting's.
+
+This FLAME is the distance-weighted average anchored on the client's own
+model, not the clustering, clipping and noising FLAME of Nguyen et al.
+(USENIX Security 2022).
 """
 from __future__ import annotations
 
@@ -40,6 +46,11 @@ class Krum:
         if self.f < 0:
             raise ValueError("f must be nonnegative")
 
+    def weights(self, params: np.ndarray, own: np.ndarray) -> np.ndarray:
+        """One-hot at each neighborhood's lowest Krum score."""
+        scores = np.array([krum_scores(p, self.f) for p in params])
+        return np.eye(params.shape[1])[np.argmin(scores, axis=1)]
+
 
 @dataclass(frozen=True)
 class MultiKrum:
@@ -53,6 +64,13 @@ class MultiKrum:
             raise ValueError("f must be nonnegative")
         if self.m < 1:
             raise ValueError("m must be positive")
+
+    def weights(self, params: np.ndarray, own: np.ndarray) -> np.ndarray:
+        """1 on each neighborhood's m lowest Krum scores, chosen by a stable sort."""
+        if not 1 <= self.m <= params.shape[1]:
+            raise ValueError(f"m={self.m} must lie in [1, {params.shape[1]}]")
+        scores = np.array([krum_scores(p, self.f) for p in params])
+        return np.eye(params.shape[1])[np.argsort(scores, axis=1, kind="stable")[:, :self.m]].sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -74,6 +92,15 @@ class Flame:
     def __post_init__(self):
         if self.beta <= 0:
             raise ValueError("beta must be positive")
+
+    def weights(self, params: np.ndarray, own: np.ndarray) -> np.ndarray:
+        """1/(||x_j - x_own||^2 + beta) per member j; the own entry is 0 unless include_self."""
+        clients = np.arange(len(own))
+        diffs = params - params[clients, own][:, None]
+        u = 1.0 / (np.einsum("gkp,gkp->gk", diffs, diffs) + self.beta)
+        if not self.include_self:
+            u[clients, own] = 0.0
+        return u
 
 
 BaselineKind = Union[DFedAvg, Median, Krum, MultiKrum, TrimmedMean, Flame]
@@ -102,41 +129,9 @@ def krum_scores(params: np.ndarray, f: int) -> np.ndarray:
     return np.sort(dists, axis=1)[:, :keep].sum(axis=1)
 
 
-def krum(params: np.ndarray, f: int) -> np.ndarray:
-    """Row with the minimal Krum score; ties go to the first row."""
-    return params[np.argmin(krum_scores(params, f))]
-
-
-def multi_krum(params: np.ndarray, f: int, m: int) -> np.ndarray:
-    """Mean of the m lowest-Krum-score rows, summed in row order."""
-    if not 1 <= m <= len(params):
-        raise ValueError(f"m={m} must lie in [1, {len(params)}]")
-    chosen = np.sort(np.argsort(krum_scores(params, f), kind="stable")[:m])
-    return params[chosen].mean(axis=0)
-
-
 def trimmed_mean(params: np.ndarray, f: int) -> np.ndarray:
     """Per coordinate: drop the f smallest and f largest values, average the rest."""
     n = params.shape[-2]
     if n <= 2 * f:
         raise ValueError(f"trimmed mean needs n > 2f, got n={n} with f={f}")
     return np.sort(params, axis=-2)[..., f:n - f, :].mean(axis=-2)
-
-
-def flame_weighted(
-    own_row: np.ndarray, received_rows: np.ndarray, beta: float, include_self: bool = True
-) -> np.ndarray:
-    """Distance-weighted average with weights 1/(||own - w_j||^2 + beta).
-
-    include_self adds the client's own row at distance zero (closed
-    neighborhood reading); include_self=False is the literal neighbors-only
-    form.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if not len(received_rows):
-        raise ValueError("flame requires at least one received model")
-    models = np.vstack([own_row, received_rows]) if include_self else received_rows
-    diffs = models - own_row
-    u = 1.0 / (np.einsum("ij,ij->i", diffs, diffs) + beta)
-    return (u / u.sum()) @ models

@@ -25,20 +25,7 @@ import numpy as np
 from . import rng
 from .analysis import accuracy_variance, mean_accuracy, summarize
 from .attacks import ALIE, AdversaryView, Gaussian, SignFlip, alie_update, gaussian_update, sign_flip_update
-from .baselines import (
-    DFedAvg,
-    Flame,
-    Krum,
-    Median,
-    MultiKrum,
-    TrimmedMean,
-    dfedavg,
-    flame_weighted,
-    krum,
-    median_agg,
-    multi_krum,
-    trimmed_mean,
-)
+from .baselines import DFedAvg, Median, TrimmedMean, dfedavg, median_agg, trimmed_mean
 from .config import ConfigError, DFedReweightingSpec, RunConfig, SyntheticSpec, config_to_json_dict
 from .core_learning import (
     Dataset,
@@ -63,7 +50,7 @@ from .data import (
     split_auxiliary,
 )
 from .plan import RoundPlan, plan_rounds
-from .reweight import (MixingWeights, dfedreweighting_round_weights, reweight_aggregate,
+from .reweight import (MixingWeights, dfedreweighting_round_weights, mix, reweight_aggregate,
                        reweight_round, scoring_is_stock)
 from .topology import TopologyGraph, generate
 
@@ -96,7 +83,7 @@ class NetworkState:
     train_data: Dataset
     test_data: Dataset | None
     # The last round's MixingWeights, which holds its mixing matrix W; {} before
-    # round 1 and under a baseline.
+    # round 1 and under DFedAvg, median and trimmed mean.
     last_weights: MixingWeights | dict = field(default_factory=dict)
     round_plan: RoundPlan | None = field(default=None, repr=False)
 
@@ -290,37 +277,44 @@ def _attack_payload(state: NetworkState, node_id: int, broadcast: np.ndarray, t:
 
 
 # Rows take (baseline spec, the (g, k, C*d+C) rows of a group's closed
-# neighborhoods, each in node id order, and the (g,) columns of the clients'
-# own rows) and return the group's (g, C*d+C) aggregates. Averaging, median
-# and trimmed mean reduce all g neighborhoods at once; the others run one
-# neighborhood at a time.
+# neighborhoods, each in node id order) and return the group's (g, C*d+C)
+# aggregates, reducing all g neighborhoods at once. A baseline with no row
+# weighs members: it has weights(params, own) instead.
 _BASELINES = {
-    DFedAvg: lambda agg, params, own: dfedavg(params),
-    Median: lambda agg, params, own: median_agg(params),
-    Krum: lambda agg, params, own: np.array([krum(p, agg.f) for p in params]),
-    MultiKrum: lambda agg, params, own: np.array([multi_krum(p, agg.f, agg.m) for p in params]),
-    TrimmedMean: lambda agg, params, own: trimmed_mean(params, agg.f),
-    Flame: lambda agg, params, own: np.array([
-        flame_weighted(p[o], np.delete(p, o, axis=0), agg.beta, agg.include_self)
-        for p, o in zip(params, own)
-    ]),
+    DFedAvg: lambda agg, params: dfedavg(params),
+    Median: lambda agg, params: median_agg(params),
+    TrimmedMean: lambda agg, params: trimmed_mean(params, agg.f),
 }
 
 
 def _baseline_round(state: NetworkState, broadcast: np.ndarray) -> tuple:
     """The configured baseline for every benign client, one aggregation group at a time.
 
-    Returns (rows, weights, failures) as reweight_round does; weights is
-    empty, and a group that fails records its lowest node.
+    Returns (rows, weights, failures) as reweight_round does; a group that
+    fails records its lowest node. A baseline with weights() fills U as
+    reweight_round fills W: rows are mix(U, broadcast) and W is U, each row
+    divided by its client's weight sum. The others' weights are empty.
     """
-    agg, plan = state.config.aggregator, state.plan()
-    rows, failures = np.zeros((state.graph.num_benign, broadcast.shape[1])), {}
+    agg, plan, b = state.config.aggregator, state.plan(), state.graph.num_benign
+    weighted = hasattr(agg, "weights")
+    # U under a weighted baseline, else the rows. totals sums each client's k weights
+    # alone: numpy's pairwise sum over a row of U would group its zeros in and can move
+    # the last bit. A failed group's rows stay 0 and its totals 1.
+    out = np.zeros((b, broadcast.shape[0] if weighted else broadcast.shape[1]))
+    totals, failures = np.ones((b, 1)) if weighted else None, {}
     for group in plan.groups:
         try:
-            rows[group.nodes] = _BASELINES[type(agg)](agg, broadcast[group.members], group.own)
+            if weighted:
+                u = agg.weights(broadcast[group.members], group.own)
+                out[group.nodes[:, None], group.members] = u
+                totals[group.nodes, 0] = u.sum(axis=1)
+            else:
+                out[group.nodes] = _BASELINES[type(agg)](agg, broadcast[group.members])
         except Exception as exc:
             failures[group.nodes[0]] = exc
-    return rows, {}, failures
+    if not weighted:
+        return out, {}, failures
+    return mix(out, broadcast) / totals, MixingWeights(out / totals, plan), failures
 
 
 def _aggregate_one(state: NetworkState, node_id: int, members: np.ndarray, broadcast: np.ndarray):
@@ -365,8 +359,9 @@ def run_round(state: NetworkState, t: int) -> NetworkState:
     sgd_step has been replaced. Then every benign client aggregates its
     closed neighborhood's rows into its row of state.models: reweight_round
     mixes the round's DFedReweighting matrix W with broadcast (a client that
-    weighs a non-finite row gets a NaN row), or the baseline aggregates one
-    group of the plan at a time. DFedReweighting goes client by client, filling
+    weighs a non-finite row gets a NaN row), or _baseline_round aggregates one
+    group of the plan at a time, and Krum, Multi-Krum and FLAME mix their
+    weights as W is mixed. DFedReweighting goes client by client, filling
     the same W, if reweight.compute_tpm or a metric it calls has been replaced.
     The first client, in node id order, whose aggregation fails or is
     non-finite is named in the SimulationError raised, with its weights if any.

@@ -14,6 +14,13 @@ synthetic_blobs builds gen_synthetic_blobs's dataset one class block at a
 time, as a fresh array per class that is then copied into place.
 label_skew_partition deals partition_label_skew's slots one at a time, into
 per-class holder lists and per-client class sets that it checks as it goes.
+The package computes Krum, Multi-Krum and FLAME only as weights that a round
+mixes (Krum.weights, MultiKrum.weights, Flame.weights). krum, multi_krum and
+flame_weighted return one closed neighborhood's row as the package once did,
+flame_weighted through a BLAS gemv; flame_summed sums FLAME's weighted rows
+one member at a time, with no BLAS. weighted_row is not a reference: it runs
+the package's weights on one neighborhood and mixes them as a round does, the
+call the tests compare with these.
 """
 import math
 from dataclasses import dataclass
@@ -21,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from dflsim import rng
+from dflsim.baselines import krum_scores
 from dflsim.core_learning import PROB_FLOOR, Dataset, ParamVector, ShapeError
 from dflsim.data import BLOB_ANCHOR_AXES, PartitionError, PartitionPlan, check_label_skew
-from dflsim.reweight import SENTINEL, WEIGHT_SUM_TOL, AccClip, LossClip, TargetMetricKind, TempSoftmax
+from dflsim.reweight import SENTINEL, WEIGHT_SUM_TOL, AccClip, LossClip, TargetMetricKind, TempSoftmax, mix
 
 
 def logits(model: ParamVector, features_matrix: np.ndarray) -> np.ndarray:
@@ -251,3 +259,57 @@ def label_skew_partition(data: Dataset, num_clients: int, h: int, seed: int) -> 
         for i, k in enumerate(holders[c]):
             dealt[k].append(perm[i * per:(i + 1) * per])
     return PartitionPlan(tuple(np.sort(np.concatenate(d)) for d in dealt))
+
+
+def krum(params: np.ndarray, f: int) -> np.ndarray:
+    """Row with the minimal Krum score; ties go to the first row."""
+    return params[np.argmin(krum_scores(params, f))]
+
+
+def multi_krum(params: np.ndarray, f: int, m: int) -> np.ndarray:
+    """Mean of the m lowest-Krum-score rows, summed in row order."""
+    if not 1 <= m <= len(params):
+        raise ValueError(f"m={m} must lie in [1, {len(params)}]")
+    chosen = np.sort(np.argsort(krum_scores(params, f), kind="stable")[:m])
+    return params[chosen].mean(axis=0)
+
+
+def flame_weighted(
+    own_row: np.ndarray, received_rows: np.ndarray, beta: float, include_self: bool = True
+) -> np.ndarray:
+    """Distance-weighted average with weights 1/(||own - w_j||^2 + beta).
+
+    include_self adds the client's own row at distance zero (closed
+    neighborhood reading); include_self=False is the literal neighbors-only
+    form.
+    """
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    if not len(received_rows):
+        raise ValueError("flame requires at least one received model")
+    models = np.vstack([own_row, received_rows]) if include_self else received_rows
+    diffs = models - own_row
+    u = 1.0 / (np.einsum("ij,ij->i", diffs, diffs) + beta)
+    return (u / u.sum()) @ models
+
+
+def flame_summed(params: np.ndarray, own: int, beta: float, include_self: bool = True) -> np.ndarray:
+    """FLAME on one closed neighborhood, rows in node id order, anchored on row
+    own: acc + u_j * x_j from acc = +0.0, one member at a time in ascending id,
+    then divided by the sum of the weights u."""
+    diffs = params - params[own]
+    u = 1.0 / (np.einsum("ij,ij->i", diffs, diffs) + beta)
+    if not include_self:
+        u[own] = 0.0
+    acc = np.zeros(params.shape[1])
+    for w, row in zip(u, params):
+        acc = acc + w * row
+    return acc / u.sum()
+
+
+def weighted_row(spec, params: np.ndarray, own: int = 0) -> np.ndarray:
+    """The row a round gives the client whose closed neighborhood is params,
+    its own row at own, under the weighted baseline spec: spec.weights mixed
+    with params and divided by their sum."""
+    u = spec.weights(params[None], np.array([own]))
+    return mix(u, params)[0] / u.sum()

@@ -12,12 +12,12 @@ import pytest
 
 from dflsim import rng, sim
 from dflsim.baselines import (
+    Flame,
+    Krum,
+    MultiKrum,
     dfedavg,
-    flame_weighted,
-    krum,
     krum_scores,
     median_agg,
-    multi_krum,
     trimmed_mean,
 )
 from dflsim.cli import cli_main
@@ -26,7 +26,7 @@ from dflsim.core_learning import Dataset, ParamVector, batch_gradient
 from dflsim.data import gen_synthetic_blobs, partition_dirichlet, partition_iid, partition_label_skew
 from dflsim.reweight import AccClip, LossClip, TempSoftmax, apply_crs
 from dflsim.sim import run_experiment, run_round, setup_seed
-from oracles import batch_loss
+from oracles import batch_loss, weighted_row
 
 DESK_DATASET = {
     "synthetic": {
@@ -203,12 +203,12 @@ def test_criterion_4_aggregator_oracle_equivalence():
         for score, expected in zip(krum_scores(candidates, f), expected_scores):
             assert abs(score - expected) <= 1e-12
         best = min(range(n), key=lambda i: (expected_scores[i], i))
-        np.testing.assert_array_equal(krum(candidates, f)[:-1], vectors[best])
+        np.testing.assert_array_equal(weighted_row(Krum(f), candidates)[:-1], vectors[best])
         np.testing.assert_allclose(
-            multi_krum(candidates, f, m)[:-1],
+            weighted_row(MultiKrum(f, m), candidates)[:-1],
             naive_multi_krum(vectors, f, m), atol=1e-12)
         np.testing.assert_allclose(
-            flame_weighted(candidates[0], candidates[1:], 1.0)[:-1],
+            weighted_row(Flame(1.0), candidates)[:-1],
             naive_flame(vectors[0], vectors[1:], 1.0), atol=1e-12)
     elapsed = time.time() - start
     report(4, elapsed <= 10,

@@ -3,14 +3,15 @@ import pytest
 
 from dflsim import rng
 from dflsim.baselines import (
+    Flame,
+    Krum,
+    MultiKrum,
     dfedavg,
-    flame_weighted,
-    krum,
     krum_scores,
     median_agg,
-    multi_krum,
     trimmed_mean,
 )
+from oracles import weighted_row
 
 def pv(values):
     """One parameter row: the values plus a padding bias coordinate."""
@@ -77,11 +78,11 @@ class TestKrum:
         assert scores[0] == 0.0 and scores[1] == 0.0
 
     def test_selection_tie_break_lowest_id(self):
-        out = krum(cs([[0.0], [1.0], [2.0], [10.0]]), f=1)
+        out = weighted_row(Krum(f=1), cs([[0.0], [1.0], [2.0], [10.0]]))
         np.testing.assert_allclose(body(out), [0.0])
 
     def test_all_identical(self):
-        out = krum(cs([[3.0, 3.0]] * 4), f=1)
+        out = weighted_row(Krum(f=1), cs([[3.0, 3.0]] * 4))
         np.testing.assert_allclose(body(out), [3.0, 3.0])
 
     def test_never_selects_far_outlier(self):
@@ -89,34 +90,34 @@ class TestKrum:
         for _ in range(20):
             inliers = [gen.normal(0, 1, 3) for _ in range(5)]
             outlier = gen.normal(0, 1, 3) + 1000.0
-            out = body(krum(cs(inliers + [outlier]), f=1))
+            out = body(weighted_row(Krum(f=1), cs(inliers + [outlier])))
             assert np.linalg.norm(out) < 100.0
 
     def test_too_few_candidates(self):
         with pytest.raises(ValueError, match="n - f - 2"):
-            krum(cs([[0.0], [1.0], [2.0]]), f=1)
+            weighted_row(Krum(f=1), cs([[0.0], [1.0], [2.0]]))
 
 
 class TestMultiKrum:
     def test_m_one_reduces_to_krum(self):
         candidates = cs([[0.0], [1.0], [2.0], [10.0]])
         np.testing.assert_array_equal(
-            multi_krum(candidates, f=1, m=1), krum(candidates, f=1)
+            weighted_row(MultiKrum(f=1, m=1), candidates), weighted_row(Krum(f=1), candidates)
         )
 
     def test_m_n_reduces_to_mean(self):
         candidates = cs([[0.0], [1.0], [2.0], [10.0]])
         np.testing.assert_allclose(
-            multi_krum(candidates, f=1, m=4), dfedavg(candidates)
+            weighted_row(MultiKrum(f=1, m=4), candidates), dfedavg(candidates)
         )
 
     def test_hand_example(self):
-        out = multi_krum(cs([[0.0], [1.0], [2.0], [10.0]]), f=1, m=2)
+        out = weighted_row(MultiKrum(f=1, m=2), cs([[0.0], [1.0], [2.0], [10.0]]))
         np.testing.assert_allclose(body(out), [0.5])
 
     def test_invalid_m(self):
         with pytest.raises(ValueError):
-            multi_krum(cs([[0.0], [1.0], [2.0], [10.0]]), f=1, m=5)
+            weighted_row(MultiKrum(f=1, m=5), cs([[0.0], [1.0], [2.0], [10.0]]))
 
 
 class TestTrimmedMean:
@@ -147,25 +148,25 @@ class TestTrimmedMean:
 
 class TestFlame:
     def test_identical_pair(self):
-        out = flame_weighted(pv([0.0]), cs([[0.0]]), beta=1.0)
+        out = weighted_row(Flame(beta=1.0), cs([[0.0], [0.0]]))
         np.testing.assert_allclose(body(out), [0.0])
 
     def test_hand_example_with_self(self):
-        out = flame_weighted(pv([0.0]), cs([[1.0]]), beta=1.0)
+        out = weighted_row(Flame(beta=1.0), cs([[0.0], [1.0]]))
         np.testing.assert_allclose(body(out), [1.0 / 3.0], rtol=1e-12)
 
     def test_literal_neighbors_only_form(self):
-        out = flame_weighted(pv([0.0]), cs([[1.0]]), beta=1.0, include_self=False)
+        out = weighted_row(Flame(beta=1.0, include_self=False), cs([[0.0], [1.0]]))
         np.testing.assert_allclose(body(out), [1.0])
 
     def test_fixed_point_when_all_equal(self):
         own = pv([2.0, -1.0])
-        out = flame_weighted(own, np.array([own, own]), beta=0.5)
+        out = weighted_row(Flame(beta=0.5), np.array([own, own, own]))
         np.testing.assert_allclose(out, own, atol=1e-12)
 
     def test_beta_must_be_positive(self):
         with pytest.raises(ValueError):
-            flame_weighted(pv([0.0]), cs([[1.0]]), beta=0.0)
+            weighted_row(Flame(beta=0.0), cs([[0.0], [1.0]]))
 
 
 class TestSharedProperties:
@@ -173,11 +174,11 @@ class TestSharedProperties:
         n = len(candidates)
         out = [("dfedavg", dfedavg(candidates)), ("median", median_agg(candidates))]
         if n >= 4:
-            out.append(("krum", krum(candidates, f=1)))
-            out.append(("mkrum", multi_krum(candidates, f=1, m=2)))
+            out.append(("krum", weighted_row(Krum(f=1), candidates)))
+            out.append(("mkrum", weighted_row(MultiKrum(f=1, m=2), candidates)))
         if n >= 3:
             out.append(("trimmed", trimmed_mean(candidates, f=1)))
-        out.append(("flame", flame_weighted(candidates[0], candidates[1:], beta=1.0)))
+        out.append(("flame", weighted_row(Flame(beta=1.0), candidates)))
         return out
 
     def test_translation_equivariance(self):
@@ -217,8 +218,8 @@ class TestSharedProperties:
         hi = np.max(inliers, axis=0)
         for name, agg in [
             ("median", median_agg(candidates)),
-            ("krum", krum(candidates, f=2)),
-            ("mkrum", multi_krum(candidates, f=2, m=2)),
+            ("krum", weighted_row(Krum(f=2), candidates)),
+            ("mkrum", weighted_row(MultiKrum(f=2, m=2), candidates)),
             ("trimmed", trimmed_mean(candidates, f=2)),
         ]:
             out = body(agg)

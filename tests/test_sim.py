@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dflsim import rng
-from dflsim.baselines import dfedavg, flame_weighted, krum, median_agg, multi_krum, trimmed_mean
+from dflsim.baselines import Krum, MultiKrum, dfedavg, median_agg, trimmed_mean
 from dflsim.config import (ATTACKS, BASELINES, CRSS, SCHEMES, ConfigError,
                            DFedReweightingSpec, config_to_json_dict, parse_config)
 from dflsim.core_learning import (
@@ -25,9 +25,11 @@ from dflsim.core_learning import (
 )
 from dflsim.data import gen_synthetic_blobs, partition_iid, split_auxiliary
 from dflsim.reweight import (
+    WEIGHT_SUM_TOL,
     LossClip,
     TargetMetricKind,
     apply_crs,
+    mix,
     reweight_aggregate,
     reweight_round,
 )
@@ -718,10 +720,10 @@ _BASELINE_KINDS = [
 _BASELINE_ORACLES = {
     "dfedavg": lambda params, own: dfedavg(params),
     "median": lambda params, own: median_agg(params),
-    "krum": lambda params, own: krum(params, 2),
-    "multi_krum": lambda params, own: multi_krum(params, 2, 2),
+    "krum": lambda params, own: oracles.krum(params, 2),
+    "multi_krum": lambda params, own: oracles.multi_krum(params, 2, 2),
     "trimmed_mean": lambda params, own: trimmed_mean(params, 2),
-    "flame": lambda params, own: flame_weighted(params[own], np.delete(params, own, axis=0), 1.0),
+    "flame": lambda params, own: oracles.flame_summed(params, own, 1.0),
 }
 
 
@@ -786,6 +788,102 @@ class TestBaselineDispatch:
         with pytest.raises(SimulationError,
                            match=f"round 1 failed for seed 50 at node {failing[0]}: krum needs"):
             run_round(state, 1)
+
+
+    @pytest.mark.parametrize("kind", [
+        {"kind": "krum", "f": 2},
+        {"kind": "multi_krum", "f": 2, "m": 2},
+        {"kind": "flame", "beta": 1.0},
+        {"kind": "flame", "beta": 0.5, "include_self": False},
+    ])
+    def test_weighted_baselines_fill_W_with_their_selection(self, kind):
+        state = self.ten_client_network(kind, 0.6, 48)
+        closed = state.plan().closed
+        for t in (1, 2):
+            # No malicious nodes: the round's broadcast is the benign half-steps.
+            halves = _local_half_steps(state, t)
+            run_round(state, t)
+            matrix = state.last_weights.matrix
+            assert np.all(matrix >= 0)
+            assert np.all(np.abs(matrix.sum(axis=1) - 1.0) <= WEIGHT_SUM_TOL)
+            assert not matrix[~closed].any()
+            for k in state.benign_ids():
+                members = np.flatnonzero(closed[k])
+                params, expected = halves[members], np.zeros(len(members))
+                if kind["kind"] == "krum":
+                    expected[np.argmin(oracles.krum_scores(params, 2))] = 1.0
+                elif kind["kind"] == "multi_krum":
+                    expected[np.argsort(oracles.krum_scores(params, 2), kind="stable")[:2]] = 1 / 2
+                else:
+                    diffs = params - halves[k]
+                    u = 1.0 / (np.einsum("ij,ij->i", diffs, diffs) + kind["beta"])
+                    u[members == k] *= kind.get("include_self", True)
+                    expected = u / u.sum()
+                assert matrix[k, members].tobytes() == expected.tobytes(), (t, k)
+
+    def test_flame_round_is_within_1e_12_of_the_gemv_form(self):
+        state = self.ten_client_network({"kind": "flame", "beta": 1.0}, 0.6, 48)
+        closed = state.plan().closed
+        for t in (1, 2):
+            halves = _local_half_steps(state, t)
+            run_round(state, t)
+            for k in state.benign_ids():
+                members = np.flatnonzero(closed[k])
+                expected = oracles.flame_weighted(halves[k], halves[members[members != k]], 1.0)
+                np.testing.assert_allclose(state.models[k], expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", [Krum(f=1), Krum(f=3), MultiKrum(f=1, m=3), MultiKrum(f=2, m=1)],
+                             ids=repr)
+    def test_selection_rows_equal_the_row_forms_on_random_groups(self, spec):
+        # The weights of g neighborhoods of k members scattered into one (g, g*k)
+        # matrix and mixed with their stacked rows, as a round mixes them; then
+        # divided by each row's sum.
+        gen = rng.stream(57, purpose="test")
+        for _ in range(400):
+            g, k = int(gen.integers(1, 6)), int(gen.integers(spec.fewest, 16))
+            p, scale = int(gen.choice([7, 130, 650, 1000])), 10.0 ** int(gen.integers(-3, 4))
+            params = scale * gen.standard_normal((g, k, p))
+            u = spec.weights(params, np.zeros(g, dtype=int))
+            matrix = np.zeros((g, g * k))
+            matrix[np.arange(g)[:, None], np.arange(g * k).reshape(g, k)] = u
+            rows = mix(matrix, params.reshape(g * k, p)) / u.sum(axis=1, keepdims=True)
+            for row, neighborhood in zip(rows, params):
+                if isinstance(spec, MultiKrum):
+                    expected = oracles.multi_krum(neighborhood, spec.f, spec.m)
+                else:
+                    expected = oracles.krum(neighborhood, spec.f)
+                assert row.tobytes() == expected.tobytes(), (g, k, p)
+
+    def test_multi_krum_exports_W_and_the_row_baselines_write_no_weights(self, tmp_path):
+        shape = dict(
+            rounds=2, eval_every=1, export_weights=True, seeds=[53, 48],
+            topology={"num_benign": 10, "num_malicious": 0, "edge_prob": 0.6},
+            dataset={"synthetic": {"num_classes": 3, "feature_dim": 6, "n_per_class": 60,
+                                    "spread": 0.5, "seed": 5, "test_n_per_class": 20}},
+        )
+        config = tiny_config(name="mkrum", aggregator={"baseline": {"kind": "multi_krum", "f": 2, "m": 2}},
+                             **shape)
+        run_experiment(config, outdir=str(tmp_path))
+        expected = {1: [], 2: []}
+        for seed in config.seeds:
+            state = setup_seed(config, seed)
+            closed = state.plan().closed
+            clients, members = np.nonzero(closed)
+            for t in (1, 2):
+                run_round(state, t)
+                expected[t].extend(zip([seed] * len(clients), clients.tolist(), members.tolist(),
+                                       state.last_weights.matrix[closed].tolist()))
+        for t, rows in expected.items():
+            header, *lines = (tmp_path / "mkrum" / f"weights_round_{t}.csv").read_text().splitlines()
+            assert header == "seed,client,member,weight"
+            assert [tuple(line.split(",")) for line in lines] == [
+                (str(s), str(c), str(m), repr(w)) for s, c, m, w in rows]
+            assert {w for *_, w in rows} == {0.0, 0.5}
+        for kind in ({"kind": "dfedavg"}, {"kind": "median"}, {"kind": "trimmed_mean", "f": 2}):
+            run_experiment(tiny_config(name=kind["kind"], aggregator={"baseline": kind}, **shape),
+                           outdir=str(tmp_path))
+            written = sorted(path.name for path in (tmp_path / kind["kind"]).iterdir())
+            assert written == ["config.json", "metrics.csv", "summary.json", "topology.json"], kind
 
 
 # Fields without a default, per registered kind.
