@@ -47,9 +47,8 @@ class Krum:
             raise ValueError("f must be nonnegative")
 
     def weights(self, params: np.ndarray, own: np.ndarray) -> np.ndarray:
-        """One-hot at each neighborhood's lowest Krum score."""
-        scores = np.array([krum_scores(p, self.f) for p in params])
-        return np.eye(params.shape[1])[np.argmin(scores, axis=1)]
+        """Multi-Krum with m = 1: ties go to the first member, and NaN scores sort last."""
+        return MultiKrum(self.f, 1).weights(params, own)
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ class MultiKrum:
             raise ValueError("m must be positive")
 
     def weights(self, params: np.ndarray, own: np.ndarray) -> np.ndarray:
-        """1 on each neighborhood's m lowest Krum scores, chosen by a stable sort."""
+        """1 on each neighborhood's m lowest Krum scores by a stable sort; NaN sorts last."""
         if not 1 <= self.m <= params.shape[1]:
             raise ValueError(f"m={self.m} must lie in [1, {params.shape[1]}]")
         scores = np.array([krum_scores(p, self.f) for p in params])

@@ -262,7 +262,8 @@ def label_skew_partition(data: Dataset, num_clients: int, h: int, seed: int) -> 
 
 
 def krum(params: np.ndarray, f: int) -> np.ndarray:
-    """Row with the minimal Krum score; ties go to the first row."""
+    """Row with the minimal Krum score; ties go to the first row. Only for groups
+    with no NaN score: argmin returns the first NaN, which Krum sorts last."""
     return params[np.argmin(krum_scores(params, f))]
 
 

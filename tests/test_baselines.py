@@ -97,13 +97,37 @@ class TestKrum:
         with pytest.raises(ValueError, match="n - f - 2"):
             weighted_row(Krum(f=1), cs([[0.0], [1.0], [2.0]]))
 
+    def test_is_multi_krum_keeping_one(self):
+        # Random (g, k, P) groups; some have an all-NaN row, some a duplicated row, so scores tie.
+        gen = rng.stream(58, purpose="test")
+        nan_groups = tied_groups = 0
+        for _ in range(240):
+            f = int(gen.integers(0, 4))
+            g, k = int(gen.integers(1, 6)), int(gen.integers(f + 3, 16))
+            p = int(gen.choice([7, 130, 650]))
+            params = 10.0 ** int(gen.integers(-3, 4)) * gen.standard_normal((g, k, p))
+            if gen.random() < 0.4:
+                params[gen.integers(g), gen.integers(k)] = np.nan
+                nan_groups += 1
+            if gen.random() < 0.4:
+                source, copy = gen.choice(k, 2, replace=False)
+                params[:, copy] = params[:, source]
+                tied_groups += 1
+            own = np.zeros(g, dtype=int)
+            krum, keeping_one = Krum(f).weights(params, own), MultiKrum(f, 1).weights(params, own)
+            assert krum.tobytes() == keeping_one.tobytes()
+        assert nan_groups > 50 and tied_groups > 50
+
 
 class TestMultiKrum:
     def test_m_one_reduces_to_krum(self):
-        candidates = cs([[0.0], [1.0], [2.0], [10.0]])
-        np.testing.assert_array_equal(
-            weighted_row(MultiKrum(f=1, m=1), candidates), weighted_row(Krum(f=1), candidates)
-        )
+        # The second group's NaN row scores NaN, sorts last and takes no weight.
+        for vectors, chosen in (([[0.0], [1.0], [2.0], [10.0]], [0.0]),
+                                ([[0.0], [1.0], [np.nan], [2.0], [10.0]], [1.0])):
+            candidates = cs(vectors)
+            out = weighted_row(Krum(f=1), candidates)
+            np.testing.assert_array_equal(weighted_row(MultiKrum(f=1, m=1), candidates), out)
+            np.testing.assert_array_equal(body(out), chosen)
 
     def test_m_n_reduces_to_mean(self):
         candidates = cs([[0.0], [1.0], [2.0], [10.0]])

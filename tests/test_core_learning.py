@@ -123,6 +123,20 @@ class TestBatchGradient:
             numeric = finite_difference_gradient(model, data, batch)
             denom = max(np.linalg.norm(numeric), 1e-8)
             assert np.linalg.norm(analytic - numeric) / denom <= 1e-4
+        # The engine's kernel: k = 3 models of one shape, each on its own minibatch of one size.
+        for _ in range(20):
+            C, d, size = int(gen.integers(2, 6)), int(gen.integers(1, 8)), int(gen.integers(1, 12))
+            problems = [random_problem(gen, C, d, int(gen.integers(max(size, 2), 30)))
+                        for _ in range(3)]
+            batches = [gen.choice(len(data), size=size, replace=False) for _, data in problems]
+            analytic = stacked_gradient(
+                np.array([model.values for model, _ in problems]),
+                np.array([data.features[batch] for (_, data), batch in zip(problems, batches)]),
+                np.array([data.labels[batch] for (_, data), batch in zip(problems, batches)]), C)
+            for row, (model, data), batch in zip(analytic, problems, batches):
+                numeric = finite_difference_gradient(model, data, batch)
+                denom = max(np.linalg.norm(numeric), 1e-8)
+                assert np.linalg.norm(row - numeric) / denom <= 1e-4
 
     def test_zero_features_zero_weight_gradient(self):
         data = Dataset(np.zeros((4, 3)), [0, 1, 0, 1], 2)

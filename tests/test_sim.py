@@ -5,6 +5,7 @@ import os
 import re
 import time
 import tracemalloc
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -789,6 +790,22 @@ class TestBaselineDispatch:
                            match=f"round 1 failed for seed 50 at node {failing[0]}: krum needs"):
             run_round(state, 1)
 
+    def test_a_nan_model_takes_no_krum_weight(self):
+        config = tiny_config(
+            topology={"num_benign": 8, "num_malicious": 0, "edge_prob": 0.9},
+            aggregator={"baseline": {"kind": "krum", "f": 1}},
+            dataset={"synthetic": {"num_classes": 3, "feature_dim": 6, "n_per_class": 60,
+                                    "spread": 0.5, "seed": 5, "test_n_per_class": 20}},
+        )
+        state = build_network(config, seed=43)
+        run_round(state, 1)
+        state.models[3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_round(state, 2)
+        # Node 3's NaN half-step scores NaN in every neighborhood that holds it and sorts last.
+        assert not state.last_weights.matrix[:, 3].any()
+        assert np.isfinite(state.models[state.benign_ids()]).all()
 
     @pytest.mark.parametrize("kind", [
         {"kind": "krum", "f": 2},
