@@ -175,7 +175,7 @@ def _scoring() -> tuple:
 # reweight_round's pair_logits and pairs_ kernels compute what these
 # module-level functions compute, so they stand in for them only while they
 # are this module's own. A caller that replaces one (to instrument or to
-# change scoring) gets it called per member.
+# change scoring) gets compute_tpm called per (client, member) pair.
 _STOCK_SCORING = _scoring()
 
 
@@ -288,27 +288,44 @@ def reweight_round(
     equals reweight_aggregate(params, dfedreweighting_round_weights(...)) on
     that client alone, bit for bit.
 
+    If compute_tpm or a metric it calls has been replaced, one compute_tpm
+    call per pair fills the metric vector instead (clients in node id order,
+    members ascending; a client whose call raises scores no further members),
+    and the same weighing and mixing follow: apply_crs, reweight_aggregate
+    and dfedreweighting_round_weights are never called.
+
     Returns (rows, weights, failures): rows[k] is the new model of benign
     client k, weights is the MixingWeights of W, and failures maps each
     client whose aggregation failed to its exception; those clients' rows and
     weights are meaningless.
     """
     values, failures = np.zeros(len(plan.pair_members)), {}
-    for block in plan.blocks:
-        parts = [(group.aux_features, group.members) for group in block.groups]
-        try:
-            # No name holds a block's logits, so they are freed before the next block's.
-            values[block.pairs] = kind.kernel("pairs")(pair_logits(broadcast, parts, num_classes),
-                                                       block.labels)
-        except Exception as exc:
-            # Scoring fails for a whole block at once; alone, its lowest client would fail first.
-            failures[min(int(group.nodes[0]) for group in block.groups)] = exc
-    finite = np.isfinite(values)
-    metrics = values if finite.all() else np.where(finite, values, SENTINEL)
-    weights, failed = _group_weights(crs, metrics, plan.layout)
+    clients = plan.pair_clients[plan.layout.starts]
+    if scoring_is_stock():
+        for block in plan.blocks:
+            parts = [(group.aux_features, group.members) for group in block.groups]
+            try:
+                # No name holds a block's logits, so they are freed before the next block's.
+                values[block.pairs] = kind.kernel("pairs")(pair_logits(broadcast, parts, num_classes),
+                                                           block.labels)
+            except Exception as exc:
+                # Scoring fails for a whole block at once; alone, its lowest client would fail first.
+                failures[min(int(group.nodes[0]) for group in block.groups)] = exc
+    else:
+        # Row r of the layout is the r-th client of the groups, in group order.
+        rows = [(group, i) for group in plan.groups for i in range(len(group.nodes))]
+        for r in np.argsort(clients).tolist():
+            (group, i), start = rows[r], plan.layout.starts[r]
+            try:
+                aux = Dataset(group.aux_features[i, 0], group.aux_labels[i], num_classes)
+                for j, member in enumerate(group.members[i]):
+                    model = ParamVector(broadcast[member], num_classes, aux.feature_dim)
+                    values[start + j] = compute_tpm(kind, model, aux)
+            except Exception as exc:
+                failures[int(clients[r])] = exc
+    weights, failed = _group_weights(crs, np.where(np.isfinite(values), values, SENTINEL), plan.layout)
     matrix = np.zeros(plan.closed.shape)
     matrix[plan.pair_clients, plan.pair_members] = weights
-    clients = plan.pair_clients[plan.layout.starts]
     failed = {int(clients[i]): ValueError(message) for i, message in failed.items()}
-    # A failed block's pairs keep the metric 0.0; its scoring failure outranks their CRS's.
+    # A failed client's or block's pairs keep the metric 0.0; its scoring failure outranks their CRS's.
     return mix(matrix, broadcast), MixingWeights(matrix, plan), {**failed, **failures}

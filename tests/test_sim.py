@@ -313,8 +313,6 @@ class TestStackedRoundEngine:
         assert plan.pair_clients is None and plan.pair_members is None and plan.layout is None
 
     def test_stacked_local_step_equals_per_client_step_in_every_stream_block(self):
-        from dflsim.sim import _local_half_step
-
         # Dirichlet train sets below and above batch_size give several step groups.
         config = tiny_config(scheme={"dirichlet": {"alpha": 0.5}}, batch_size=16, local_steps=2,
                              topology={"num_benign": 6, "num_malicious": 0, "edge_prob": 1.0})
@@ -323,7 +321,7 @@ class TestStackedRoundEngine:
         # Rounds in the first and second blocks of RoundStreams, and past config.rounds.
         for t in (1, 128, 129, config.rounds + 5):
             stacked = _local_half_steps(state, t)
-            per_client = np.array([_local_half_step(state, k, t).values for k in state.benign_ids()])
+            per_client = np.array([loop_half_step(state, k, t).values for k in state.benign_ids()])
             assert stacked.tobytes() == per_client.tobytes(), t
             state.models[state.benign_ids()] = stacked
 
@@ -410,7 +408,6 @@ class TestStackedRoundEngine:
     ])
     def test_grouped_round_equals_per_client_oracles(self, aggregator, monkeypatch):
         import dflsim.reweight as reweight
-        import dflsim.sim as sim
 
         state, oracle = self.grouped_round_state(aggregator), self.grouped_round_state(aggregator)
         closed = state.graph.adjacency | np.eye(state.graph.n, dtype=bool)
@@ -419,11 +416,11 @@ class TestStackedRoundEngine:
         assert len(set(sizes)) < len(sizes)
         assert max(k for k, _ in sizes) >= 9
 
-        def per_client(*args):
-            raise AssertionError("a stock reweighting round aggregated client by client")
-
-        built = []
-        monkeypatch.setattr(sim, "_aggregate_one", per_client)
+        # A stock round scores no pair one by one: it builds no ParamVector, as each
+        # per-pair compute_tpm call does (the bench tracer counts them the same way),
+        # and weighs no neighborhood through apply_crs.
+        built, make = [], ParamVector.__post_init__
+        monkeypatch.setattr(ParamVector, "__post_init__", lambda self: built.append(self) or make(self))
         monkeypatch.setattr(reweight, "apply_crs", lambda *args: built.append(args) or apply_crs(*args))
         for t in (1, 2, 3):
             run_round(state, t)
@@ -653,6 +650,70 @@ class TestStackedRoundEngine:
                 f"round 1 failed for seed 43 at node {node}: scoring refused")):
             run_round(state, 1)
 
+    @pytest.mark.parametrize("aggregator", [
+        {"tpm": "loss", "crs": "loss_clip"},
+        {"tpm": "accuracy", "crs": {"temp_softmax": {"temperature": 0.1}}},
+        {"tpm": "accuracy", "crs": "acc_clip"},
+    ])
+    def test_a_replaced_compute_tpm_scores_pair_by_pair_inside_the_round_engine(self, aggregator,
+                                                                                 monkeypatch):
+        # A replaced compute_tpm is called once per (client, member) pair, clients
+        # in node id order and members ascending; the round still weighs and mixes
+        # as a stock round does, not one client at a time, and gives its bytes.
+        import dflsim.reweight as reweight
+        import dflsim.sim as sim
+
+        stock, each = self.grouped_round_state(aggregator), self.grouped_round_state(aggregator)
+        expected = []
+        for t in (1, 2):
+            run_round(stock, t)
+            expected.append((stock.models.tobytes(), stock.last_weights.matrix.tobytes()))
+        original, scored = reweight.compute_tpm, []
+
+        def counted(kind, model, aux):
+            scored.append((model.values.tobytes(), aux.features.tobytes()))
+            return original(kind, model, aux)
+
+        def refused(*args):
+            raise AssertionError("a per-pair round weighed or mixed one client at a time")
+
+        monkeypatch.setattr(reweight, "compute_tpm", counted)
+        monkeypatch.setattr(reweight, "apply_crs", refused)
+        monkeypatch.setattr(sim, "reweight_aggregate", refused)
+        closed = each.plan().closed
+        for t, (models, matrix) in zip((1, 2), expected):
+            broadcast = self.round_broadcast(each, t)
+            scored.clear()
+            run_round(each, t)
+            assert scored == [(broadcast[m].tobytes(), aux_set(each, k).features.tobytes())
+                              for k in each.benign_ids() for m in np.flatnonzero(closed[k])]
+            assert each.models.tobytes() == models
+            assert each.last_weights.matrix.tobytes() == matrix
+
+    def test_a_replaced_compute_tpm_that_raises_names_its_client(self, monkeypatch):
+        # The client is not its scoring block's lowest node: a per-pair round
+        # names the client whose call raised, and scores none of its later members.
+        import dflsim.reweight as reweight
+
+        state = self.grouped_round_state({"tpm": "loss", "crs": "loss_clip"})
+        block = next(block for block in state.plan().blocks if len(block.groups) > 1)
+        node = max(int(group.nodes[-1]) for group in block.groups)
+        assert node > min(int(group.nodes[0]) for group in block.groups)
+        target, original, calls = aux_set(state, node).features.tobytes(), reweight.compute_tpm, []
+
+        def refuse_second_member(kind, model, aux):
+            if aux.features.tobytes() == target:
+                calls.append(model)
+                if len(calls) == 2:
+                    raise ValueError("scoring refused")
+            return original(kind, model, aux)
+
+        monkeypatch.setattr(reweight, "compute_tpm", refuse_second_member)
+        with pytest.raises(SimulationError, match=re.escape(
+                f"round 1 failed for seed 43 at node {node}: scoring refused")):
+            run_round(state, 1)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("aggregator, kernel", [
         ({"tpm": "loss", "crs": "loss_clip"}, "pairs_mean_loss"),
         ({"tpm": "accuracy", "crs": "acc_clip"}, "pairs_accuracy"),
@@ -731,8 +792,6 @@ _BASELINE_ORACLES = {
 class TestBaselineDispatch:
     @pytest.mark.parametrize("kind", _BASELINE_KINDS)
     def test_each_baseline_matches_direct_aggregation(self, kind):
-        from dflsim.sim import _local_half_step
-
         config = tiny_config(
             topology={"num_benign": 6, "num_malicious": 0, "edge_prob": 1.0},
             aggregator={"baseline": kind},
@@ -741,7 +800,7 @@ class TestBaselineDispatch:
         )
         # identical streams make the half-steps of a twin network bit-equal
         twin = build_network(config, seed=43)
-        halves = np.array([_local_half_step(twin, k, 1).values for k in twin.benign_ids()])
+        halves = np.array([loop_half_step(twin, k, 1).values for k in twin.benign_ids()])
 
         state = build_network(config, seed=43)
         run_round(state, 1)
@@ -762,8 +821,6 @@ class TestBaselineDispatch:
 
     @pytest.mark.parametrize("kind", _BASELINE_KINDS)
     def test_grouped_baselines_equal_per_client_oracles(self, kind):
-        from dflsim.sim import _local_half_step
-
         state = self.ten_client_network(kind, 0.6, 48)
         twin = self.ten_client_network(kind, 0.6, 48)
         closed = state.graph.adjacency | np.eye(state.graph.n, dtype=bool)
@@ -773,7 +830,7 @@ class TestBaselineDispatch:
         oracle = _BASELINE_ORACLES[kind["kind"]]
         for t in (1, 2):
             run_round(state, t)
-            halves = np.array([_local_half_step(twin, k, t).values for k in twin.benign_ids()])
+            halves = np.array([loop_half_step(twin, k, t).values for k in twin.benign_ids()])
             for k in twin.benign_ids():
                 members = np.flatnonzero(closed[k])
                 expected = oracle(halves[members], members.tolist().index(k))
