@@ -108,9 +108,6 @@ class RowLayout:
         """Each row's value repeated over the row's entries."""
         return np.repeat(per_row, self.lengths)
 
-    def row(self, x: np.ndarray, r: int) -> np.ndarray:
-        return x[self.starts[r]:self.starts[r] + self.lengths[r]]
-
 
 @dataclass(frozen=True)
 class StepGroup:

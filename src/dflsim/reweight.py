@@ -113,18 +113,16 @@ class LossClip:
         values, rejected = _rejected(
             values, layout, (lowest == SENTINEL, "loss-clip requires at least one finite metric"),
             (lowest < 0, "loss metrics must be nonnegative"))
-        # Clamping to the data keeps equal metrics uniform when their float mean
-        # rounds past the common value. A rejected row's lowest is not its
-        # zeroed entries' minimum, but its weights are never read.
-        mu = np.maximum(layout.mean(values), lowest)
+        # A row's mean sums its finite entries as a vector of their own, through a
+        # layout of those entries: a zero in each sentinel's place would change
+        # numpy's pairwise grouping of the sum. _rejected zeroed each row with no
+        # finite entry, so no row of that layout is empty. Clamping to the data
+        # keeps equal metrics uniform when their float mean rounds past the common
+        # value. A rejected row's lowest is not its zeroed entries' minimum, but
+        # its weights are never read.
         finite = np.isfinite(values)
-        if not finite.all():
-            # A sentinel row's mean sums its finite entries gathered, as a vector of
-            # their own: a zero in each sentinel's place would change numpy's
-            # pairwise grouping of the sum.
-            for i in np.flatnonzero(~layout.all(finite)).tolist():
-                kept = layout.row(values, i)[layout.row(finite, i)]
-                mu[i] = max(kept.mean(), kept.min())
+        kept = layout if finite.all() else RowLayout.of(layout.count(finite))
+        mu = np.maximum(kept.mean(values[finite]), lowest)
         survivors = finite & (values <= layout.spread(mu))
         return _clip_rows(values, survivors, layout), rejected
 
@@ -151,15 +149,6 @@ def _clip_rows(values: np.ndarray, survivors: np.ndarray, layout: RowLayout) -> 
 
 
 CRSKind = Union[TempSoftmax, LossClip, AccClip]
-
-
-def _weight_error(w: np.ndarray):
-    """Why the weight vector w is not one, or None if it is."""
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        return "weights must be finite and nonnegative"
-    if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
-        return f"weights sum to {w.sum()}, expected 1"
-    return None
 
 
 def compute_tpm(kind: TargetMetricKind, model: ParamVector, aux: Dataset) -> float:
@@ -189,13 +178,13 @@ def _group_weights(crs: CRSKind, metrics: np.ndarray, layout: RowLayout) -> tupl
     weights summing to one: (weights, {row: message}).
 
     A row crs.rows rejects keeps its message; an accepted row whose weights
-    fail the check takes _weight_error's message.
+    fail the check takes the message of the first check it fails.
     """
     weights, failed = crs.rows(metrics, layout)
-    # A NaN or infinite weight also takes its row's sum away from 1.
-    ok = layout.all(weights >= 0) & (np.abs(layout.sum(weights) - 1.0) <= WEIGHT_SUM_TOL)
-    for i in np.flatnonzero(~ok).tolist():
-        failed.setdefault(i, _weight_error(layout.row(weights, i)))
+    bad, sums = ~layout.all((weights >= 0) & np.isfinite(weights)), layout.sum(weights)
+    for i in np.flatnonzero(bad | (np.abs(sums - 1.0) > WEIGHT_SUM_TOL)).tolist():
+        failed.setdefault(i, "weights must be finite and nonnegative" if bad[i]
+                          else f"weights sum to {sums[i]}, expected 1")
     return weights, failed
 
 

@@ -473,6 +473,33 @@ class TestGroupWeights:
         assert 2 in failed and 0 not in failed
         assert (1 in failed) == (not isinstance(crs, LossClip))
 
+    def test_loss_clip_rows_of_two_widths_equal_the_oracle_or_its_failure(self):
+        """Loss-clip's k = 16 and k = 9 groups as one ragged layout, joined by a
+        width-16 row of 7 sentinels and 9 losses. In the layout of each row's
+        finite entries, which gives the clip thresholds, that row and the first,
+        all-finite k = 9 row form one run of 9."""
+        narrow, wide = _GROUP_ROWS[3][1], _GROUP_ROWS[4][1]
+        rows = [np.array(row) for row in [*wide, [SENTINEL] * 7 + wide[0][:9], *narrow]]
+        layout = RowLayout.of([len(row) for row in rows])
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights, failed = _group_weights(LossClip(), np.concatenate(rows), layout)
+        finite = []
+        for i, row in enumerate(rows):
+            try:
+                expected = crs_oracle(LossClip(), MetricVector(range(len(row)), row)).weights
+            except ValueError as exc:
+                assert failed[i] == str(exc)
+                # Loss-clip zeroes a row it rejects, so all its entries are finite.
+                finite.append(len(row))
+                continue
+            assert i not in failed
+            start = layout.starts[i]
+            assert weights[start:start + len(row)].tobytes() == expected.tobytes(), i
+            finite.append(int(np.isfinite(row).sum()))
+        kept = RowLayout.of(finite)
+        assert (kept.starts[len(wide)], kept.starts[len(wide)] + 18, 2) in kept.runs
+        assert len(failed) == 2
+
 
 class TestRaggedRoundWeights:
     """The CRS on one round's flat metric vector, rows of many lengths laid out as a plan lays them."""
@@ -517,7 +544,8 @@ class TestRaggedRoundWeights:
                     assert failed[i] == str(exc)
                     continue
                 assert i not in failed
-                assert layout.row(weights, i).tobytes() == expected.tobytes(), i
+                start = layout.starts[i]
+                assert weights[start:start + layout.lengths[i]].tobytes() == expected.tobytes(), i
                 accepted += 1
         assert accepted >= 10 and len(failed) >= 5
 
